@@ -10,6 +10,8 @@ invariants that weight the corner contribution, and the boundary measure
 from .domain import (
     Edge,
     Face,
+    NodeSet,
+    ProjectionError,
     PwsDomain,
     canonical_spec,
     check_local_intersection,
@@ -88,6 +90,8 @@ from .quadrature import (
     integrate_patch,
     integrate_periodic,
     integrate_simplex,
+    tensor_grid,
+    trapezoid_rule,
 )
 
 __version__ = "0.1.0"

@@ -4,9 +4,11 @@ Exit codes across all subcommands:
 
 * 0 — run completed and every checked quantity met its tolerance;
 * 1 — run completed but a check or tolerance failed;
-* 2 — input error (bad spec, unknown option value, malformed expression);
+* 2 — input error (bad or unreadable spec, unknown option value, malformed
+  expression, or a ``--f`` expression that fails to evaluate);
 * 3 — precondition failure (a kernel pole: some tangent hyperplane passes
-  through the requested interior point).
+  through the requested interior point; or a chart's Newton projection does
+  not converge).
 
 Reports are deterministic JSON documents of the shape
 ``{"command", "spec_hash", "resolution", "results": [...], "tolerances",
@@ -27,6 +29,7 @@ import numpy as np
 
 from . import kernels
 from .domain import (
+    ProjectionError,
     canonical_spec,
     check_local_intersection,
     check_strict_convexity,
@@ -71,6 +74,21 @@ def load_spec(name_or_path):
     raise click.UsageError(
         f"spec {name_or_path!r} is neither a file nor one of {BUILTIN_SPECS}"
     )
+
+
+def _load_domain(spec_name):
+    """Load and assemble a domain spec; exit 2 with one line if it is malformed."""
+    try:
+        spec = load_spec(spec_name)
+        return spec, domain_from_spec(spec)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        click.echo(f"invalid domain spec: {exc}", err=True)
+        sys.exit(2)
+
+
+def _precondition_failure(exc):
+    click.echo(f"precondition failure: {exc}", err=True)
+    sys.exit(3)
 
 
 def spec_hash(spec):
@@ -119,11 +137,37 @@ _ALLOWED_NODES = (
 )
 
 
+# Largest |exponent| a ** in a section expression may carry.
+_MAX_EXPONENT = 64
+
+
+def _integer_literal(node):
+    """The value of an (optionally signed) integer literal node, else None."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        sign = -1 if isinstance(node.op, ast.USub) else 1
+        node = node.operand
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sign * node.value
+    return None
+
+
+class _ComplexLiterals(ast.NodeTransformer):
+    """Turn every numeric literal into a complex one, so that evaluation stays
+    in floating point and can never build huge integers."""
+
+    def visit_Constant(self, node):
+        return ast.copy_location(ast.Constant(complex(node.value)), node)
+
+
 def parse_section_expr(expr):
     """Compile a restricted arithmetic expression in z1, z2 to a callable.
 
     Only +, -, *, /, ** over numeric literals and the names z1, z2 (plus the
-    imaginary unit spelled 1j) are accepted.
+    imaginary unit spelled 1j) are accepted.  A ``**`` exponent must be an
+    integer literal of absolute value at most 64.  Evaluation runs in complex
+    floating point; an arithmetic error raised while evaluating (such as a
+    division by zero) is reported as a :class:`click.UsageError`.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -143,12 +187,26 @@ def parse_section_expr(expr):
             node.value, (int, float, complex)
         ):
             raise click.UsageError("only numeric literals are allowed")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            power = _integer_literal(node.right)
+            if power is None or abs(power) > _MAX_EXPONENT:
+                raise click.UsageError(
+                    f"expression {expr!r}: a ** exponent must be an integer literal "
+                    f"of absolute value at most {_MAX_EXPONENT}"
+                )
+    tree = ast.fix_missing_locations(_ComplexLiterals().visit(tree))
     code = compile(tree, "<section>", "eval")
 
     def call(z):
-        return complex(
-            eval(code, {"__builtins__": {}}, {"z1": complex(z[0]), "z2": complex(z[1])})
-        )
+        try:
+            return complex(
+                eval(code, {"__builtins__": {}}, {"z1": complex(z[0]), "z2": complex(z[1])})
+            )
+        except ArithmeticError as exc:
+            raise click.UsageError(
+                f"expression {expr!r} cannot be evaluated at "
+                f"z = ({complex(z[0])}, {complex(z[1])}): {exc}"
+            ) from exc
 
     return call
 
@@ -180,23 +238,20 @@ def main():
 @click.option("--output", type=click.Path(), default=None)
 def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
     """Validate a domain spec and probe its edges' local geometry."""
-    spec = load_spec(spec_name)
-    try:
-        d = domain_from_spec(spec)
-    except (ValueError, KeyError) as exc:
-        click.echo(f"invalid domain spec: {exc}", err=True)
-        sys.exit(2)
+    spec, d = _load_domain(spec_name)
 
     results = []
     report_pass = True
 
-    val = validate_domain(d, resolution=resolution)
+    try:
+        val = validate_domain(d, resolution=resolution)
+        edge_points = [e.chart.point(*e.chart.grid(resolution)[0][0]) for e in d.edges]
+    except ProjectionError as exc:
+        _precondition_failure(exc)
     results.append({"check": "validate", **val})
     report_pass &= val["passed"]
 
-    for ei, e in enumerate(d.edges):
-        params0 = e.chart.quad_nodes(resolution)[0][0]
-        z = e.chart.point(*params0)
+    for ei, (e, z) in enumerate(zip(d.edges, edge_points)):
         loc = check_local_intersection(d, z, radius, samples, seed=seed)
         results.append({"check": "local_intersection", "edge": ei, **loc})
         report_pass &= loc["passed"]
@@ -236,12 +291,7 @@ def reproduce_cmd(
     spec_name, tau, f_expr, resolution, face_resolution, edge_resolution, tolerance, output
 ):
     """Run the reproducing formula for a holomorphic function at a point."""
-    spec = load_spec(spec_name)
-    try:
-        d = domain_from_spec(spec)
-    except (ValueError, KeyError) as exc:
-        click.echo(f"invalid domain spec: {exc}", err=True)
-        sys.exit(2)
+    spec, d = _load_domain(spec_name)
     tau_pt = parse_tau(tau)
     if not d.contains(tau_pt):
         click.echo("--tau is not an interior point of the domain", err=True)
@@ -256,9 +306,8 @@ def reproduce_cmd(
             face_resolution=face_resolution,
             edge_resolution=edge_resolution,
         )
-    except ZeroDivisionError as exc:
-        click.echo(f"precondition failure: {exc}", err=True)
-        sys.exit(3)
+    except (ZeroDivisionError, ProjectionError) as exc:
+        _precondition_failure(exc)
 
     ok = res["rel_err"] <= tolerance
     report = {
@@ -293,21 +342,20 @@ def eta_cmd(spec_name, edge, grid, fmt, with_margins, output):
     CSV header (stable): param1,param2,kappa,eta_weight,margin.  The margin
     column is empty unless --with-margins is given.
     """
-    spec = load_spec(spec_name)
-    try:
-        d = domain_from_spec(spec)
-    except (ValueError, KeyError) as exc:
-        click.echo(f"invalid domain spec: {exc}", err=True)
-        sys.exit(2)
+    spec, d = _load_domain(spec_name)
     if not 0 <= edge < len(d.edges):
         click.echo(f"edge index {edge} out of range (domain has {len(d.edges)})", err=True)
         sys.exit(2)
     e = d.edges[edge]
 
+    try:
+        ns = e.chart.nodes(grid)
+    except ProjectionError as exc:
+        _precondition_failure(exc)
+
     rows = []
     all_ok = True
-    for params, _ in e.chart.quad_nodes(grid):
-        z = e.chart.point(*params)
+    for params, z in zip(ns.params, ns.points):
         try:
             inv = edge_eta(d, z)
             margin = None

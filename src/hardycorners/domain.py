@@ -8,6 +8,9 @@ Faces and edges carry explicit parameter charts from a small built-in
 catalog; a Newton projection refines every chart point onto its defining
 locus to 1e-12, and chart tangent vectors come from exact implicit
 differentiation, so downstream quadrature sees the locus to full precision.
+A chart projects its whole quadrature grid in one vectorized Newton solve
+and returns the result as a :class:`NodeSet` of arrays; a node that does not
+converge raises :class:`ProjectionError`.
 
 The tangent machinery at an edge point:
 
@@ -31,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermpoly import HermitianPoly, gradient_hyperplane, parse_poly, transform_poly
-from .projective import HomVec, ProjMap, dual_map, homogenize, normalize_map, pair
+from .hermpoly import gradient_hyperplane, parse_poly, transform_poly
+from .projective import HomVec, ProjMap, _dot2, homogenize, normalize_map
+from .quadrature import gauss_rule, tensor_grid, trapezoid_rule
 
 __all__ = [
     "Chart",
@@ -40,6 +44,8 @@ __all__ = [
     "SpherePolarChart",
     "GraphPatchChart",
     "TransformedChart",
+    "NodeSet",
+    "ProjectionError",
     "Face",
     "Edge",
     "PwsDomain",
@@ -54,43 +60,110 @@ __all__ = [
 ]
 
 _NEWTON_TOL = 1e-12
+_NEWTON_MAXITER = 80
 _ONLOCUS_TOL = 1e-10
 
 
-def _directional(rho, zhat, direction):
-    """Real directional derivative of rho along a complex 2-vector direction."""
-    g = rho.grad(zhat[0], zhat[1])
-    return 2.0 * float(np.real(g @ np.asarray(direction, dtype=complex)))
+class ProjectionError(RuntimeError):
+    """A chart's Newton projection left some nodes off the locus.
+
+    ``kind`` names the chart type and ``unconverged`` counts the nodes whose
+    residual never fell below the tolerance (a NaN residual counts too).
+    """
+
+    def __init__(self, kind, unconverged, total):
+        self.kind = kind
+        self.unconverged = int(unconverged)
+        self.total = int(total)
+        super().__init__(
+            f"{kind} chart Newton projection did not converge at "
+            f"{self.unconverged} of {self.total} nodes"
+        )
+
+
+@dataclass(frozen=True)
+class NodeSet:
+    """A chart's quadrature nodes projected onto its locus, as arrays.
+
+    ``params`` is ``(N, dim)``, ``weights`` ``(N,)``, ``points`` the affine
+    points ``(N, 2)`` and ``tangents`` the chart tangent vectors
+    ``(N, dim, 2)``: row ``n`` holds d(point)/d(param_a) at node ``n`` for
+    each parameter ``a``.
+    """
+
+    params: np.ndarray
+    weights: np.ndarray
+    points: np.ndarray
+    tangents: np.ndarray
+
+    def __len__(self):
+        return len(self.weights)
+
+
+def _directional(g, direction):
+    """Real directional derivative 2 Re(g . v) from the Wirtinger gradient g."""
+    return 2.0 * np.real(_dot2(g, direction))
+
+
+def _grad(rho, z):
+    return rho.grad(z[..., 0], z[..., 1])
+
+
+def _newton(kind, x, step):
+    """Newton-refine the rows of ``x`` until each row's residual is below tolerance.
+
+    ``step(rows, x_rows)`` returns the residuals ``(n, m)`` and the Newton
+    corrections (shaped like ``x_rows``) at the given rows.  A converged row
+    is never updated again, so every row follows exactly the iteration it
+    would follow on its own.
+    """
+    x = np.array(x, dtype=float)
+    rows = np.arange(len(x))
+    for _ in range(_NEWTON_MAXITER):
+        vals, delta = step(rows, x[rows])
+        todo = ~(np.max(np.abs(vals), axis=-1) < _NEWTON_TOL)
+        rows = rows[todo]
+        if not rows.size:
+            return x
+        x[rows] -= delta[todo]
+    raise ProjectionError(kind, rows.size, len(x))
 
 
 class Chart:
-    """Base class: a parameterization of a face (3 params) or edge (2 params)."""
+    """Base class: a parameterization of a face (3 params) or edge (2 params).
+
+    Subclasses define the quadrature grid (:meth:`grid`) and the vectorized
+    projection of parameter rows onto the locus (:meth:`project`); every
+    other method is built on those two.
+    """
 
     kind = "abstract"
     dim = 0
 
-    def point(self, *params):
+    def grid(self, resolution):
+        """Deterministic quadrature grid: params ``(N, dim)`` and weights ``(N,)``."""
         raise NotImplementedError
 
-    def tangents(self, *params):
+    def project(self, params):
+        """Points ``(N, 2)`` and tangents ``(N, dim, 2)`` at parameter rows ``(N, dim)``."""
         raise NotImplementedError
 
     def spec_dict(self):
         raise NotImplementedError
 
-    def quad_nodes(self, resolution):
-        """Deterministic node list [(params, weight), ...] at a resolution."""
-        raise NotImplementedError
+    def nodes(self, resolution):
+        """The :class:`NodeSet` of this chart at a resolution (one Newton solve)."""
+        params, weights = self.grid(resolution)
+        points, tangents = self.project(params)
+        return NodeSet(params, weights, points, tangents)
 
+    def _at(self, *params):
+        points, tangents = self.project(np.array([params], dtype=float))
+        return points[0], list(tangents[0])
 
-def _trapezoid_axis(n):
-    return 2.0 * np.pi * np.arange(n) / n, np.full(n, 2.0 * np.pi / n)
-
-
-def _gauss_axis(a, b, order):
-    from .quadrature import gauss_rule
-
-    return gauss_rule(a, b, order)
+    def _node_list(self, resolution):
+        params, weights = self.grid(resolution)
+        return [(tuple(p), w) for p, w in zip(params, weights)]
 
 
 class TorusChart(Chart):
@@ -110,60 +183,78 @@ class TorusChart(Chart):
         self.rhos = tuple(rhos)
         self.r0 = (float(r0[0]), float(r0[1]))
 
-    def _solve(self, theta, phi):
-        e = np.array([np.exp(1j * theta), np.exp(1j * phi)])
-        r = np.array(self.r0, dtype=float)
-        for _ in range(80):
-            z = r * e
-            vals = np.array([rho(z[0], z[1]) for rho in self.rhos])
-            if np.max(np.abs(vals)) < _NEWTON_TOL:
-                break
-            jac = np.empty((2, 2))
-            for l, rho in enumerate(self.rhos):
-                g = rho.grad(z[0], z[1])
-                jac[l, 0] = 2.0 * np.real(g[0] * e[0])
-                jac[l, 1] = 2.0 * np.real(g[1] * e[1])
-            r = r - np.linalg.solve(jac, vals)
-        else:
-            raise RuntimeError("torus chart Newton projection did not converge")
-        return r, e
+    @staticmethod
+    def _jacobian(grads, e):
+        """d rho_l / d r_m at points z = r * e from the members' gradients: (N, 2, 2)."""
+        return np.stack([2.0 * np.real(g * e) for g in grads], axis=-2)
+
+    def _grads(self, z):
+        return [_grad(rho, z) for rho in self.rhos]
+
+    def project(self, params):
+        e = np.exp(1j * params)
+
+        def step(rows, r):
+            er = e[rows]
+            z = r * er
+            vals = np.stack([rho(z[:, 0], z[:, 1]) for rho in self.rhos], axis=-1)
+            delta = np.linalg.solve(self._jacobian(self._grads(z), er), vals[..., None])
+            return vals, delta[..., 0]
+
+        r = _newton(self.kind, np.broadcast_to(self.r0, e.shape), step)
+        z = r * e
+        grads = self._grads(z)
+        jac = self._jacobian(grads, e)
+        tangents = np.zeros((len(z), 2, 2), dtype=complex)
+        for axis in (0, 1):
+            dz = tangents[:, axis]
+            dz[:, axis] = 1j * r[:, axis] * e[:, axis]
+            rhs = np.stack([-2.0 * np.real(_dot2(g, dz)) for g in grads], axis=-1)
+            dz += np.linalg.solve(jac, rhs[..., None])[..., 0] * e
+        return z, tangents
 
     def point(self, theta, phi):
-        r, e = self._solve(theta, phi)
-        return r * e
+        return self._at(theta, phi)[0]
 
     def tangents(self, theta, phi):
-        r, e = self._solve(theta, phi)
-        z = r * e
-        jac = np.empty((2, 2))
-        for l, rho in enumerate(self.rhos):
-            g = rho.grad(z[0], z[1])
-            jac[l, 0] = 2.0 * np.real(g[0] * e[0])
-            jac[l, 1] = 2.0 * np.real(g[1] * e[1])
-        out = []
-        for axis in (0, 1):
-            dz_explicit = np.zeros(2, dtype=complex)
-            dz_explicit[axis] = 1j * r[axis] * e[axis]
-            rhs = np.array(
-                [
-                    -2.0 * np.real(rho.grad(z[0], z[1]) @ dz_explicit)
-                    for rho in self.rhos
-                ]
-            )
-            dr = np.linalg.solve(jac, rhs)
-            out.append(dz_explicit + dr * e)
-        return out
+        return self._at(theta, phi)[1]
 
     def spec_dict(self):
         return {"type": "torus2", "r0": [self.r0[0], self.r0[1]]}
 
-    def quad_nodes(self, resolution):
+    def grid(self, resolution):
         n = max(4, int(resolution))
-        th, wt = _trapezoid_axis(n)
-        ph, wp = _trapezoid_axis(n)
-        return [
-            ((th[i], ph[j]), wt[i] * wp[j]) for i in range(n) for j in range(n)
-        ]
+        return tensor_grid([trapezoid_rule(n), trapezoid_rule(n)])
+
+    def quad_nodes(self, resolution):
+        """Deterministic node list [(params, weight), ...] at a resolution."""
+        return self._node_list(resolution)
+
+
+def _radial_newton(kind, rho, base, direction, s0):
+    """Solve rho(base + s * direction) = 0 for s per row, from the start value s0."""
+
+    def step(rows, s):
+        u = direction[rows]
+        z = base[rows] + s[:, None] * u
+        val = rho(z[:, 0], z[:, 1])
+        return val[:, None], val / _directional(_grad(rho, z), u)
+
+    return _newton(kind, np.full(len(direction), s0), step)
+
+
+def _implicit_tangents(rho, z, explicit, direction):
+    """Complete explicit tangents (N, dim, 2) in place to tangents of {rho = 0}.
+
+    ``explicit[:, a]`` is d(point)/d(param_a) with the solved modulus held
+    fixed; the modulus moves along ``direction`` by implicit differentiation.
+    """
+    g = _grad(rho, z)
+    dn = _directional(g, direction)
+    for a in range(explicit.shape[1]):
+        dz = explicit[:, a]
+        dz += (-_directional(g, dz) / dn)[:, None] * direction
+    return explicit
 
 
 class SpherePolarChart(Chart):
@@ -180,58 +271,38 @@ class SpherePolarChart(Chart):
         self.rho = rho
         self.r0 = float(r0)
 
-    def _direction(self, theta, alpha, beta):
-        return np.array(
-            [np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta)]
-        )
-
-    def _solve(self, theta, alpha, beta):
-        u = self._direction(theta, alpha, beta)
-        s = self.r0
-        for _ in range(80):
-            z = s * u
-            val = self.rho(z[0], z[1])
-            if abs(val) < _NEWTON_TOL:
-                break
-            dv = _directional(self.rho, z, u)
-            s = s - val / dv
-        else:
-            raise RuntimeError("sphere chart Newton projection did not converge")
-        return s, u
+    def project(self, params):
+        theta, alpha, beta = params.T
+        ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
+        c, sn = np.cos(theta), np.sin(theta)
+        u = np.stack([c * ea, sn * eb], axis=-1)
+        s = _radial_newton(self.kind, self.rho, np.zeros_like(u), u, self.r0)
+        z = s[:, None] * u
+        tangents = np.zeros((len(z), 3, 2), dtype=complex)
+        tangents[:, 0, 0] = s * (-sn * ea)
+        tangents[:, 0, 1] = s * (c * eb)
+        tangents[:, 1, 0] = s * (1j * c * ea)
+        tangents[:, 2, 1] = s * (1j * sn * eb)
+        return z, _implicit_tangents(self.rho, z, tangents, u)
 
     def point(self, theta, alpha, beta):
-        s, u = self._solve(theta, alpha, beta)
-        return s * u
+        return self._at(theta, alpha, beta)[0]
 
     def tangents(self, theta, alpha, beta):
-        s, u = self._solve(theta, alpha, beta)
-        z = s * u
-        dn = _directional(self.rho, z, u)
-        dus = (
-            np.array([-np.sin(theta) * np.exp(1j * alpha), np.cos(theta) * np.exp(1j * beta)]),
-            np.array([1j * np.cos(theta) * np.exp(1j * alpha), 0.0j]),
-            np.array([0.0j, 1j * np.sin(theta) * np.exp(1j * beta)]),
-        )
-        out = []
-        for du in dus:
-            ds = -_directional(self.rho, z, s * du) / dn
-            out.append(ds * u + s * du)
-        return out
+        return self._at(theta, alpha, beta)[1]
 
     def spec_dict(self):
         return {"type": "sphere_polar", "r0": self.r0}
 
-    def quad_nodes(self, resolution):
+    def grid(self, resolution):
         n = max(4, int(resolution))
-        xt, wt = _gauss_axis(0.0, np.pi / 2.0, max(4, n // 2))
-        xa, wa = _trapezoid_axis(n)
-        xb, wb = _trapezoid_axis(n)
-        return [
-            ((xt[i], xa[j], xb[k]), wt[i] * wa[j] * wb[k])
-            for i in range(len(xt))
-            for j in range(n)
-            for k in range(n)
-        ]
+        return tensor_grid(
+            [gauss_rule(0.0, np.pi / 2.0, max(4, n // 2)), trapezoid_rule(n), trapezoid_rule(n)]
+        )
+
+    def quad_nodes(self, resolution):
+        """Deterministic node list [(params, weight), ...] at a resolution."""
+        return self._node_list(resolution)
 
 
 class GraphPatchChart(Chart):
@@ -253,50 +324,28 @@ class GraphPatchChart(Chart):
         self.disk_radius = float(disk_radius)
         self.r0 = float(r0)
 
-    def _assemble(self, m, disk, psi):
-        z = np.empty(2, dtype=complex)
+    def project(self, params):
+        r, phi, psi = params.T
         si = 0 if self.solve == "z1" else 1
-        z[si] = m * np.exp(1j * psi)
-        z[1 - si] = disk
-        return z
-
-    def _solve_m(self, r, phi, psi):
-        disk = self.disk_radius * r * np.exp(1j * phi)
-        si = 0 if self.solve == "z1" else 1
-        eradial = np.zeros(2, dtype=complex)
-        eradial[si] = np.exp(1j * psi)
-        m = self.r0
-        for _ in range(80):
-            z = self._assemble(m, disk, psi)
-            val = self.rho(z[0], z[1])
-            if abs(val) < _NEWTON_TOL:
-                break
-            dv = _directional(self.rho, z, eradial)
-            m = m - val / dv
-        else:
-            raise RuntimeError("graph chart Newton projection did not converge")
-        return m, disk, eradial, si
+        ephi, epsi = np.exp(1j * phi), np.exp(1j * psi)
+        base = np.zeros((len(r), 2), dtype=complex)
+        base[:, 1 - si] = self.disk_radius * r * ephi
+        eradial = np.zeros_like(base)
+        eradial[:, si] = epsi
+        m = _radial_newton(self.kind, self.rho, base, eradial, self.r0)
+        z = base
+        z[:, si] = m * epsi
+        tangents = np.zeros((len(r), 3, 2), dtype=complex)
+        tangents[:, 0, 1 - si] = self.disk_radius * ephi
+        tangents[:, 1, 1 - si] = 1j * self.disk_radius * r * ephi
+        tangents[:, 2, si] = 1j * m * epsi
+        return z, _implicit_tangents(self.rho, z, tangents, eradial)
 
     def point(self, r, phi, psi):
-        m, disk, _, si = self._solve_m(r, phi, psi)
-        return self._assemble(m, disk, psi)
+        return self._at(r, phi, psi)[0]
 
     def tangents(self, r, phi, psi):
-        m, disk, eradial, si = self._solve_m(r, phi, psi)
-        z = self._assemble(m, disk, psi)
-        dn = _directional(self.rho, z, eradial)
-        expl = []
-        dphi = np.zeros(2, dtype=complex)
-        dr = np.zeros(2, dtype=complex)
-        dpsi = np.zeros(2, dtype=complex)
-        dr[1 - si] = self.disk_radius * np.exp(1j * phi)
-        dphi[1 - si] = 1j * self.disk_radius * r * np.exp(1j * phi)
-        dpsi[si] = 1j * m * np.exp(1j * psi)
-        out = []
-        for dz in (dr, dphi, dpsi):
-            dm = -_directional(self.rho, z, dz) / dn
-            out.append(dz + dm * eradial)
-        return out
+        return self._at(r, phi, psi)[1]
 
     def spec_dict(self):
         return {
@@ -306,17 +355,15 @@ class GraphPatchChart(Chart):
             "r0": self.r0,
         }
 
-    def quad_nodes(self, resolution):
+    def grid(self, resolution):
         n = max(4, int(resolution))
-        xr, wr = _gauss_axis(0.0, 1.0, max(4, n // 2))
-        xp, wp = _trapezoid_axis(n)
-        xs, ws = _trapezoid_axis(n)
-        return [
-            ((xr[i], xp[j], xs[k]), wr[i] * wp[j] * ws[k])
-            for i in range(len(xr))
-            for j in range(n)
-            for k in range(n)
-        ]
+        return tensor_grid(
+            [gauss_rule(0.0, 1.0, max(4, n // 2)), trapezoid_rule(n), trapezoid_rule(n)]
+        )
+
+    def quad_nodes(self, resolution):
+        """Deterministic node list [(params, weight), ...] at a resolution."""
+        return self._node_list(resolution)
 
 
 class TransformedChart(Chart):
@@ -329,13 +376,21 @@ class TransformedChart(Chart):
         self.tmap = tmap
         self.dim = base.dim
 
+    def grid(self, resolution):
+        return self.base.grid(resolution)
+
+    def project(self, params):
+        points, tangents = self.base.project(params)
+        moved = np.stack(self.tmap.affine(points), axis=-1)
+        jac = self.tmap.jacobian(points)[:, None]
+        pushed = jac[..., 0] * tangents[..., None, 0] + jac[..., 1] * tangents[..., None, 1]
+        return moved, pushed
+
     def point(self, *params):
-        return np.array(self.tmap.affine(self.base.point(*params)))
+        return self._at(*params)[0]
 
     def tangents(self, *params):
-        z = self.base.point(*params)
-        jac = self.tmap.jacobian(z)
-        return [jac @ v for v in self.base.tangents(*params)]
+        return self._at(*params)[1]
 
     def spec_dict(self):
         return {"type": "transformed", "base": self.base.spec_dict()}
@@ -391,13 +446,11 @@ class PwsDomain:
         return self.hypersurfaces[i][0]
 
     def rho_values(self, zhat):
+        """Every defining function at a point (or at arrays of points, on axis 1 on)."""
         return np.array([rho(zhat[0], zhat[1]) for _, rho in self.hypersurfaces])
 
     def contains(self, zhat):
-        vals = self.rho_values(zhat)
-        if self.membership == "intersection":
-            return bool(np.all(vals < 0))
-        return bool(np.any(vals < 0))
+        return bool(_membership_from_values(self, self.rho_values(zhat)))
 
     def active_members(self, zhat, tol=1e-8):
         vals = self.rho_values(zhat)
@@ -482,16 +535,22 @@ def canonical_spec(spec):
 
 
 def strong_tangents(d, e, zhat, tol=1e-8):
-    """The member hypersurfaces' tangent hyperplanes at an edge point, in member order."""
+    """The member hypersurfaces' tangent hyperplanes at an edge point, in member order.
+
+    For an ``(N, 2)`` array of edge points the basepoint and the planes of the
+    returned set are ``(N, 3)`` arrays of homogeneous coordinates.
+    """
     from .kernels import StrongTangentSet
 
+    zhat = np.asarray(zhat, dtype=complex)
     for m in e.members:
-        if abs(d.rho(m)(zhat[0], zhat[1])) > tol:
+        if np.any(np.abs(d.rho(m)(zhat[..., 0], zhat[..., 1])) > tol):
             raise ValueError(
                 f"point is not on hypersurface {d.label(m)!r} within {tol}"
             )
-    planes = [gradient_hyperplane(d.rho(m), zhat) for m in e.members]
-    return StrongTangentSet(basepoint=HomVec.from_affine(zhat), planes=tuple(planes))
+    planes = tuple(gradient_hyperplane(d.rho(m), zhat) for m in e.members)
+    basepoint = HomVec.from_affine(zhat) if zhat.ndim == 1 else homogenize(zhat)
+    return StrongTangentSet(basepoint=basepoint, planes=planes)
 
 
 def weak_tangent(d, e, zhat, t):
@@ -540,20 +599,18 @@ def check_local_intersection(d, zhat, radius, samples, seed=0):
         [zhat[0].real, zhat[0].imag, zhat[1].real, zhat[1].imag], dtype=float
     )
     pts = _ball_samples(rng, center, radius, int(samples))
+    vals = d.rho_values((pts[:, 0] + 1j * pts[:, 1], pts[:, 2] + 1j * pts[:, 3]))
     nonmembers = [i for i in range(len(d.hypersurfaces)) if i not in members]
-    disagreements = 0
-    for row in pts:
-        z = np.array([complex(row[0], row[1]), complex(row[2], row[3])])
-        vals = d.rho_values(z)
-        for i in nonmembers:
-            if vals[i] >= 0:
-                raise ValueError(
-                    f"radius {radius} too large: non-member hypersurface "
-                    f"{d.label(i)!r} reaches the sample ball"
-                )
-        local = bool(np.all(vals[members] < 0))
-        if local != _membership_from_values(d, vals):
-            disagreements += 1
+    reached = vals[nonmembers] >= 0
+    if np.any(reached):
+        first = np.argmax(np.any(reached, axis=0))
+        i = nonmembers[int(np.argmax(reached[:, first]))]
+        raise ValueError(
+            f"radius {radius} too large: non-member hypersurface "
+            f"{d.label(i)!r} reaches the sample ball"
+        )
+    local = np.all(vals[members] < 0, axis=0)
+    disagreements = int(np.sum(local != _membership_from_values(d, vals)))
     return {
         "passed": disagreements == 0,
         "samples": int(samples),
@@ -564,9 +621,10 @@ def check_local_intersection(d, zhat, radius, samples, seed=0):
 
 
 def _membership_from_values(d, vals):
+    """Membership from the defining-function values on axis 0."""
     if d.membership == "intersection":
-        return bool(np.all(vals < 0))
-    return bool(np.any(vals < 0))
+        return np.all(vals < 0, axis=0)
+    return np.any(vals < 0, axis=0)
 
 
 def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=None):
@@ -595,6 +653,9 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
             for i in range(t_grid)
         ]
 
+    # Punctured polar grid of line parameters: radii radius*i/n, angles 2 pi j/n.
+    rr = radius * np.arange(1, ambient_grid + 1) / ambient_grid
+    line = rr[:, None] * np.exp(2j * np.pi * np.arange(ambient_grid) / ambient_grid)
     per_t = []
     z0 = np.array([complex(zhat[0]), complex(zhat[1])])
     for t in t_list:
@@ -609,15 +670,9 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
             per_t.append((tuple(t), np.nan))
             continue
         dvec = dvec / nd
-        margin = np.inf
-        for i in range(1, ambient_grid + 1):
-            rr = radius * i / ambient_grid
-            for j in range(ambient_grid):
-                s = rr * np.exp(2j * np.pi * j / ambient_grid)
-                p = z0 + s * dvec
-                vals = [d.rho(m)(p[0], p[1]) for m in members]
-                margin = min(margin, max(vals))
-        per_t.append((tuple(t), float(margin)))
+        p1, p2 = z0[0] + line * dvec[0], z0[1] + line * dvec[1]
+        vals = np.max([d.rho(m)(p1, p2) for m in members], axis=0)
+        per_t.append((tuple(t), float(np.min(vals))))
 
     margins = [m for _, m in per_t if np.isfinite(m)]
     min_margin = float(min(margins)) if margins else np.nan
@@ -665,56 +720,54 @@ def transform_domain(d, t):
     )
 
 
+def _sample_points(chart, resolution):
+    """Chart points at every ``resolution``-th node of its grid."""
+    params, _ = chart.grid(resolution)
+    return chart.project(params[:: max(1, resolution)])[0]
+
+
 def validate_domain(d, resolution=12):
     """Structural validation: charts on-locus, sign conditions, transversality.
 
     Returns a report dict with ``passed`` and a list of human-readable
     ``failures`` naming the offending hypersurface or chart.
+
+    Raises
+    ------
+    ProjectionError
+        If a chart's Newton projection does not converge.
     """
     failures = []
 
     for fi, f in enumerate(d.faces):
-        own = d.rho(f.hypersurface)
-        for params, _ in f.chart.quad_nodes(resolution)[:: max(1, resolution)]:
-            z = f.chart.point(*params)
-            if abs(own(z[0], z[1])) > _ONLOCUS_TOL:
-                failures.append(
-                    f"face {fi} chart point leaves hypersurface "
-                    f"{d.label(f.hypersurface)!r} (|rho| > {_ONLOCUS_TOL})"
-                )
-                break
-            for i, (_, rho) in enumerate(d.hypersurfaces):
-                if i != f.hypersurface and rho(z[0], z[1]) >= 0:
-                    failures.append(
-                        f"face {fi} chart reaches the wrong side of {d.label(i)!r}"
-                    )
-                    break
+        vals = d.rho_values(_sample_points(f.chart, resolution).T)
+        if np.any(np.abs(vals[f.hypersurface]) > _ONLOCUS_TOL):
+            failures.append(
+                f"face {fi} chart point leaves hypersurface "
+                f"{d.label(f.hypersurface)!r} (|rho| > {_ONLOCUS_TOL})"
+            )
+        for i in range(len(d.hypersurfaces)):
+            if i != f.hypersurface and np.any(vals[i] >= 0):
+                failures.append(f"face {fi} chart reaches the wrong side of {d.label(i)!r}")
 
     for ei, e in enumerate(d.edges):
-        for params, _ in e.chart.quad_nodes(resolution)[:: max(1, resolution)]:
-            z = e.chart.point(*params)
-            for m in e.members:
-                if abs(d.rho(m)(z[0], z[1])) > _ONLOCUS_TOL:
-                    failures.append(
-                        f"edge {ei} chart point leaves member {d.label(m)!r}"
-                    )
-                    break
-            g1 = d.rho(e.members[0]).grad(z[0], z[1])
-            g2 = d.rho(e.members[1]).grad(z[0], z[1])
-            det = g1[0] * g2[1] - g1[1] * g2[0]
-            scale = max(np.linalg.norm(g1) * np.linalg.norm(g2), 1e-300)
-            if abs(det) / scale < 1e-8:
-                failures.append(
-                    f"edge {ei}: member gradients are complex-linearly dependent "
-                    f"(transversality fails)"
-                )
-                break
-            for i, (_, rho) in enumerate(d.hypersurfaces):
-                if i not in e.members and rho(z[0], z[1]) >= 0:
-                    failures.append(
-                        f"edge {ei} chart reaches the wrong side of {d.label(i)!r}"
-                    )
-                    break
+        z = _sample_points(e.chart, resolution)
+        vals = d.rho_values(z.T)
+        for m in e.members:
+            if np.any(np.abs(vals[m]) > _ONLOCUS_TOL):
+                failures.append(f"edge {ei} chart point leaves member {d.label(m)!r}")
+        g1 = _grad(d.rho(e.members[0]), z)
+        g2 = _grad(d.rho(e.members[1]), z)
+        det = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
+        scale = np.maximum(np.linalg.norm(g1, axis=-1) * np.linalg.norm(g2, axis=-1), 1e-300)
+        if np.any(np.abs(det) / scale < 1e-8):
+            failures.append(
+                f"edge {ei}: member gradients are complex-linearly dependent "
+                f"(transversality fails)"
+            )
+        for i in range(len(d.hypersurfaces)):
+            if i not in e.members and np.any(vals[i] >= 0):
+                failures.append(f"edge {ei} chart reaches the wrong side of {d.label(i)!r}")
 
     for p in d.interior_points:
         if d.membership == "intersection":

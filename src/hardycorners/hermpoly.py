@@ -28,11 +28,11 @@ integers; an omitted exponent means 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .projective import HomVec
+from .projective import HomVec, _as_points, _dot2, _stack_last
 
 __all__ = [
     "Poly",
@@ -63,19 +63,32 @@ class Poly:
 
     Not necessarily real-valued; this is the common representation for
     Wirtinger derivatives of the real defining functions.
+
+    The coefficient table is compiled once, at construction, into a term
+    table: each term's coefficient with its nonzero (variable, exponent)
+    pairs.  Evaluation walks that table with arithmetic that is generic over
+    Python complex scalars and numpy arrays, so a call at one point costs a
+    few scalar multiplications and a call on ``(N,)`` arrays costs a few
+    array multiplications per term, with one code path for both.
     """
 
     def __init__(self, terms=None):
         self.terms = _canonical(terms or {})
+        self._table = tuple(
+            (c, tuple((slot, e) for slot, e in enumerate(key) if e))
+            for key, c in self.terms.items()
+        )
 
     def __call__(self, z1, z2):
-        z1 = complex(z1)
-        z2 = complex(z2)
-        z1b = z1.conjugate()
-        z2b = z2.conjugate()
-        total = 0.0 + 0.0j
-        for (p1, q1, p2, q2), c in self.terms.items():
-            total += c * z1 ** p1 * z1b ** q1 * z2 ** p2 * z2b ** q2
+        """Evaluate at one point, or elementwise on arrays of points."""
+        z1, z2, shape = _as_points(z1, z2)
+        zs = (z1, z1.conjugate(), z2, z2.conjugate())
+        total = 0.0 + 0.0j if shape is None else np.zeros(shape, dtype=complex)
+        for c, factors in self._table:
+            term = c
+            for slot, e in factors:
+                term = term * (zs[slot] if e == 1 else zs[slot] ** e)
+            total += term
         return total
 
     def diff(self, var):
@@ -91,6 +104,16 @@ class Poly:
             new = tuple(new)
             out[new] = out.get(new, 0.0 + 0.0j) + c * e
         return Poly(out)
+
+    @cached_property
+    def _derivatives(self):
+        """Gradient polynomials (d/dz1, d/dz2) and Hessian ones H[j][k] = d/dz_k d/dzbar_j."""
+        grad = (self.diff("z1"), self.diff("z2"))
+        hess = tuple(
+            tuple(self.diff(bvar).diff(hvar) for hvar in ("z1", "z2"))
+            for bvar in ("z1bar", "z2bar")
+        )
+        return grad, hess
 
     def conj(self):
         """Complex conjugate polynomial (swaps holomorphic/antiholomorphic exponents)."""
@@ -169,36 +192,25 @@ class HermitianPoly(Poly):
             raise HermitianSymmetryError(bad)
 
     def __call__(self, z1, z2):
-        """Evaluate; realness is structural, so return a float."""
+        """Evaluate; realness is structural, so return a float (or a float array)."""
         return Poly.__call__(self, z1, z2).real
 
-    def eval_complex(self, z1, z2):
-        """Evaluate without discarding the (tiny, roundoff-level) imaginary part."""
-        return Poly.__call__(self, z1, z2)
-
     def grad(self, z1, z2):
-        """Holomorphic Wirtinger gradient (d/dz1, d/dz2) evaluated at a point."""
-        return np.array(
-            [
-                Poly.__call__(self.diff("z1"), z1, z2),
-                Poly.__call__(self.diff("z2"), z1, z2),
-            ],
-            dtype=complex,
-        )
+        """Holomorphic Wirtinger gradient (d/dz1, d/dz2), stacked on a last axis of length 2."""
+        d1, d2 = self._derivatives[0]
+        return _stack_last([d1(z1, z2), d2(z1, z2)])
 
     def grad_real(self, z1, z2):
-        """Real gradient (d/dx1, d/dy1, d/dx2, d/dy2) as a length-4 real vector."""
+        """Real gradient (d/dx1, d/dy1, d/dx2, d/dy2), stacked on a last axis of length 4."""
         g = self.grad(z1, z2)
-        return np.array([2 * g[0].real, -2 * g[0].imag, 2 * g[1].real, -2 * g[1].imag])
+        g1, g2 = g[..., 0], g[..., 1]
+        return np.stack([2 * g1.real, -2 * g1.imag, 2 * g2.real, -2 * g2.imag], axis=-1)
 
     def hessian_complex(self, z1, z2):
-        """Complex Hessian H[j, k] = d^2 rho / (dz_k d conj(z_j)) as a 2x2 array."""
-        h = np.empty((2, 2), dtype=complex)
-        for j, bvar in enumerate(("z1bar", "z2bar")):
-            db = self.diff(bvar)
-            for k, hvar in enumerate(("z1", "z2")):
-                h[j, k] = Poly.__call__(db.diff(hvar), z1, z2)
-        return h
+        """Complex Hessian H[j, k] = d^2 rho / (dz_k d conj(z_j)) on the last two axes."""
+        return _stack_last(
+            [[h(z1, z2) for h in row] for row in self._derivatives[1]], ndim=2
+        )
 
     def __repr__(self):
         return f"HermitianPoly({self.terms!r})"
@@ -395,16 +407,17 @@ def gradient_hyperplane(rho, zhat):
 
     Returns the hyperplane ``[-(r1*z1 + r2*z2) : r1 : r2]`` with
     ``r_j = d rho / d z_j`` evaluated at the affine point; it is incident to
-    ``[1 : z1 : z2]`` exactly by construction.
+    ``[1 : z1 : z2]`` exactly by construction.  For an ``(N, 2)`` array of
+    points the result is the ``(N, 3)`` array of hyperplane coordinates.
     """
-    z1, z2 = zhat
-    g = rho.grad(z1, z2)
-    if np.max(np.abs(g)) <= 1e-14:
+    zhat = np.asarray(zhat, dtype=complex)
+    g = rho.grad(zhat[..., 0], zhat[..., 1])
+    if np.any(np.max(np.abs(g), axis=-1) <= 1e-14):
         raise ValueError("vanishing complex gradient: degenerate boundary point")
-    return HomVec(
-        (-(g[0] * complex(z1) + g[1] * complex(z2)), g[0], g[1]),
-        role="hyperplane",
-    )
+    w = np.stack([-_dot2(g, zhat), g[..., 0], g[..., 1]], axis=-1)
+    if w.ndim == 1:
+        return HomVec(tuple(w), role="hyperplane")
+    return w
 
 
 def _linear_forms_product(rows, exps):

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .projective import HomVec
+from .projective import HomVec, _dot2
 from .quadrature import gauss_rule, integrate_simplex
 
 __all__ = [
@@ -80,10 +80,12 @@ class StrongTangentSet:
     """Tangent hyperplanes of the member hypersurfaces at an edge point.
 
     ``planes`` is ordered like the edge's member list.  The basepoint keeps
-    the homogeneous representative the planes were computed against.
+    the homogeneous representative the planes were computed against.  At one
+    point the basepoint and planes are :class:`HomVec` values; for ``N``
+    edge points at once they are ``(N, 3)`` coordinate arrays.
     """
 
-    basepoint: HomVec
+    basepoint: object
     planes: tuple
 
     def __len__(self):
@@ -101,9 +103,7 @@ class StrongTangentSet:
         """
         if len(self.planes) != 2:
             raise ValueError("minor vector is defined for exactly two planes")
-        a = self.planes[0].array
-        b = self.planes[1].array
-        return np.cross(a, b)
+        return np.cross(_as_hyperplane(self.planes[0]), _as_hyperplane(self.planes[1]))
 
 
 def _as_point(z):
@@ -261,6 +261,19 @@ def _wedge_1_2(a, b, v1, v2, v3):
     return a(v1) * b(v2, v3) - a(v2) * b(v1, v3) + a(v3) * b(v1, v2)
 
 
+def _frame(tangents, count):
+    """Tangent vectors as a ``(..., count, 2)`` complex array (a list of vectors or a stack)."""
+    t = np.asarray(tangents, dtype=complex)
+    if t.shape[-2:] != (count, 2):
+        raise ValueError(f"expected {count} tangent vectors of length 2, got shape {t.shape}")
+    return t
+
+
+def _value(v, cast=complex):
+    """A Python scalar for one point, the array itself for many."""
+    return cast(v) if np.ndim(v) == 0 else v
+
+
 def smooth_leray_density(rho, zhat, tau_hat, tangents):
     """Second-order Cauchy density of a smooth face at a boundary point.
 
@@ -269,6 +282,9 @@ def smooth_leray_density(rho, zhat, tau_hat, tangents):
     affine tangent vectors.  The result is a pure alternating form; the
     boundary orientation sign belongs to the caller (see
     :func:`orientation_sign_face`).
+
+    Array-capable: with ``zhat`` of shape ``(N, 2)`` and ``tangents`` of
+    shape ``(N, 3, 2)`` the value is an ``(N,)`` array.
 
     Raises
     ------
@@ -279,31 +295,35 @@ def smooth_leray_density(rho, zhat, tau_hat, tangents):
     """
     zhat = np.asarray(zhat, dtype=complex)
     tau_hat = np.asarray(tau_hat, dtype=complex)
-    g = rho.grad(zhat[0], zhat[1])
-    gn = np.linalg.norm(g)
-    if gn < 1e-14:
+    t = _frame(tangents, 3)
+    g = rho.grad(zhat[..., 0], zhat[..., 1])
+    gn = np.linalg.norm(g, axis=-1)
+    if np.any(gn < 1e-14):
         raise ValueError("defining function has vanishing gradient at the point")
-    h = rho.hessian_complex(zhat[0], zhat[1])
+    h = rho.hessian_complex(zhat[..., 0], zhat[..., 1])
 
     def a(v):
-        return g @ v
+        return _dot2(g, v)
 
     def b(u, v):
         acc = 0.0j
         for jj in range(2):
             for kk in range(2):
-                acc += h[jj, kk] * (np.conj(u[jj]) * v[kk] - np.conj(v[jj]) * u[kk])
+                acc = acc + h[..., jj, kk] * (
+                    np.conj(u[..., jj]) * v[..., kk] - np.conj(v[..., jj]) * u[..., kk]
+                )
         return acc
 
-    v1, v2, v3 = [np.asarray(v, dtype=complex) for v in tangents]
-    numer = _wedge_1_2(a, b, v1, v2, v3)
-    pairing = g @ (zhat - tau_hat)
-    if abs(pairing) < 1e-12 * gn * max(np.linalg.norm(zhat - tau_hat), 1e-300):
+    numer = _wedge_1_2(a, b, t[..., 0, :], t[..., 1, :], t[..., 2, :])
+    offset = zhat - tau_hat
+    pairing = _dot2(g, offset)
+    floor = 1e-12 * gn * np.maximum(np.linalg.norm(offset, axis=-1), 1e-300)
+    if np.any(np.abs(pairing) < floor):
         raise ZeroDivisionError(
             "tangent hyperplane passes through the evaluation point"
         )
     value = numer / pairing**2 / TWO_PI_I**2
-    return Density(value=complex(value), form_degree=3)
+    return Density(value=_value(value), form_degree=3)
 
 
 def corner_kernel(strong, tau, frame):
@@ -319,6 +339,9 @@ def corner_kernel(strong, tau, frame):
     frame : (v1, v2)
         Two affine tangent vectors to the edge at the basepoint.
 
+    Array-capable: with ``strong`` holding ``(N, 3)`` arrays and ``frame`` of
+    shape ``(N, 2, 2)`` the value is an ``(N,)`` array.
+
     Returns
     -------
     Density
@@ -328,26 +351,26 @@ def corner_kernel(strong, tau, frame):
     """
     if len(strong) != 2:
         raise ValueError("corner kernel needs exactly two tangent hyperplanes")
-    z = strong.basepoint.array
-    w1 = strong.planes[0].array
-    w2 = strong.planes[1].array
+    z = _as_point(strong.basepoint)
+    w1 = _as_hyperplane(strong.planes[0])
+    w2 = _as_hyperplane(strong.planes[1])
     tau = _as_point(tau)
 
-    det0 = w1[1] * w2[2] - w1[2] * w2[1]
-    p1 = tau @ w1
-    p2 = tau @ w2
-    scale1 = np.linalg.norm(tau) * np.linalg.norm(w1)
-    scale2 = np.linalg.norm(tau) * np.linalg.norm(w2)
-    if abs(p1) < 1e-12 * scale1 or abs(p2) < 1e-12 * scale2:
+    det0 = w1[..., 1] * w2[..., 2] - w1[..., 2] * w2[..., 1]
+    p1 = np.sum(tau * w1, axis=-1)
+    p2 = np.sum(tau * w2, axis=-1)
+    scale1 = np.linalg.norm(tau) * np.linalg.norm(w1, axis=-1)
+    scale2 = np.linalg.norm(tau) * np.linalg.norm(w2, axis=-1)
+    if np.any(np.abs(p1) < 1e-12 * scale1) or np.any(np.abs(p2) < 1e-12 * scale2):
         raise ZeroDivisionError("a member tangent hyperplane passes through tau")
 
-    v1 = np.asarray(frame[0], dtype=complex)
-    v2 = np.asarray(frame[1], dtype=complex)
-    dz12 = v1[0] * v2[1] - v1[1] * v2[0]
+    t = _frame(frame, 2)
+    v1, v2 = t[..., 0, :], t[..., 1, :]
+    dz12 = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
 
-    value = _CORNER_SIGN * z[0] ** 2 * det0 * dz12 / (p1 * p2) / TWO_PI_I**2
+    value = _CORNER_SIGN * z[..., 0] ** 2 * det0 * dz12 / (p1 * p2) / TWO_PI_I**2
     return Density(
-        value=complex(value),
+        value=_value(value),
         form_degree=2,
         bidegree_z=(Fraction(2), Fraction(0)),
         bidegree_tau=(Fraction(-2), Fraction(0)),
@@ -364,9 +387,9 @@ def cramer_residual(strong):
     rounding) exactly when the identity holds.
     """
     c = strong.minor_vector()
-    z = strong.basepoint.array
-    denom = max(np.linalg.norm(c) * np.linalg.norm(z), 1e-300)
-    return float(np.linalg.norm(np.cross(c, z)) / denom)
+    z = _as_point(strong.basepoint)
+    denom = np.maximum(np.linalg.norm(c, axis=-1) * np.linalg.norm(z, axis=-1), 1e-300)
+    return _value(np.linalg.norm(np.cross(c, z), axis=-1) / denom, float)
 
 
 def simplex_integral(tau, method="closed", order=24):
@@ -502,9 +525,24 @@ def pushforward_corner_check(d, zhat, tau, order=32):
     }
 
 
-def _realify(v):
-    v = np.asarray(v, dtype=complex)
-    return np.array([v[0].real, v[0].imag, v[1].real, v[1].imag])
+def _real_frame(conormals, tangents):
+    """Real 4x4 matrices, stacked over points: the conormals, then the tangents, as columns.
+
+    A complex tangent (v1, v2) becomes the real column (Re v1, Im v1, Re v2,
+    Im v2), which is exactly the float view of a contiguous complex pair.
+    """
+    real_t = np.ascontiguousarray(tangents, dtype=complex).view(float)
+    return np.concatenate(
+        [np.stack(conormals, axis=-1), np.swapaxes(real_t, -1, -2)], axis=-1
+    )
+
+
+def _orientation(frame, what):
+    """Sign of the determinant of real 4x4 frames (stacked over points)."""
+    det = np.linalg.det(frame)
+    if np.any(np.abs(det) < 1e-300):
+        raise ValueError(f"degenerate {what} frame")
+    return _value(np.where(det > 0, 1.0, -1.0), float)
 
 
 def orientation_sign_face(rho, zhat, tangents):
@@ -512,14 +550,13 @@ def orientation_sign_face(rho, zhat, tangents):
 
     Returns +1.0 or -1.0 according to the sign of the real 4x4 determinant
     ``det[grad_R rho, V1, V2, V3]``; a frame is positively oriented when it
-    completes the outward conormal to a positive basis of R^4.
+    completes the outward conormal to a positive basis of R^4.  With
+    ``(N, 2)`` points and ``(N, 3, 2)`` tangents the result is an ``(N,)``
+    array of signs.
     """
-    cols = [rho.grad_real(zhat[0], zhat[1])]
-    cols.extend(_realify(v) for v in tangents)
-    det = np.linalg.det(np.array(cols).T)
-    if abs(det) < 1e-300:
-        raise ValueError("degenerate face frame")
-    return 1.0 if det > 0 else -1.0
+    zhat = np.asarray(zhat, dtype=complex)
+    frame = _real_frame([rho.grad_real(zhat[..., 0], zhat[..., 1])], _frame(tangents, 3))
+    return _orientation(frame, "face")
 
 
 def orientation_sign_edge(rho_members, zhat, tangents):
@@ -529,12 +566,11 @@ def orientation_sign_edge(rho_members, zhat, tangents):
     the determinant is taken with the conormals in reversed member order,
     ``det[grad_R rho_2, grad_R rho_1, V1, V2]``, which is the convention
     under which the corner kernel reproduces the positively oriented
-    iterated Cauchy integral on product models.
+    iterated Cauchy integral on product models.  Array-capable like
+    :func:`orientation_sign_face`.
     """
     r1, r2 = rho_members
-    cols = [r2.grad_real(zhat[0], zhat[1]), r1.grad_real(zhat[0], zhat[1])]
-    cols.extend(_realify(v) for v in tangents)
-    det = np.linalg.det(np.array(cols).T)
-    if abs(det) < 1e-300:
-        raise ValueError("degenerate edge frame")
-    return 1.0 if det > 0 else -1.0
+    zhat = np.asarray(zhat, dtype=complex)
+    z1, z2 = zhat[..., 0], zhat[..., 1]
+    frame = _real_frame([r2.grad_real(z1, z2), r1.grad_real(z1, z2)], _frame(tangents, 2))
+    return _orientation(frame, "edge")

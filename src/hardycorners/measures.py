@@ -25,12 +25,14 @@ import numpy as np
 
 from .domain import strong_tangents
 from .kernels import (
+    _real_frame,
     corner_kernel,
     orientation_sign_edge,
     orientation_sign_face,
     smooth_leray_density,
 )
 from .normalforms import eta
+from .projective import homogenize
 
 __all__ = [
     "BoundaryMeasure",
@@ -50,32 +52,30 @@ def fefferman_density(rho, zhat, tangents):
     the unit outward real gradient.  Exactly independent of the choice of
     defining function on the locus (rho -> u rho rescales det B by u^3 and
     the gradient by u).  Levi-degenerate points give density 0; a vanishing
-    gradient raises.
+    gradient raises.  Array-capable: ``(N, 2)`` points with ``(N, 3, 2)``
+    tangents give ``(N,)`` densities.
     """
     zhat = np.asarray(zhat, dtype=complex)
-    g = rho.grad(zhat[0], zhat[1])
-    grad_r = rho.grad_real(zhat[0], zhat[1])
-    gn = float(np.linalg.norm(grad_r))
-    if gn < 1e-14:
+    z1, z2 = zhat[..., 0], zhat[..., 1]
+    g = rho.grad(z1, z2)
+    grad_r = rho.grad_real(z1, z2)
+    gn = np.linalg.norm(grad_r, axis=-1)
+    if np.any(gn < 1e-14):
         raise ValueError("defining function has vanishing gradient at the point")
-    h = rho.hessian_complex(zhat[0], zhat[1])
-    b = np.zeros((3, 3), dtype=complex)
-    b[0, 1] = np.conj(g[0])
-    b[0, 2] = np.conj(g[1])
-    b[1, 0] = g[0]
-    b[2, 0] = g[1]
+    h = rho.hessian_complex(z1, z2)
+    b = np.zeros(zhat.shape[:-1] + (3, 3), dtype=complex)
+    b[..., 0, 1] = np.conj(g[..., 0])
+    b[..., 0, 2] = np.conj(g[..., 1])
+    b[..., 1, 0] = g[..., 0]
+    b[..., 2, 0] = g[..., 1]
     # Row index holomorphic, column index anti-holomorphic, matching the
     # border pairing; this is what makes det B transform with |det dPhi|^2
     # under holomorphic changes of variables.
-    b[1:, 1:] = h.T
+    b[..., 1:, 1:] = np.swapaxes(h, -1, -2)
     detb = np.linalg.det(b).real
 
-    cols = [grad_r / gn]
-    for v in tangents:
-        v = np.asarray(v, dtype=complex)
-        cols.append(np.array([v[0].real, v[0].imag, v[1].real, v[1].imag]))
-    det4 = np.linalg.det(np.array(cols).T)
-    return 2.0 ** (4.0 / 3.0) * abs(detb) ** (1.0 / 3.0) * abs(det4) / gn
+    det4 = np.linalg.det(_real_frame([grad_r / gn[..., None]], tangents))
+    return 2.0 ** (4.0 / 3.0) * np.abs(detb) ** (1.0 / 3.0) * np.abs(det4) / gn
 
 
 def edge_measure_density(eta_weight, tangents):
@@ -83,14 +83,16 @@ def edge_measure_density(eta_weight, tangents):
 
     ``tangents`` are two affine edge-tangent vectors; the complex arc element
     is the alternating product of their coordinates.  The weight must be
-    positive for the measure to exist.
+    positive for the measure to exist.  Array-capable: ``(N,)`` weights with
+    ``(N, 2, 2)`` tangents give ``(N,)`` densities.
     """
-    if eta_weight <= 0:
+    eta_weight = np.asarray(eta_weight, dtype=float)
+    if np.any(eta_weight <= 0):
         raise ValueError("edge weight must be positive to define a measure")
-    v1 = np.asarray(tangents[0], dtype=complex)
-    v2 = np.asarray(tangents[1], dtype=complex)
-    dz12 = v1[0] * v2[1] - v1[1] * v2[0]
-    return eta_weight ** (1.0 / 3.0) * abs(dz12)
+    t = np.asarray(tangents, dtype=complex)
+    v1, v2 = t[..., 0, :], t[..., 1, :]
+    dz12 = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    return eta_weight ** (1.0 / 3.0) * np.abs(dz12)
 
 
 @dataclass
@@ -113,34 +115,31 @@ class BoundaryMeasure:
         return sum(faces) + sum(edges), faces, edges
 
 
+def _face_measure_nodes(rho, chart, resolution):
+    ns = chart.nodes(resolution)
+    return list(zip(ns.points, ns.weights * fefferman_density(rho, ns.points, ns.tangents)))
+
+
+def _edge_measure_nodes(d, chart, resolution, h):
+    ns = chart.nodes(resolution)
+    weights = [eta(d, z, h=h).eta_weight for z in ns.points]
+    return list(zip(ns.points, ns.weights * edge_measure_density(weights, ns.tangents)))
+
+
 def build_measure(d, resolution=16, edge_resolution=None, h=1e-2):
     """Precompute the boundary measure of a domain at a given resolution.
 
-    Faces are sampled on their chart quadrature grids with the
+    Faces are sampled on their chart node sets with the
     :func:`fefferman_density` weight; edges with the cube-rooted edge weight
     from :func:`hardycorners.normalforms.eta` (measured pointwise along the
     edge) against the arc element.
     """
     if edge_resolution is None:
         edge_resolution = max(6, resolution // 2)
-    face_nodes = []
-    for f in d.faces:
-        rho = d.rho(f.hypersurface)
-        nodes = []
-        for params, wq in f.chart.quad_nodes(resolution):
-            z = f.chart.point(*params)
-            vs = f.chart.tangents(*params)
-            nodes.append((z, wq * fefferman_density(rho, z, vs)))
-        face_nodes.append(nodes)
-    edge_nodes = []
-    for e in d.edges:
-        nodes = []
-        for params, wq in e.chart.quad_nodes(edge_resolution):
-            z = e.chart.point(*params)
-            vs = e.chart.tangents(*params)
-            inv = eta(d, z, h=h)
-            nodes.append((z, wq * edge_measure_density(inv.eta_weight, vs)))
-        edge_nodes.append(nodes)
+    face_nodes = [
+        _face_measure_nodes(d.rho(f.hypersurface), f.chart, resolution) for f in d.faces
+    ]
+    edge_nodes = [_edge_measure_nodes(d, e.chart, edge_resolution, h) for e in d.edges]
     return BoundaryMeasure(face_nodes=face_nodes, edge_nodes=edge_nodes)
 
 
@@ -159,54 +158,65 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None, h=1e-2, measure=None):
     return {"total": total, "faces": faces, "edges": edges}
 
 
+def _section_values(f, points):
+    """The section at each row of an (N, 2) array of points (f takes one point)."""
+    return np.array([f(z) for z in points], dtype=complex)
+
+
+def _face_value(rho, chart, f, tau, resolution):
+    """One face's share of the reproducing formula."""
+    ns = chart.nodes(resolution)
+    dens = smooth_leray_density(rho, ns.points, tau, ns.tangents).value
+    weights, z, vs = ns.weights, ns.points, ns.tangents
+    # Nodes where the density vanishes (Levi-flat faces) contribute nothing,
+    # and their frames need no orientation.  Select only when some vanish, so
+    # that no node arrays are copied otherwise.
+    live = dens != 0
+    if not live.all():
+        weights, z, vs, dens = weights[live], z[live], vs[live], dens[live]
+    sgn = orientation_sign_face(rho, z, vs)
+    return complex(np.sum(weights * sgn * _section_values(f, z) * dens))
+
+
+def _edge_value(d, e, f, tau_hom, resolution):
+    """One edge's share of the reproducing formula."""
+    ns = e.chart.nodes(resolution)
+    rhos = (d.rho(e.members[0]), d.rho(e.members[1]))
+    k = corner_kernel(strong_tangents(d, e, ns.points), tau_hom, ns.tangents).value
+    sgn = orientation_sign_edge(rhos, ns.points, ns.tangents)
+    return complex(np.sum(ns.weights * sgn * _section_values(f, ns.points) * k))
+
+
 def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=None):
     """Evaluate the reproducing formula for a holomorphic function.
 
     Faces carry the smooth second-order Cauchy density, edges the corner
     kernel; orientation signs are computed per node from the outward
-    conormals.  Returns a dict with the recovered value, the directly
-    evaluated reference ``f(tau)``, per-piece contributions and the relative
-    error.
+    conormals.  Each piece is one :class:`~hardycorners.domain.NodeSet`
+    contracted with the kernel values over its node axis.  Returns a dict
+    with the recovered value, the directly evaluated reference ``f(tau)``,
+    per-piece contributions and the relative error.
 
     Raises
     ------
     ZeroDivisionError
         If a tangent hyperplane at some boundary node passes through ``tau``
         (the formula's precondition fails).
+    ProjectionError
+        If a chart's Newton projection does not converge.
     """
     if face_resolution is None:
         face_resolution = resolution
     if edge_resolution is None:
         edge_resolution = resolution
     tau = np.asarray(tau, dtype=complex)
-    tau_hom = np.array([1.0, tau[0], tau[1]])
+    tau_hom = homogenize(tau)
 
-    face_vals = []
-    for fc in d.faces:
-        rho = d.rho(fc.hypersurface)
-        acc = 0.0j
-        for params, wq in fc.chart.quad_nodes(face_resolution):
-            z = fc.chart.point(*params)
-            vs = fc.chart.tangents(*params)
-            dens = smooth_leray_density(rho, z, tau, vs)
-            if dens.value == 0:
-                continue
-            sgn = orientation_sign_face(rho, z, vs)
-            acc += wq * sgn * f(z) * dens.value
-        face_vals.append(complex(acc))
-
-    edge_vals = []
-    for e in d.edges:
-        rhos = (d.rho(e.members[0]), d.rho(e.members[1]))
-        acc = 0.0j
-        for params, wq in e.chart.quad_nodes(edge_resolution):
-            z = e.chart.point(*params)
-            vs = e.chart.tangents(*params)
-            strong = strong_tangents(d, e, z)
-            k = corner_kernel(strong, tau_hom, vs)
-            sgn = orientation_sign_edge(rhos, z, vs)
-            acc += wq * sgn * f(z) * k.value
-        edge_vals.append(complex(acc))
+    face_vals = [
+        _face_value(d.rho(fc.hypersurface), fc.chart, f, tau, face_resolution)
+        for fc in d.faces
+    ]
+    edge_vals = [_edge_value(d, e, f, tau_hom, edge_resolution) for e in d.edges]
 
     value = sum(face_vals) + sum(edge_vals)
     expected = complex(f(tau))

@@ -47,7 +47,6 @@ __all__ = [
     "normalize_coeffs",
     "edge_profile",
     "edge_profile_ratio",
-    "legendre_f",
     "legendre_argmax",
     "legendre_transform",
     "kappa",
@@ -451,11 +450,6 @@ def edge_profile_ratio(t):
     p = 0.5 * (1.0 + t)
     m = 0.5 * (1.0 - t)
     return (p**3 + m**3) / (p * m)
-
-
-# Alias kept because the profile enters exclusively through its Legendre
-# transform below.
-legendre_f = edge_profile
 
 
 def legendre_argmax(p):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,31 @@ __all__ = [
     "homogenize",
     "affinize",
 ]
+
+
+def _as_points(z1, z2):
+    """Two Python complex scalars, or two complex arrays of one broadcast shape.
+
+    Returns ``(z1, z2, shape)`` with ``shape`` None for a single point.
+    """
+    if getattr(z1, "ndim", 0) == 0 and getattr(z2, "ndim", 0) == 0:
+        return complex(z1), complex(z2), None
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    if z1.shape != z2.shape:
+        z1, z2 = np.broadcast_arrays(z1, z2)
+    return z1, z2, z1.shape
+
+
+def _stack_last(values, ndim=1):
+    """Evaluations nested ``ndim`` lists deep, as an array with the nesting as its last axes."""
+    out = np.array(values, dtype=complex)
+    return out.transpose(tuple(range(ndim, out.ndim)) + tuple(range(ndim)))
+
+
+def _dot2(a, b):
+    """Bilinear pairing a_1 b_1 + a_2 b_2 over the last axis (no conjugation)."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 def _as_triple(v):
@@ -93,30 +119,27 @@ class HomVec:
             raise ZeroDivisionError("representative lies on the affinization pole z0 = 0")
         return (z1 / z0, z2 / z0)
 
-    def normalized(self):
-        """Scale so the largest-modulus coordinate becomes exactly 1."""
-        a = self.array
-        i = int(np.argmax(np.abs(a)))
-        return HomVec(tuple(a / a[i]), self.role)
-
 
 def proj_equal(u, v, tol=1e-10):
     """Projective equality: proportional coordinates within relative *tol*.
 
-    Both arguments are scaled so their largest-modulus coordinate is 1 and
-    compared entrywise.
+    Both arguments are scaled so that the coordinate where *u* has its
+    largest modulus becomes 1, and compared entrywise.  (One pivot for both:
+    two coordinates of equal modulus could otherwise round to different
+    pivots.)
     """
     a = _as_triple(u)
     b = _as_triple(v)
-    a = a / a[int(np.argmax(np.abs(a)))]
-    b = b / b[int(np.argmax(np.abs(b)))]
-    return bool(np.max(np.abs(a - b)) <= tol)
+    i = int(np.argmax(np.abs(a)))
+    if b[i] == 0:
+        return False
+    return bool(np.max(np.abs(a / a[i] - b / b[i])) <= tol)
 
 
 def homogenize(zhat):
-    """Affine pair (z1, z2) -> numpy triple (1, z1, z2)."""
-    z1, z2 = zhat
-    return np.array([1.0, complex(z1), complex(z2)], dtype=complex)
+    """Affine pair (z1, z2) -> numpy triple (1, z1, z2); (N, 2) arrays -> (N, 3)."""
+    zhat = np.asarray(zhat, dtype=complex)
+    return np.concatenate([np.ones(zhat.shape[:-1] + (1,), dtype=complex), zhat], axis=-1)
 
 
 def affinize(z):
@@ -160,31 +183,43 @@ class ProjMap:
         """Apply to a homogeneous triple (or point HomVec); returns a triple."""
         return self.matrix @ _as_triple(z)
 
+    @cached_property
+    def _entries(self):
+        """The matrix entries as Python complex numbers, for scalar arithmetic."""
+        return self.matrix.tolist()
+
+    def _images(self, zhat, count=3):
+        """The first ``count`` coordinates of M @ (1, z1, z2), elementwise over arrays of points."""
+        zhat = np.asarray(zhat, dtype=complex)
+        z1, z2, _ = _as_points(zhat[..., 0], zhat[..., 1])
+        return [m0 + m1 * z1 + m2 * z2 for m0, m1, m2 in self._entries[:count]]
+
     def den(self, zhat):
         """Homogeneous denominator M00 + M01*z1 + M02*z2 at an affine point."""
-        z1, z2 = zhat
-        m = self.matrix
-        return m[0, 0] + m[0, 1] * complex(z1) + m[0, 2] * complex(z2)
+        return self._images(zhat, 1)[0]
 
     def affine(self, zhat):
-        """Apply as a fractional-linear map on affine pairs."""
-        out = self.matrix @ homogenize(zhat)
-        if abs(out[0]) <= 1e-14 * np.max(np.abs(out)):
+        """Apply as a fractional-linear map on affine pairs.
+
+        For an ``(N, 2)`` array of points the pair holds two ``(N,)`` arrays.
+        """
+        out0, out1, out2 = self._images(zhat)
+        a0 = abs(out0)
+        # |out0| <= 1e-14 * max(|out0|, |out1|, |out2|), spelled without a max
+        if np.any((a0 <= 1e-14 * abs(out1)) | (a0 <= 1e-14 * abs(out2)) | (a0 == 0)):
             raise ZeroDivisionError("image lies on the affinization pole z0 = 0")
-        return (out[1] / out[0], out[2] / out[0])
+        return (out1 / out0, out2 / out0)
 
     def jacobian(self, zhat):
-        """Exact complex 2x2 Jacobian of the affine action at *zhat*."""
-        m = self.matrix
-        zh = homogenize(zhat)
-        den = m[0] @ zh
-        num1 = m[1] @ zh
-        num2 = m[2] @ zh
-        jac = np.empty((2, 2), dtype=complex)
-        for i, num in ((0, num1), (1, num2)):
-            for j in (0, 1):
-                jac[i, j] = (m[i + 1, j + 1] * den - num * m[0, j + 1]) / den ** 2
-        return jac
+        """Exact complex 2x2 Jacobian of the affine action at *zhat* (on the last two axes)."""
+        m = self._entries
+        den, num1, num2 = self._images(zhat)
+        den2 = den**2
+        jac = [
+            [(m[i + 1][j + 1] * den - num * m[0][j + 1]) / den2 for j in (0, 1)]
+            for i, num in ((0, num1), (1, num2))
+        ]
+        return _stack_last(jac, ndim=2)
 
     def inverse(self):
         return ProjMap(_unit_det(np.linalg.inv(self.matrix)))

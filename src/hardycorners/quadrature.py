@@ -14,7 +14,9 @@ Three deterministic engines cover every integral in the package:
 There is no adaptive subdivision: every caller states a fixed resolution,
 and each result carries a self-consistency error estimate obtained by
 comparing against the same rule at half resolution.  Summation order is
-fixed (lexicographic over nodes), so reports are bit-reproducible.
+fixed (one contraction over the lexicographic tensor grid of
+:func:`tensor_grid`, which the boundary charts share), so reports are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = [
     "integrate_patch",
     "integrate_simplex",
     "gauss_rule",
+    "trapezoid_rule",
+    "tensor_grid",
 ]
 
 
@@ -42,43 +46,33 @@ class QuadResult:
     nodes_used: int
 
 
-def _tensor_sum(f, axes_nodes, axes_weights):
-    """Deterministic lexicographic tensor sum of f over node/weight axes."""
-    total = 0.0 + 0.0j
-    dims = [len(a) for a in axes_nodes]
-    idx = [0] * len(dims)
-    ranges = [range(d) for d in dims]
-    if len(dims) == 1:
-        for i in ranges[0]:
-            total += axes_weights[0][i] * f(axes_nodes[0][i])
-        return total
-    if len(dims) == 2:
-        for i in ranges[0]:
-            for j in ranges[1]:
-                total += (
-                    axes_weights[0][i]
-                    * axes_weights[1][j]
-                    * f(axes_nodes[0][i], axes_nodes[1][j])
-                )
-        return total
-    if len(dims) == 3:
-        for i in ranges[0]:
-            for j in ranges[1]:
-                for k in ranges[2]:
-                    total += (
-                        axes_weights[0][i]
-                        * axes_weights[1][j]
-                        * axes_weights[2][k]
-                        * f(axes_nodes[0][i], axes_nodes[1][j], axes_nodes[2][k])
-                    )
-        return total
-    raise ValueError("only 1, 2, or 3 axes supported")
+def trapezoid_rule(n):
+    """Periodic trapezoid nodes 2*pi*k/n and equal weights 2*pi/n on [0, 2*pi)."""
+    return 2.0 * np.pi * np.arange(n) / n, np.full(n, 2.0 * np.pi / n)
+
+
+def tensor_grid(axes):
+    """Tensor product of (nodes, weights) axes in lexicographic node order.
+
+    Returns the parameter rows ``(N, dim)`` and the product weights ``(N,)``.
+    """
+    params = np.stack(
+        [g.ravel() for g in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=-1
+    )
+    weights = axes[0][1]
+    for _, w in axes[1:]:
+        weights = np.multiply.outer(weights, w)
+    return params, weights.ravel()
+
+
+def _tensor_sum(f, axes):
+    """Weighted sum of f over a tensor grid; a fixed reduction order keeps it bit-reproducible."""
+    params, weights = tensor_grid(axes)
+    return complex(np.sum(weights * np.array([f(*p) for p in params], dtype=complex)))
 
 
 def _periodic_value(f, n, dim):
-    theta = 2.0 * np.pi * np.arange(n) / n
-    w = np.full(n, 2.0 * np.pi / n)
-    return _tensor_sum(f, [theta] * dim, [w] * dim)
+    return _tensor_sum(f, [trapezoid_rule(n)] * dim)
 
 
 def integrate_periodic(f, n, dim=1):
@@ -112,8 +106,7 @@ def gauss_rule(a, b, order):
 
 
 def _patch_value(f, rect, order):
-    axes = [gauss_rule(a, b, order) for a, b in rect]
-    return _tensor_sum(f, [ax[0] for ax in axes], [ax[1] for ax in axes])
+    return _tensor_sum(f, [gauss_rule(a, b, order) for a, b in rect])
 
 
 def integrate_patch(f, rect, order):

@@ -274,3 +274,74 @@ def test_selftest_mutation_hook_fails_anchor(runner):
 def test_selftest_anchor_passes_unmutated(runner):
     result = runner.invoke(main, ["selftest", "--suite", "anchor"])
     assert result.exit_code == 0, result.output
+
+
+# ---------------------------------------------------------------------------
+# Input errors and precondition failures
+
+
+@pytest.mark.parametrize(
+    "command", [["check-domain"], ["reproduce", "--tau", "0,0,0,0"], ["eta"]]
+)
+def test_malformed_spec_file_is_input_error(runner, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    result = runner.invoke(main, command[:1] + [str(bad)] + command[1:])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("invalid domain spec:")
+    assert "Traceback" not in result.output
+
+
+def test_reproduce_section_evaluation_error_is_input_error(runner):
+    result = runner.invoke(
+        main,
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--f", "z1/0", "--resolution", "6"],
+    )
+    assert result.exit_code == 2
+    assert "cannot be evaluated" in result.stderr
+    assert "precondition" not in result.stderr
+
+
+def test_parse_section_expr_bounds_exponents_when_parsing():
+    import click
+
+    # rejected while parsing, so the power is never evaluated
+    for expr in ("9**9**9", "z1**65", "z1**-65", "z1**z2", "z1**0.5", "z1**(1+1)"):
+        with pytest.raises(click.UsageError, match="exponent"):
+            parse_section_expr(expr)
+    z = np.array([0.5 + 0.1j, -0.2j])
+    assert np.isclose(parse_section_expr("z1**64 + z2**-2")(z), z[0] ** 64 + z[1] ** -2)
+
+
+def test_reproduce_rejects_huge_power_as_input_error(runner):
+    result = runner.invoke(
+        main, ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--f", "9**9**9"]
+    )
+    assert result.exit_code == 2
+    assert "exponent" in result.stderr
+
+
+def _unconvergent_spec(tmp_path):
+    # A graph patch over a disk of radius 2 on the unit sphere: over |z2| > 1
+    # no modulus of z1 reaches the locus, so the Newton projection must fail.
+    spec = load_spec("sphere")
+    spec["faces"][0]["chart"] = {
+        "type": "graph_patch",
+        "solve": "z1",
+        "disk_radius": 2.0,
+        "r0": 1.0,
+    }
+    p = tmp_path / "wide_patch.json"
+    p.write_text(json.dumps(spec))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["reproduce", "--tau", "0,0,0,0", "--resolution", "6"], ["check-domain", "--resolution", "6"]],
+)
+def test_unconvergent_chart_is_precondition_failure(runner, tmp_path, command):
+    result = runner.invoke(main, command[:1] + [_unconvergent_spec(tmp_path)] + command[1:])
+    assert result.exit_code == 3
+    assert result.stderr.count("\n") == 1
+    assert "graph_patch chart Newton projection did not converge" in result.stderr
