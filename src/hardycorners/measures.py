@@ -120,40 +120,40 @@ def _face_measure_nodes(rho, chart, resolution):
     return list(zip(ns.points, ns.weights * fefferman_density(rho, ns.points, ns.tangents)))
 
 
-def _edge_measure_nodes(d, chart, resolution, h):
+def _edge_measure_nodes(d, chart, resolution):
     ns = chart.nodes(resolution)
-    weights = [eta(d, z, h=h).eta_weight for z in ns.points]
+    weights = [eta(d, z).eta_weight for z in ns.points]
     return list(zip(ns.points, ns.weights * edge_measure_density(weights, ns.tangents)))
 
 
-def build_measure(d, resolution=16, edge_resolution=None, h=1e-2):
+def build_measure(d, resolution=16, edge_resolution=None):
     """Precompute the boundary measure of a domain at a given resolution.
 
     Faces are sampled on their chart node sets with the
     :func:`fefferman_density` weight; edges with the cube-rooted edge weight
-    from :func:`hardycorners.normalforms.eta` (measured pointwise along the
-    edge) against the arc element.
+    from :func:`hardycorners.normalforms.eta` (computed exactly from the
+    defining polynomials at each edge node) against the arc element.
     """
     if edge_resolution is None:
         edge_resolution = max(6, resolution // 2)
     face_nodes = [
         _face_measure_nodes(d.rho(f.hypersurface), f.chart, resolution) for f in d.faces
     ]
-    edge_nodes = [_edge_measure_nodes(d, e.chart, edge_resolution, h) for e in d.edges]
+    edge_nodes = [_edge_measure_nodes(d, e.chart, edge_resolution) for e in d.edges]
     return BoundaryMeasure(face_nodes=face_nodes, edge_nodes=edge_nodes)
 
 
-def hardy_norm(d, f, resolution=16, edge_resolution=None, h=1e-2, measure=None):
+def hardy_norm(d, f, resolution=16, edge_resolution=None, measure=None):
     """Squared boundary norm of a section against the full boundary measure.
 
     ``f`` is a callable of the affine point.  Returns a dict with the total
     and the per-face / per-edge contributions.  Passing a prebuilt
-    ``measure`` skips rediscretization.
+    ``measure`` skips rediscretization.  The only discretization is the
+    quadrature resolution: the edge weights are exact up to rounding (see
+    :func:`build_measure`).
     """
     if measure is None:
-        measure = build_measure(
-            d, resolution=resolution, edge_resolution=edge_resolution, h=h
-        )
+        measure = build_measure(d, resolution=resolution, edge_resolution=edge_resolution)
     total, faces, edges = measure.integrate(lambda z: abs(f(z)) ** 2)
     return {"total": total, "faces": faces, "edges": edges}
 

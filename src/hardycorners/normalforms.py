@@ -9,9 +9,10 @@ totally real tangent plane; the pair of quadratics
 
 (note the mirrored index convention on the second surface, which makes the
 coordinate-swap law a plain row swap) is the *normal form* of the edge.
-:func:`extract_normal_form` measures the six coefficients numerically by a
-Newton-projected stencil fit with Richardson extrapolation, so the values
-carry O(h^4) truncation error.
+The defining functions are polynomials, so :func:`extract_normal_form`
+computes the six coefficients exactly, from a second-order implicit-function
+expansion of the members' Taylor terms in the frame; only rounding error
+enters.
 
 The residual freedom of the frame acts on the coefficients by the four
 tabulated one-parameter laws implemented in :func:`apply_coordinate_change`
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .projective import ProjMap, normalize_map
+from .hermpoly import HermitianPoly, transform_poly
+from .projective import normalize_map
 
 __all__ = [
     "NormalForm",
@@ -56,7 +58,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Measured quadratic coefficients of an edge at a basepoint."""
+    """Quadratic coefficients of an edge at a basepoint."""
 
     a1: float
     b1: float
@@ -64,11 +66,6 @@ class NormalForm:
     a2: float
     b2: float
     c2: float
-    basepoint: object = None
-    frame: object = None
-    drift: float = 0.0
-    linear_residual: float = 0.0
-    h: float = 1e-2
 
     @property
     def coeffs(self):
@@ -138,8 +135,6 @@ def model_edge_polys(coeffs):
     origin with the identity adapted frame, and refitting there returns the
     coefficients exactly (the surfaces are globally quadratic).
     """
-    from .hermpoly import HermitianPoly
-
     a1, b1, c1, a2, b2, c2 = _as_coeffs(coeffs)
 
     def build(lin_index, qa, qb, qc, qa_on, qc_on):
@@ -208,99 +203,80 @@ def edge_frame(d, e, zhat):
     return normalize_map(hom)
 
 
-def _quad_fit(points, values):
-    a = np.array(
-        [[1.0, x1, x2, x1 * x1, x1 * x2, x2 * x2] for (x1, x2) in points]
-    )
-    coef, *_ = np.linalg.lstsq(a, np.asarray(values, dtype=float), rcond=None)
-    return coef
+# The real linear forms of z1, conj(z1), z2, conj(z2) in the real
+# coordinates (x1, x2, y1, y2) of zeta = x + i y.
+_REAL_FORMS = np.array(
+    [[1, 0, 1j, 0], [1, 0, -1j, 0], [0, 1, 0, 1j], [0, 1, 0, -1j]]
+)
 
 
-def extract_normal_form(d, zhat, h=1e-2, frame=None):
-    """Measure the edge's quadratic normal form at a point.
+def _real_taylor2(rho):
+    """Real gradient and Hessian at the origin, in (x1, x2, y1, y2), of a defining function."""
+    grad = np.zeros(4, dtype=complex)
+    hess = np.zeros((4, 4), dtype=complex)
+    for key, c in rho.terms.items():
+        slots = [slot for slot, e in enumerate(key) for _ in range(e)]
+        if len(slots) == 1:
+            grad += c * _REAL_FORMS[slots[0]]
+        elif len(slots) == 2:
+            u, v = _REAL_FORMS[slots]
+            hess += c * (np.outer(u, v) + np.outer(v, u))
+    return grad.real, hess.real
 
-    Solves the two defining equations for the imaginary parts over a
-    symmetric stencil of real tangent coordinates (Newton projection to
-    1e-13), least-squares fits a quadratic at scales ``h`` and ``h/2``, and
-    Richardson-extrapolates the quadratic coefficients.
+
+def extract_normal_form(d, zhat, frame=None):
+    """The edge's quadratic normal form at a point, computed exactly.
+
+    Transforms each member's defining function by the frame
+    (:func:`~hardycorners.hermpoly.transform_poly`) and reads its real
+    gradient ``(A_l, B_l)`` and Hessian ``H_l`` at the origin, split into the
+    real (x) and imaginary (y) parts of the frame coordinates.  The implicit
+    function theorem gives the edge as a graph ``y = L x + Q(x) + O(|x|^3)``
+    with ``L = -B^(-1) A`` and the quadratic part from
+    ``-B^(-1) [(I; L)^T H_l (I; L)]``.  An adapted frame has ``L = 0``; an
+    explicit one need not.
 
     Parameters
     ----------
     d, zhat : domain and an edge point on it
-    h : float
-        Base stencil scale.
     frame : ProjMap, optional
-        Adapted frame to use; defaults to :func:`edge_frame`.  Passing an
-        explicit frame (e.g. the identity on a pre-straightened model)
-        bypasses re-adaptation, which matters when comparing transformed
-        copies of one edge.
+        Frame to use; defaults to :func:`edge_frame`.  Passing an explicit
+        frame (e.g. the identity on a pre-straightened model) bypasses
+        re-adaptation, which matters when comparing transformed copies of one
+        edge.  It must send ``zhat`` to the origin.
 
     Raises
     ------
     ValueError
-        If the two stencil scales disagree beyond tolerance (the point is
-        likely not on a transverse edge, or ``h`` is unsuitable).
+        If the y-block ``B`` of the member gradients is singular or
+        ill-conditioned: the frame does not present the edge as a graph over
+        its real tangent plane.
     """
     e = d.edge_at(zhat)
     fr = edge_frame(d, e, zhat) if frame is None else frame
-    inv = fr.inverse()
-    rhos = [d.rho(m) for m in e.members]
-
-    def solve_y(x1, x2):
-        y = np.zeros(2)
-        for _ in range(60):
-            zeta = np.array([x1 + 1j * y[0], x2 + 1j * y[1]])
-            z = np.array(inv.affine(zeta))
-            vals = np.array([float(r(z[0], z[1])) for r in rhos])
-            if np.max(np.abs(vals)) < 1e-13:
-                return y
-            jac = np.empty((2, 2))
-            jmat = inv.jacobian(zeta)
-            for l, r in enumerate(rhos):
-                g = r.grad(z[0], z[1])
-                for mm in range(2):
-                    dz = jmat[:, mm] * 1j
-                    jac[l, mm] = 2.0 * np.real(g @ dz)
-            y = y - np.linalg.solve(jac, vals)
-        raise RuntimeError("normal-form Newton projection did not converge")
-
-    def fit_at(scale):
-        offsets = scale * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        pts = [(x1, x2) for x1 in offsets for x2 in offsets]
-        ys = np.array([solve_y(x1, x2) for (x1, x2) in pts])
-        c1 = _quad_fit(pts, ys[:, 0])
-        c2 = _quad_fit(pts, ys[:, 1])
-        return c1, c2
-
-    f1_h, f2_h = fit_at(h)
-    f1_2, f2_2 = fit_at(h / 2.0)
-    fit1 = (4.0 * f1_2 - f1_h) / 3.0
-    fit2 = (4.0 * f2_2 - f2_h) / 3.0
-    drift = float(
-        max(np.max(np.abs(f1_2 - f1_h)), np.max(np.abs(f2_2 - f2_h)))
+    grads, hessians = zip(
+        *(_real_taylor2(transform_poly(d.rho(m), fr)) for m in e.members)
     )
-    scale_ref = max(1.0, float(np.max(np.abs(np.concatenate([fit1, fit2])))))
-    if drift > 1e-4 * scale_ref:
+    grads = np.array(grads)
+    a, b = grads[:, :2], grads[:, 2:]
+    scale = np.linalg.norm(grads[0]) * np.linalg.norm(grads[1])
+    if abs(np.linalg.det(b)) <= 1e-12 * scale:
         raise ValueError(
-            f"stencil fits disagree (drift {drift:.3e}); the point may not lie "
-            "on a transverse edge or h is unsuitable"
+            "the frame does not present the edge as a graph over its real "
+            "tangent plane: the imaginary-part block of the member gradients "
+            "is singular"
         )
-    linear_residual = float(
-        max(np.max(np.abs(fit1[:3])), np.max(np.abs(fit2[:3])))
-    )
-
+    tangent = np.vstack([np.eye(2), -np.linalg.solve(b, a)])
+    restricted = np.array([tangent.T @ h @ tangent for h in hessians])
+    # g[l] is the Hessian of the graph y_l(x) at x = 0
+    g = -np.linalg.solve(b, restricted.reshape(2, 4)).reshape(2, 2, 2)
     return NormalForm(
-        a1=float(fit1[3]),
-        b1=float(fit1[4]),
-        c1=float(fit1[5]),
-        a2=float(fit2[5]),
-        b2=float(fit2[4]),
-        c2=float(fit2[3]),
-        basepoint=np.asarray(zhat, dtype=complex),
-        frame=fr,
-        drift=drift,
-        linear_residual=linear_residual,
-        h=h,
+        a1=float(g[0, 0, 0] / 2),
+        b1=float(g[0, 0, 1]),
+        c1=float(g[0, 1, 1] / 2),
+        a2=float(g[1, 1, 1] / 2),
+        b2=float(g[1, 0, 1]),
+        c2=float(g[1, 0, 0] / 2),
     )
 
 
@@ -488,10 +464,11 @@ def kappa(b1, b2):
     return 0.5 * (b1 + b2) - legendre_transform(0.5 * (b2 - b1))
 
 
-def eta(d, zhat, h=1e-2):
+def eta(d, zhat):
     """Edge weight package at an edge point of a domain.
 
-    Measures the normal form, normalizes to the canonical slice, evaluates
+    Computes the normal form in the adapted frame (:func:`extract_normal_form`,
+    exact up to rounding), normalizes to the canonical slice, evaluates
     :func:`kappa`, and attaches the frame normalization: the weight is
 
         |den_frame(zhat)|^3 * kappa / (c1 * c2)
@@ -503,7 +480,7 @@ def eta(d, zhat, h=1e-2):
     """
     e = d.edge_at(zhat)
     fr = edge_frame(d, e, zhat)
-    nf = extract_normal_form(d, zhat, h=h, frame=fr)
+    nf = extract_normal_form(d, zhat, frame=fr)
     norm = normalize_coeffs(nf.coeffs)
     k = kappa(norm.b1, norm.b2)
     den = fr.den(np.asarray(zhat, dtype=complex))

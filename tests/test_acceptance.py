@@ -337,7 +337,6 @@ def test_criterion_10_coordinate_change_laws():
             refit = extract_normal_form(
                 moved,
                 np.array([0.0, 0.0]),
-                h=4e-3,
                 frame=ProjMap(np.eye(3, dtype=complex)),
             ).coeffs
             worst = max(worst, float(np.max(np.abs(np.array(refit) - predicted))))

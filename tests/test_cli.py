@@ -233,8 +233,9 @@ def test_eta_rejects_missing_edge(runner):
 # selftest
 
 
-def test_selftest_simplex_passes(runner):
-    result = runner.invoke(main, ["selftest", "--suite", "simplex"])
+@pytest.mark.parametrize("suite", ["simplex", "laws"])
+def test_selftest_simplex_passes(runner, suite):
+    result = runner.invoke(main, ["selftest", "--suite", suite])
     assert result.exit_code == 0, result.output
     report = _json_out(result)
     assert report["pass"] is True

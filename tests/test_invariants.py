@@ -22,7 +22,9 @@ from hardycorners.normalforms import (
     model_edge_polys,
     normalize_coeffs,
 )
-from hardycorners.projective import ProjMap
+from hardycorners.projective import ProjMap, normalize_map
+
+from conftest import random_unit_det_map
 
 
 COEFFS = (0.3, -0.6, -1.2, 0.1, 0.4, -0.8)
@@ -55,8 +57,6 @@ def test_extract_normal_form_recovers_model_coefficients():
     d = model_edge_domain(COEFFS)
     nf = extract_normal_form(d, np.array([0.0, 0.0]), frame=_identity_frame())
     assert np.allclose(nf.coeffs, COEFFS, atol=1e-9)
-    assert nf.drift < 1e-9
-    assert nf.linear_residual < 1e-9
 
 
 def test_extract_normal_form_uses_adapted_frame(perturbed_bidisk):
@@ -65,7 +65,52 @@ def test_extract_normal_form_uses_adapted_frame(perturbed_bidisk):
     nf = extract_normal_form(perturbed_bidisk, zhat)
     # transverse curvatures of a strictly pseudoconvex corner are negative
     assert nf.c1 < 0 and nf.c2 < 0
-    assert nf.drift < 1e-4
+
+
+def test_extract_normal_form_rejects_degenerate_frame():
+    # z1 -> i z1 sends Im z1 onto a real tangent axis: the first member's
+    # gradient has no imaginary-part component, so the edge is no graph
+    frame = normalize_map(np.diag([1, 1j, 1]))
+    with pytest.raises(ValueError, match="imaginary-part block"):
+        extract_normal_form(model_edge_domain(COEFFS), np.array([0.0, 0.0]), frame=frame)
+
+
+def _newton_graph(rhos, x1, x2):
+    """Imaginary parts (y1, y2) with rho_l(x + i y) = 0, by Newton from y = 0."""
+    y = np.zeros(2)
+    for _ in range(50):
+        z = (x1 + 1j * y[0], x2 + 1j * y[1])
+        vals = np.array([float(np.real(r(*z))) for r in rhos])
+        if np.max(np.abs(vals)) < 1e-14:
+            return y
+        jac = np.array([r.grad_real(*z)[[1, 3]] for r in rhos])
+        y = y - np.linalg.solve(jac, vals)
+    raise AssertionError("graph Newton did not converge")
+
+
+def test_extract_normal_form_handles_x_linear_frame():
+    # (z1, z2) -> (z1 + 0.3i z2, z2 + 0.2i z1) tilts both members: in the
+    # identity frame the graph y(x) has a linear part, and it feeds the
+    # quadratic part through the y-entries of the members' Hessians.  (A real
+    # shear such as z1 -> z1 + 0.3 z2 leaves the linear part zero.)
+    moved = transform_domain(
+        model_edge_domain(COEFFS), normalize_map([[1, 0, 0], [0, 1, 0.3j], [0, 0.2j, 1]])
+    )
+    nf = extract_normal_form(moved, np.array([0.0, 0.0]), frame=_identity_frame())
+    rhos = [moved.rho(m) for m in moved.edges[0].members]
+    step = 1e-3
+    y = np.array(
+        [[_newton_graph(rhos, i * step, j * step) for j in (-1, 0, 1)] for i in (-1, 0, 1)]
+    )
+    # rows: d/dx1, d/dx2; columns: y1, y2.  Both graphs have a linear part.
+    slope = np.array([y[2, 1] - y[0, 1], y[1, 2] - y[1, 0]]) / (2 * step)
+    assert np.all(np.max(np.abs(slope), axis=0) > 0.1)
+    d11 = (y[2, 1] - 2 * y[1, 1] + y[0, 1]) / step**2
+    d22 = (y[1, 2] - 2 * y[1, 1] + y[1, 0]) / step**2
+    d12 = (y[2, 2] - y[2, 0] - y[0, 2] + y[0, 0]) / (4 * step**2)
+    a1, b1, c1, a2, b2, c2 = nf.coeffs
+    assert np.allclose([d11[0], d12[0], d22[0]], [2 * a1, b1, 2 * c1], atol=1e-6)
+    assert np.allclose([d11[1], d12[1], d22[1]], [2 * c2, b2, 2 * a2], atol=1e-6)
 
 
 def test_edge_frame_straightens_members(perturbed_bidisk):
@@ -250,6 +295,17 @@ def test_eta_positive_on_strictly_convex_edge(perturbed_bidisk):
     assert inv.c1 < 0 and inv.c2 < 0
     assert np.isclose(inv.kappa_times_c1c2, inv.kappa * inv.c1 * inv.c2)
     assert inv.b1 <= inv.b2
+
+
+def test_eta_denominator_cube_law_to_roundoff(perturbed_bidisk):
+    rng = np.random.default_rng(312)
+    zhat = np.array(perturbed_bidisk.edges[0].chart.point(0.9, 2.3))
+    base = eta(perturbed_bidisk, zhat).eta_weight
+    for _ in range(3):
+        g = random_unit_det_map(rng, scale=0.04)
+        moved = eta(transform_domain(perturbed_bidisk, g), np.array(g.affine(zhat)))
+        predicted = abs(g.den(zhat)) ** 3 * moved.eta_weight
+        assert abs(predicted - base) / base <= 1e-12
 
 
 def test_eta_rejects_flat_edge(bidisk):
