@@ -165,9 +165,15 @@ def parse_section_expr(expr):
 
     Only +, -, *, /, ** over numeric literals and the names z1, z2 (plus the
     imaginary unit spelled 1j) are accepted.  A ``**`` exponent must be an
-    integer literal of absolute value at most 64.  Evaluation runs in complex
-    floating point; an arithmetic error raised while evaluating (such as a
-    division by zero) is reported as a :class:`click.UsageError`.
+    integer literal of absolute value at most 64.
+
+    The callable is a section in the library's convention: it takes the
+    coordinate pair ``(z1, z2)`` of one point or of ``N`` points (two
+    ``(N,)`` arrays) and evaluates elementwise, in complex floating point,
+    with numpy's floating-point errors raised (underflow to zero is allowed,
+    as in scalar arithmetic).  An arithmetic error at any point (a division by
+    zero, an overflow) is reported as a :class:`click.UsageError` naming the
+    first point where it occurs.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -197,16 +203,26 @@ def parse_section_expr(expr):
     tree = ast.fix_missing_locations(_ComplexLiterals().visit(tree))
     code = compile(tree, "<section>", "eval")
 
+    def evaluate(z1, z2):
+        with np.errstate(all="raise", under="ignore"):
+            return eval(code, {"__builtins__": {}}, {"z1": z1, "z2": z2})
+
     def call(z):
+        z1, z2 = np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in z))
         try:
-            return complex(
-                eval(code, {"__builtins__": {}}, {"z1": complex(z[0]), "z2": complex(z[1])})
-            )
+            return evaluate(z1, z2)
         except ArithmeticError as exc:
-            raise click.UsageError(
-                f"expression {expr!r} cannot be evaluated at "
-                f"z = ({complex(z[0])}, {complex(z[1])}): {exc}"
-            ) from exc
+            error = exc
+        # Only on failure: find the first point that fails on its own.
+        for index in np.ndindex(z1.shape):
+            try:
+                evaluate(z1[index], z2[index])
+            except ArithmeticError as exc:
+                raise click.UsageError(
+                    f"expression {expr!r} cannot be evaluated at "
+                    f"z = ({complex(z1[index])}, {complex(z2[index])}): {exc}"
+                ) from exc
+        raise click.UsageError(f"expression {expr!r} cannot be evaluated: {error}") from error
 
     return call
 
@@ -245,7 +261,7 @@ def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
 
     try:
         val = validate_domain(d, resolution=resolution)
-        edge_points = [e.chart.point(*e.chart.grid(resolution)[0][0]) for e in d.edges]
+        edge_points = [e.chart.project(e.chart.grid(resolution)[0][:1])[0][0] for e in d.edges]
     except ProjectionError as exc:
         _precondition_failure(exc)
     results.append({"check": "validate", **val})
@@ -422,11 +438,8 @@ def _suite_simplex(rng, checks):
 
 def _random_edge_points(d, rng, count):
     e = d.edges[0]
-    pts = []
-    for _ in range(count):
-        params = tuple(2 * np.pi * rng.random(e.chart.dim))
-        pts.append((e, e.chart.point(*params)))
-    return pts
+    points, _ = e.chart.project(2 * np.pi * rng.random((count, e.chart.dim)))
+    return [(e, z) for z in points]
 
 
 def _suite_cramer(rng, checks):

@@ -453,10 +453,12 @@ class PwsDomain:
         return bool(_membership_from_values(self, self.rho_values(zhat)))
 
     def active_members(self, zhat, tol=1e-8):
-        vals = self.rho_values(zhat)
-        return [i for i, v in enumerate(vals) if abs(v) <= tol]
+        """Hypersurfaces through a point, or through every row of an ``(N, 2)`` array."""
+        vals = self.rho_values(np.asarray(zhat).T)
+        return [i for i, v in enumerate(vals) if np.all(np.abs(v) <= tol)]
 
     def edge_at(self, zhat, tol=1e-8):
+        """The declared edge through a point, or through every row of an ``(N, 2)`` array."""
         active = set(self.active_members(zhat, tol))
         for e in self.edges:
             if set(e.members) == active:

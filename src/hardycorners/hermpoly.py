@@ -115,6 +115,13 @@ class Poly:
         )
         return grad, hess
 
+    @cached_property
+    def _holomorphic_hessian(self):
+        """Holomorphic Hessian polynomials H[j][k] = d/dz_j d/dz_k, derived on first use."""
+        d1, d2 = self._derivatives[0]
+        mixed = d1.diff("z2")
+        return ((d1.diff("z1"), mixed), (mixed, d2.diff("z2")))
+
     def conj(self):
         """Complex conjugate polynomial (swaps holomorphic/antiholomorphic exponents)."""
         return Poly(
@@ -210,6 +217,12 @@ class HermitianPoly(Poly):
         """Complex Hessian H[j, k] = d^2 rho / (dz_k d conj(z_j)) on the last two axes."""
         return _stack_last(
             [[h(z1, z2) for h in row] for row in self._derivatives[1]], ndim=2
+        )
+
+    def hessian_holomorphic(self, z1, z2):
+        """Holomorphic Hessian H[j, k] = d^2 rho / (dz_j dz_k) on the last two axes."""
+        return _stack_last(
+            [[h(z1, z2) for h in row] for row in self._holomorphic_hessian], ndim=2
         )
 
     def __repr__(self):

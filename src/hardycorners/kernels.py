@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .projective import HomVec, _dot2
+from .projective import HomVec, _dot2, _value
 from .quadrature import gauss_rule, integrate_simplex
 
 __all__ = [
@@ -267,11 +267,6 @@ def _frame(tangents, count):
     if t.shape[-2:] != (count, 2):
         raise ValueError(f"expected {count} tangent vectors of length 2, got shape {t.shape}")
     return t
-
-
-def _value(v, cast=complex):
-    """A Python scalar for one point, the array itself for many."""
-    return cast(v) if np.ndim(v) == 0 else v
 
 
 def smooth_leray_density(rho, zhat, tau_hat, tangents):

@@ -19,7 +19,7 @@ returns f at the interior point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,35 +95,62 @@ def edge_measure_density(eta_weight, tangents):
     return eta_weight ** (1.0 / 3.0) * np.abs(dz12)
 
 
+def _section_on(f, points):
+    """A section's values ``(N,)`` at ``(N, 2)`` points, from one call on their coordinate pair."""
+    n = len(points)
+    values = np.asarray(f((points[:, 0], points[:, 1])))
+    if values.shape not in ((), (n,)):
+        raise ValueError(
+            "a section is called on the coordinate pair (z1, z2) of N points, two "
+            f"arrays of shape ({n},), and must return shape ({n},) or a scalar; "
+            f"got shape {values.shape}"
+        )
+    return np.broadcast_to(values, (n,))
+
+
 @dataclass
 class BoundaryMeasure:
-    """Discretized boundary measure: nodes and combined weights per piece."""
+    """Discretized boundary measure: one node set per piece.
+
+    Each entry of ``face_nodes`` and ``edge_nodes`` is the piece's
+    :class:`~hardycorners.domain.NodeSet` with its quadrature weights
+    multiplied by the measure density, so ``points`` and ``weights`` are the
+    nodes and the combined weights of the piece.
+    """
 
     face_nodes: list
     edge_nodes: list
 
     def integrate(self, func):
-        """Integrate a scalar function; returns (total, per-face, per-edge)."""
-        faces = [
-            float(np.real(sum(w * func(z) for z, w in nodes)))
-            for nodes in self.face_nodes
-        ]
-        edges = [
-            float(np.real(sum(w * func(z) for z, w in nodes)))
-            for nodes in self.edge_nodes
-        ]
+        """Integrate a scalar function; returns (total, per-face, per-edge).
+
+        ``func`` follows the section convention: it is called once per piece
+        on the coordinate pair ``(z1, z2)`` of the piece's nodes, two ``(N,)``
+        arrays, and returns ``(N,)`` values or a scalar.
+
+        Raises
+        ------
+        ValueError
+            If ``func`` returns any other shape.
+        """
+
+        def piece(ns):
+            return float(np.real(np.sum(ns.weights * _section_on(func, ns.points))))
+
+        faces = [piece(ns) for ns in self.face_nodes]
+        edges = [piece(ns) for ns in self.edge_nodes]
         return sum(faces) + sum(edges), faces, edges
 
 
 def _face_measure_nodes(rho, chart, resolution):
     ns = chart.nodes(resolution)
-    return list(zip(ns.points, ns.weights * fefferman_density(rho, ns.points, ns.tangents)))
+    return replace(ns, weights=ns.weights * fefferman_density(rho, ns.points, ns.tangents))
 
 
 def _edge_measure_nodes(d, chart, resolution):
     ns = chart.nodes(resolution)
-    weights = [eta(d, z).eta_weight for z in ns.points]
-    return list(zip(ns.points, ns.weights * edge_measure_density(weights, ns.tangents)))
+    weights = eta(d, ns.points).eta_weight
+    return replace(ns, weights=ns.weights * edge_measure_density(weights, ns.tangents))
 
 
 def build_measure(d, resolution=16, edge_resolution=None):
@@ -132,7 +159,7 @@ def build_measure(d, resolution=16, edge_resolution=None):
     Faces are sampled on their chart node sets with the
     :func:`fefferman_density` weight; edges with the cube-rooted edge weight
     from :func:`hardycorners.normalforms.eta` (computed exactly from the
-    defining polynomials at each edge node) against the arc element.
+    defining polynomials, in one call per edge) against the arc element.
     """
     if edge_resolution is None:
         edge_resolution = max(6, resolution // 2)
@@ -146,21 +173,24 @@ def build_measure(d, resolution=16, edge_resolution=None):
 def hardy_norm(d, f, resolution=16, edge_resolution=None, measure=None):
     """Squared boundary norm of a section against the full boundary measure.
 
-    ``f`` is a callable of the affine point.  Returns a dict with the total
-    and the per-face / per-edge contributions.  Passing a prebuilt
-    ``measure`` skips rediscretization.  The only discretization is the
-    quadrature resolution: the edge weights are exact up to rounding (see
+    ``f`` is a section in the library's convention: it is called once per
+    boundary piece on the coordinate pair ``(z1, z2)`` of the piece's nodes,
+    two ``(N,)`` arrays, works elementwise and returns ``(N,)`` values (a
+    scalar result stands for every node).  Returns a dict with the total and
+    the per-face / per-edge contributions.  Passing a prebuilt ``measure``
+    skips rediscretization.  The only discretization is the quadrature
+    resolution: the edge weights are exact up to rounding (see
     :func:`build_measure`).
+
+    Raises
+    ------
+    ValueError
+        If ``f`` returns values of any other shape.
     """
     if measure is None:
         measure = build_measure(d, resolution=resolution, edge_resolution=edge_resolution)
-    total, faces, edges = measure.integrate(lambda z: abs(f(z)) ** 2)
+    total, faces, edges = measure.integrate(lambda z: np.abs(f(z)) ** 2)
     return {"total": total, "faces": faces, "edges": edges}
-
-
-def _section_values(f, points):
-    """The section at each row of an (N, 2) array of points (f takes one point)."""
-    return np.array([f(z) for z in points], dtype=complex)
 
 
 def _face_value(rho, chart, f, tau, resolution):
@@ -175,7 +205,7 @@ def _face_value(rho, chart, f, tau, resolution):
     if not live.all():
         weights, z, vs, dens = weights[live], z[live], vs[live], dens[live]
     sgn = orientation_sign_face(rho, z, vs)
-    return complex(np.sum(weights * sgn * _section_values(f, z) * dens))
+    return complex(np.sum(weights * sgn * _section_on(f, z) * dens))
 
 
 def _edge_value(d, e, f, tau_hom, resolution):
@@ -184,7 +214,7 @@ def _edge_value(d, e, f, tau_hom, resolution):
     rhos = (d.rho(e.members[0]), d.rho(e.members[1]))
     k = corner_kernel(strong_tangents(d, e, ns.points), tau_hom, ns.tangents).value
     sgn = orientation_sign_edge(rhos, ns.points, ns.tangents)
-    return complex(np.sum(ns.weights * sgn * _section_values(f, ns.points) * k))
+    return complex(np.sum(ns.weights * sgn * _section_on(f, ns.points) * k))
 
 
 def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=None):
@@ -197,8 +227,15 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     with the recovered value, the directly evaluated reference ``f(tau)``,
     per-piece contributions and the relative error.
 
+    ``f`` is a section in the library's convention: it is called once per
+    boundary piece on the coordinate pair ``(z1, z2)`` of the piece's nodes,
+    two ``(N,)`` arrays, works elementwise and returns ``(N,)`` values (a
+    scalar result stands for every node); ``f(tau)`` is the one-point case.
+
     Raises
     ------
+    ValueError
+        If ``f`` returns values of any other shape.
     ZeroDivisionError
         If a tangent hyperplane at some boundary node passes through ``tau``
         (the formula's precondition fails).

@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .hermpoly import HermitianPoly, transform_poly
-from .projective import normalize_map
+from .hermpoly import HermitianPoly
+from .projective import ProjMap, _principal_cube_root, _value, normalize_map
 
 __all__ = [
     "NormalForm",
@@ -179,67 +178,98 @@ def edge_frame(d, e, zhat):
     The affine part sends the basepoint to the origin and maps each member's
     complex tangent hyperplane to a model plane {Im zeta_l = 0} with unit
     linear normalization (rows are i times the Wirtinger gradients); the
-    homogeneous representative is scaled to unit determinant.
+    homogeneous representative is scaled to unit determinant.  For an
+    ``(N, 2)`` array of edge points the frames are returned as their
+    ``(N, 3, 3)`` matrices.
     """
     zhat = np.asarray(zhat, dtype=complex)
-    rows = []
-    for m in e.members:
-        g = d.rho(m).grad(zhat[0], zhat[1])
-        if np.linalg.norm(g) < 1e-14:
+    points = zhat.reshape(-1, 2)
+    rows = np.stack([1j * d.rho(m).grad(points[:, 0], points[:, 1]) for m in e.members], axis=1)
+    norms = np.linalg.norm(rows, axis=-1)
+    for i, m in enumerate(e.members):
+        if np.any(norms[:, i] < 1e-14):
             raise ValueError(f"vanishing gradient of member {d.label(m)!r}")
-        rows.append(1j * g)
-    a = np.array(rows, dtype=complex)
-    if abs(np.linalg.det(a)) < 1e-12 * np.linalg.norm(a[0]) * np.linalg.norm(a[1]):
+    if np.any(np.abs(np.linalg.det(rows)) < 1e-12 * norms[:, 0] * norms[:, 1]):
         raise ValueError("member gradients are complex-linearly dependent")
-    shift = a @ zhat
-    hom = np.array(
+    hom = np.zeros((len(points), 3, 3), dtype=complex)
+    hom[:, 0, 0] = 1.0
+    hom[:, 1:, 0] = -(rows @ points[:, :, None])[..., 0]
+    hom[:, 1:, 1:] = rows
+    mats = hom / _principal_cube_root(np.linalg.det(hom))[:, None, None]
+    return ProjMap(mats[0]) if zhat.ndim == 1 else mats
+
+
+def _transformed_taylor2(rho, points, mats):
+    """Real gradient ``(N, 4)`` and Hessian ``(N, 4, 4)`` of a member at the origin of each frame.
+
+    The member in frame coordinates is ``|D|^(2n) rho(G(zeta))``, the
+    polynomial that :func:`~hardycorners.hermpoly.transform_poly` builds:
+    ``G`` is the fractional-linear map of the inverse frame matrix ``V``,
+    ``D = V_00 + V_01 zeta_1 + V_02 zeta_2`` its denominator and ``n`` the
+    polynomial's degree.  Its Wirtinger derivatives at ``zeta = 0``, where
+    ``G(0)`` is the edge point ``z``, follow from the chain rule: ``G`` has
+    Jacobian ``J_jk = (V_jk - z_j D_k) / D`` and second derivatives
+    ``-(J_jk D_l + J_jl D_k) / D``, and ``D^n`` has log-derivative
+    ``n D_k / D``.  Two simplifications are exact for the graph that
+    :func:`extract_normal_form` solves for: ``rho`` vanishes at the edge
+    point, so no term carrying ``rho`` itself enters, and the value
+    ``|D(0)|^(2n) > 0`` only rescales the member's equation, so it is left
+    out.  The result is in the real coordinates ``(x1, x2, y1, y2)`` of
+    ``zeta = x + i y``.
+    """
+    z1, z2 = points[:, 0], points[:, 1]
+    n = max(rho.max_degrees())
+    inv = np.linalg.inv(mats)
+    den = inv[:, 0, 0, None, None]
+    dden = inv[:, 0, 1:]
+    jac = (inv[:, 1:, 1:] - points[:, :, None] * dden[:, None, :]) / den
+    jac_t = np.swapaxes(jac, -1, -2)
+    # Wirtinger derivatives in frame coordinates: g_k, g_kl = d^2/dzeta_k
+    # dzeta_l and g_klbar = d^2/dzeta_k dconj(zeta_l)
+    gk = (rho.grad(z1, z2)[:, None, :] @ jac)[:, 0]
+    gkl = jac_t @ rho.hessian_holomorphic(z1, z2) @ jac
+    gklbar = jac_t @ np.swapaxes(rho.hessian_complex(z1, z2), -1, -2) @ np.conj(jac)
+    # G's second derivatives and the first derivatives of D^n together add
+    # (n - 1) (g_k D_l + D_k g_l) / D to g_kl; D^n and conj(D)^n add
+    # (n D_k / D) conj(g_l) and its conjugate transpose to g_klbar
+    outer = gk[:, :, None] * dden[:, None, :]
+    gkl += (n - 1) * (outer + np.swapaxes(outer, -1, -2)) / den
+    mixed = (n * dden / den[:, 0])[:, :, None] * np.conj(gk)[:, None, :]
+    gklbar += mixed + np.conj(np.swapaxes(mixed, -1, -2))
+    # d/dx = d/dzeta + d/dzetabar and d/dy = i (d/dzeta - d/dzetabar)
+    grad = np.concatenate([2.0 * gk.real, -2.0 * gk.imag], axis=-1)
+    hxx = 2.0 * (gkl + gklbar).real
+    hxy = 2.0 * (gklbar - gkl).imag
+    hyy = 2.0 * (gklbar - gkl).real
+    hess = np.concatenate(
         [
-            [1.0, 0.0, 0.0],
-            [-shift[0], a[0, 0], a[0, 1]],
-            [-shift[1], a[1, 0], a[1, 1]],
+            np.concatenate([hxx, hxy], axis=-1),
+            np.concatenate([np.swapaxes(hxy, -1, -2), hyy], axis=-1),
         ],
-        dtype=complex,
+        axis=-2,
     )
-    return normalize_map(hom)
-
-
-# The real linear forms of z1, conj(z1), z2, conj(z2) in the real
-# coordinates (x1, x2, y1, y2) of zeta = x + i y.
-_REAL_FORMS = np.array(
-    [[1, 0, 1j, 0], [1, 0, -1j, 0], [0, 1, 0, 1j], [0, 1, 0, -1j]]
-)
-
-
-def _real_taylor2(rho):
-    """Real gradient and Hessian at the origin, in (x1, x2, y1, y2), of a defining function."""
-    grad = np.zeros(4, dtype=complex)
-    hess = np.zeros((4, 4), dtype=complex)
-    for key, c in rho.terms.items():
-        slots = [slot for slot, e in enumerate(key) for _ in range(e)]
-        if len(slots) == 1:
-            grad += c * _REAL_FORMS[slots[0]]
-        elif len(slots) == 2:
-            u, v = _REAL_FORMS[slots]
-            hess += c * (np.outer(u, v) + np.outer(v, u))
-    return grad.real, hess.real
+    return grad, hess
 
 
 def extract_normal_form(d, zhat, frame=None):
     """The edge's quadratic normal form at a point, computed exactly.
 
-    Transforms each member's defining function by the frame
-    (:func:`~hardycorners.hermpoly.transform_poly`) and reads its real
-    gradient ``(A_l, B_l)`` and Hessian ``H_l`` at the origin, split into the
-    real (x) and imaginary (y) parts of the frame coordinates.  The implicit
-    function theorem gives the edge as a graph ``y = L x + Q(x) + O(|x|^3)``
-    with ``L = -B^(-1) A`` and the quadratic part from
-    ``-B^(-1) [(I; L)^T H_l (I; L)]``.  An adapted frame has ``L = 0``; an
-    explicit one need not.
+    Takes each member's defining function in the frame coordinates (as
+    :func:`~hardycorners.hermpoly.transform_poly` would build it) and reads
+    its real gradient ``(A_l, B_l)`` and Hessian ``H_l`` at the origin, split
+    into the real (x) and imaginary (y) parts of the frame coordinates; this
+    second-order data comes from the chain rule, so no polynomial is
+    transformed.  The implicit function theorem gives the edge as a graph
+    ``y = L x + Q(x) + O(|x|^3)`` with ``L = -B^(-1) A`` and the quadratic
+    part from ``-B^(-1) [(I; L)^T H_l (I; L)]``.  An adapted frame has
+    ``L = 0``; an explicit one need not.
 
     Parameters
     ----------
-    d, zhat : domain and an edge point on it
-    frame : ProjMap, optional
+    d : domain
+    zhat : one edge point, or an ``(N, 2)`` array of points on one edge
+        For ``N`` points each coefficient of the result is an ``(N,)`` array.
+    frame : ProjMap or (N, 3, 3) array, optional
         Frame to use; defaults to :func:`edge_frame`.  Passing an explicit
         frame (e.g. the identity on a pre-straightened model) bypasses
         re-adaptation, which matters when comparing transformed copies of one
@@ -252,38 +282,47 @@ def extract_normal_form(d, zhat, frame=None):
         ill-conditioned: the frame does not present the edge as a graph over
         its real tangent plane.
     """
-    e = d.edge_at(zhat)
-    fr = edge_frame(d, e, zhat) if frame is None else frame
-    grads, hessians = zip(
-        *(_real_taylor2(transform_poly(d.rho(m), fr)) for m in e.members)
-    )
-    grads = np.array(grads)
-    a, b = grads[:, :2], grads[:, 2:]
-    scale = np.linalg.norm(grads[0]) * np.linalg.norm(grads[1])
-    if abs(np.linalg.det(b)) <= 1e-12 * scale:
+    zhat = np.asarray(zhat, dtype=complex)
+    points = zhat.reshape(-1, 2)
+    e = d.edge_at(points)
+    if frame is None:
+        frame = edge_frame(d, e, points)
+    mats = frame.matrix if isinstance(frame, ProjMap) else np.asarray(frame, dtype=complex)
+    mats = np.broadcast_to(mats, (len(points), 3, 3))
+    grads, hessians = zip(*(_transformed_taylor2(d.rho(m), points, mats) for m in e.members))
+    grads = np.stack(grads, axis=1)
+    hessians = np.stack(hessians, axis=1)
+    a, b = grads[..., :2], grads[..., 2:]
+    scale = np.linalg.norm(grads[:, 0], axis=-1) * np.linalg.norm(grads[:, 1], axis=-1)
+    if np.any(np.abs(np.linalg.det(b)) <= 1e-12 * scale):
         raise ValueError(
             "the frame does not present the edge as a graph over its real "
             "tangent plane: the imaginary-part block of the member gradients "
             "is singular"
         )
-    tangent = np.vstack([np.eye(2), -np.linalg.solve(b, a)])
-    restricted = np.array([tangent.T @ h @ tangent for h in hessians])
-    # g[l] is the Hessian of the graph y_l(x) at x = 0
-    g = -np.linalg.solve(b, restricted.reshape(2, 4)).reshape(2, 2, 2)
-    return NormalForm(
-        a1=float(g[0, 0, 0] / 2),
-        b1=float(g[0, 0, 1]),
-        c1=float(g[0, 1, 1] / 2),
-        a2=float(g[1, 1, 1] / 2),
-        b2=float(g[1, 0, 1]),
-        c2=float(g[1, 0, 0] / 2),
+    eye = np.broadcast_to(np.eye(2), a.shape)
+    tangent = np.concatenate([eye, -np.linalg.solve(b, a)], axis=-2)[:, None]
+    restricted = np.swapaxes(tangent, -1, -2) @ hessians @ tangent
+    # g[:, l] is the Hessian of the graph y_l(x) at x = 0
+    g = -np.linalg.solve(b, restricted.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2)
+    if zhat.ndim == 1:
+        g = g[0]
+    coeffs = (
+        g[..., 0, 0, 0] / 2,
+        g[..., 0, 0, 1],
+        g[..., 0, 1, 1] / 2,
+        g[..., 1, 1, 1] / 2,
+        g[..., 1, 0, 1],
+        g[..., 1, 0, 0] / 2,
     )
+    return NormalForm(*(_value(c, float) for c in coeffs))
 
 
 def _as_coeffs(nf):
+    """Six coefficients, each a Python float or an ``(N,)`` float array."""
     if isinstance(nf, NormalForm):
         return nf.coeffs
-    t = tuple(float(x) for x in nf)
+    t = tuple(_value(np.asarray(x, dtype=float), float) for x in nf)
     if len(t) != 6:
         raise ValueError("expected six normal-form coefficients")
     return t
@@ -366,7 +405,8 @@ def normalize_coeffs(nf):
 
     Composition order is fixed: the two shear shifts first (killing a1 and
     a2), then the two scalings (driving c1 and c2 to -1), then the swap if
-    needed to order the b's.
+    needed to order the b's.  Array-capable: coefficients given as ``(N,)``
+    arrays give a :class:`NormalizedEdge` of ``(N,)`` arrays.
 
     Raises
     ------
@@ -381,7 +421,7 @@ def normalize_coeffs(nf):
     # commute and neither touches c1, c2.
     b1s = b1 + s2
     b2s = b2 + s1
-    if c1 >= 0 or c2 >= 0:
+    if np.any(c1 >= 0) or np.any(c2 >= 0):
         raise ValueError(
             "canonical slice requires negative transverse curvatures c1, c2"
         )
@@ -392,25 +432,29 @@ def normalize_coeffs(nf):
     b1n = b1s * q
     b2n = b2s * r
     swapped = b1n > b2n
-    if swapped:
-        b1n, b2n = b2n, b1n
     return NormalizedEdge(
-        b1=float(b1n),
-        b2=float(b2n),
-        q=float(q),
-        r=float(r),
-        shift1=float(s1),
-        shift2=float(s2),
-        swapped=bool(swapped),
+        b1=_value(np.where(swapped, b2n, b1n), float),
+        b2=_value(np.where(swapped, b1n, b2n), float),
+        q=_value(q, float),
+        r=_value(r, float),
+        shift1=_value(s1, float),
+        shift2=_value(s2, float),
+        swapped=_value(swapped, bool),
     )
 
 
-def edge_profile(t):
-    """Universal convex profile on (-1, 1): 4 / (1 - t^2) - 3."""
-    t = float(t)
-    if not -1.0 < t < 1.0:
+def _on_interval(t):
+    """``t`` as a float array, checked to lie in the profile's domain (-1, 1)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((-1.0 < t) & (t < 1.0)):
         raise ValueError("the profile is defined on the open interval (-1, 1)")
-    return 4.0 / (1.0 - t * t) - 3.0
+    return t
+
+
+def edge_profile(t):
+    """Universal convex profile on (-1, 1): 4 / (1 - t^2) - 3 (elementwise)."""
+    t = _on_interval(t)
+    return _value(4.0 / (1.0 - t * t) - 3.0, float)
 
 
 def edge_profile_ratio(t):
@@ -420,48 +464,66 @@ def edge_profile_ratio(t):
     agrees with :func:`edge_profile` identically and is kept as an
     independent expression for cross-checking.
     """
-    t = float(t)
-    if not -1.0 < t < 1.0:
-        raise ValueError("the profile is defined on the open interval (-1, 1)")
+    t = _on_interval(t)
     p = 0.5 * (1.0 + t)
     m = 0.5 * (1.0 - t)
-    return (p**3 + m**3) / (p * m)
+    return _value((p**3 + m**3) / (p * m), float)
+
+
+# Newton steps allowed to the Legendre maximizer; from its starting bound it
+# takes at most 7 over 1e-12 <= |p| <= 1e6.
+_ARGMAX_MAXITER = 50
 
 
 def legendre_argmax(p):
-    """Maximizer t*(p) of t p - edge_profile(t) on (-1, 1)."""
-    p = float(p)
-    if p == 0.0:
-        return 0.0
-    lo = -1.0 + 1e-14
-    hi = 1.0 - 1e-14
+    """Maximizer t*(p) of t p - edge_profile(t) on (-1, 1), elementwise.
 
-    def dslope(t):
-        return 8.0 * t / (1.0 - t * t) ** 2 - p
-
-    return float(brentq(dslope, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300))
+    Solves the stationarity equation 8 t / (1 - t^2)^2 = |p| on [0, 1) and
+    restores the sign of ``p`` afterwards, so ``t*(-p) == -t*(p)`` exactly.
+    The left side is increasing and convex there, so Newton's method started
+    at an upper bound of the root decreases monotonically onto it: each
+    iterate stays in the bracket [root, start], and the iteration stops once
+    a step no longer decreases ``t`` (convergence to rounding).
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.abs(p)
+    # 8 t <= |p| bounds the root by |p| / 8; for |p| >= 64/9 the root is at
+    # least 1/2, which bounds it by sqrt(1 - 2 / sqrt(|p|)) as well.
+    t = np.minimum(q / 8.0, np.sqrt(1.0 - 2.0 / np.sqrt(np.maximum(q, 64.0 / 9.0))))
+    for _ in range(_ARGMAX_MAXITER):
+        s = 1.0 - t * t
+        step = (8.0 * t - q * s * s) * s / (8.0 * (1.0 + 3.0 * t * t))
+        new = np.maximum(t - step, 0.0)
+        down = new < t
+        if not down.any():
+            break
+        t = np.where(down, new, t)
+    else:
+        raise RuntimeError("Legendre maximizer did not converge")
+    return _value(np.copysign(t, p), float)
 
 
 def legendre_transform(p):
     """Legendre transform of the edge profile: sup_t (t p - edge_profile(t)).
 
-    Even in p, with value -1 at p = 0; strictly convex and smooth.
+    Even in p (exactly), with value -1 at p = 0; strictly convex and smooth.
+    Elementwise over arrays.
     """
     t = legendre_argmax(p)
-    return float(p) * t - edge_profile(t)
+    return _value(np.asarray(p, dtype=float) * t - edge_profile(t), float)
 
 
 def kappa(b1, b2):
-    """Scalar edge invariant on the canonical slice.
+    """Scalar edge invariant on the canonical slice, elementwise.
 
-    Symmetric in its arguments; equals 1 at (0, 0) and 0 at (-1, -1).
-    Equivalently the negative of sup_t of the affine family
-    -p1(t) b1 - p2(t) b2 - edge_profile(t) with barycentric weights
-    p1 = (1+t)/2, p2 = (1-t)/2.
+    Symmetric in its arguments (exactly: ``kappa(b1, b2) == kappa(b2, b1)``);
+    equals 1 at (0, 0) and 0 at (-1, -1).  Equivalently the negative of sup_t
+    of the affine family -p1(t) b1 - p2(t) b2 - edge_profile(t) with
+    barycentric weights p1 = (1+t)/2, p2 = (1-t)/2.
     """
-    b1 = float(b1)
-    b2 = float(b2)
-    return 0.5 * (b1 + b2) - legendre_transform(0.5 * (b2 - b1))
+    b1 = np.asarray(b1, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
+    return _value(0.5 * (b1 + b2) - legendre_transform(0.5 * (b2 - b1)), float)
 
 
 def eta(d, zhat):
@@ -477,21 +539,26 @@ def eta(d, zhat):
     quantity of homogeneity weight (3/2, 3/2) whose cube root multiplies the
     edge arc element in the boundary norm; under a projective map G it
     transforms by |den_G(zhat)|^3.
+
+    ``zhat`` is one edge point or an ``(N, 2)`` array of points on one edge;
+    for ``N`` points every field is an ``(N,)`` array (``frame`` holds the
+    ``(N, 3, 3)`` frame matrices), computed in one pass.
     """
-    e = d.edge_at(zhat)
-    fr = edge_frame(d, e, zhat)
+    zhat = np.asarray(zhat, dtype=complex)
+    fr = edge_frame(d, d.edge_at(zhat), zhat)
     nf = extract_normal_form(d, zhat, frame=fr)
     norm = normalize_coeffs(nf.coeffs)
     k = kappa(norm.b1, norm.b2)
-    den = fr.den(np.asarray(zhat, dtype=complex))
+    m0 = (fr.matrix if isinstance(fr, ProjMap) else fr)[..., 0, :]
+    den = m0[..., 0] + m0[..., 1] * zhat[..., 0] + m0[..., 2] * zhat[..., 1]
     c1c2 = nf.c1 * nf.c2
     return EdgeInvariant(
-        kappa=float(k),
-        eta_weight=float(abs(den) ** 3 * k / c1c2),
+        kappa=k,
+        eta_weight=_value(np.abs(den) ** 3 * k / c1c2, float),
         b1=norm.b1,
         b2=norm.b2,
         frame=fr,
         c1=nf.c1,
         c2=nf.c2,
-        kappa_times_c1c2=float(c1c2 * k),
+        kappa_times_c1c2=_value(c1c2 * k, float),
     )

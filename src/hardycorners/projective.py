@@ -66,6 +66,11 @@ def _dot2(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
+def _value(v, cast=complex):
+    """A Python scalar for one point, the array itself for many."""
+    return cast(v) if np.ndim(v) == 0 else v
+
+
 def _as_triple(v):
     """Coerce a HomVec or length-3 sequence to a complex numpy triple."""
     if isinstance(v, HomVec):
@@ -151,9 +156,9 @@ def affinize(z):
 
 
 def _principal_cube_root(c):
-    """Principal cube root r^(1/3) * exp(i*arg/3) with arg in (-pi, pi]."""
-    r = abs(c)
-    if r == 0.0:
+    """Principal cube root r^(1/3) * exp(i*arg/3) with arg in (-pi, pi], elementwise."""
+    r = np.abs(c)
+    if np.any(r == 0.0):
         raise ZeroDivisionError("cube root of zero")
     return r ** (1.0 / 3.0) * np.exp(1j * np.angle(c) / 3.0)
 
@@ -287,6 +292,11 @@ class Section:
 
     ``func(zhat)`` returns the value at the representative ``(1, z1, z2)``;
     ``bidegree`` is the exact weight pair ``(j, k)`` (Fractions allowed).
+
+    The value function follows the library's section convention: it is
+    called with the coordinate pair ``zhat = (z1, z2)``, either of one point
+    or of ``N`` points as two ``(N,)`` arrays, and works elementwise (it
+    returns ``(N,)`` values, or a scalar that stands for every point).
     """
 
     func: object
@@ -302,7 +312,11 @@ class Section:
 
 @dataclass(frozen=True)
 class SectionValue:
-    """A section value with its weight data and the basepoint representative."""
+    """A section value with its weight data and the basepoint representative.
+
+    For ``N`` points at once ``value`` is an ``(N,)`` array and ``basepoint``
+    the ``(N, 3)`` array of representatives.
+    """
 
     value: complex
     bidegree: tuple
@@ -311,39 +325,50 @@ class SectionValue:
 
 
 def _frac_power(base, expo):
-    """base**expo for a Fraction exponent, principal branch."""
+    """base**expo for a Fraction exponent, principal branch, elementwise."""
     if expo.denominator == 1:
         return base ** int(expo)
-    return np.exp(complex(expo) * np.log(complex(base)))
+    return np.exp(float(expo) * np.log(base))
 
 
 def pull_back_section(t, f, zhat):
-    """Pull a weighted section back along a projective map, at an affine point.
+    """Pull a weighted section back along a projective map, at affine points.
 
     For bidegree ``(j, k)`` the affine transformation law is
 
         (T* f)(z) = den**j * conj(den)**k * f(T(z)),
         den = M00 + M01*z1 + M02*z2.
 
-    Half-integer exponents use the principal branch of ``den`` and the result
-    is flagged ``chart_dependent`` (only its modulus is invariant).
+    ``zhat`` is a coordinate pair ``(z1, z2)``: of one point (a length-2
+    sequence), or of ``N`` points as two ``(N,)`` arrays, in which case the
+    section is called once on the image pair and the value is an ``(N,)``
+    array.  Half-integer exponents use the principal branch of ``den`` and
+    the result is flagged ``chart_dependent`` (only its modulus is
+    invariant).
+
+    Raises
+    ------
+    ZeroDivisionError
+        If some point lies on the pole hyperplane ``den = 0`` of the map.
     """
     if not isinstance(t, ProjMap):
         t = normalize_map(t)
     if not isinstance(f, Section):
         raise TypeError("f must be a Section (affine value function + bidegree)")
-    den = t.den(zhat)
-    if abs(den) <= 1e-14:
+    z1, z2, shape = _as_points(*zhat)
+    points = np.stack([z1, z2], axis=-1)
+    den = t.den(points)
+    if np.any(np.abs(den) <= 1e-14):
         raise ZeroDivisionError(
             "affine point lies on the pole hyperplane of this affinization"
         )
     j, k = f.bidegree
-    image = t.affine(zhat)
+    image = t.affine(points)
     half = j.denominator != 1 or k.denominator != 1
     value = _frac_power(den, j) * _frac_power(np.conj(den), k) * f(image)
     return SectionValue(
         value=value,
         bidegree=(j, k),
-        basepoint=HomVec.from_affine(zhat),
+        basepoint=HomVec.from_affine((z1, z2)) if shape is None else homogenize(points),
         chart_dependent=half,
     )

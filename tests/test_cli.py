@@ -44,6 +44,9 @@ def test_parse_section_expr_evaluates():
     f = parse_section_expr("z1*z2**2 + 0.5")
     z = np.array([0.2 + 0.1j, -0.3 + 0.05j])
     assert np.isclose(f(z), z[0] * z[1] ** 2 + 0.5)
+    points = np.array([z, 2 * z, -z])
+    assert np.allclose(f((points[:, 0], points[:, 1])), [f(p) for p in points], rtol=1e-15)
+    assert parse_section_expr("2")((points[:, 0], points[:, 1])) == 2
 
 
 def test_parse_section_expr_rejects_names_and_calls():
@@ -301,6 +304,17 @@ def test_reproduce_section_evaluation_error_is_input_error(runner):
     assert result.exit_code == 2
     assert "cannot be evaluated" in result.stderr
     assert "precondition" not in result.stderr
+
+
+def test_reproduce_section_singular_at_some_nodes_is_input_error(runner):
+    # z1 is exactly 1 on the edge nodes of angle 0 and nowhere else
+    result = runner.invoke(
+        main,
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--f", "1/(z1 - 1)", "--resolution", "6"],
+    )
+    assert result.exit_code == 2
+    assert "cannot be evaluated at z = ((1+0j)" in result.stderr
+    assert "Traceback" not in result.output
 
 
 def test_parse_section_expr_bounds_exponents_when_parsing():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardycorners.domain import transform_domain
+from hardycorners.hermpoly import transform_poly
 from hardycorners.normalforms import (
     NormalizedEdge,
     apply_coordinate_change,
@@ -111,6 +112,80 @@ def test_extract_normal_form_handles_x_linear_frame():
     a1, b1, c1, a2, b2, c2 = nf.coeffs
     assert np.allclose([d11[0], d12[0], d22[0]], [2 * a1, b1, 2 * c1], atol=1e-6)
     assert np.allclose([d11[1], d12[1], d22[1]], [2 * c2, b2, 2 * a2], atol=1e-6)
+
+
+# The real linear forms of z1, conj(z1), z2, conj(z2) in the real
+# coordinates (x1, x2, y1, y2) of zeta = x + i y.
+_REAL_FORMS = np.array([[1, 0, 1j, 0], [1, 0, -1j, 0], [0, 1, 0, 1j], [0, 1, 0, -1j]])
+
+
+def _reference_normal_form(d, zhat, frame):
+    """The normal form computed by transforming whole polynomials.
+
+    Each member is transformed by the frame with ``transform_poly``; its real
+    gradient and Hessian at the origin are read from the terms of degree <= 2
+    and fed to the same implicit-function expansion.
+    """
+    grads, hessians = [], []
+    for m in d.edge_at(zhat).members:
+        grad = np.zeros(4, dtype=complex)
+        hess = np.zeros((4, 4), dtype=complex)
+        for key, c in transform_poly(d.rho(m), frame).terms.items():
+            slots = [slot for slot, e in enumerate(key) for _ in range(e)]
+            if len(slots) == 1:
+                grad += c * _REAL_FORMS[slots[0]]
+            elif len(slots) == 2:
+                u, v = _REAL_FORMS[slots]
+                hess += c * (np.outer(u, v) + np.outer(v, u))
+        grads.append(grad.real)
+        hessians.append(hess.real)
+    grads = np.array(grads)
+    a, b = grads[:, :2], grads[:, 2:]
+    tangent = np.vstack([np.eye(2), -np.linalg.solve(b, a)])
+    restricted = np.array([tangent.T @ h @ tangent for h in hessians])
+    g = -np.linalg.solve(b, restricted.reshape(2, 4)).reshape(2, 2, 2)
+    return np.array(
+        [g[0, 0, 0] / 2, g[0, 0, 1], g[0, 1, 1] / 2, g[1, 1, 1] / 2, g[1, 0, 1], g[1, 0, 0] / 2]
+    )
+
+
+def _assert_matches_reference(d, points, frames):
+    got = np.array(extract_normal_form(d, points, frame=frames).coeffs).T
+    for z, fr, row in zip(points, frames, got):
+        ref = _reference_normal_form(d, z, ProjMap(fr))
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_batched_normal_form_matches_transformed_polynomials(perturbed_bidisk):
+    rng = np.random.default_rng(401)
+    images = [transform_domain(perturbed_bidisk, random_unit_det_map(rng, 0.06)) for _ in range(2)]
+    for d in [perturbed_bidisk] + images:
+        e = d.edges[0]
+        points = e.chart.nodes(4).points
+        _assert_matches_reference(d, points, edge_frame(d, e, points))
+
+
+def test_batched_normal_form_in_a_projective_frame(perturbed_bidisk):
+    # change_matrix("shear1", .) fixes the origin and has the nonconstant
+    # denominator 1 - lam z1; composed after the adapted frames it gives
+    # projective frames, whose second derivatives then enter
+    e = perturbed_bidisk.edges[0]
+    points = e.chart.nodes(4).points
+    frames = change_matrix("shear1", 0.4 + 0.3j).matrix @ edge_frame(perturbed_bidisk, e, points)
+    _assert_matches_reference(perturbed_bidisk, points, frames)
+    single = extract_normal_form(perturbed_bidisk, points[5], frame=ProjMap(frames[5]))
+    ref = _reference_normal_form(perturbed_bidisk, points[5], ProjMap(frames[5]))
+    assert np.max(np.abs(np.array(single.coeffs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_batched_eta_equals_pointwise_calls(perturbed_bidisk):
+    points = perturbed_bidisk.edges[0].chart.nodes(6).points
+    batch = eta(perturbed_bidisk, points)
+    for name in ("kappa", "eta_weight", "b1", "b2", "c1", "c2", "kappa_times_c1c2"):
+        single = [getattr(eta(perturbed_bidisk, z), name) for z in points]
+        np.testing.assert_allclose(getattr(batch, name), single, rtol=1e-14, atol=0)
+    assert batch.frame.shape == (len(points), 3, 3)
+    assert np.allclose(batch.frame[3], eta(perturbed_bidisk, points[3]).frame.matrix, rtol=1e-14)
 
 
 def test_edge_frame_straightens_members(perturbed_bidisk):
@@ -258,6 +333,15 @@ def test_legendre_transform_basics():
 @given(p=st.floats(min_value=-8, max_value=8, allow_nan=False), t=st.floats(min_value=-0.99, max_value=0.99))
 def test_legendre_transform_dominates_fenchel(p, t):
     assert legendre_transform(p) >= p * t - edge_profile(t) - 1e-12
+
+
+def test_kappa_on_arrays_is_elementwise_and_exactly_symmetric():
+    b = np.random.default_rng(402).uniform(-3.0, 3.0, (2, 200))
+    b[:, :3] = [[0.0, -1.0, 1e-9], [0.0, -1.0, -1e-9]]
+    k = kappa(b[0], b[1])
+    assert np.array_equal(k, kappa(b[1], b[0]))
+    assert np.array_equal(k, [kappa(b1, b2) for b1, b2 in b.T])
+    assert np.array_equal(legendre_argmax(-b[0]), -legendre_argmax(b[0]))
 
 
 def test_kappa_anchor_values():

@@ -19,6 +19,7 @@ from hardycorners.measures import (
     hardy_norm,
     reproduce,
 )
+from hardycorners.normalforms import eta
 from hardycorners.projective import Section, homogenize, pull_back_section
 
 from conftest import random_unit_det_map
@@ -121,7 +122,8 @@ def test_build_measure_node_counts(perturbed_bidisk):
     assert len(m.face_nodes) == 2
     assert len(m.edge_nodes) == 1
     assert len(m.edge_nodes[0]) == 36
-    assert all(w > 0 for _, w in m.edge_nodes[0])
+    assert m.edge_nodes[0].points.shape == (36, 2)
+    assert np.all(m.edge_nodes[0].weights > 0)
 
 
 def test_hardy_norm_basicproperties(perturbed_bidisk):
@@ -136,6 +138,50 @@ def test_hardy_norm_basicproperties(perturbed_bidisk):
         perturbed_bidisk, lambda z: 1.0, resolution=8, edge_resolution=6
     )
     assert np.isclose(again["total"], out_one["total"], rtol=1e-12)
+
+
+def _hardy_norm_node_by_node(d, f, resolution, edge_resolution):
+    """Reference: the squared norm summed one node at a time with the scalar API."""
+    total = 0.0
+    for fc in d.faces:
+        rho = d.rho(fc.hypersurface)
+        for params, w in fc.chart.quad_nodes(resolution):
+            z = fc.chart.point(*params)
+            dens = fefferman_density(rho, z, fc.chart.tangents(*params))
+            total += w * dens * abs(f(z)) ** 2
+    for e in d.edges:
+        for params, w in e.chart.quad_nodes(edge_resolution):
+            z = e.chart.point(*params)
+            dens = edge_measure_density(eta(d, z).eta_weight, e.chart.tangents(*params))
+            total += w * dens * abs(f(z)) ** 2
+    return total
+
+
+def test_hardy_norm_matches_node_by_node_reference(perturbed_bidisk, rng):
+    t = random_unit_det_map(rng, scale=0.05)
+    moved = transform_domain(perturbed_bidisk, t)
+
+    def f(z):
+        return z[0] * z[1] ** 2 + 0.5
+
+    def f_moved(zp):
+        return pull_back_section(t.inverse(), Section(f, bidegree=(-2, 0)), zp).value
+
+    for d, g in ((perturbed_bidisk, f), (moved, f_moved)):
+        got = hardy_norm(d, g, resolution=6, edge_resolution=6)["total"]
+        ref = _hardy_norm_node_by_node(d, g, 6, 6)
+        # the same per-node terms, summed in another order
+        assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_section_of_wrong_shape_is_rejected(perturbed_bidisk):
+    def stacked(z):
+        return np.stack(z, axis=-1)
+
+    with pytest.raises(ValueError, match="coordinate pair"):
+        hardy_norm(perturbed_bidisk, stacked, resolution=6, edge_resolution=6)
+    with pytest.raises(ValueError, match="coordinate pair"):
+        reproduce(perturbed_bidisk, stacked, np.array([0.1, 0.2j]), resolution=6)
 
 
 def test_sphere_measure_total_matches_constant_density(sphere):

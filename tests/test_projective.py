@@ -1,5 +1,7 @@
 """Homogeneous coordinates, projective maps, duality, and line-bundle sections."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -216,6 +218,29 @@ def test_pullback_scaling_law(rng):
     den = t.den(zhat)
     expected = den ** (-2) * np.conj(den) * f.func(t.affine(zhat))
     assert np.isclose(pull_back_section(t, f, zhat).value, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("bidegree", [(-2, 0), (1, 1), (Fraction(-3, 2), Fraction(1, 2))])
+def test_pullback_on_a_batch_equals_pointwise_calls(rng, bidegree):
+    t = random_unit_det_map(rng)
+    f = Section(lambda zhat: zhat[0] ** 2 - 0.5 * zhat[1] + 1.0, bidegree=bidegree)
+    points = np.array([_random_point(rng) for _ in range(7)])
+    batch = pull_back_section(t, f, (points[:, 0], points[:, 1]))
+    single = [pull_back_section(t, f, z) for z in points]
+    assert batch.value.shape == (7,)
+    assert np.allclose(batch.value, [s.value for s in single], rtol=1e-14, atol=0)
+    assert batch.chart_dependent == single[0].chart_dependent
+    assert np.allclose(batch.basepoint[2], single[2].basepoint.array)
+
+
+def test_pullback_batch_with_one_point_on_the_pole():
+    # den = 1 + 2 z1 vanishes at z1 = -1/2 only
+    t = normalize_map([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    f = Section(lambda zhat: 1.0, bidegree=(-2, 0))
+    z1 = np.array([0.1, -0.5, 0.3j])
+    with pytest.raises(ZeroDivisionError):
+        pull_back_section(t, f, (z1, np.zeros(3)))
+    assert np.all(np.isfinite(pull_back_section(t, f, (z1[[0, 2]], np.zeros(2))).value))
 
 
 def test_pullback_composition_order(rng):
