@@ -148,9 +148,6 @@ class Chart:
         """Points ``(N, 2)`` and tangents ``(N, dim, 2)`` at parameter rows ``(N, dim)``."""
         raise NotImplementedError
 
-    def spec_dict(self):
-        raise NotImplementedError
-
     def nodes(self, resolution):
         """The :class:`NodeSet` of this chart at a resolution (one Newton solve)."""
         params, weights = self.grid(resolution)
@@ -218,9 +215,6 @@ class TorusChart(Chart):
 
     def tangents(self, theta, phi):
         return self._at(theta, phi)[1]
-
-    def spec_dict(self):
-        return {"type": "torus2", "r0": [self.r0[0], self.r0[1]]}
 
     def grid(self, resolution):
         n = max(4, int(resolution))
@@ -291,9 +285,6 @@ class SpherePolarChart(Chart):
     def tangents(self, theta, alpha, beta):
         return self._at(theta, alpha, beta)[1]
 
-    def spec_dict(self):
-        return {"type": "sphere_polar", "r0": self.r0}
-
     def grid(self, resolution):
         n = max(4, int(resolution))
         return tensor_grid(
@@ -347,14 +338,6 @@ class GraphPatchChart(Chart):
     def tangents(self, r, phi, psi):
         return self._at(r, phi, psi)[1]
 
-    def spec_dict(self):
-        return {
-            "type": "graph_patch",
-            "solve": self.solve,
-            "disk_radius": self.disk_radius,
-            "r0": self.r0,
-        }
-
     def grid(self, resolution):
         n = max(4, int(resolution))
         return tensor_grid(
@@ -392,9 +375,6 @@ class TransformedChart(Chart):
     def tangents(self, *params):
         return self._at(*params)[1]
 
-    def spec_dict(self):
-        return {"type": "transformed", "base": self.base.spec_dict()}
-
     def quad_nodes(self, resolution):
         return self.base.quad_nodes(resolution)
 
@@ -430,7 +410,6 @@ class PwsDomain:
     edges: list
     interior_points: list = field(default_factory=list)
     membership: str = "intersection"
-    raw_spec: dict | None = None
 
     def __post_init__(self):
         if self.membership not in ("intersection", "union"):
@@ -527,7 +506,6 @@ def domain_from_spec(spec):
         edges=edges,
         interior_points=pts,
         membership=spec.get("membership", "intersection"),
-        raw_spec=spec,
     )
 
 
@@ -555,26 +533,24 @@ def strong_tangents(d, e, zhat, tol=1e-8):
     return StrongTangentSet(basepoint=basepoint, planes=planes)
 
 
+def _member_planes(d, members, zhat):
+    """The members' tangent hyperplanes at one point, as ``(len(members), 3)`` rows."""
+    return np.stack([gradient_hyperplane(d.rho(m), zhat).array for m in members])
+
+
 def weak_tangent(d, e, zhat, t):
     """Barycentric combination of the members' tangent hyperplanes at an edge point.
 
     ``t`` lives on the standard simplex (non-negative, sums to 1); the
     vertices reproduce the strong tangents, and every value is incident to
-    the basepoint exactly.
+    the basepoint up to rounding.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (len(e.members),):
         raise ValueError(f"t must have {len(e.members)} barycentric coordinates")
     if np.any(t < -1e-12) or abs(float(np.sum(t)) - 1.0) > 1e-10:
         raise ValueError("t must be non-negative barycentric coordinates summing to 1")
-    z1, z2 = zhat
-    grad_sum = np.zeros(2, dtype=complex)
-    for tl, m in zip(t, e.members):
-        grad_sum += tl * d.rho(m).grad(z1, z2)
-    return HomVec(
-        (-(grad_sum[0] * complex(z1) + grad_sum[1] * complex(z2)), grad_sum[0], grad_sum[1]),
-        role="hyperplane",
-    )
+    return HomVec(tuple(t @ _member_planes(d, e.members, zhat)), role="hyperplane")
 
 
 def _ball_samples(rng, center, radius, n):
@@ -637,50 +613,42 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
     ``min over line samples of max over member rho values``.  Positive margin
     means the line leaves the closed domain immediately (strictness); zero
     margin detects contact of higher order, as on flat faces or cone models.
+    A face point is the single weight ``t = (1,)``.  All lines are sampled at
+    once: the weak tangents are one product of the weights with the members'
+    tangent hyperplanes, and each member is evaluated once on every sample.
     """
+    zhat = np.asarray(zhat, dtype=complex)
     members = d.active_members(zhat, tol=1e-8)
     if not members:
         raise ValueError("point is not on the boundary")
-    e = None
     if len(members) >= 2:
-        e = d.edge_at(zhat)
-        members = list(e.members)
+        members = list(d.edge_at(zhat).members)
     radius = 0.5 if local_radius is None else float(local_radius)
 
     if len(members) == 1:
-        t_list = [np.array([1.0])]
+        t = np.ones((1, 1))
     else:
-        t_list = [
-            np.array([i / (t_grid - 1.0), 1.0 - i / (t_grid - 1.0)])
-            for i in range(t_grid)
-        ]
+        s = np.arange(t_grid) / (t_grid - 1.0)
+        t = np.stack([s, 1.0 - s], axis=-1)
+    w = t @ _member_planes(d, members, zhat)
+    # Direction of each line: the kernel (w2, -w1) of the affine part, normalized.
+    direction = np.stack([w[:, 2], -w[:, 1]], axis=-1)
+    norm = np.linalg.norm(direction, axis=-1)
+    valid = norm >= 1e-14
+    direction /= np.where(valid, norm, 1.0)[:, None]
 
     # Punctured polar grid of line parameters: radii radius*i/n, angles 2 pi j/n.
     rr = radius * np.arange(1, ambient_grid + 1) / ambient_grid
     line = rr[:, None] * np.exp(2j * np.pi * np.arange(ambient_grid) / ambient_grid)
-    per_t = []
-    z0 = np.array([complex(zhat[0]), complex(zhat[1])])
-    for t in t_list:
-        if len(members) == 1:
-            w = gradient_hyperplane(d.rho(members[0]), zhat)
-        else:
-            w = weak_tangent(d, e, zhat, t)
-        wa = w.array
-        dvec = np.array([wa[2], -wa[1]])
-        nd = np.linalg.norm(dvec)
-        if nd < 1e-14:
-            per_t.append((tuple(t), np.nan))
-            continue
-        dvec = dvec / nd
-        p1, p2 = z0[0] + line * dvec[0], z0[1] + line * dvec[1]
-        vals = np.max([d.rho(m)(p1, p2) for m in members], axis=0)
-        per_t.append((tuple(t), float(np.min(vals))))
+    p = zhat + line[None, ..., None] * direction[:, None, None, :]
+    vals = np.max([d.rho(m)(p[..., 0], p[..., 1]) for m in members], axis=0)
+    margins = np.where(valid, np.min(vals, axis=(1, 2)), np.nan)
 
-    margins = [m for _, m in per_t if np.isfinite(m)]
-    min_margin = float(min(margins)) if margins else np.nan
+    finite = margins[np.isfinite(margins)]
+    min_margin = float(np.min(finite)) if finite.size else np.nan
     return {
         "members": [d.label(m) for m in members],
-        "per_t": per_t,
+        "per_t": list(zip(map(tuple, t), margins.tolist())),
         "min_margin": min_margin,
         "strict": bool(min_margin > 1e-10),
     }
@@ -718,7 +686,6 @@ def transform_domain(d, t):
         edges=new_edges,
         interior_points=new_pts,
         membership=d.membership,
-        raw_spec=None,
     )
 
 

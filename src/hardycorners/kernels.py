@@ -25,7 +25,7 @@ about boundary orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * np.pi
-
-# Mutation hook exercised by the self-test command: flipping this sign must
-# make the corner-related consistency suites fail loudly.
-_CORNER_SIGN = 1.0
 
 _REL_TOL = 1e-10
 
@@ -122,22 +118,43 @@ def _as_hyperplane(w):
     return np.asarray(w, dtype=complex)
 
 
+def _dot3(a, b):
+    """Bilinear pairing over the last axis of homogeneous triples (no conjugation)."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _norm(v):
+    return np.linalg.norm(v, axis=-1)
+
+
 def _check_incidence(z, w):
-    scale = np.linalg.norm(z) * np.linalg.norm(w)
-    if abs(z @ w) > _REL_TOL * max(scale, 1e-300):
+    scale = np.maximum(_norm(z) * _norm(w), 1e-300)
+    if np.any(np.abs(_dot3(z, w)) > _REL_TOL * scale):
         raise ValueError("point and hyperplane are not incident")
 
 
 def _check_tangent(z, w, dz, dw):
-    scale = (
-        np.linalg.norm(w) * np.linalg.norm(dz)
-        + np.linalg.norm(z) * np.linalg.norm(dw)
-        + 1e-300
-    )
-    if abs(w @ dz + z @ dw) > 1e-10 * scale:
+    scale = _norm(w) * _norm(dz) + _norm(z) * _norm(dw) + 1e-300
+    if np.any(np.abs(_dot3(w, dz) + _dot3(z, dw)) > 1e-10 * scale):
         raise ValueError(
             "tangent vector does not satisfy the linearized incidence relation"
         )
+
+
+def _pick(v, index):
+    """Coordinate ``index[...]`` of each row of ``v`` (shape ``v.shape[:-1]``)."""
+    return np.take_along_axis(v, index[..., None], axis=-1)[..., 0]
+
+
+def _chart_index(v, chart, what):
+    """Affinizing coordinate per row: the given one, or the largest in modulus."""
+    if chart is None:
+        index = np.asarray(np.argmax(np.abs(v), axis=-1))
+    else:
+        index = np.full(v.shape[:-1], chart)
+    if np.any(np.abs(_pick(v, index)) <= 1e-14 * np.max(np.abs(v), axis=-1)):
+        raise ValueError(f"{what} chart {chart} is invalid: coordinate vanishes")
+    return index
 
 
 def omega_cfl(z, w, tangents, charts=None):
@@ -153,9 +170,13 @@ def omega_cfl(z, w, tangents, charts=None):
         ``w . dz + z . dw = 0``.
     charts : (j, k), optional
         Affinize the point by coordinate ``j`` and the hyperplane by
-        coordinate ``k``.  Defaults to the largest-modulus coordinates.  The
-        value does not depend on this choice (chart independence on the
-        nose), but the chosen coordinates must be nonzero.
+        coordinate ``k``.  Defaults to the largest-modulus coordinates, picked
+        per row.  The value does not depend on this choice (chart
+        independence on the nose), but the chosen coordinates must be nonzero.
+
+    Array-capable: ``z``, ``w`` and the tangent lifts may carry leading axes
+    (say a node axis, ``(N, 3)``); they broadcast against each other and the
+    value is an array of the broadcast leading shape.
 
     Returns
     -------
@@ -163,51 +184,34 @@ def omega_cfl(z, w, tangents, charts=None):
         Alternating 3-form value of weight (2, 0) in the point representative
         and (2, 0) in the hyperplane representative.
     """
-    z = _as_point(z)
-    w = _as_hyperplane(w)
-    _check_incidence(z, w)
     if len(tangents) != 3:
         raise ValueError("the incidence density consumes exactly three tangents")
-    pairs = []
-    for dz, dw in tangents:
-        dz = np.asarray(dz, dtype=complex)
-        dw = np.asarray(dw, dtype=complex)
+    z = _as_point(z)
+    w = _as_hyperplane(w)
+    lifts = [np.asarray(v, dtype=complex) for pair in tangents for v in pair]
+    shape = np.broadcast_shapes(z.shape, w.shape, *(v.shape for v in lifts))
+    z, w, *lifts = (np.broadcast_to(v, shape) for v in (z, w, *lifts))
+    _check_incidence(z, w)
+    dzs, dws = lifts[0::2], lifts[1::2]
+    for dz, dw in zip(dzs, dws):
         _check_tangent(z, w, dz, dw)
-        pairs.append((dz, dw))
 
-    if charts is None:
-        j = int(np.argmax(np.abs(z)))
-        k = int(np.argmax(np.abs(w)))
-    else:
-        j, k = charts
-    if abs(z[j]) <= 1e-14 * np.max(np.abs(z)):
-        raise ValueError(f"point chart {j} is invalid: coordinate vanishes")
-    if abs(w[k]) <= 1e-14 * np.max(np.abs(w)):
-        raise ValueError(f"hyperplane chart {k} is invalid: coordinate vanishes")
-
-    def dz_chart(dz):
-        return (dz * z[j] - z * dz[j]) / z[j] ** 2
-
-    def dw_chart(dw):
-        return (dw * w[k] - w * dw[k]) / w[k] ** 2
-
-    a_vals = []
-    dz_vals = []
-    dw_vals = []
-    for dz, dw in pairs:
-        dwc = dw_chart(dw)
-        dzc = dz_chart(dz)
-        a_vals.append((z / z[j]) @ dwc)
-        dz_vals.append(dzc)
-        dw_vals.append(dwc)
+    j, k = (None, None) if charts is None else charts
+    j = _chart_index(z, j, "point")
+    k = _chart_index(w, k, "hyperplane")
+    zj = _pick(z, j)[..., None]
+    wk = _pick(w, k)[..., None]
+    dzc = [(dz * zj - z * _pick(dz, j)[..., None]) / zj**2 for dz in dzs]
+    dwc = [(dw * wk - w * _pick(dw, k)[..., None]) / wk**2 for dw in dws]
+    a = [_dot3(z / zj, dw) for dw in dwc]
 
     def b(p, q):
-        return dz_vals[p] @ dw_vals[q] - dz_vals[q] @ dw_vals[p]
+        return _dot3(dzc[p], dwc[q]) - _dot3(dzc[q], dwc[p])
 
-    wedge = a_vals[0] * b(1, 2) - a_vals[1] * b(0, 2) + a_vals[2] * b(0, 1)
-    value = z[j] ** 2 * w[k] ** 2 / TWO_PI_I**2 * wedge
+    wedge = a[0] * b(1, 2) - a[1] * b(0, 2) + a[2] * b(0, 1)
+    value = zj[..., 0] ** 2 * wk[..., 0] ** 2 / TWO_PI_I**2 * wedge
     return Density(
-        value=complex(value),
+        value=_value(value),
         form_degree=3,
         bidegree_z=(Fraction(2), Fraction(0)),
         bidegree_w=(Fraction(2), Fraction(0)),
@@ -363,7 +367,7 @@ def corner_kernel(strong, tau, frame):
     v1, v2 = t[..., 0, :], t[..., 1, :]
     dz12 = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
 
-    value = _CORNER_SIGN * z[..., 0] ** 2 * det0 * dz12 / (p1 * p2) / TWO_PI_I**2
+    value = z[..., 0] ** 2 * det0 * dz12 / (p1 * p2) / TWO_PI_I**2
     return Density(
         value=_value(value),
         form_degree=2,
@@ -435,33 +439,23 @@ def simplex_integral(tau, method="closed", order=24):
     return sign * result.value
 
 
-def _grad_directional(rho, zhat, v):
-    """Real directional derivative of the Wirtinger gradient along v."""
-    z1, z2 = zhat
-    out = np.zeros(2, dtype=complex)
-    d1 = rho.diff("z1")
-    d2 = rho.diff("z2")
-    for m, gm in enumerate((d1, d2)):
-        acc = 0.0j
-        for k, vark in enumerate(("z1", "z2")):
-            acc += gm.diff(vark)(z1, z2) * v[k]
-            acc += gm.diff(vark + "bar")(z1, z2) * np.conj(v[k])
-        out[m] = acc
-    return out
-
-
 def _edge_tangent_basis(d, e, zhat):
-    """Real basis of the edge's tangent plane from the two member gradients."""
-    rows = []
-    for m in e.members:
-        g = d.rho(m).grad(zhat[0], zhat[1])
-        rows.append([2 * g[0].real, -2 * g[0].imag, 2 * g[1].real, -2 * g[1].imag])
-    a = np.array(rows, dtype=float)
-    _, _, vt = np.linalg.svd(a)
-    basis = []
-    for row in vt[2:]:
-        basis.append(np.array([row[0] + 1j * row[1], row[2] + 1j * row[3]]))
-    return basis
+    """Real basis of the edge's tangent plane from the two member gradients, as ``(2, 2)`` rows."""
+    conormals = np.array([d.rho(m).grad_real(zhat[0], zhat[1]) for m in e.members])
+    _, _, vt = np.linalg.svd(conormals)
+    return vt[2:, 0::2] + 1j * vt[2:, 1::2]
+
+
+def _hyperplane_lifts(rho, zhat, vs):
+    """Derivatives of ``z -> gradient_hyperplane(rho, z)`` along the rows of ``vs``: ``(n, 3)``.
+
+    The gradient moves by ``H v + Hc^T conj(v)`` (holomorphic and complex
+    Hessians), so the hyperplane ``[-(g . z) : g]`` moves by
+    ``[-(dg . z) - g . v : dg]``.
+    """
+    z1, z2 = zhat
+    dg = vs @ rho.hessian_holomorphic(z1, z2).T + np.conj(vs) @ rho.hessian_complex(z1, z2)
+    return np.concatenate([(-(dg @ zhat) - vs @ rho.grad(z1, z2))[:, None], dg], axis=-1)
 
 
 def pushforward_corner_check(d, zhat, tau, order=32):
@@ -470,47 +464,32 @@ def pushforward_corner_check(d, zhat, tau, order=32):
     At an edge point, integrates the incidence density over the segment of
     hyperplanes joining the two strong tangents (against the squared pairing
     with ``tau``) and evaluates the corner kernel on the same edge-tangent
-    frame.  Returns a dict with both values and their relative difference.
+    frame.  The integrand is one :func:`omega_cfl` call on the stack of Gauss
+    nodes.  Returns a dict with both values and their relative difference.
     """
     from .domain import strong_tangents
 
+    zhat = np.asarray(zhat, dtype=complex)
     e = d.edge_at(zhat)
     strong = strong_tangents(d, e, zhat)
-    v1, v2 = _edge_tangent_basis(d, e, zhat)
-
-    z = strong.basepoint.array
+    vs = _edge_tangent_basis(d, e, zhat)
     tau_arr = _as_point(tau)
-    w_planes = [p.array for p in strong.planes]
-    grads = [d.rho(m).grad(zhat[0], zhat[1]) for m in e.members]
+    corner = corner_kernel(strong, tau_arr, vs).value
 
-    corner = corner_kernel(strong, tau_arr, (v1, v2)).value
-
-    def dw_lift(member_index, v):
-        g = grads[member_index]
-        dg = _grad_directional(d.rho(e.members[member_index]), zhat, v)
-        zh = np.asarray(zhat, dtype=complex)
-        return np.array([-(dg @ zh) - (g @ v), dg[0], dg[1]])
-
-    dz1 = np.array([0.0, v1[0], v1[1]])
-    dz2 = np.array([0.0, v2[0], v2[1]])
-    dw1_a = dw_lift(0, v1)
-    dw1_b = dw_lift(1, v1)
-    dw2_a = dw_lift(0, v2)
-    dw2_b = dw_lift(1, v2)
-    wdot = w_planes[0] - w_planes[1]
-
-    def integrand(t):
-        w_t = t * w_planes[0] + (1.0 - t) * w_planes[1]
-        tangent_triple = [
-            (dz1, t * dw1_a + (1.0 - t) * dw1_b),
-            (dz2, t * dw2_a + (1.0 - t) * dw2_b),
-            (np.zeros(3, dtype=complex), wdot),
-        ]
-        dens = omega_cfl(z, w_t, tangent_triple)
-        return dens.value / (tau_arr @ w_t) ** 2
-
-    xs, ws = gauss_rule(0.0, 1.0, order)
-    fiber = sum(wq * integrand(xq) for xq, wq in zip(xs, ws))
+    # Hyperplane w_t = t w_a + (1 - t) w_b and its tangent lifts, at every Gauss node t.
+    t, weights = gauss_rule(0.0, 1.0, order)
+    t = t[:, None]
+    w_a, w_b = (p.array for p in strong.planes)
+    lift_a, lift_b = (_hyperplane_lifts(d.rho(m), zhat, vs) for m in e.members)
+    w_t = t * w_a + (1.0 - t) * w_b
+    dz = np.concatenate([np.zeros((2, 1)), vs], axis=-1)
+    triple = [
+        (dz[0], t * lift_a[0] + (1.0 - t) * lift_b[0]),
+        (dz[1], t * lift_a[1] + (1.0 - t) * lift_b[1]),
+        (np.zeros(3), w_a - w_b),
+    ]
+    dens = omega_cfl(strong.basepoint, w_t, triple).value
+    fiber = complex(np.sum(weights * dens / (w_t @ tau_arr) ** 2))
 
     denom = max(abs(corner), abs(fiber), 1e-300)
     return {

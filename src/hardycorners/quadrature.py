@@ -65,10 +65,14 @@ def tensor_grid(axes):
     return params, weights.ravel()
 
 
+def _rule_sum(f, nodes, weights):
+    """Weighted sum of f over the rows of ``nodes``; one fixed reduction keeps it bit-reproducible."""
+    return complex(np.sum(weights * np.array([f(x) for x in nodes], dtype=complex)))
+
+
 def _tensor_sum(f, axes):
-    """Weighted sum of f over a tensor grid; a fixed reduction order keeps it bit-reproducible."""
-    params, weights = tensor_grid(axes)
-    return complex(np.sum(weights * np.array([f(*p) for p in params], dtype=complex)))
+    """Weighted sum of f (called with one argument per axis) over a tensor grid."""
+    return _rule_sum(lambda p: f(*p), *tensor_grid(axes))
 
 
 def _periodic_value(f, n, dim):
@@ -129,24 +133,23 @@ def integrate_patch(f, rect, order):
     return QuadResult(value, abs(value - coarse), order ** len(rect))
 
 
-def _simplex_value(f, n, order):
+def _simplex_rule(n, order):
+    """Barycentric nodes ``(N, n)`` and weights ``(N,)`` of the collapsed Gauss rule.
+
+    For n = 3 the triangle {w1, w2 >= 0, w1 + w2 <= 1} is Duffy-collapsed:
+    w1 = u (1 - v), w2 = u v, w3 = 1 - u, with Jacobian u.
+    """
+    axis = gauss_rule(0.0, 1.0, order)
     if n == 2:
-        x, w = gauss_rule(0.0, 1.0, order)
-        total = 0.0 + 0.0j
-        for xi, wi in zip(x, w):
-            total += wi * f(np.array([xi, 1.0 - xi]))
-        return total
-    # n == 3: Duffy collapse of the triangle {w1, w2 >= 0, w1 + w2 <= 1}
-    # w1 = u*(1 - v), w2 = u*v, jacobian u; w3 = 1 - u.
-    xu, wu = gauss_rule(0.0, 1.0, order)
-    xv, wv = gauss_rule(0.0, 1.0, order)
-    total = 0.0 + 0.0j
-    for ui, wui in zip(xu, wu):
-        for vi, wvi in zip(xv, wv):
-            w1 = ui * (1.0 - vi)
-            w2 = ui * vi
-            total += wui * wvi * ui * f(np.array([w1, w2, 1.0 - ui]))
-    return total
+        u, weights = axis
+        return np.stack([u, 1.0 - u], axis=-1), weights
+    params, weights = tensor_grid([axis, axis])
+    u, v = params.T
+    return np.stack([u * (1.0 - v), u * v, 1.0 - u], axis=-1), weights * u
+
+
+def _simplex_value(f, n, order):
+    return _rule_sum(f, *_simplex_rule(n, order))
 
 
 def integrate_simplex(f, n, order):

@@ -388,11 +388,7 @@ def test_criterion_12_edge_weight_positivity_and_law(perturbed_bidisk):
 
     # (a) strict positivity over the full 64^2 edge grid
     n_grid = 64
-    min_weight = np.inf
-    for params, _ in chart.quad_nodes(n_grid):
-        zhat = np.array(chart.point(*params))
-        inv = eta(perturbed_bidisk, zhat)
-        min_weight = min(min_weight, inv.eta_weight)
+    min_weight = float(np.min(eta(perturbed_bidisk, chart.nodes(n_grid).points).eta_weight))
 
     # (b) the cube of the denominator carries the weight across 20 maps
     zhat0 = np.array(chart.point(0.9, 2.3))

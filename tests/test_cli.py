@@ -1,12 +1,15 @@
 """Command-line interface: reports, exit codes, formats, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hardycorners import kernels
+from hardycorners import kernels, measures
+from hardycorners.domain import domain_from_spec
+from hardycorners.normalforms import eta
 from hardycorners.cli import load_spec, main, parse_section_expr, spec_hash
 
 
@@ -227,6 +230,29 @@ def test_eta_fails_on_flat_edge(runner):
     assert any("error" in r for r in report["results"])
 
 
+def test_eta_json_rows_equal_per_point_eta(runner):
+    result = runner.invoke(main, ["eta", "perturbed_bidisk", "--grid", "8"])
+    assert result.exit_code == 0, result.output
+    rows = _json_out(result)["results"]
+    d = domain_from_spec(load_spec("perturbed_bidisk"))
+    ns = d.edges[0].chart.nodes(8)
+    assert len(rows) == len(ns) == 64
+    for row, params, z in zip(rows, ns.params, ns.points):
+        inv = eta(d, z)
+        assert row["params"] == list(params)
+        assert row["kappa"] == pytest.approx(inv.kappa, rel=1e-14)
+        assert row["eta_weight"] == pytest.approx(inv.eta_weight, rel=1e-14)
+        assert row["margin"] is None
+
+
+def test_eta_flat_edge_reports_every_node(runner):
+    result = runner.invoke(main, ["eta", "bidisk", "--grid", "4"])
+    assert result.exit_code == 1
+    rows = _json_out(result)["results"]
+    assert len(rows) == 16
+    assert all(set(r) == {"params", "error"} for r in rows)
+
+
 def test_eta_rejects_missing_edge(runner):
     result = runner.invoke(main, ["eta", "sphere", "--grid", "2"])
     assert result.exit_code == 2
@@ -264,15 +290,20 @@ def test_selftest_seed_changes_data_not_verdict(runner):
     assert a.output != b.output
 
 
-def test_selftest_mutation_hook_fails_anchor(runner):
-    result = runner.invoke(
-        main, ["selftest", "--suite", "anchor", "--mutate-corner-sign"]
-    )
+def test_selftest_anchor_fails_with_sign_flipped_corner_kernel(runner, monkeypatch):
+    original = kernels.corner_kernel
+
+    def flipped(*args, **kwargs):
+        dens = original(*args, **kwargs)
+        return dataclasses.replace(dens, value=-dens.value)
+
+    monkeypatch.setattr(kernels, "corner_kernel", flipped)
+    monkeypatch.setattr(measures, "corner_kernel", flipped)
+    result = runner.invoke(main, ["selftest", "--suite", "anchor"])
     assert result.exit_code == 1
     report = _json_out(result)
     assert report["pass"] is False
-    # the hook is restored even though the suite failed
-    assert kernels._CORNER_SIGN == 1.0
+    assert not any(c["passed"] for c in report["results"])
 
 
 def test_selftest_anchor_passes_unmutated(runner):

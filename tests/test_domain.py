@@ -248,6 +248,55 @@ def test_perturbed_edge_is_strictly_convex(perturbed_bidisk):
     assert out["min_margin"] > 0
 
 
+def _reference_margins(d, zhat, t_grid, ambient_grid, radius):
+    """Per-t margins one weight at a time, from the summed member gradients."""
+    members = d.active_members(zhat)
+    if len(members) >= 2:
+        members = list(d.edge_at(zhat).members)
+    if len(members) == 1:
+        weights = [np.array([1.0])]
+    else:
+        weights = [np.array([i / (t_grid - 1.0), 1.0 - i / (t_grid - 1.0)]) for i in range(t_grid)]
+    rr = radius * np.arange(1, ambient_grid + 1) / ambient_grid
+    line = rr[:, None] * np.exp(2j * np.pi * np.arange(ambient_grid) / ambient_grid)
+    out = []
+    for t in weights:
+        g = sum(tl * d.rho(m).grad(zhat[0], zhat[1]) for tl, m in zip(t, members))
+        direction = np.array([g[1], -g[0]])
+        norm = np.linalg.norm(direction)
+        if norm < 1e-14:
+            out.append((tuple(t), np.nan))
+            continue
+        direction = direction / norm
+        p1, p2 = zhat[0] + line * direction[0], zhat[1] + line * direction[1]
+        vals = np.max([d.rho(m)(p1, p2) for m in members], axis=0)
+        out.append((tuple(t), float(np.min(vals))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"t_grid": 5, "ambient_grid": 8, "local_radius": 0.1}]
+)
+def test_strict_convexity_margins_match_per_t_reference(bidisk, perturbed_bidisk, sphere, kwargs):
+    rng = np.random.default_rng(7)
+    points = [(bidisk, np.array([np.exp(0.4j), 0.3]))]
+    for d in (bidisk, perturbed_bidisk):
+        edge_points, _ = d.edges[0].chart.project(rng.uniform(0, 2 * np.pi, (3, 2)))
+        points += [(d, z) for z in edge_points]
+    face_points, _ = sphere.faces[0].chart.project(rng.uniform(0.1, 1.4, (3, 3)))
+    points += [(sphere, z) for z in face_points]
+    t_grid = kwargs.get("t_grid", 11)
+    ambient_grid = kwargs.get("ambient_grid", 16)
+    radius = kwargs.get("local_radius", 0.5)
+    for d, zhat in points:
+        got = check_strict_convexity(d, zhat, **kwargs)["per_t"]
+        ref = _reference_margins(d, zhat, t_grid, ambient_grid, radius)
+        assert [t for t, _ in got] == [t for t, _ in ref]
+        np.testing.assert_allclose(
+            [m for _, m in got], [m for _, m in ref], rtol=0, atol=1e-14
+        )
+
+
 # ---------------------------------------------------------------------------
 # Validation
 

@@ -108,6 +108,29 @@ def test_omega_rescaling_weights(rng):
     assert np.isclose(b.value, lam**2 * a.value, rtol=1e-10)
 
 
+def test_omega_broadcasts_over_a_node_axis(rng):
+    pairs = [_random_incident_pair(rng) for _ in range(8)]
+    lifts = [_random_tangents(rng, z, w) for z, w in pairs]
+    z = np.array([p[0] for p in pairs])
+    w = np.array([p[1] for p in pairs])
+    # the default charts differ between rows
+    assert len(set(np.argmax(np.abs(z), axis=-1))) > 1
+    assert len(set(np.argmax(np.abs(w), axis=-1))) > 1
+    stacked = [
+        (np.array([t[slot][0] for t in lifts]), np.array([t[slot][1] for t in lifts]))
+        for slot in range(3)
+    ]
+    batch = omega_cfl(z, w, stacked).value
+    assert batch.shape == (8,)
+    for n in range(8):
+        assert batch[n] == pytest.approx(omega_cfl(z[n], w[n], lifts[n]).value, rel=1e-14)
+    for j, k in ((0, 0), (1, 2), (2, 1)):
+        np.testing.assert_allclose(omega_cfl(z, w, stacked, charts=(j, k)).value, batch, rtol=1e-10)
+    bad = [stacked[0], stacked[1], (stacked[2][0] + 0.1, stacked[2][1])]
+    with pytest.raises(ValueError, match="linearized incidence"):
+        omega_cfl(z, w, bad)
+
+
 def test_omega_rejects_invalid_chart(rng):
     z, w = _random_incident_pair(rng)
     z[2] = 0.0
