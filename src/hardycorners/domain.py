@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermpoly import gradient_hyperplane, parse_poly, transform_poly
-from .projective import HomVec, ProjMap, _dot2, homogenize, normalize_map
+from .projective import HomVec, ProjMap, _dot2, det2, homogenize, normalize_map, solve2
 from .quadrature import gauss_rule, tensor_grid, trapezoid_rule
 
 __all__ = [
@@ -182,8 +182,15 @@ class TorusChart(Chart):
 
     @staticmethod
     def _jacobian(grads, e):
-        """d rho_l / d r_m at points z = r * e from the members' gradients: (N, 2, 2)."""
-        return np.stack([2.0 * np.real(g * e) for g in grads], axis=-2)
+        """d rho_l / d r_m at points z = r * e, with its determinant and regular rows.
+
+        Returns the ``(N, 2, 2)`` Jacobians, their ``det2`` and the mask of
+        rows whose |det| clears 1e-14 times the product of the row norms.
+        """
+        jac = np.stack([2.0 * np.real(g * e) for g in grads], axis=-2)
+        det = det2(jac)
+        sq = np.einsum("nij,nij->ni", jac, jac)
+        return jac, det, np.abs(det) > 1e-14 * np.sqrt(sq[:, 0] * sq[:, 1])
 
     def _grads(self, z):
         return [_grad(rho, z) for rho in self.rhos]
@@ -195,19 +202,23 @@ class TorusChart(Chart):
             er = e[rows]
             z = r * er
             vals = np.stack([rho(z[:, 0], z[:, 1]) for rho in self.rhos], axis=-1)
-            delta = np.linalg.solve(self._jacobian(self._grads(z), er), vals[..., None])
-            return vals, delta[..., 0]
+            jac, det, regular = self._jacobian(self._grads(z), er)
+            # a singular row takes no step, so it stays unconverged
+            delta = solve2(jac, vals[..., None], np.where(regular, det, 1.0))[..., 0]
+            return vals, np.where(regular[:, None], delta, 0.0)
 
         r = _newton(self.kind, np.broadcast_to(self.r0, e.shape), step)
         z = r * e
         grads = self._grads(z)
-        jac = self._jacobian(grads, e)
+        jac, det, regular = self._jacobian(grads, e)
+        if not np.all(regular):
+            raise ValueError("member gradients are not transverse")
         tangents = np.zeros((len(z), 2, 2), dtype=complex)
         for axis in (0, 1):
             dz = tangents[:, axis]
             dz[:, axis] = 1j * r[:, axis] * e[:, axis]
             rhs = np.stack([-2.0 * np.real(_dot2(g, dz)) for g in grads], axis=-1)
-            dz += np.linalg.solve(jac, rhs[..., None])[..., 0] * e
+            dz += solve2(jac, rhs[..., None], det)[..., 0] * e
         return z, tangents
 
     def point(self, theta, phi):
@@ -727,7 +738,7 @@ def validate_domain(d, resolution=12):
                 failures.append(f"edge {ei} chart point leaves member {d.label(m)!r}")
         g1 = _grad(d.rho(e.members[0]), z)
         g2 = _grad(d.rho(e.members[1]), z)
-        det = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
+        det = det2(np.stack([g1, g2], axis=-2))
         scale = np.maximum(np.linalg.norm(g1, axis=-1) * np.linalg.norm(g2, axis=-1), 1e-300)
         if np.any(np.abs(det) / scale < 1e-8):
             failures.append(

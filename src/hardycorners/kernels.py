@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .projective import HomVec, _dot2, _value
+from .projective import HomVec, _dot2, _value, det3, det4
 from .quadrature import gauss_rule, integrate_simplex
 
 __all__ = [
@@ -251,7 +251,7 @@ def omega_cfl_affine_form(z, w, tangents):
         dzhat1 = (dz[1] * z[0] - z[1] * dz[0]) / z[0] ** 2
         dzhat2 = (dz[2] * z[0] - z[2] * dz[0]) / z[0] ** 2
         rows.append([dwhat1, dzhat1, dzhat2])
-    det = np.linalg.det(np.array(rows, dtype=complex))
+    det = det3(np.array(rows, dtype=complex))
     value = z[0] ** 2 * w[0] ** 2 / TWO_PI_I**2 * det / zhat2
     return Density(
         value=complex(value),
@@ -512,9 +512,14 @@ def _real_frame(conormals, tangents):
 
 
 def _orientation(frame, what):
-    """Sign of the determinant of real 4x4 frames (stacked over points)."""
-    det = np.linalg.det(frame)
-    if np.any(np.abs(det) < 1e-300):
+    """Sign of the determinant of real 4x4 frames (stacked over points).
+
+    A frame whose |det| does not exceed 1e-12 times the product of its
+    column norms is degenerate.
+    """
+    det = det4(frame)
+    sq = np.einsum("...ij,...ij->...j", frame, frame)
+    if not np.all(np.abs(det) > 1e-12 * np.sqrt(np.prod(sq, axis=-1))):
         raise ValueError(f"degenerate {what} frame")
     return _value(np.where(det > 0, 1.0, -1.0), float)
 

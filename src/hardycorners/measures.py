@@ -32,7 +32,7 @@ from .kernels import (
     smooth_leray_density,
 )
 from .normalforms import eta
-from .projective import homogenize
+from .projective import det2, det3, det4, homogenize
 
 __all__ = [
     "BoundaryMeasure",
@@ -72,10 +72,9 @@ def fefferman_density(rho, zhat, tangents):
     # border pairing; this is what makes det B transform with |det dPhi|^2
     # under holomorphic changes of variables.
     b[..., 1:, 1:] = np.swapaxes(h, -1, -2)
-    detb = np.linalg.det(b).real
-
-    det4 = np.linalg.det(_real_frame([grad_r / gn[..., None]], tangents))
-    return 2.0 ** (4.0 / 3.0) * np.abs(detb) ** (1.0 / 3.0) * np.abs(det4) / gn
+    detb = det3(b).real
+    frame_det = det4(_real_frame([grad_r / gn[..., None]], tangents))
+    return 2.0 ** (4.0 / 3.0) * np.abs(detb) ** (1.0 / 3.0) * np.abs(frame_det) / gn
 
 
 def edge_measure_density(eta_weight, tangents):
@@ -89,9 +88,7 @@ def edge_measure_density(eta_weight, tangents):
     eta_weight = np.asarray(eta_weight, dtype=float)
     if np.any(eta_weight <= 0):
         raise ValueError("edge weight must be positive to define a measure")
-    t = np.asarray(tangents, dtype=complex)
-    v1, v2 = t[..., 0, :], t[..., 1, :]
-    dz12 = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    dz12 = det2(np.asarray(tangents, dtype=complex))
     return eta_weight ** (1.0 / 3.0) * np.abs(dz12)
 
 

@@ -33,7 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermpoly import HermitianPoly
-from .projective import ProjMap, _principal_cube_root, _value, normalize_map
+from .projective import (
+    ProjMap,
+    _principal_cube_root,
+    _value,
+    det2,
+    det3,
+    inv3,
+    normalize_map,
+    solve2,
+)
 
 __all__ = [
     "NormalForm",
@@ -189,18 +198,20 @@ def edge_frame(d, e, zhat):
     for i, m in enumerate(e.members):
         if np.any(norms[:, i] < 1e-14):
             raise ValueError(f"vanishing gradient of member {d.label(m)!r}")
-    if np.any(np.abs(np.linalg.det(rows)) < 1e-12 * norms[:, 0] * norms[:, 1]):
+    if np.any(np.abs(det2(rows)) < 1e-12 * norms[:, 0] * norms[:, 1]):
         raise ValueError("member gradients are complex-linearly dependent")
     hom = np.zeros((len(points), 3, 3), dtype=complex)
     hom[:, 0, 0] = 1.0
     hom[:, 1:, 0] = -(rows @ points[:, :, None])[..., 0]
     hom[:, 1:, 1:] = rows
-    mats = hom / _principal_cube_root(np.linalg.det(hom))[:, None, None]
+    mats = hom / _principal_cube_root(det3(hom))[:, None, None]
     return ProjMap(mats[0]) if zhat.ndim == 1 else mats
 
 
-def _transformed_taylor2(rho, points, mats):
+def _transformed_taylor2(rho, points, inv):
     """Real gradient ``(N, 4)`` and Hessian ``(N, 4, 4)`` of a member at the origin of each frame.
+
+    ``inv`` holds the inverse frame matrices ``V``, ``(N, 3, 3)``.
 
     The member in frame coordinates is ``|D|^(2n) rho(G(zeta))``, the
     polynomial that :func:`~hardycorners.hermpoly.transform_poly` builds:
@@ -219,7 +230,6 @@ def _transformed_taylor2(rho, points, mats):
     """
     z1, z2 = points[:, 0], points[:, 1]
     n = max(rho.max_degrees())
-    inv = np.linalg.inv(mats)
     den = inv[:, 0, 0, None, None]
     dden = inv[:, 0, 1:]
     jac = (inv[:, 1:, 1:] - points[:, :, None] * dden[:, None, :]) / den
@@ -278,9 +288,10 @@ def extract_normal_form(d, zhat, frame=None):
     Raises
     ------
     ValueError
-        If the y-block ``B`` of the member gradients is singular or
-        ill-conditioned: the frame does not present the edge as a graph over
-        its real tangent plane.
+        If an explicit frame matrix is singular (|det| at most 1e-12 times
+        the product of its row norms), or if the y-block ``B`` of the member
+        gradients is singular or ill-conditioned: the frame does not present
+        the edge as a graph over its real tangent plane.
     """
     zhat = np.asarray(zhat, dtype=complex)
     points = zhat.reshape(-1, 2)
@@ -289,22 +300,26 @@ def extract_normal_form(d, zhat, frame=None):
         frame = edge_frame(d, e, points)
     mats = frame.matrix if isinstance(frame, ProjMap) else np.asarray(frame, dtype=complex)
     mats = np.broadcast_to(mats, (len(points), 3, 3))
-    grads, hessians = zip(*(_transformed_taylor2(d.rho(m), points, mats) for m in e.members))
+    if not np.all(np.abs(det3(mats)) > 1e-12 * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)):
+        raise ValueError("the frame matrix is singular")
+    inv = inv3(mats)
+    grads, hessians = zip(*(_transformed_taylor2(d.rho(m), points, inv) for m in e.members))
     grads = np.stack(grads, axis=1)
     hessians = np.stack(hessians, axis=1)
     a, b = grads[..., :2], grads[..., 2:]
     scale = np.linalg.norm(grads[:, 0], axis=-1) * np.linalg.norm(grads[:, 1], axis=-1)
-    if np.any(np.abs(np.linalg.det(b)) <= 1e-12 * scale):
+    det = det2(b)
+    if np.any(np.abs(det) <= 1e-12 * scale):
         raise ValueError(
             "the frame does not present the edge as a graph over its real "
             "tangent plane: the imaginary-part block of the member gradients "
             "is singular"
         )
     eye = np.broadcast_to(np.eye(2), a.shape)
-    tangent = np.concatenate([eye, -np.linalg.solve(b, a)], axis=-2)[:, None]
+    tangent = np.concatenate([eye, -solve2(b, a, det)], axis=-2)[:, None]
     restricted = np.swapaxes(tangent, -1, -2) @ hessians @ tangent
     # g[:, l] is the Hessian of the graph y_l(x) at x = 0
-    g = -np.linalg.solve(b, restricted.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2)
+    g = -solve2(b, restricted.reshape(-1, 2, 4), det).reshape(-1, 2, 2, 2)
     if zhat.ndim == 1:
         g = g[0]
     coeffs = (

@@ -16,6 +16,11 @@ the affine value by ``den**j * conj(den)**k`` with
 as exact :class:`fractions.Fraction` pairs; for those only modulus-level
 statements are branch-independent, and :func:`pull_back_section` uses the
 principal branch and flags the value as chart dependent.
+
+Small-matrix algebra on stacks of matrices (:func:`det2`, :func:`solve2`,
+:func:`det3`, :func:`inv3`, :func:`det4`) is written out in closed form and
+broadcasts over leading axes such as a node axis; on stacks of tiny
+matrices this is several times faster than batched ``numpy.linalg`` calls.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ __all__ = [
     "proj_equal",
     "homogenize",
     "affinize",
+    "det2",
+    "solve2",
+    "det3",
+    "inv3",
+    "det4",
 ]
 
 
@@ -64,6 +74,78 @@ def _stack_last(values, ndim=1):
 def _dot2(a, b):
     """Bilinear pairing a_1 b_1 + a_2 b_2 over the last axis (no conjugation)."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def det2(a):
+    """Determinants of 2x2 matrices on the last two axes, in closed form."""
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def solve2(a, b, det):
+    """Solve ``a x = b`` by Cramer's rule: ``a`` is ``(..., 2, 2)``, ``b`` is ``(..., 2, k)``.
+
+    ``det`` is ``det2(a)``, which the caller tests for singularity first:
+    nothing here checks it.  Leading axes broadcast.
+    """
+    det = det[..., None]
+    b0, b1 = b[..., 0, :], b[..., 1, :]
+    return np.stack(
+        [
+            (a[..., 1, 1, None] * b0 - a[..., 0, 1, None] * b1) / det,
+            (a[..., 0, 0, None] * b1 - a[..., 1, 0, None] * b0) / det,
+        ],
+        axis=-2,
+    )
+
+
+def _cofactor3(a, i, j):
+    """Signed cofactor of entry (i, j) of 3x3 matrices; cyclic indices carry the sign."""
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
+
+
+def det3(a):
+    """Determinants of 3x3 matrices on the last two axes: cofactor expansion along row 0."""
+    return sum(a[..., 0, j] * _cofactor3(a, 0, j) for j in range(3))
+
+
+def inv3(a):
+    """Inverses of 3x3 matrices on the last two axes: the adjugate over the determinant.
+
+    Nothing checks for singularity; see :func:`solve2`.
+    """
+    adj = np.empty(a.shape, dtype=np.result_type(a.dtype, float))
+    for i in range(3):
+        for j in range(3):
+            adj[..., j, i] = _cofactor3(a, i, j)
+    det = sum(a[..., 0, j] * adj[..., j, 0] for j in range(3))
+    return adj / det[..., None, None]
+
+
+def det4(a):
+    """Determinants of 4x4 matrices on the last two axes.
+
+    Laplace expansion along rows 0-1: the sum over column pairs of the 2x2
+    minor of rows 0-1 times the signed complementary minor of rows 2-3.
+    """
+
+    def minors(r):
+        p, q = a[..., r, :], a[..., r + 1, :]
+        return {
+            (i, j): p[..., i] * q[..., j] - p[..., j] * q[..., i]
+            for i in range(4)
+            for j in range(i + 1, 4)
+        }
+
+    s, c = minors(0), minors(2)
+    return (
+        s[0, 1] * c[2, 3]
+        - s[0, 2] * c[1, 3]
+        + s[0, 3] * c[1, 2]
+        + s[1, 2] * c[0, 3]
+        - s[1, 3] * c[0, 2]
+        + s[2, 3] * c[0, 1]
+    )
 
 
 def _value(v, cast=complex):

@@ -22,6 +22,7 @@ bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -101,9 +102,18 @@ def integrate_periodic(f, n, dim=1):
     return QuadResult(value, abs(value - coarse), n ** dim)
 
 
-def gauss_rule(a, b, order):
-    """Gauss-Legendre nodes and weights on the interval [a, b]."""
+@lru_cache(maxsize=64)
+def _legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
     x, w = leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_rule(a, b, order):
+    """Gauss-Legendre nodes and weights on the interval [a, b] (fresh arrays)."""
+    x, w = _legendre(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w

@@ -76,6 +76,13 @@ def test_extract_normal_form_rejects_degenerate_frame():
         extract_normal_form(model_edge_domain(COEFFS), np.array([0.0, 0.0]), frame=frame)
 
 
+def test_extract_normal_form_rejects_singular_frame_matrix():
+    # rank 2: the third row is the sum of the first two
+    frame = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="frame matrix is singular"):
+        extract_normal_form(model_edge_domain(COEFFS), np.array([0.0, 0.0]), frame=frame)
+
+
 def _newton_graph(rhos, x1, x2):
     """Imaginary parts (y1, y2) with rho_l(x + i y) = 0, by Newton from y = 0."""
     y = np.zeros(2)

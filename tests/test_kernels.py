@@ -330,6 +330,16 @@ def test_face_orientation_sign_flips_with_frame():
     assert orientation_sign_face(rho, zhat, [v2, v1, v3]) == -s
 
 
+def test_rank_deficient_face_frame_is_degenerate():
+    rho = parse_poly("abs2(z1) + abs2(z2) - 1")
+    zhat = np.array([0.6, 0.8j])
+    v1, v2, _ = _sphere_tangent_frame(zhat)
+    # v3 in the span of v1 and v2, up to a rounding-sized perturbation
+    v3 = 0.5 * v1 - 2.0 * v2 + 1e-15
+    with pytest.raises(ValueError, match="degenerate face frame"):
+        orientation_sign_face(rho, zhat, [v1, v2, v3])
+
+
 def test_edge_orientation_sign_flips_with_members(bidisk):
     zhat = np.array([np.exp(0.4j), np.exp(1.1j)])
     rhos = [bidisk.rho(0), bidisk.rho(1)]

@@ -10,6 +10,7 @@ from hardycorners.domain import (
     GraphPatchChart,
     NodeSet,
     ProjectionError,
+    TorusChart,
     domain_from_spec,
     transform_domain,
 )
@@ -108,3 +109,21 @@ def test_nan_residual_counts_as_unconverged():
     with pytest.raises(ProjectionError) as info:
         chart.nodes(4)
     assert info.value.unconverged == info.value.total
+
+
+def test_singular_newton_jacobian_leaves_the_row_unconverged():
+    # two copies of one member: the radial Jacobian has equal rows everywhere
+    rho = parse_poly("abs2(z1) + abs2(z2) - 2")
+    chart = TorusChart([rho, rho], r0=(0.9, 0.9))
+    with pytest.raises(ProjectionError) as info:
+        chart.nodes(4)
+    assert info.value.unconverged == info.value.total == 16
+
+
+def test_singular_tangent_jacobian_is_named():
+    # the start lies on the locus, so Newton converges at once; the
+    # tangents then need the singular Jacobian
+    rho = parse_poly("abs2(z1) + abs2(z2) - 2")
+    chart = TorusChart([rho, rho], r0=(1.0, 1.0))
+    with pytest.raises(ValueError, match="member gradients are not transverse"):
+        chart.nodes(4)

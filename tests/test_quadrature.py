@@ -55,6 +55,20 @@ def test_gauss_rule_respects_interval():
     assert np.isclose(np.sum(w), 5.0)
 
 
+def test_gauss_rule_cached_nodes_are_never_handed_out():
+    x, w = gauss_rule(-1.0, 1.0, 6)
+    x2, w2 = gauss_rule(-1.0, 1.0, 6)
+    np.testing.assert_array_equal(x, x2)
+    np.testing.assert_array_equal(w, w2)
+    assert x.flags.writeable and w.flags.writeable
+    x[:] = 0.0
+    w *= 2.0
+    x3, w3 = gauss_rule(-1.0, 1.0, 6)
+    np.testing.assert_array_equal(x3, x2)
+    np.testing.assert_array_equal(w3, w2)
+    assert not np.shares_memory(x3, x2) and not np.shares_memory(w3, w2)
+
+
 def test_patch_tensor_polynomial():
     res = integrate_patch(lambda x, y: x * y**2, [(0.0, 1.0), (0.0, 2.0)], 6)
     assert np.isclose(res.value, 0.5 * (8.0 / 3.0), atol=1e-13)
