@@ -30,7 +30,6 @@ from .hermpoly import (
     gradient_hyperplane,
     parse_poly,
     transform_poly,
-    wirtinger,
 )
 from .kernels import (
     Density,
@@ -84,14 +83,6 @@ from .projective import (
     proj_equal,
     pull_back_section,
 )
-from .quadrature import (
-    QuadResult,
-    gauss_rule,
-    integrate_patch,
-    integrate_periodic,
-    integrate_simplex,
-    tensor_grid,
-    trapezoid_rule,
-)
+from .quadrature import gauss_rule, simplex_rule, tensor_grid, trapezoid_rule
 
 __version__ = "0.1.0"

@@ -391,17 +391,19 @@ def eta_cmd(spec_name, edge, grid, fmt, with_margins, output):
     except ProjectionError as exc:
         _precondition_failure(exc)
 
+    margins = [{"margin": None}] * len(ns)
+    if with_margins:
+        try:
+            conv = check_strict_convexity(
+                d, ns.points, t_grid=5, ambient_grid=8, local_radius=0.1
+            )
+            margins = [{"margin": m} for m in conv["min_margin"].tolist()]
+        except ValueError as exc:
+            margins = [{"error": str(exc)}] * len(ns)
     rows = []
-    for params, z, inv in zip(ns.params, ns.points, _edge_invariants(d, ns.points)):
+    for params, inv, margin in zip(ns.params, _edge_invariants(d, ns.points), margins):
         if "error" not in inv:
-            try:
-                margin = None
-                if with_margins:
-                    conv = check_strict_convexity(d, z, t_grid=5, ambient_grid=8, local_radius=0.1)
-                    margin = conv["min_margin"]
-                inv = {**inv, "margin": margin}
-            except ValueError as exc:
-                inv = {"error": str(exc)}
+            inv = margin if "error" in margin else {**inv, **margin}
         rows.append({"params": list(params), **inv})
     all_ok = all("error" not in r and not r["eta_weight"] <= 0 for r in rows)
 

@@ -10,7 +10,8 @@ locus to 1e-12, and chart tangent vectors come from exact implicit
 differentiation, so downstream quadrature sees the locus to full precision.
 A chart projects its whole quadrature grid in one vectorized Newton solve
 and returns the result as a :class:`NodeSet` of arrays; a node that does not
-converge raises :class:`ProjectionError`.
+converge, or an edge node whose member gradients are not transverse, raises
+:class:`ProjectionError`.
 
 The tangent machinery at an edge point:
 
@@ -65,19 +66,21 @@ _ONLOCUS_TOL = 1e-10
 
 
 class ProjectionError(RuntimeError):
-    """A chart's Newton projection left some nodes off the locus.
+    """A chart's projection failed at some nodes.
 
-    ``kind`` names the chart type and ``unconverged`` counts the nodes whose
-    residual never fell below the tolerance (a NaN residual counts too).
+    ``kind`` names the chart type and ``unconverged`` counts the failed
+    nodes.  By default the failure is a Newton solve whose residual never
+    fell below the tolerance (a NaN residual counts too); ``reason`` names
+    any other failure, such as edge tangents left undefined by member
+    gradients that are not transverse.
     """
 
-    def __init__(self, kind, unconverged, total):
+    def __init__(self, kind, unconverged, total, reason="Newton projection did not converge"):
         self.kind = kind
         self.unconverged = int(unconverged)
         self.total = int(total)
         super().__init__(
-            f"{kind} chart Newton projection did not converge at "
-            f"{self.unconverged} of {self.total} nodes"
+            f"{kind} chart {reason} at {self.unconverged} of {self.total} nodes"
         )
 
 
@@ -212,7 +215,12 @@ class TorusChart(Chart):
         grads = self._grads(z)
         jac, det, regular = self._jacobian(grads, e)
         if not np.all(regular):
-            raise ValueError("member gradients are not transverse")
+            raise ProjectionError(
+                self.kind,
+                np.sum(~regular),
+                len(z),
+                "tangents are singular (member gradients are not transverse)",
+            )
         tangents = np.zeros((len(z), 2, 2), dtype=complex)
         for axis in (0, 1):
             dz = tangents[:, axis]
@@ -544,9 +552,9 @@ def strong_tangents(d, e, zhat, tol=1e-8):
     return StrongTangentSet(basepoint=basepoint, planes=planes)
 
 
-def _member_planes(d, members, zhat):
-    """The members' tangent hyperplanes at one point, as ``(len(members), 3)`` rows."""
-    return np.stack([gradient_hyperplane(d.rho(m), zhat).array for m in members])
+def _member_planes(d, members, points):
+    """The members' tangent hyperplanes at ``(N, 2)`` points, as ``(N, len(members), 3)`` rows."""
+    return np.stack([gradient_hyperplane(d.rho(m), points) for m in members], axis=-2)
 
 
 def weak_tangent(d, e, zhat, t):
@@ -561,7 +569,8 @@ def weak_tangent(d, e, zhat, t):
         raise ValueError(f"t must have {len(e.members)} barycentric coordinates")
     if np.any(t < -1e-12) or abs(float(np.sum(t)) - 1.0) > 1e-10:
         raise ValueError("t must be non-negative barycentric coordinates summing to 1")
-    return HomVec(tuple(t @ _member_planes(d, e.members, zhat)), role="hyperplane")
+    planes = _member_planes(d, e.members, np.asarray(zhat, dtype=complex)[None])[0]
+    return HomVec(tuple(t @ planes), role="hyperplane")
 
 
 def _ball_samples(rng, center, radius, n):
@@ -617,7 +626,7 @@ def _membership_from_values(d, vals):
 
 
 def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=None):
-    """Avoidance margins of the weak-tangent lines through a boundary point.
+    """Avoidance margins of the weak-tangent lines through boundary points.
 
     For each sampled barycentric weight ``t`` the complex line carried by the
     weak tangent is sampled on a punctured polar grid; the margin of a line is
@@ -627,6 +636,11 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
     A face point is the single weight ``t = (1,)``.  All lines are sampled at
     once: the weak tangents are one product of the weights with the members'
     tangent hyperplanes, and each member is evaluated once on every sample.
+
+    ``zhat`` is one point ``(2,)`` or an ``(N, 2)`` array of points on one
+    face or edge.  For one point, ``per_t`` pairs each weight with its margin
+    and ``min_margin``/``strict`` are scalars; for an array, each margin in
+    ``per_t`` is an ``(N,)`` array and ``min_margin``/``strict`` are ``(N,)``.
     """
     zhat = np.asarray(zhat, dtype=complex)
     members = d.active_members(zhat, tol=1e-8)
@@ -641,27 +655,32 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
     else:
         s = np.arange(t_grid) / (t_grid - 1.0)
         t = np.stack([s, 1.0 - s], axis=-1)
-    w = t @ _member_planes(d, members, zhat)
+    points = zhat.reshape(-1, 2)
+    w = t @ _member_planes(d, members, points)
     # Direction of each line: the kernel (w2, -w1) of the affine part, normalized.
-    direction = np.stack([w[:, 2], -w[:, 1]], axis=-1)
+    direction = np.stack([w[..., 2], -w[..., 1]], axis=-1)
     norm = np.linalg.norm(direction, axis=-1)
     valid = norm >= 1e-14
-    direction /= np.where(valid, norm, 1.0)[:, None]
+    direction /= np.where(valid, norm, 1.0)[..., None]
 
     # Punctured polar grid of line parameters: radii radius*i/n, angles 2 pi j/n.
     rr = radius * np.arange(1, ambient_grid + 1) / ambient_grid
     line = rr[:, None] * np.exp(2j * np.pi * np.arange(ambient_grid) / ambient_grid)
-    p = zhat + line[None, ..., None] * direction[:, None, None, :]
+    p = points[:, None, None, None] + line[..., None] * direction[:, :, None, None]
     vals = np.max([d.rho(m)(p[..., 0], p[..., 1]) for m in members], axis=0)
-    margins = np.where(valid, np.min(vals, axis=(1, 2)), np.nan)
-
-    finite = margins[np.isfinite(margins)]
-    min_margin = float(np.min(finite)) if finite.size else np.nan
+    margins = np.where(valid, np.min(vals, axis=(2, 3)), np.nan)
+    # fmin skips the NaN margins of degenerate lines; all-NaN stays NaN
+    min_margin = np.fmin.reduce(margins, axis=-1)
+    strict = min_margin > 1e-10
+    if zhat.ndim == 1:
+        margins, min_margin, strict = margins[0].tolist(), float(min_margin[0]), bool(strict[0])
+    else:
+        margins = list(margins.T)
     return {
         "members": [d.label(m) for m in members],
-        "per_t": list(zip(map(tuple, t), margins.tolist())),
+        "per_t": list(zip(map(tuple, t), margins)),
         "min_margin": min_margin,
-        "strict": bool(min_margin > 1e-10),
+        "strict": strict,
     }
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "PolyParseError",
     "HermitianSymmetryError",
     "parse_poly",
-    "wirtinger",
     "gradient_hyperplane",
     "transform_poly",
 ]
@@ -93,6 +92,8 @@ class Poly:
 
     def diff(self, var):
         """Exact partial derivative with respect to one of z1, z1bar, z2, z2bar."""
+        if var not in _VARS:
+            raise ValueError(f"var must be one of {_VARS}, got {var!r}")
         i = _VARS.index(var)
         out = {}
         for key, c in self.terms.items():
@@ -399,20 +400,6 @@ def parse_poly(text):
         else:
             tok.error("expected '+', '-' or end of input")
     return HermitianPoly(terms)
-
-
-def wirtinger(p, which):
-    """Exact Wirtinger derivative of a polynomial.
-
-    Parameters
-    ----------
-    p : Poly
-    which : str
-        One of ``"z1"``, ``"z2"``, ``"z1bar"``, ``"z2bar"``.
-    """
-    if which not in _VARS:
-        raise ValueError(f"which must be one of {_VARS}, got {which!r}")
-    return p.diff(which)
 
 
 def gradient_hyperplane(rho, zhat):

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .projective import HomVec, _dot2, _value, det3, det4
-from .quadrature import gauss_rule, integrate_simplex
+from .quadrature import gauss_rule, simplex_rule
 
 __all__ = [
     "Density",
@@ -391,12 +391,32 @@ def cramer_residual(strong):
     return _value(np.linalg.norm(np.cross(c, z), axis=-1) / denom, float)
 
 
+def _segment_distance(a, b):
+    """Distance from 0 to the segment [a, b] of the complex plane."""
+    d = b - a
+    s = 0.0 if d == 0 else min(max(-(a.conjugate() * d).real / abs(d) ** 2, 0.0), 1.0)
+    return abs(a + s * d)
+
+
+def _hull_distance(f):
+    """Distance from 0 to the convex hull of 2 or 3 complex numbers (a segment or a triangle)."""
+    if len(f) == 2:
+        return _segment_distance(f[0], f[1])
+    sides = [(f[j], f[(j + 1) % 3]) for j in range(3)]
+    # 0 is strictly inside when it lies on the same side of all three edges
+    cross = [(a.conjugate() * b).imag for a, b in sides]
+    if all(c > 0 for c in cross) or all(c < 0 for c in cross):
+        return 0.0
+    return min(_segment_distance(a, b) for a, b in sides)
+
+
 def simplex_integral(tau, method="closed", order=24):
     """Scalar simplex identity behind the corner normalization.
 
     For parameters ``tau = (tau_1, ..., tau_n)`` the signed integral of
     ``1 / (sum_j w_j (1 - tau_j))**n`` over the standard (n-1)-simplex equals
-    ``(-1)**n / ((n-1)! * prod_j (1 - tau_j))``.
+    ``(-1)**n / ((n-1)! * prod_j (1 - tau_j))``.  The quadrature route
+    evaluates the integrand once on the whole :func:`simplex_rule` node stack.
 
     Parameters
     ----------
@@ -408,16 +428,21 @@ def simplex_integral(tau, method="closed", order=24):
     Raises
     ------
     ValueError
-        If a pole factor ``1 - tau_j`` is too small, or (on the quadrature
-        route) the denominator nearly vanishes on the simplex.
+        On both routes, if the denominator vanishes on the simplex: the
+        distance from 0 to the convex hull of the factors ``1 - tau_j`` is at
+        most ``1e-6 * max_j |1 - tau_j|``.
     """
     tau = np.asarray(tau, dtype=complex)
     n = len(tau)
     if n not in (2, 3):
         raise ValueError("the simplex identity is implemented for 2 or 3 parameters")
     factors = 1.0 - tau
-    if np.min(np.abs(factors)) < 1e-8:
-        raise ValueError("pole: some 1 - tau_j is too close to zero")
+    dist = _hull_distance(factors.tolist())
+    if dist <= 1e-6 * float(np.max(np.abs(factors))):
+        raise ValueError(
+            f"pole: the hull of the factors 1 - tau_j passes within {dist:.3g} of 0, "
+            "so the denominator vanishes on the simplex"
+        )
     sign = (-1.0) ** n
     if method == "closed":
         from math import factorial
@@ -425,18 +450,8 @@ def simplex_integral(tau, method="closed", order=24):
         return sign / (factorial(n - 1) * np.prod(factors))
     if method != "quadrature":
         raise ValueError("method must be 'closed' or 'quadrature'")
-
-    denoms = []
-
-    def f(w):
-        den = w @ factors
-        denoms.append(abs(den))
-        return 1.0 / den**n
-
-    result = integrate_simplex(f, n, order)
-    if min(denoms) < 1e-6 * float(np.max(np.abs(factors))):
-        raise ValueError("pole: denominator nearly vanishes on the simplex")
-    return sign * result.value
+    nodes, weights = simplex_rule(n, order)
+    return sign * complex(np.sum(weights / (nodes @ factors) ** n))
 
 
 def _edge_tangent_basis(d, e, zhat):

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from hardycorners import kernels, measures
-from hardycorners.domain import domain_from_spec
+from hardycorners.domain import check_strict_convexity, domain_from_spec
 from hardycorners.normalforms import eta
 from hardycorners.cli import load_spec, main, parse_section_expr, spec_hash
 
@@ -220,6 +220,13 @@ def test_eta_csv_with_margins(runner):
     assert result.exit_code == 0
     rows = [ln.split(",") for ln in result.output.strip().splitlines()[1:]]
     assert all(float(r[4]) > 0 for r in rows)
+    # each margin is the single-point probe at that node, to the last digit
+    d = domain_from_spec(load_spec("perturbed_bidisk"))
+    ns = d.edges[0].chart.nodes(2)
+    assert len(rows) == len(ns)
+    for r, z in zip(rows, ns.points):
+        conv = check_strict_convexity(d, z, t_grid=5, ambient_grid=8, local_radius=0.1)
+        assert r[4] == f"{conv['min_margin']:.17g}"
 
 
 def test_eta_fails_on_flat_edge(runner):
@@ -391,3 +398,19 @@ def test_unconvergent_chart_is_precondition_failure(runner, tmp_path, command):
     assert result.exit_code == 3
     assert result.stderr.count("\n") == 1
     assert "graph_patch chart Newton projection did not converge" in result.stderr
+
+
+def test_non_transverse_edge_is_precondition_failure(runner, tmp_path):
+    # both members are one sphere, so the edge chart's tangents are undefined
+    spec = load_spec("bidisk")
+    for h in spec["hypersurfaces"]:
+        h["rho"] = "abs2(z1) + abs2(z2) - 2"
+    p = tmp_path / "same_members.json"
+    p.write_text(json.dumps(spec))
+    for command in (["check-domain"], ["eta", "--grid", "4"], ["reproduce", "--tau", "0,0,0,0"]):
+        result = runner.invoke(main, command[:1] + [str(p)] + command[1:])
+        assert result.exit_code == 3, command
+        assert result.stderr.startswith("precondition failure: ")
+        assert result.stderr.count("\n") == 1
+        assert "member gradients are not transverse" in result.stderr
+        assert "Traceback" not in result.output

@@ -274,6 +274,26 @@ def _reference_margins(d, zhat, t_grid, ambient_grid, radius):
     return out
 
 
+def test_strict_convexity_batch_equals_single_points(perturbed_bidisk, sphere):
+    cases = [
+        (perturbed_bidisk, perturbed_bidisk.edges[0].chart.nodes(8).points,
+         {"t_grid": 5, "ambient_grid": 8, "local_radius": 0.1}),
+        (sphere, sphere.faces[0].chart.nodes(3).points, {}),
+    ]
+    for d, points, kwargs in cases:
+        batch = check_strict_convexity(d, points, **kwargs)
+        single = [check_strict_convexity(d, z, **kwargs) for z in points]
+        assert batch["members"] == single[0]["members"]
+        assert batch["min_margin"].shape == batch["strict"].shape == (len(points),)
+        np.testing.assert_array_equal(batch["min_margin"], [s["min_margin"] for s in single])
+        np.testing.assert_array_equal(batch["strict"], [s["strict"] for s in single])
+        assert [t for t, _ in batch["per_t"]] == [t for t, _ in single[0]["per_t"]]
+        np.testing.assert_array_equal(
+            np.stack([m for _, m in batch["per_t"]], axis=-1),
+            [[m for _, m in s["per_t"]] for s in single],
+        )
+
+
 @pytest.mark.parametrize(
     "kwargs", [{}, {"t_grid": 5, "ambient_grid": 8, "local_radius": 0.1}]
 )

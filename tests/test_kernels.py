@@ -315,6 +315,37 @@ def test_simplex_pole_raises():
         simplex_integral(np.array([1.0 - 1e-12, 0.3]), "closed")
     with pytest.raises(ValueError):
         simplex_integral(np.array([0.1, 0.2, 0.3, 0.4]))
+    # w1 (1 - tau1) + w2 (1 - tau2) vanishes at w = (1/2, 1/2), between the
+    # Gauss nodes of even order and on the middle node of odd order
+    for method, order in (("closed", 24), ("quadrature", 24), ("quadrature", 25)):
+        with pytest.raises(ValueError, match="pole"):
+            simplex_integral([2.0, 0.0], method, order=order)
+    # the triangle of factors 1, -0.5 + i, -0.5 - i contains 0 in its interior
+    for method in ("closed", "quadrature"):
+        with pytest.raises(ValueError, match="pole"):
+            simplex_integral([0.0, 1.5 - 1j, 1.5 + 1j], method)
+
+
+def test_simplex_pole_guard_is_the_exact_hull_distance():
+    # the distance from 0 to the hull of the factors is the minimum of
+    # |sum_j w_j f_j| over the simplex, which a dense sample bounds from above
+    from hardycorners.kernels import _hull_distance
+
+    rng = np.random.default_rng(3)
+    g = np.linspace(0.0, 1.0, 201)
+    u, v = np.meshgrid(g, g)
+    inside = u + v <= 1.0
+    bary = {
+        2: np.stack([g, 1.0 - g], axis=-1),
+        3: np.stack([u[inside], v[inside], 1.0 - u[inside] - v[inside]], axis=-1),
+    }
+    for k in range(200):
+        n = 2 + k % 2
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        exact = _hull_distance(list(f))
+        sampled = np.min(np.abs(bary[n] @ f))
+        assert exact <= sampled + 1e-12
+        assert sampled - exact <= 0.02 * np.max(np.abs(f))  # 4x the grid step
 
 
 # ---------------------------------------------------------------------------

@@ -125,5 +125,7 @@ def test_singular_tangent_jacobian_is_named():
     # tangents then need the singular Jacobian
     rho = parse_poly("abs2(z1) + abs2(z2) - 2")
     chart = TorusChart([rho, rho], r0=(1.0, 1.0))
-    with pytest.raises(ValueError, match="member gradients are not transverse"):
+    with pytest.raises(ProjectionError, match="member gradients are not transverse") as info:
         chart.nodes(4)
+    assert info.value.kind == "torus2"
+    assert info.value.unconverged == info.value.total == 16
