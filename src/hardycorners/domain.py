@@ -422,6 +422,12 @@ class PwsDomain:
     is negative — the pseudoconvex configuration) or ``"union"`` (inside iff
     some defining function is negative — used for the non-pseudoconvex
     counterexample fixture).
+
+    A domain and its charts are treated as immutable once built:
+    :func:`hardycorners.measures.reproduce` caches each boundary piece's
+    tau-free factor on the domain, keyed by ``("face" | "edge", index,
+    resolution)``, for the domain's lifetime.  :func:`transform_domain`
+    builds a new domain, with a cache of its own.
     """
 
     hypersurfaces: list
@@ -429,6 +435,7 @@ class PwsDomain:
     edges: list
     interior_points: list = field(default_factory=list)
     membership: str = "intersection"
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.membership not in ("intersection", "union"):

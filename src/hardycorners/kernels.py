@@ -11,6 +11,11 @@ feed the reproducing formula on a piecewise-smooth boundary:
 * :func:`corner_kernel` — the residual density concentrated on an edge,
   assembled from the two member hypersurfaces' tangent hyperplanes.
 
+Each of the two is written once, as a tau-free factor over a pairing with
+tau (``_leray_factor``/``_leray_pairing``, ``_corner_factor``/
+``_corner_pairing``); :func:`hardycorners.measures.reproduce` caches the
+factors of a boundary piece and pays only the pairing per tau.
+
 :func:`pushforward_corner_check` connects the two pictures by integrating
 the incidence density over the segment of hyperplanes between the strong
 tangents (the weak-tangent fiber) and comparing with the corner kernel.
@@ -273,27 +278,15 @@ def _frame(tangents, count):
     return t
 
 
-def smooth_leray_density(rho, zhat, tau_hat, tangents):
-    """Second-order Cauchy density of a smooth face at a boundary point.
+def _leray_factor(rho, zhat, tangents):
+    """The tau-free part of :func:`smooth_leray_density`: unit gradients and a factor.
 
-    Evaluates ``(1/(2 pi i)^2) * (d_rho wedge ddbar_rho)(v1, v2, v3)`` over
-    the squared pairing of the tangent hyperplane with (z - tau), on three
-    affine tangent vectors.  The result is a pure alternating form; the
-    boundary orientation sign belongs to the caller (see
-    :func:`orientation_sign_face`).
-
-    Array-capable: with ``zhat`` of shape ``(N, 2)`` and ``tangents`` of
-    shape ``(N, 3, 2)`` the value is an ``(N,)`` array.
-
-    Raises
-    ------
-    ValueError
-        If the gradient of the defining function vanishes at the point.
-    ZeroDivisionError
-        If the evaluation point's tangent plane passes through ``tau``.
+    Returns ``g / |g|`` and ``(d_rho wedge ddbar_rho)(v1, v2, v3) / (|g|^2
+    (2 pi i)^2)``, so that the density is the factor over the squared
+    :func:`_leray_pairing`.  Raises ``ValueError`` where the gradient g
+    vanishes.
     """
     zhat = np.asarray(zhat, dtype=complex)
-    tau_hat = np.asarray(tau_hat, dtype=complex)
     t = _frame(tangents, 3)
     g = rho.grad(zhat[..., 0], zhat[..., 1])
     gn = np.linalg.norm(g, axis=-1)
@@ -314,15 +307,81 @@ def smooth_leray_density(rho, zhat, tau_hat, tangents):
         return acc
 
     numer = _wedge_1_2(a, b, t[..., 0, :], t[..., 1, :], t[..., 2, :])
+    return g / gn[..., None], numer / gn**2 / TWO_PI_I**2
+
+
+def _leray_pairing(zhat, unit_grad, tau_hat):
+    """The unit gradients paired with ``z - tau``.
+
+    Raises ``ZeroDivisionError`` where the pairing falls below ``1e-12 *
+    |z - tau|``: the tangent hyperplane passes through ``tau``.
+    """
     offset = zhat - tau_hat
-    pairing = _dot2(g, offset)
-    floor = 1e-12 * gn * np.maximum(np.linalg.norm(offset, axis=-1), 1e-300)
+    pairing = _dot2(unit_grad, offset)
+    floor = 1e-12 * np.maximum(np.linalg.norm(offset, axis=-1), 1e-300)
     if np.any(np.abs(pairing) < floor):
         raise ZeroDivisionError(
             "tangent hyperplane passes through the evaluation point"
         )
-    value = numer / pairing**2 / TWO_PI_I**2
-    return Density(value=_value(value), form_degree=3)
+    return pairing
+
+
+def smooth_leray_density(rho, zhat, tau_hat, tangents):
+    """Second-order Cauchy density of a smooth face at a boundary point.
+
+    Evaluates ``(1/(2 pi i)^2) * (d_rho wedge ddbar_rho)(v1, v2, v3)`` over
+    the squared pairing of the tangent hyperplane with (z - tau), on three
+    affine tangent vectors.  The result is a pure alternating form; the
+    boundary orientation sign belongs to the caller (see
+    :func:`orientation_sign_face`).
+
+    Array-capable: with ``zhat`` of shape ``(N, 2)`` and ``tangents`` of
+    shape ``(N, 3, 2)`` the value is an ``(N,)`` array.
+
+    Raises
+    ------
+    ValueError
+        If the gradient of the defining function vanishes at the point.
+    ZeroDivisionError
+        If the evaluation point's tangent plane passes through ``tau``.
+    """
+    zhat = np.asarray(zhat, dtype=complex)
+    unit_grad, factor = _leray_factor(rho, zhat, tangents)
+    pairing = _leray_pairing(zhat, unit_grad, np.asarray(tau_hat, dtype=complex))
+    return Density(value=_value(factor / pairing**2), form_degree=3)
+
+
+def _corner_factor(strong, frame):
+    """The tau-free part of :func:`corner_kernel`: unit hyperplanes and a factor.
+
+    Returns the two member hyperplanes scaled to unit norm, stacked as
+    ``(..., 2, 3)``, and ``z0^2 det0 dz12 / (2 pi i)^2`` computed on them,
+    so that the kernel is the factor over :func:`_corner_pairing`.
+    """
+    if len(strong) != 2:
+        raise ValueError("corner kernel needs exactly two tangent hyperplanes")
+    z = _as_point(strong.basepoint)
+    planes = np.stack([_as_hyperplane(w) for w in strong.planes], axis=-2)
+    planes = planes / np.linalg.norm(planes, axis=-1)[..., None]
+    w1, w2 = planes[..., 0, :], planes[..., 1, :]
+    det0 = w1[..., 1] * w2[..., 2] - w1[..., 2] * w2[..., 1]
+
+    t = _frame(frame, 2)
+    v1, v2 = t[..., 0, :], t[..., 1, :]
+    dz12 = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    return planes, z[..., 0] ** 2 * det0 * dz12 / TWO_PI_I**2
+
+
+def _corner_pairing(planes, tau):
+    """The product of ``tau``'s pairings with the two unit hyperplanes of each row.
+
+    Raises ``ZeroDivisionError`` where either pairing falls below ``1e-12 *
+    |tau|``: that member tangent hyperplane passes through ``tau``.
+    """
+    p = _dot3(planes, tau)
+    if np.any(np.abs(p) < 1e-12 * np.linalg.norm(tau)):
+        raise ZeroDivisionError("a member tangent hyperplane passes through tau")
+    return p[..., 0] * p[..., 1]
 
 
 def corner_kernel(strong, tau, frame):
@@ -347,27 +406,14 @@ def corner_kernel(strong, tau, frame):
         Alternating 2-form value of weight (2, 0) in the basepoint
         representative and (-2, 0) in ``tau``'s representative; invariant
         under rescaling either hyperplane.
+
+    Raises
+    ------
+    ZeroDivisionError
+        If a member tangent hyperplane passes through ``tau``.
     """
-    if len(strong) != 2:
-        raise ValueError("corner kernel needs exactly two tangent hyperplanes")
-    z = _as_point(strong.basepoint)
-    w1 = _as_hyperplane(strong.planes[0])
-    w2 = _as_hyperplane(strong.planes[1])
-    tau = _as_point(tau)
-
-    det0 = w1[..., 1] * w2[..., 2] - w1[..., 2] * w2[..., 1]
-    p1 = np.sum(tau * w1, axis=-1)
-    p2 = np.sum(tau * w2, axis=-1)
-    scale1 = np.linalg.norm(tau) * np.linalg.norm(w1, axis=-1)
-    scale2 = np.linalg.norm(tau) * np.linalg.norm(w2, axis=-1)
-    if np.any(np.abs(p1) < 1e-12 * scale1) or np.any(np.abs(p2) < 1e-12 * scale2):
-        raise ZeroDivisionError("a member tangent hyperplane passes through tau")
-
-    t = _frame(frame, 2)
-    v1, v2 = t[..., 0, :], t[..., 1, :]
-    dz12 = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
-
-    value = z[..., 0] ** 2 * det0 * dz12 / (p1 * p2) / TWO_PI_I**2
+    planes, factor = _corner_factor(strong, frame)
+    value = factor / _corner_pairing(planes, _as_point(tau))
     return Density(
         value=_value(value),
         form_degree=2,

@@ -15,6 +15,26 @@ what transforms cleanly under projective maps.  :func:`reproduce` runs the
 actual reproducing formula: faces carry the smooth second-order Cauchy
 density, edges carry the corner kernel, and for holomorphic f the sum
 returns f at the interior point.
+
+Both kernels depend on the interior point tau only through a pairing: the
+face density is a tau-free factor over ``(g_hat . (z - tau))**2`` with
+``g_hat = g / |g|``, the corner kernel one over ``(tau . w1_hat)(tau .
+w2_hat)`` with the unit member hyperplanes.  So :func:`reproduce` builds,
+for each piece at the resolution asked for, the tau-free part once: the
+node set, the unit gradients or hyperplanes, and one weight per node that
+folds the quadrature weight, the orientation sign and the kernel factor.
+It caches that on the domain, keyed by ``("face" | "edge", index,
+resolution)``, for the domain's lifetime; a later call at any tau costs one
+pairing, one section call and one contraction per piece.  Every check that
+does not depend on tau (chart projection, vanishing gradients, the on-locus
+test of the strong tangents, degenerate orientation frames) runs when the
+factor is built, and a failed build caches nothing; the pole checks, which
+do depend on tau, run on every call over every node.  A face costs 80 bytes
+per node (points, unit gradients, folded weight; 64 at a node where the
+density vanishes, which keeps no weight), an edge 144 (points, two unit
+hyperplanes, folded weight).  The cached arrays are read-only, and domains
+and charts are treated as immutable once built; ``hardy_norm`` and
+``build_measure`` cache nothing.
 """
 
 from __future__ import annotations
@@ -25,12 +45,18 @@ import numpy as np
 
 from .domain import strong_tangents
 from .kernels import (
+    _corner_factor,
+    _corner_pairing,
+    _leray_factor,
+    _leray_pairing,
     _real_frame,
-    corner_kernel,
     orientation_sign_edge,
     orientation_sign_face,
-    smooth_leray_density,
 )
+
+# Unused here since reproduce splits them into factor and pairing, but
+# bench/tracer.py wraps both by name in this module's namespace.
+from .kernels import corner_kernel, smooth_leray_density  # noqa: F401
 from .normalforms import eta
 from .projective import det2, det3, det4, homogenize
 
@@ -190,28 +216,74 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None, measure=None):
     return {"total": total, "faces": faces, "edges": edges}
 
 
-def _face_value(rho, chart, f, tau, resolution):
-    """One face's share of the reproducing formula."""
-    ns = chart.nodes(resolution)
-    dens = smooth_leray_density(rho, ns.points, tau, ns.tangents).value
-    weights, z, vs = ns.weights, ns.points, ns.tangents
-    # Nodes where the density vanishes (Levi-flat faces) contribute nothing,
-    # and their frames need no orientation.  Select only when some vanish, so
-    # that no node arrays are copied otherwise.
+@dataclass(frozen=True)
+class _Factor:
+    """The tau-free part of one boundary piece's share of the reproducing formula.
+
+    ``points`` ``(N, 2)`` are the piece's nodes and ``normals`` what tau is
+    paired with there: unit gradients ``(N, 2)`` on a face, the two unit
+    member hyperplanes ``(N, 2, 3)`` on an edge.  ``weight`` folds the
+    quadrature weight, the orientation sign and the kernel's tau-free factor;
+    on a face it covers the first ``len(weight)`` nodes, those where the
+    density does not vanish, and the rest serve only the pole check.  The
+    arrays are read-only.
+    """
+
+    points: np.ndarray
+    normals: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.points, self.normals, self.weight):
+            a.flags.writeable = False
+
+
+def _face_factor(d, index, resolution):
+    fc = d.faces[index]
+    rho = d.rho(fc.hypersurface)
+    ns = fc.chart.nodes(resolution)
+    unit_grad, dens = _leray_factor(rho, ns.points, ns.tangents)
+    # Nodes where the density vanishes (Levi-flat faces) contribute nothing
+    # and their frames need no orientation: they go last, for the pole check.
+    # Reorder only when some vanish, so that no node arrays are copied otherwise.
     live = dens != 0
+    points, rows = ns.points, slice(None)
     if not live.all():
-        weights, z, vs, dens = weights[live], z[live], vs[live], dens[live]
-    sgn = orientation_sign_face(rho, z, vs)
-    return complex(np.sum(weights * sgn * _section_on(f, z) * dens))
+        order = np.argsort(~live, kind="stable")
+        points, unit_grad, rows = points[order], unit_grad[order], order[: np.count_nonzero(live)]
+    sgn = orientation_sign_face(rho, ns.points[rows], ns.tangents[rows])
+    return _Factor(points, unit_grad, ns.weights[rows] * sgn * dens[rows])
 
 
-def _edge_value(d, e, f, tau_hom, resolution):
-    """One edge's share of the reproducing formula."""
+def _edge_factor(d, index, resolution):
+    e = d.edges[index]
     ns = e.chart.nodes(resolution)
+    planes, k = _corner_factor(strong_tangents(d, e, ns.points), ns.tangents)
     rhos = (d.rho(e.members[0]), d.rho(e.members[1]))
-    k = corner_kernel(strong_tangents(d, e, ns.points), tau_hom, ns.tangents).value
     sgn = orientation_sign_edge(rhos, ns.points, ns.tangents)
-    return complex(np.sum(ns.weights * sgn * _section_on(f, ns.points) * k))
+    return _Factor(ns.points, planes, ns.weights * sgn * k)
+
+
+def _factor(d, kind, index, resolution):
+    """A piece's cached :class:`_Factor`, built on first use; a failed build caches nothing."""
+    key = (kind, index, resolution)
+    if key not in d._factors:
+        build = _face_factor if kind == "face" else _edge_factor
+        d._factors[key] = build(d, index, resolution)
+    return d._factors[key]
+
+
+def _face_value(factor, f, tau):
+    """One face's share of the reproducing formula."""
+    pairing = _leray_pairing(factor.points, factor.normals, tau)
+    n = len(factor.weight)
+    return complex(np.sum(factor.weight * _section_on(f, factor.points[:n]) / pairing[:n] ** 2))
+
+
+def _edge_value(factor, f, tau_hom):
+    """One edge's share of the reproducing formula."""
+    pairing = _corner_pairing(factor.normals, tau_hom)
+    return complex(np.sum(factor.weight * _section_on(f, factor.points) / pairing))
 
 
 def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=None):
@@ -219,10 +291,12 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
 
     Faces carry the smooth second-order Cauchy density, edges the corner
     kernel; orientation signs are computed per node from the outward
-    conormals.  Each piece is one :class:`~hardycorners.domain.NodeSet`
-    contracted with the kernel values over its node axis.  Returns a dict
-    with the recovered value, the directly evaluated reference ``f(tau)``,
-    per-piece contributions and the relative error.
+    conormals.  Each piece's tau-free factor (its node set, unit gradients
+    or hyperplanes, and folded weights) is built on the first call at a
+    resolution and cached on ``d`` (see the module docstring); every call
+    pairs it with ``tau``, calls ``f`` once and contracts over the node
+    axis.  Returns a dict with the recovered value, the directly evaluated
+    reference ``f(tau)``, per-piece contributions and the relative error.
 
     ``f`` is a section in the library's convention: it is called once per
     boundary piece on the coordinate pair ``(z1, z2)`` of the piece's nodes,
@@ -247,10 +321,13 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     tau_hom = homogenize(tau)
 
     face_vals = [
-        _face_value(d.rho(fc.hypersurface), fc.chart, f, tau, face_resolution)
-        for fc in d.faces
+        _face_value(_factor(d, "face", i, face_resolution), f, tau)
+        for i in range(len(d.faces))
     ]
-    edge_vals = [_edge_value(d, e, f, tau_hom, edge_resolution) for e in d.edges]
+    edge_vals = [
+        _edge_value(_factor(d, "edge", i, edge_resolution), f, tau_hom)
+        for i in range(len(d.edges))
+    ]
 
     value = sum(face_vals) + sum(edge_vals)
     expected = complex(f(tau))

@@ -1,6 +1,5 @@
 """Command-line interface: reports, exit codes, formats, determinism."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -298,14 +297,17 @@ def test_selftest_seed_changes_data_not_verdict(runner):
 
 
 def test_selftest_anchor_fails_with_sign_flipped_corner_kernel(runner, monkeypatch):
-    original = kernels.corner_kernel
+    # The corner kernel is its tau-free factor over a pairing: flipping the
+    # factor flips corner_kernel (the fiber check) and the edge factors that
+    # reproduce builds (the anchor domain is fresh, so nothing is cached).
+    original = kernels._corner_factor
 
     def flipped(*args, **kwargs):
-        dens = original(*args, **kwargs)
-        return dataclasses.replace(dens, value=-dens.value)
+        planes, factor = original(*args, **kwargs)
+        return planes, -factor
 
-    monkeypatch.setattr(kernels, "corner_kernel", flipped)
-    monkeypatch.setattr(measures, "corner_kernel", flipped)
+    monkeypatch.setattr(kernels, "_corner_factor", flipped)
+    monkeypatch.setattr(measures, "_corner_factor", flipped)
     result = runner.invoke(main, ["selftest", "--suite", "anchor"])
     assert result.exit_code == 1
     report = _json_out(result)

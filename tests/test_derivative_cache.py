@@ -2,7 +2,9 @@
 
 After one warm-up call of every array path on a domain, ``Poly.diff`` is
 made to raise; the same calls must then run, and give the same numbers, from
-the derivative polynomials cached on the domain's members alone.
+the derivative polynomials cached on the domain's members alone.  The
+domain's cache of reproducing factors is cleared first, so that
+``reproduce`` builds them again under the guard.
 """
 
 import numpy as np
@@ -42,5 +44,7 @@ def test_array_paths_never_rederive_polynomials(monkeypatch):
     monkeypatch.setattr(Poly, "diff", no_diff)
     with pytest.raises(AssertionError, match="after the warm-up"):
         d.rho(0).diff("z1")
+    # reproduce would otherwise reuse the factors the warm-up built
+    d._factors.clear()
     for before, after in zip(warm, run()):
         np.testing.assert_array_equal(before, after)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hardycorners.domain import strong_tangents, transform_domain
+from hardycorners.cli import load_spec
+from hardycorners.domain import ProjectionError, domain_from_spec, strong_tangents, transform_domain
 from hardycorners.hermpoly import parse_poly
 from hardycorners.kernels import (
     corner_kernel,
@@ -241,6 +242,93 @@ def test_reproduce_raises_on_boundary_pole(bidisk):
     tau = np.array([1.0, 0.0])
     with pytest.raises(ZeroDivisionError):
         reproduce(bidisk, lambda z: 1.0, tau, resolution=12, face_resolution=6)
+    # The pole check depends on tau, so a warm cache does not skip it: the
+    # bidisk's faces are Levi-flat, and their nodes still take part.
+    reproduce(bidisk, lambda z: 1.0, np.array([0.2, -0.1j]), resolution=12, face_resolution=6)
+    assert ("face", 0, 6) in bidisk._factors
+    with pytest.raises(ZeroDivisionError):
+        reproduce(bidisk, lambda z: 1.0, tau, resolution=12, face_resolution=6)
+    # A pole at a face node at angle pi/3, which the 5-node edge grid misses,
+    # so that only the Levi-flat face's pole check can see it.
+    tau = np.array([bidisk.faces[0].chart.nodes(6).points[1, 0], 0.0])
+    reproduce(bidisk, lambda z: 1.0, np.array([0.2, -0.1j]), face_resolution=6, edge_resolution=5)
+    with pytest.raises(ZeroDivisionError, match="evaluation point"):
+        reproduce(bidisk, lambda z: 1.0, tau, face_resolution=6, edge_resolution=5)
+
+
+# ---------------------------------------------------------------------------
+# Cached tau-free factors
+
+
+def _fresh(name):
+    return domain_from_spec(load_spec(name))
+
+
+def _cubic(z):
+    return z[0] * z[1] ** 2 + 0.5
+
+
+CACHE_TAU = np.array([0.2 + 0.1j, -0.3 + 0.05j])
+
+
+def test_reproduce_is_bit_identical_warm_and_fresh():
+    d = _fresh("perturbed_bidisk")
+    first = reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
+    assert sorted(d._factors) == [("edge", 0, 6), ("face", 0, 8), ("face", 1, 8)]
+    second = reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
+    fresh = reproduce(_fresh("perturbed_bidisk"), _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
+    assert first == second == fresh
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_reproduce_cache_keys_on_resolution(order):
+    pairs = [(6, 8), (8, 6)]
+    d = _fresh("perturbed_bidisk")
+    tau = np.array([0.1 - 0.05j, 0.2j])
+    for i in order:
+        face_res, edge_res = pairs[i]
+        got = reproduce(d, _cubic, tau, face_resolution=face_res, edge_resolution=edge_res)
+        want = reproduce(
+            _fresh("perturbed_bidisk"), _cubic, tau, face_resolution=face_res, edge_resolution=edge_res
+        )
+        assert got == want
+    assert len(d._factors) == 6
+
+
+def test_transformed_domain_builds_its_own_factors(rng):
+    t = random_unit_det_map(rng, scale=0.05)
+    base = _fresh("perturbed_bidisk")
+    reproduce(base, _cubic, CACHE_TAU, resolution=6)
+    moved = transform_domain(base, t)
+    assert moved._factors == {}
+    got = reproduce(moved, _cubic, CACHE_TAU, resolution=6)
+    assert moved._factors.keys() == base._factors.keys()
+    for key, factor in moved._factors.items():
+        assert factor is not base._factors[key]
+        assert not np.array_equal(factor.points, base._factors[key].points)
+    want = reproduce(transform_domain(_fresh("perturbed_bidisk"), t), _cubic, CACHE_TAU, resolution=6)
+    assert got == want
+
+
+def test_cached_factor_arrays_are_read_only():
+    d = _fresh("perturbed_bidisk")
+    reproduce(d, _cubic, CACHE_TAU, resolution=6)
+    for factor in d._factors.values():
+        for a in (factor.points, factor.normals, factor.weight):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+def test_failed_factor_build_caches_nothing():
+    # both members are one sphere, so the edge chart's tangents are undefined
+    spec = load_spec("bidisk")
+    for h in spec["hypersurfaces"]:
+        h["rho"] = "abs2(z1) + abs2(z2) - 2"
+    d = domain_from_spec(spec)
+    for _ in range(2):
+        with pytest.raises(ProjectionError, match="not transverse"):
+            reproduce(d, lambda z: 1.0, np.array([0.0, 0.0]), resolution=6)
+        assert not any(kind == "edge" for kind, _, _ in d._factors)
 
 
 def _reproduce_node_by_node(d, f, tau, resolution):

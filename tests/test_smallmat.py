@@ -112,4 +112,6 @@ def test_hot_paths_call_no_lapack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, forbidden(name))
     with pytest.raises(AssertionError, match="per-node path"):
         np.linalg.det(np.eye(3))
+    # reproduce would otherwise reuse the factors the first run built
+    bidisk._factors.clear()
     np.testing.assert_array_equal(run(), before)
