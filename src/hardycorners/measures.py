@@ -19,27 +19,35 @@ returns f at the interior point.
 Both kernels depend on the interior point tau only through a pairing: the
 face density is a tau-free factor over ``(g_hat . (z - tau))**2`` with
 ``g_hat = g / |g|``, the corner kernel one over ``(tau . w1_hat)(tau .
-w2_hat)`` with the unit member hyperplanes.  So :func:`reproduce` builds,
-for each piece at the resolution asked for, the tau-free part once: the
-node set, the unit gradients or hyperplanes, and one weight per node that
-folds the quadrature weight, the orientation sign and the kernel factor.
-It caches that on the domain, keyed by ``("face" | "edge", index,
-resolution)``, for the domain's lifetime; a later call at any tau costs one
-pairing, one section call and one contraction per piece.  Every check that
-does not depend on tau (chart projection, vanishing gradients, the on-locus
-test of the strong tangents, degenerate orientation frames) runs when the
-factor is built, and a failed build caches nothing; the pole checks, which
-do depend on tau, run on every call over every node.  A face costs 80 bytes
-per node (points, unit gradients, folded weight; 64 at a node where the
-density vanishes, which keeps no weight), an edge 144 (points, two unit
-hyperplanes, folded weight).  The cached arrays are read-only, and domains
-and charts are treated as immutable once built; ``hardy_norm`` and
-``build_measure`` cache nothing.
+w2_hat)`` with the unit member hyperplanes.  And the measure does not depend
+on the section at all.  So each piece's share of both is built once per
+domain and resolution, on first use, and cached on the domain for its
+lifetime, in one dict keyed by ``(kind, index, resolution)``:
+
+* ``"face"`` and ``"edge"``: the tau-free reproducing factor, i.e. the node
+  points, the unit gradients or hyperplanes, and one weight per node that
+  folds the quadrature weight, the orientation sign and the kernel factor.
+  80 bytes per face node (64 at a node where the density vanishes, which
+  keeps no weight), 144 per edge node (two unit hyperplanes);
+* ``"face_measure"`` and ``"edge_measure"``: the node points and one
+  combined weight per node (quadrature weight times measure density),
+  40 bytes per node.  The key holds the resolved edge resolution, so the
+  default and the same value given explicitly share one entry.
+
+A later :func:`reproduce` call at any tau then costs one pairing, one
+section call and one contraction per piece, and a later :func:`hardy_norm`
+one section call and one contraction per piece.  Every check that does not
+depend on tau or the section (chart projection, vanishing gradients, the
+on-locus test of the strong tangents, degenerate orientation frames,
+non-positive edge weights) runs when an entry is built, and a failed build
+caches nothing; the pole checks, which depend on tau, and the section's
+shape check run on every call over every node.  The cached arrays are
+read-only, and domains and charts are treated as immutable once built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,14 +139,33 @@ def _section_on(f, points):
     return np.broadcast_to(values, (n,))
 
 
+@dataclass(frozen=True)
+class _MeasurePiece:
+    """One boundary piece of a discretized measure, as integration reads it.
+
+    ``points`` ``(N, 2)`` are the piece's nodes and ``weights`` ``(N,)`` the
+    quadrature weights times the measure density there.  The arrays are
+    read-only.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.points, self.weights):
+            a.flags.writeable = False
+
+    def __len__(self):
+        return len(self.weights)
+
+
 @dataclass
 class BoundaryMeasure:
     """Discretized boundary measure: one node set per piece.
 
-    Each entry of ``face_nodes`` and ``edge_nodes`` is the piece's
-    :class:`~hardycorners.domain.NodeSet` with its quadrature weights
-    multiplied by the measure density, so ``points`` and ``weights`` are the
-    nodes and the combined weights of the piece.
+    Each entry of ``face_nodes`` and ``edge_nodes`` holds the piece's nodes
+    as ``points`` ``(N, 2)`` and their combined weights (quadrature weight
+    times measure density) as ``weights`` ``(N,)``, both read-only.
     """
 
     face_nodes: list
@@ -165,53 +192,68 @@ class BoundaryMeasure:
         return sum(faces) + sum(edges), faces, edges
 
 
-def _face_measure_nodes(rho, chart, resolution):
-    ns = chart.nodes(resolution)
-    return replace(ns, weights=ns.weights * fefferman_density(rho, ns.points, ns.tangents))
+def _face_measure(d, index, resolution):
+    fc = d.faces[index]
+    ns = fc.chart.nodes(resolution)
+    dens = fefferman_density(d.rho(fc.hypersurface), ns.points, ns.tangents)
+    return _MeasurePiece(ns.points, ns.weights * dens)
 
 
-def _edge_measure_nodes(d, chart, resolution):
-    ns = chart.nodes(resolution)
-    weights = eta(d, ns.points).eta_weight
-    return replace(ns, weights=ns.weights * edge_measure_density(weights, ns.tangents))
+def _edge_measure(d, index, resolution):
+    ns = d.edges[index].chart.nodes(resolution)
+    dens = edge_measure_density(eta(d, ns.points).eta_weight, ns.tangents)
+    return _MeasurePiece(ns.points, ns.weights * dens)
 
 
 def build_measure(d, resolution=16, edge_resolution=None):
-    """Precompute the boundary measure of a domain at a given resolution.
+    """The boundary measure of a domain at a given resolution.
 
     Faces are sampled on their chart node sets with the
     :func:`fefferman_density` weight; edges with the cube-rooted edge weight
     from :func:`hardycorners.normalforms.eta` (computed exactly from the
     defining polynomials, in one call per edge) against the arc element.
+    ``edge_resolution`` defaults to ``max(6, resolution // 2)``.  Each piece
+    is built on first use and cached on ``d`` (see the module docstring), so
+    a later call at the same resolutions returns the same arrays.
+
+    Raises
+    ------
+    ProjectionError
+        If a chart's Newton projection does not converge.
+    ValueError
+        If a face's defining function has a vanishing gradient at a node, or
+        an edge weight is not positive.
     """
     if edge_resolution is None:
         edge_resolution = max(6, resolution // 2)
-    face_nodes = [
-        _face_measure_nodes(d.rho(f.hypersurface), f.chart, resolution) for f in d.faces
-    ]
-    edge_nodes = [_edge_measure_nodes(d, e.chart, edge_resolution) for e in d.edges]
-    return BoundaryMeasure(face_nodes=face_nodes, edge_nodes=edge_nodes)
+    return BoundaryMeasure(
+        face_nodes=[_cached(d, "face_measure", i, resolution) for i in range(len(d.faces))],
+        edge_nodes=[_cached(d, "edge_measure", i, edge_resolution) for i in range(len(d.edges))],
+    )
 
 
-def hardy_norm(d, f, resolution=16, edge_resolution=None, measure=None):
+def hardy_norm(d, f, resolution=16, edge_resolution=None):
     """Squared boundary norm of a section against the full boundary measure.
 
     ``f`` is a section in the library's convention: it is called once per
     boundary piece on the coordinate pair ``(z1, z2)`` of the piece's nodes,
     two ``(N,)`` arrays, works elementwise and returns ``(N,)`` values (a
     scalar result stands for every node).  Returns a dict with the total and
-    the per-face / per-edge contributions.  Passing a prebuilt ``measure``
-    skips rediscretization.  The only discretization is the quadrature
-    resolution: the edge weights are exact up to rounding (see
-    :func:`build_measure`).
+    the per-face / per-edge contributions.  The measure comes from
+    :func:`build_measure`, which caches it on ``d``; so only the first call
+    at a resolution discretizes, and every call is one section call and one
+    contraction per piece.  The only discretization is the quadrature
+    resolution: the edge weights are exact up to rounding.
 
     Raises
     ------
     ValueError
-        If ``f`` returns values of any other shape.
+        If ``f`` returns values of any other shape, or as
+        :func:`build_measure` does.
+    ProjectionError
+        As :func:`build_measure` does.
     """
-    if measure is None:
-        measure = build_measure(d, resolution=resolution, edge_resolution=edge_resolution)
+    measure = build_measure(d, resolution=resolution, edge_resolution=edge_resolution)
     total, faces, edges = measure.integrate(lambda z: np.abs(f(z)) ** 2)
     return {"total": total, "faces": faces, "edges": edges}
 
@@ -264,13 +306,23 @@ def _edge_factor(d, index, resolution):
     return _Factor(ns.points, planes, ns.weights * sgn * k)
 
 
-def _factor(d, kind, index, resolution):
-    """A piece's cached :class:`_Factor`, built on first use; a failed build caches nothing."""
+_BUILDERS = {
+    "face": _face_factor,
+    "edge": _edge_factor,
+    "face_measure": _face_measure,
+    "edge_measure": _edge_measure,
+}
+
+
+def _cached(d, kind, index, resolution):
+    """A piece's cached entry of ``kind`` (a :data:`_BUILDERS` key), built on first use.
+
+    The one lookup path of the per-domain cache; a failed build caches nothing.
+    """
     key = (kind, index, resolution)
-    if key not in d._factors:
-        build = _face_factor if kind == "face" else _edge_factor
-        d._factors[key] = build(d, index, resolution)
-    return d._factors[key]
+    if key not in d._cache:
+        d._cache[key] = _BUILDERS[kind](d, index, resolution)
+    return d._cache[key]
 
 
 def _face_value(factor, f, tau):
@@ -321,11 +373,11 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     tau_hom = homogenize(tau)
 
     face_vals = [
-        _face_value(_factor(d, "face", i, face_resolution), f, tau)
+        _face_value(_cached(d, "face", i, face_resolution), f, tau)
         for i in range(len(d.faces))
     ]
     edge_vals = [
-        _edge_value(_factor(d, "edge", i, edge_resolution), f, tau_hom)
+        _edge_value(_cached(d, "edge", i, edge_resolution), f, tau_hom)
         for i in range(len(d.edges))
     ]
 

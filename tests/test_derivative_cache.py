@@ -3,8 +3,8 @@
 After one warm-up call of every array path on a domain, ``Poly.diff`` is
 made to raise; the same calls must then run, and give the same numbers, from
 the derivative polynomials cached on the domain's members alone.  The
-domain's cache of reproducing factors is cleared first, so that
-``reproduce`` builds them again under the guard.
+domain's cache of reproducing factors and measure pieces is cleared first,
+so that ``reproduce`` and ``hardy_norm`` build them again under the guard.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ def test_array_paths_never_rederive_polynomials(monkeypatch):
     monkeypatch.setattr(Poly, "diff", no_diff)
     with pytest.raises(AssertionError, match="after the warm-up"):
         d.rho(0).diff("z1")
-    # reproduce would otherwise reuse the factors the warm-up built
-    d._factors.clear()
+    # reproduce and hardy_norm would otherwise reuse what the warm-up built
+    d._cache.clear()
     for before, after in zip(warm, run()):
         np.testing.assert_array_equal(before, after)

@@ -1,5 +1,7 @@
 """Boundary measure, squared boundary norm, and the reproducing formula."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,17 +130,21 @@ def test_build_measure_node_counts(perturbed_bidisk):
 
 
 def test_hardy_norm_basicproperties(perturbed_bidisk):
-    m = build_measure(perturbed_bidisk, resolution=8, edge_resolution=6)
-    out_zero = hardy_norm(perturbed_bidisk, lambda z: 0.0, measure=m)
+    out_zero = hardy_norm(perturbed_bidisk, lambda z: 0.0, resolution=8, edge_resolution=6)
     assert out_zero["total"] == 0.0
-    out_one = hardy_norm(perturbed_bidisk, lambda z: 1.0, measure=m)
+    out_one = hardy_norm(perturbed_bidisk, lambda z: 1.0, resolution=8, edge_resolution=6)
     assert out_one["total"] > 0
     assert all(v >= 0 for v in out_one["faces"] + out_one["edges"])
-    # reusing the prebuilt measure is consistent with rebuilding
-    again = hardy_norm(
-        perturbed_bidisk, lambda z: 1.0, resolution=8, edge_resolution=6
+    # building the measure again returns the cached arrays, and a fresh
+    # domain builds the same ones
+    m = build_measure(perturbed_bidisk, resolution=8, edge_resolution=6)
+    again = build_measure(perturbed_bidisk, resolution=8, edge_resolution=6)
+    for a, b in zip(m.face_nodes + m.edge_nodes, again.face_nodes + again.edge_nodes):
+        assert a.points is b.points and a.weights is b.weights
+    fresh = hardy_norm(
+        domain_from_spec(load_spec("perturbed_bidisk")), lambda z: 1.0, resolution=8, edge_resolution=6
     )
-    assert np.isclose(again["total"], out_one["total"], rtol=1e-12)
+    assert fresh == out_one
 
 
 def _hardy_norm_node_by_node(d, f, resolution, edge_resolution):
@@ -245,7 +251,7 @@ def test_reproduce_raises_on_boundary_pole(bidisk):
     # The pole check depends on tau, so a warm cache does not skip it: the
     # bidisk's faces are Levi-flat, and their nodes still take part.
     reproduce(bidisk, lambda z: 1.0, np.array([0.2, -0.1j]), resolution=12, face_resolution=6)
-    assert ("face", 0, 6) in bidisk._factors
+    assert ("face", 0, 6) in bidisk._cache
     with pytest.raises(ZeroDivisionError):
         reproduce(bidisk, lambda z: 1.0, tau, resolution=12, face_resolution=6)
     # A pole at a face node at angle pi/3, which the 5-node edge grid misses,
@@ -274,7 +280,7 @@ CACHE_TAU = np.array([0.2 + 0.1j, -0.3 + 0.05j])
 def test_reproduce_is_bit_identical_warm_and_fresh():
     d = _fresh("perturbed_bidisk")
     first = reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
-    assert sorted(d._factors) == [("edge", 0, 6), ("face", 0, 8), ("face", 1, 8)]
+    assert sorted(d._cache) == [("edge", 0, 6), ("face", 0, 8), ("face", 1, 8)]
     second = reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
     fresh = reproduce(_fresh("perturbed_bidisk"), _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
     assert first == second == fresh
@@ -292,7 +298,7 @@ def test_reproduce_cache_keys_on_resolution(order):
             _fresh("perturbed_bidisk"), _cubic, tau, face_resolution=face_res, edge_resolution=edge_res
         )
         assert got == want
-    assert len(d._factors) == 6
+    assert len(d._cache) == 6
 
 
 def test_transformed_domain_builds_its_own_factors(rng):
@@ -300,12 +306,12 @@ def test_transformed_domain_builds_its_own_factors(rng):
     base = _fresh("perturbed_bidisk")
     reproduce(base, _cubic, CACHE_TAU, resolution=6)
     moved = transform_domain(base, t)
-    assert moved._factors == {}
+    assert moved._cache == {}
     got = reproduce(moved, _cubic, CACHE_TAU, resolution=6)
-    assert moved._factors.keys() == base._factors.keys()
-    for key, factor in moved._factors.items():
-        assert factor is not base._factors[key]
-        assert not np.array_equal(factor.points, base._factors[key].points)
+    assert moved._cache.keys() == base._cache.keys()
+    for key, factor in moved._cache.items():
+        assert factor is not base._cache[key]
+        assert not np.array_equal(factor.points, base._cache[key].points)
     want = reproduce(transform_domain(_fresh("perturbed_bidisk"), t), _cubic, CACHE_TAU, resolution=6)
     assert got == want
 
@@ -313,7 +319,7 @@ def test_transformed_domain_builds_its_own_factors(rng):
 def test_cached_factor_arrays_are_read_only():
     d = _fresh("perturbed_bidisk")
     reproduce(d, _cubic, CACHE_TAU, resolution=6)
-    for factor in d._factors.values():
+    for factor in d._cache.values():
         for a in (factor.points, factor.normals, factor.weight):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -328,7 +334,82 @@ def test_failed_factor_build_caches_nothing():
     for _ in range(2):
         with pytest.raises(ProjectionError, match="not transverse"):
             reproduce(d, lambda z: 1.0, np.array([0.0, 0.0]), resolution=6)
-        assert not any(kind == "edge" for kind, _, _ in d._factors)
+        assert not any(kind == "edge" for kind, _, _ in d._cache)
+
+
+# ---------------------------------------------------------------------------
+# Cached measure pieces
+
+
+def _measure_keys(d):
+    return sorted(key for key in d._cache if key[0].endswith("_measure"))
+
+
+def test_hardy_norm_is_bit_identical_warm_and_fresh():
+    d = _fresh("perturbed_bidisk")
+    first = hardy_norm(d, _cubic, resolution=8, edge_resolution=6)
+    assert _measure_keys(d) == [("edge_measure", 0, 6), ("face_measure", 0, 8), ("face_measure", 1, 8)]
+    second = hardy_norm(d, _cubic, resolution=8, edge_resolution=6)
+    fresh = hardy_norm(_fresh("perturbed_bidisk"), _cubic, resolution=8, edge_resolution=6)
+    assert first == second == fresh
+
+
+def test_default_edge_resolution_shares_the_explicit_entry():
+    d = _fresh("perturbed_bidisk")
+    default = build_measure(d, resolution=12)
+    explicit = build_measure(d, resolution=12, edge_resolution=6)
+    assert _measure_keys(d) == [("edge_measure", 0, 6), ("face_measure", 0, 12), ("face_measure", 1, 12)]
+    assert explicit.edge_nodes[0] is default.edge_nodes[0]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_measure_cache_keys_on_resolution(order):
+    pairs = [(6, 8), (8, 6)]
+    d = _fresh("perturbed_bidisk")
+    for i in order:
+        res, edge_res = pairs[i]
+        got = hardy_norm(d, _cubic, resolution=res, edge_resolution=edge_res)
+        want = hardy_norm(_fresh("perturbed_bidisk"), _cubic, resolution=res, edge_resolution=edge_res)
+        assert got == want
+    assert len(_measure_keys(d)) == 6
+
+
+def test_transformed_domain_builds_its_own_measure(rng):
+    t = random_unit_det_map(rng, scale=0.05)
+    base = _fresh("perturbed_bidisk")
+    hardy_norm(base, _cubic, resolution=6)
+    moved = transform_domain(base, t)
+    assert moved._cache == {}
+    got = hardy_norm(moved, _cubic, resolution=6)
+    assert moved._cache.keys() == base._cache.keys()
+    for key, piece in moved._cache.items():
+        assert piece is not base._cache[key]
+        assert not np.array_equal(piece.points, base._cache[key].points)
+    assert got == hardy_norm(transform_domain(_fresh("perturbed_bidisk"), t), _cubic, resolution=6)
+
+
+def test_cached_measure_arrays_are_read_only():
+    d = _fresh("perturbed_bidisk")
+    m = build_measure(d, resolution=6)
+    for piece in m.face_nodes + m.edge_nodes:
+        for a in (piece.points, piece.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+def test_failed_measure_build_caches_nothing(monkeypatch):
+    def negated_eta(d, points):
+        out = eta(d, points)
+        return replace(out, eta_weight=-out.eta_weight)
+
+    d = _fresh("perturbed_bidisk")
+    monkeypatch.setattr("hardycorners.measures.eta", negated_eta)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="edge weight must be positive"):
+            hardy_norm(d, _cubic, resolution=6)
+        assert not any(kind == "edge_measure" for kind, _, _ in d._cache)
+    monkeypatch.undo()
+    assert hardy_norm(d, _cubic, resolution=6) == hardy_norm(_fresh("perturbed_bidisk"), _cubic, resolution=6)
 
 
 def _reproduce_node_by_node(d, f, tau, resolution):
