@@ -34,6 +34,7 @@ from .domain import (
     check_strict_convexity,
     domain_from_spec,
     strong_tangents,
+    transform_domain,
     validate_domain,
 )
 from .kernels import (
@@ -109,13 +110,27 @@ def _jsonify(obj):
     return obj
 
 
-def emit(report, output):
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True)
+def _finish(text, output, ok):
+    """Write ``text`` to the file ``output`` (stdout if none), then exit 0 if ``ok``, else 1."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
+    sys.exit(0 if ok else 1)
+
+
+def _report(command, spec, resolution, results, tolerances, ok, output):
+    """Finish a command with its JSON report."""
+    report = {
+        "command": command,
+        "spec_hash": None if spec is None else spec_hash(spec),
+        "resolution": resolution,
+        "results": results,
+        "tolerances": tolerances,
+        "pass": bool(ok),
+    }
+    _finish(json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n", output, ok)
 
 
 _ALLOWED_NODES = (
@@ -238,6 +253,11 @@ def parse_tau(text):
     return np.array([complex(v[0], v[1]), complex(v[2], v[3])])
 
 
+# Option types: resolutions, grids and sample counts, and RNG seeds.
+_POSITIVE = click.IntRange(min=1)
+_SEED = click.IntRange(min=0)
+
+
 @click.group()
 def main():
     """Projective Hardy-space machinery on piecewise-smooth domains."""
@@ -245,10 +265,16 @@ def main():
 
 @main.command("check-domain")
 @click.argument("spec_name")
-@click.option("--samples", default=400, show_default=True, help="Ball samples per edge.")
-@click.option("--radius", default=0.05, show_default=True, help="Sampling ball radius.")
-@click.option("--resolution", default=8, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--samples", default=400, type=_POSITIVE, show_default=True, help="Ball samples per edge.")
+@click.option(
+    "--radius",
+    default=0.05,
+    type=click.FloatRange(min=0, min_open=True),
+    show_default=True,
+    help="Sampling ball radius.",
+)
+@click.option("--resolution", default=8, type=_POSITIVE, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
     """Validate a domain spec and probe its edges' local geometry."""
@@ -280,25 +306,16 @@ def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
             }
         )
 
-    report = {
-        "command": "check-domain",
-        "spec_hash": spec_hash(spec),
-        "resolution": resolution,
-        "results": results,
-        "tolerances": {"onlocus": 1e-10},
-        "pass": bool(report_pass),
-    }
-    emit(report, output)
-    sys.exit(0 if report_pass else 1)
+    _report("check-domain", spec, resolution, results, {"onlocus": 1e-10}, report_pass, output)
 
 
 @main.command("reproduce")
 @click.argument("spec_name")
 @click.option("--tau", required=True, help="Interior point re1,im1,re2,im2.")
 @click.option("--f", "f_expr", default="1", show_default=True, help="Holomorphic expression in z1, z2.")
-@click.option("--resolution", default=32, show_default=True)
-@click.option("--face-resolution", default=None, type=int)
-@click.option("--edge-resolution", default=None, type=int)
+@click.option("--resolution", default=32, type=_POSITIVE, show_default=True)
+@click.option("--face-resolution", default=None, type=_POSITIVE)
+@click.option("--edge-resolution", default=None, type=_POSITIVE)
 @click.option("--tolerance", default=1e-6, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def reproduce_cmd(
@@ -324,23 +341,7 @@ def reproduce_cmd(
         _precondition_failure(exc)
 
     ok = res["rel_err"] <= tolerance
-    report = {
-        "command": "reproduce",
-        "spec_hash": spec_hash(spec),
-        "resolution": resolution,
-        "results": [
-            {
-                "value": res["value"],
-                "expected": res["expected"],
-                "per_piece": res["per_piece"],
-                "rel_err": res["rel_err"],
-            }
-        ],
-        "tolerances": {"rel_err": tolerance},
-        "pass": bool(ok),
-    }
-    emit(report, output)
-    sys.exit(0 if ok else 1)
+    _report("reproduce", spec, resolution, [res], {"rel_err": tolerance}, ok, output)
 
 
 def _edge_invariants(d, points):
@@ -370,7 +371,7 @@ def _edge_invariants(d, points):
 @main.command("eta")
 @click.argument("spec_name")
 @click.option("--edge", default=0, show_default=True, help="Edge index.")
-@click.option("--grid", default=8, show_default=True, help="Grid points per chart axis.")
+@click.option("--grid", default=8, type=_POSITIVE, show_default=True, help="Grid points per chart axis.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--with-margins/--no-margins", default=False, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
@@ -420,23 +421,8 @@ def eta_cmd(spec_name, edge, grid, fmt, with_margins, output):
                 f"{r['params'][0]:.17g},{r['params'][1]:.17g},"
                 f"{r['kappa']:.17g},{r['eta_weight']:.17g},{m}"
             )
-        text = "\n".join(lines) + "\n"
-        if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
-    else:
-        report = {
-            "command": "eta",
-            "spec_hash": spec_hash(spec),
-            "resolution": grid,
-            "results": rows,
-            "tolerances": {"positive_weight": 0.0},
-            "pass": bool(all_ok),
-        }
-        emit(report, output)
-    sys.exit(0 if all_ok else 1)
+        _finish("\n".join(lines) + "\n", output, all_ok)
+    _report("eta", spec, grid, rows, {"positive_weight": 0.0}, all_ok, output)
 
 
 def _suite_simplex(rng, checks):
@@ -524,8 +510,6 @@ def _suite_laws(rng, checks):
         coeffs = tuple(rng.uniform(-1.0, 1.0, size=6))
         d = model_edge_domain(coeffs)
         predicted = apply_coordinate_change(coeffs, kind, param)
-        from .domain import transform_domain
-
         d2 = transform_domain(d, change_matrix(kind, param))
         nf = extract_normal_form(d2, np.array([0.0j, 0.0j]), frame=ident)
         got = nf.coeffs
@@ -574,7 +558,7 @@ _SUITES = {
 
 @main.command("selftest")
 @click.option("--suite", required=True, help="One of: " + ", ".join(sorted(_SUITES)))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def selftest_cmd(suite, seed, output):
     """Run an internal consistency suite."""
@@ -586,16 +570,7 @@ def selftest_cmd(suite, seed, output):
     checks = []
     _SUITES[suite](rng, checks)
     ok = all(c["passed"] for c in checks)
-    report = {
-        "command": "selftest",
-        "spec_hash": None,
-        "resolution": None,
-        "results": checks,
-        "tolerances": {"suite": suite},
-        "pass": bool(ok),
-    }
-    emit(report, output)
-    sys.exit(0 if ok else 1)
+    _report("selftest", None, None, checks, {"suite": suite}, ok, output)
 
 
 if __name__ == "__main__":

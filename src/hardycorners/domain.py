@@ -58,6 +58,7 @@ __all__ = [
     "transform_domain",
     "validate_domain",
     "canonical_spec",
+    "domain_from_spec",
 ]
 
 _NEWTON_TOL = 1e-12
@@ -424,14 +425,10 @@ class PwsDomain:
     counterexample fixture).
 
     A domain and its charts are treated as immutable once built:
-    :mod:`hardycorners.measures` caches per boundary piece and resolution,
-    for the domain's lifetime, both the tau-free factor of
-    :func:`~hardycorners.measures.reproduce` (keys ``("face" | "edge",
-    index, resolution)``; 80 bytes per face node, 144 per edge node) and
-    the measure piece of :func:`~hardycorners.measures.build_measure` (keys
-    ``("face_measure" | "edge_measure", index, resolution)``; 40 bytes per
-    node), in the one dict ``_cache``.  :func:`transform_domain` builds a
-    new domain, with a cache of its own.
+    :mod:`hardycorners.measures` caches each boundary piece's share of
+    ``reproduce`` and ``hardy_norm`` in ``_cache`` for the domain's
+    lifetime (its module docstring describes the layout).
+    :func:`transform_domain` builds a new domain, with a cache of its own.
     """
 
     hypersurfaces: list

@@ -16,33 +16,47 @@ actual reproducing formula: faces carry the smooth second-order Cauchy
 density, edges carry the corner kernel, and for holomorphic f the sum
 returns f at the interior point.
 
-Both kernels depend on the interior point tau only through a pairing: the
-face density is a tau-free factor over ``(g_hat . (z - tau))**2`` with
-``g_hat = g / |g|``, the corner kernel one over ``(tau . w1_hat)(tau .
-w2_hat)`` with the unit member hyperplanes.  And the measure does not depend
-on the section at all.  So each piece's share of both is built once per
-domain and resolution, on first use, and cached on the domain for its
-lifetime, in one dict keyed by ``(kind, index, resolution)``:
+Both are sums, over the same boundary pieces, of a node weight times the
+section.  Both kernels depend on the interior point tau only through a
+pairing: the face density is a tau-free factor over ``(g_hat . (z -
+tau))**2`` with ``g_hat = g / |g|``, the corner kernel one over ``(tau .
+w1_hat)(tau . w2_hat)`` with the unit member hyperplanes.  And the measure
+does not depend on the section at all.  So each piece's share of both is
+built once per domain and resolution, on first use, and cached on the
+domain for its lifetime, as one read-only :class:`_Piece` in the dict
+``PwsDomain._cache``, keyed by ``(kind, index, resolution)``:
 
 * ``"face"`` and ``"edge"``: the tau-free reproducing factor, i.e. the node
-  points, the unit gradients or hyperplanes, and one weight per node that
-  folds the quadrature weight, the orientation sign and the kernel factor.
-  80 bytes per face node (64 at a node where the density vanishes, which
-  keeps no weight), 144 per edge node (two unit hyperplanes);
+  points, the ``normals`` tau is paired with (unit gradients, or the two
+  unit member hyperplanes), and one weight per node that folds the
+  quadrature weight, the orientation sign and the kernel factor.  80 bytes
+  per face node (64 at a node where the density vanishes, which keeps no
+  weight), 144 per edge node;
 * ``"face_measure"`` and ``"edge_measure"``: the node points and one
-  combined weight per node (quadrature weight times measure density),
-  40 bytes per node.  The key holds the resolved edge resolution, so the
-  default and the same value given explicitly share one entry.
+  combined weight per node (quadrature weight times measure density), and
+  no ``normals``; 40 bytes per node.  The key holds the resolved edge
+  resolution, so the default and the same value given explicitly share one
+  entry.
 
 A later :func:`reproduce` call at any tau then costs one pairing, one
-section call and one contraction per piece, and a later :func:`hardy_norm`
-one section call and one contraction per piece.  Every check that does not
-depend on tau or the section (chart projection, vanishing gradients, the
-on-locus test of the strong tangents, degenerate orientation frames,
-non-positive edge weights) runs when an entry is built, and a failed build
-caches nothing; the pole checks, which depend on tau, and the section's
-shape check run on every call over every node.  The cached arrays are
-read-only, and domains and charts are treated as immutable once built.
+section call and one contraction (:meth:`_Piece.contract`) per piece, and a
+later :func:`hardy_norm` one section call and one contraction per piece.
+Every check that does not depend on tau or the section (chart projection,
+vanishing gradients, the on-locus test of the strong tangents, degenerate
+orientation frames, non-positive edge weights) runs when an entry is built,
+and a failed build caches nothing; the pole checks, which depend on tau,
+and the section's shape check run on every call over every node.  Domains
+and charts are treated as immutable once built, and
+:func:`~hardycorners.domain.transform_domain` builds a new domain with a
+cache of its own.
+
+A piece's factor entry and its measure entry each project the chart, on
+purpose.  Building both at once would make :func:`reproduce` fail wherever
+the edge weight does: on ``bidisk``, :func:`hardy_norm` and every node of
+the ``eta`` CLI raise "canonical slice requires negative transverse
+curvatures", while :func:`reproduce` is exact to rounding.  And caching one
+shared node set would keep its tangents (96 bytes per face node) alive for
+callers that use only one of the two.
 """
 
 from __future__ import annotations
@@ -140,32 +154,47 @@ def _section_on(f, points):
 
 
 @dataclass(frozen=True)
-class _MeasurePiece:
-    """One boundary piece of a discretized measure, as integration reads it.
+class _Piece:
+    """One boundary piece's cached share of :func:`reproduce` or :func:`hardy_norm`.
 
-    ``points`` ``(N, 2)`` are the piece's nodes and ``weights`` ``(N,)`` the
-    quadrature weights times the measure density there.  The arrays are
+    ``points`` ``(N, 2)`` are the piece's nodes and ``weights`` the node
+    weights; they cover the first ``len(weights)`` nodes, and the rest (the
+    Levi-flat nodes of a face factor, where the density vanishes) serve only
+    the pole check.  ``normals`` are what tau is paired with in a factor:
+    unit gradients ``(N, 2)`` on a face, the two unit member hyperplanes
+    ``(N, 2, 3)`` on an edge; a measure piece has none.  The arrays are
     read-only.
     """
 
     points: np.ndarray
     weights: np.ndarray
+    normals: np.ndarray | None = None
 
     def __post_init__(self):
-        for a in (self.points, self.weights):
-            a.flags.writeable = False
+        for a in (self.points, self.weights, self.normals):
+            if a is not None:
+                a.flags.writeable = False
 
     def __len__(self):
         return len(self.weights)
+
+    def contract(self, f, divisor=1.0):
+        """``sum(weights * f(points) / divisor)`` over the weighted nodes.
+
+        ``f`` is a section, called once on the weighted nodes; ``divisor`` is
+        a scalar or one value per weighted node.
+        """
+        return np.sum(self.weights * _section_on(f, self.points[: len(self)]) / divisor)
 
 
 @dataclass
 class BoundaryMeasure:
     """Discretized boundary measure: one node set per piece.
 
-    Each entry of ``face_nodes`` and ``edge_nodes`` holds the piece's nodes
-    as ``points`` ``(N, 2)`` and their combined weights (quadrature weight
-    times measure density) as ``weights`` ``(N,)``, both read-only.
+    Each entry of ``face_nodes`` and ``edge_nodes`` is a piece's cached
+    :class:`_Piece`: its nodes as ``points`` ``(N, 2)`` and their combined
+    weights (quadrature weight times measure density) as ``weights``
+    ``(N,)``, both read-only.
     """
 
     face_nodes: list
@@ -183,12 +212,8 @@ class BoundaryMeasure:
         ValueError
             If ``func`` returns any other shape.
         """
-
-        def piece(ns):
-            return float(np.real(np.sum(ns.weights * _section_on(func, ns.points))))
-
-        faces = [piece(ns) for ns in self.face_nodes]
-        edges = [piece(ns) for ns in self.edge_nodes]
+        faces = [float(np.real(p.contract(func))) for p in self.face_nodes]
+        edges = [float(np.real(p.contract(func))) for p in self.edge_nodes]
         return sum(faces) + sum(edges), faces, edges
 
 
@@ -196,13 +221,13 @@ def _face_measure(d, index, resolution):
     fc = d.faces[index]
     ns = fc.chart.nodes(resolution)
     dens = fefferman_density(d.rho(fc.hypersurface), ns.points, ns.tangents)
-    return _MeasurePiece(ns.points, ns.weights * dens)
+    return _Piece(ns.points, ns.weights * dens)
 
 
 def _edge_measure(d, index, resolution):
     ns = d.edges[index].chart.nodes(resolution)
     dens = edge_measure_density(eta(d, ns.points).eta_weight, ns.tangents)
-    return _MeasurePiece(ns.points, ns.weights * dens)
+    return _Piece(ns.points, ns.weights * dens)
 
 
 def build_measure(d, resolution=16, edge_resolution=None):
@@ -258,28 +283,6 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None):
     return {"total": total, "faces": faces, "edges": edges}
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """The tau-free part of one boundary piece's share of the reproducing formula.
-
-    ``points`` ``(N, 2)`` are the piece's nodes and ``normals`` what tau is
-    paired with there: unit gradients ``(N, 2)`` on a face, the two unit
-    member hyperplanes ``(N, 2, 3)`` on an edge.  ``weight`` folds the
-    quadrature weight, the orientation sign and the kernel's tau-free factor;
-    on a face it covers the first ``len(weight)`` nodes, those where the
-    density does not vanish, and the rest serve only the pole check.  The
-    arrays are read-only.
-    """
-
-    points: np.ndarray
-    normals: np.ndarray
-    weight: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.points, self.normals, self.weight):
-            a.flags.writeable = False
-
-
 def _face_factor(d, index, resolution):
     fc = d.faces[index]
     rho = d.rho(fc.hypersurface)
@@ -294,7 +297,7 @@ def _face_factor(d, index, resolution):
         order = np.argsort(~live, kind="stable")
         points, unit_grad, rows = points[order], unit_grad[order], order[: np.count_nonzero(live)]
     sgn = orientation_sign_face(rho, ns.points[rows], ns.tangents[rows])
-    return _Factor(points, unit_grad, ns.weights[rows] * sgn * dens[rows])
+    return _Piece(points, ns.weights[rows] * sgn * dens[rows], unit_grad)
 
 
 def _edge_factor(d, index, resolution):
@@ -303,7 +306,7 @@ def _edge_factor(d, index, resolution):
     planes, k = _corner_factor(strong_tangents(d, e, ns.points), ns.tangents)
     rhos = (d.rho(e.members[0]), d.rho(e.members[1]))
     sgn = orientation_sign_edge(rhos, ns.points, ns.tangents)
-    return _Factor(ns.points, planes, ns.weights * sgn * k)
+    return _Piece(ns.points, ns.weights * sgn * k, planes)
 
 
 _BUILDERS = {
@@ -323,19 +326,6 @@ def _cached(d, kind, index, resolution):
     if key not in d._cache:
         d._cache[key] = _BUILDERS[kind](d, index, resolution)
     return d._cache[key]
-
-
-def _face_value(factor, f, tau):
-    """One face's share of the reproducing formula."""
-    pairing = _leray_pairing(factor.points, factor.normals, tau)
-    n = len(factor.weight)
-    return complex(np.sum(factor.weight * _section_on(f, factor.points[:n]) / pairing[:n] ** 2))
-
-
-def _edge_value(factor, f, tau_hom):
-    """One edge's share of the reproducing formula."""
-    pairing = _corner_pairing(factor.normals, tau_hom)
-    return complex(np.sum(factor.weight * _section_on(f, factor.points) / pairing))
 
 
 def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=None):
@@ -372,14 +362,15 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     tau = np.asarray(tau, dtype=complex)
     tau_hom = homogenize(tau)
 
-    face_vals = [
-        _face_value(_cached(d, "face", i, face_resolution), f, tau)
-        for i in range(len(d.faces))
-    ]
-    edge_vals = [
-        _edge_value(_cached(d, "edge", i, edge_resolution), f, tau_hom)
-        for i in range(len(d.edges))
-    ]
+    face_vals = []
+    for i in range(len(d.faces)):
+        p = _cached(d, "face", i, face_resolution)
+        pairing = _leray_pairing(p.points, p.normals, tau)
+        face_vals.append(complex(p.contract(f, pairing[: len(p)] ** 2)))
+    edge_vals = []
+    for i in range(len(d.edges)):
+        p = _cached(d, "edge", i, edge_resolution)
+        edge_vals.append(complex(p.contract(f, _corner_pairing(p.normals, tau_hom))))
 
     value = sum(face_vals) + sum(edge_vals)
     expected = complex(f(tau))

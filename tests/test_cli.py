@@ -416,3 +416,27 @@ def test_non_transverse_edge_is_precondition_failure(runner, tmp_path):
         assert result.stderr.count("\n") == 1
         assert "member gradients are not transverse" in result.stderr
         assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["selftest", "--suite", "simplex", "--seed", "-1"],
+        ["check-domain", "bidisk", "--seed", "-1"],
+        ["check-domain", "bidisk", "--samples", "-1"],
+        ["check-domain", "bidisk", "--resolution", "0"],
+        ["check-domain", "bidisk", "--radius", "0"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--resolution", "-3"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--face-resolution", "0"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--edge-resolution", "-1"],
+        ["eta", "bidisk", "--grid", "0"],
+    ],
+)
+def test_out_of_range_numeric_option_is_input_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    errors = [ln for ln in result.stderr.splitlines() if ln.startswith("Error:")]
+    assert len(errors) == 1
+    assert f"Invalid value for '{args[-2]}': {args[-1]}" in errors[0]
+    assert "Traceback" not in result.stderr

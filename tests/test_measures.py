@@ -320,7 +320,7 @@ def test_cached_factor_arrays_are_read_only():
     d = _fresh("perturbed_bidisk")
     reproduce(d, _cubic, CACHE_TAU, resolution=6)
     for factor in d._cache.values():
-        for a in (factor.points, factor.normals, factor.weight):
+        for a in (factor.points, factor.normals, factor.weights):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -410,6 +410,25 @@ def test_failed_measure_build_caches_nothing(monkeypatch):
         assert not any(kind == "edge_measure" for kind, _, _ in d._cache)
     monkeypatch.undo()
     assert hardy_norm(d, _cubic, resolution=6) == hardy_norm(_fresh("perturbed_bidisk"), _cubic, resolution=6)
+
+
+@pytest.mark.parametrize("reproduce_first", [True, False])
+def test_factor_and_measure_entries_stay_apart(reproduce_first):
+    # One record type holds both kinds of entry, so a lookup that mixed them
+    # up would raise nothing; at equal resolutions only the kind tells them apart.
+    def run(d):
+        calls = [
+            lambda: reproduce(d, _cubic, CACHE_TAU, resolution=8),
+            lambda: hardy_norm(d, _cubic, resolution=8, edge_resolution=8),
+        ]
+        return [call() for call in (calls if reproduce_first else calls[::-1])]
+
+    d = _fresh("perturbed_bidisk")
+    assert run(d) == run(_fresh("perturbed_bidisk"))
+    assert len(d._cache) == len({id(entry) for entry in d._cache.values()}) == 6
+    for (kind, _, resolution), entry in d._cache.items():
+        assert resolution == 8
+        assert (entry.normals is None) == kind.endswith("_measure"), kind
 
 
 def _reproduce_node_by_node(d, f, tau, resolution):
