@@ -253,8 +253,9 @@ def parse_tau(text):
     return np.array([complex(v[0], v[1]), complex(v[2], v[3])])
 
 
-# Option types: resolutions, grids and sample counts, and RNG seeds.
+# Option types: sample counts, chart resolutions and grids (see Chart.grid), and RNG seeds.
 _POSITIVE = click.IntRange(min=1)
+_RESOLUTION = click.IntRange(min=4)
 _SEED = click.IntRange(min=0)
 
 
@@ -273,7 +274,7 @@ def main():
     show_default=True,
     help="Sampling ball radius.",
 )
-@click.option("--resolution", default=8, type=_POSITIVE, show_default=True)
+@click.option("--resolution", default=8, type=_RESOLUTION, show_default=True)
 @click.option("--seed", default=0, type=_SEED, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
@@ -313,9 +314,9 @@ def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
 @click.argument("spec_name")
 @click.option("--tau", required=True, help="Interior point re1,im1,re2,im2.")
 @click.option("--f", "f_expr", default="1", show_default=True, help="Holomorphic expression in z1, z2.")
-@click.option("--resolution", default=32, type=_POSITIVE, show_default=True)
-@click.option("--face-resolution", default=None, type=_POSITIVE)
-@click.option("--edge-resolution", default=None, type=_POSITIVE)
+@click.option("--resolution", default=32, type=_RESOLUTION, show_default=True)
+@click.option("--face-resolution", default=None, type=_RESOLUTION)
+@click.option("--edge-resolution", default=None, type=_RESOLUTION)
 @click.option("--tolerance", default=1e-6, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def reproduce_cmd(
@@ -371,7 +372,7 @@ def _edge_invariants(d, points):
 @main.command("eta")
 @click.argument("spec_name")
 @click.option("--edge", default=0, show_default=True, help="Edge index.")
-@click.option("--grid", default=8, type=_POSITIVE, show_default=True, help="Grid points per chart axis.")
+@click.option("--grid", default=8, type=_RESOLUTION, show_default=True, help="Grid points per chart axis.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--with-margins/--no-margins", default=False, show_default=True)
 @click.option("--output", type=click.Path(), default=None)

@@ -136,17 +136,31 @@ def _newton(kind, x, step):
 class Chart:
     """Base class: a parameterization of a face (3 params) or edge (2 params).
 
-    Subclasses define the quadrature grid (:meth:`grid`) and the vectorized
+    Subclasses set ``dim`` and ``radial`` and define the vectorized
     projection of parameter rows onto the locus (:meth:`project`); every
-    other method is built on those two.
+    other method is built on :meth:`grid` and :meth:`project`.  ``radial`` is
+    the length of a face chart's first (radial or polar) parameter interval,
+    and ``None`` on a chart whose axes are all periodic.
     """
 
     kind = "abstract"
     dim = 0
+    radial = None
 
     def grid(self, resolution):
-        """Deterministic quadrature grid: params ``(N, dim)`` and weights ``(N,)``."""
-        raise NotImplementedError
+        """Deterministic quadrature grid: params ``(N, dim)`` and weights ``(N,)``.
+
+        Each periodic axis carries ``resolution`` trapezoid nodes; a face
+        chart's first axis carries ``max(4, resolution // 2)`` Gauss-Legendre
+        nodes on ``[0, radial]``.  A resolution that is not an integer of at
+        least 4 raises ``ValueError``.
+        """
+        if not isinstance(resolution, (int, np.integer)) or resolution < 4:
+            raise ValueError(f"resolution must be an integer >= 4, got {resolution!r}")
+        rules = [trapezoid_rule(resolution)] * self.dim
+        if self.radial is not None:
+            rules[0] = gauss_rule(0.0, self.radial, max(4, resolution // 2))
+        return tensor_grid(rules)
 
     def project(self, params):
         """Points ``(N, 2)`` and tangents ``(N, dim, 2)`` at parameter rows ``(N, dim)``."""
@@ -181,6 +195,8 @@ class TorusChart(Chart):
     def __init__(self, rhos, r0=(1.0, 1.0)):
         if len(rhos) != 2:
             raise ValueError("torus2 chart needs exactly two defining functions")
+        if np.shape(r0) != (2,):
+            raise ValueError(f"torus2 chart r0 must be two radii, not {r0!r}")
         self.rhos = tuple(rhos)
         self.r0 = (float(r0[0]), float(r0[1]))
 
@@ -236,10 +252,6 @@ class TorusChart(Chart):
     def tangents(self, theta, phi):
         return self._at(theta, phi)[1]
 
-    def grid(self, resolution):
-        n = max(4, int(resolution))
-        return tensor_grid([trapezoid_rule(n), trapezoid_rule(n)])
-
     def quad_nodes(self, resolution):
         """Deterministic node list [(params, weight), ...] at a resolution."""
         return self._node_list(resolution)
@@ -280,6 +292,7 @@ class SpherePolarChart(Chart):
 
     kind = "sphere_polar"
     dim = 3
+    radial = np.pi / 2.0
 
     def __init__(self, rho, r0=1.0):
         self.rho = rho
@@ -305,12 +318,6 @@ class SpherePolarChart(Chart):
     def tangents(self, theta, alpha, beta):
         return self._at(theta, alpha, beta)[1]
 
-    def grid(self, resolution):
-        n = max(4, int(resolution))
-        return tensor_grid(
-            [gauss_rule(0.0, np.pi / 2.0, max(4, n // 2)), trapezoid_rule(n), trapezoid_rule(n)]
-        )
-
     def quad_nodes(self, resolution):
         """Deterministic node list [(params, weight), ...] at a resolution."""
         return self._node_list(resolution)
@@ -326,6 +333,7 @@ class GraphPatchChart(Chart):
 
     kind = "graph_patch"
     dim = 3
+    radial = 1.0
 
     def __init__(self, rho, solve="z1", disk_radius=1.0, r0=1.0):
         if solve not in ("z1", "z2"):
@@ -358,12 +366,6 @@ class GraphPatchChart(Chart):
     def tangents(self, r, phi, psi):
         return self._at(r, phi, psi)[1]
 
-    def grid(self, resolution):
-        n = max(4, int(resolution))
-        return tensor_grid(
-            [gauss_rule(0.0, 1.0, max(4, n // 2)), trapezoid_rule(n), trapezoid_rule(n)]
-        )
-
     def quad_nodes(self, resolution):
         """Deterministic node list [(params, weight), ...] at a resolution."""
         return self._node_list(resolution)
@@ -378,9 +380,7 @@ class TransformedChart(Chart):
         self.base = base
         self.tmap = tmap
         self.dim = base.dim
-
-    def grid(self, resolution):
-        return self.base.grid(resolution)
+        self.radial = base.radial
 
     def project(self, params):
         points, tangents = self.base.project(params)
@@ -478,24 +478,27 @@ def make_chart(spec, rhos_by_label, face_label=None, member_labels=None):
     """Build a catalog chart from its spec dict.
 
     ``rhos_by_label`` maps hypersurface labels to polynomials; face charts
-    bind the face's own polynomial, edge charts bind both members'.
+    bind the face's own polynomial (``face_label``), edge charts bind both
+    members' (``member_labels``).  A spec that is not a dict, or whose type
+    is not a chart of that kind of piece, raises ``ValueError``.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"chart must be an object with a 'type' field, not {spec!r}")
     ctype = spec.get("type")
-    if ctype == "torus2":
+    if ctype == "torus2" and member_labels is not None:
         rhos = [rhos_by_label[lab] for lab in member_labels]
         return TorusChart(rhos, r0=spec.get("r0", (1.0, 1.0)))
-    if ctype == "sphere_polar":
+    if ctype == "sphere_polar" and face_label is not None:
         return SpherePolarChart(rhos_by_label[face_label], r0=spec.get("r0", 1.0))
-    if ctype == "graph_patch":
+    if ctype == "graph_patch" and face_label is not None:
         return GraphPatchChart(
             rhos_by_label[face_label],
             solve=spec.get("solve", "z1"),
             disk_radius=spec.get("disk_radius", 1.0),
             r0=spec.get("r0", 1.0),
         )
-    raise ValueError(
-        f"unknown chart type {ctype!r}; catalog: torus2, sphere_polar, graph_patch"
-    )
+    piece, catalog = ("edge", "torus2") if face_label is None else ("face", "sphere_polar, graph_patch")
+    raise ValueError(f"{piece} chart type {ctype!r} is not one of {catalog}")
 
 
 def domain_from_spec(spec):
@@ -525,6 +528,8 @@ def domain_from_spec(spec):
 
     pts = []
     for p in spec.get("interior_points", []):
+        if np.shape(p) != (4,):
+            raise ValueError(f"interior point {p!r} must be four reals re1, im1, re2, im2")
         pts.append(np.array([complex(p[0], p[1]), complex(p[2], p[3])]))
 
     return PwsDomain(
@@ -730,7 +735,7 @@ def transform_domain(d, t):
 def _sample_points(chart, resolution):
     """Chart points at every ``resolution``-th node of its grid."""
     params, _ = chart.grid(resolution)
-    return chart.project(params[:: max(1, resolution)])[0]
+    return chart.project(params[::resolution])[0]
 
 
 def validate_domain(d, resolution=12):

@@ -129,17 +129,6 @@ class Poly:
             {(q1, p1, q2, p2): c.conjugate() for (p1, q1, p2, q2), c in self.terms.items()}
         )
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0 + 0.0j) + c
-        return Poly(out)
-
-    def __mul__(self, scalar):
-        return Poly({k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
     def is_zero(self):
         return not self.terms
 
@@ -291,8 +280,12 @@ class _Tokenizer:
                     i += 1
         if not digits:
             self.error("expected a number")
+        try:
+            value = float(text[start:i])
+        except ValueError:
+            self.error(f"malformed number {text[start:i]!r}", start)
         self.pos = i
-        return float(text[start:i])
+        return value
 
     def integer(self):
         self._skip_ws()

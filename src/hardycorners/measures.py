@@ -246,8 +246,9 @@ def build_measure(d, resolution=16, edge_resolution=None):
     ProjectionError
         If a chart's Newton projection does not converge.
     ValueError
-        If a face's defining function has a vanishing gradient at a node, or
-        an edge weight is not positive.
+        If a resolution is not an integer of at least 4
+        (:meth:`~hardycorners.domain.Chart.grid`), a face's defining function
+        has a vanishing gradient at a node, or an edge weight is not positive.
     """
     if edge_resolution is None:
         edge_resolution = max(6, resolution // 2)
@@ -348,7 +349,8 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     Raises
     ------
     ValueError
-        If ``f`` returns values of any other shape.
+        If ``f`` returns values of any other shape, or a resolution is not an
+        integer of at least 4 (:meth:`~hardycorners.domain.Chart.grid`).
     ZeroDivisionError
         If a tangent hyperplane at some boundary node passes through ``tau``
         (the formula's precondition fails).

@@ -317,10 +317,6 @@ class ProjMap:
             return NotImplemented
         return ProjMap(_unit_det(self.matrix @ other.matrix))
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3, dtype=complex))
-
 
 def _unit_det(m):
     d = np.linalg.det(m)

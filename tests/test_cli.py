@@ -210,7 +210,7 @@ def test_eta_csv_with_margins(runner):
             "eta",
             "perturbed_bidisk",
             "--grid",
-            "2",
+            "4",
             "--format",
             "csv",
             "--with-margins",
@@ -221,7 +221,7 @@ def test_eta_csv_with_margins(runner):
     assert all(float(r[4]) > 0 for r in rows)
     # each margin is the single-point probe at that node, to the last digit
     d = domain_from_spec(load_spec("perturbed_bidisk"))
-    ns = d.edges[0].chart.nodes(2)
+    ns = d.edges[0].chart.nodes(4)
     assert len(rows) == len(ns)
     for r, z in zip(rows, ns.points):
         conv = check_strict_convexity(d, z, t_grid=5, ambient_grid=8, local_radius=0.1)
@@ -229,7 +229,7 @@ def test_eta_csv_with_margins(runner):
 
 
 def test_eta_fails_on_flat_edge(runner):
-    result = runner.invoke(main, ["eta", "bidisk", "--grid", "2"])
+    result = runner.invoke(main, ["eta", "bidisk", "--grid", "4"])
     assert result.exit_code == 1
     report = _json_out(result)
     assert report["pass"] is False
@@ -260,8 +260,9 @@ def test_eta_flat_edge_reports_every_node(runner):
 
 
 def test_eta_rejects_missing_edge(runner):
-    result = runner.invoke(main, ["eta", "sphere", "--grid", "2"])
+    result = runner.invoke(main, ["eta", "sphere", "--grid", "4"])
     assert result.exit_code == 2
+    assert "edge index 0 out of range" in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +334,43 @@ def test_malformed_spec_file_is_input_error(runner, tmp_path, command):
     result = runner.invoke(main, command[:1] + [str(bad)] + command[1:])
     assert result.exit_code == 2
     assert result.stderr.startswith("invalid domain spec:")
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["faces", 0, "chart"], "graph_patch", "chart must be an object with a 'type' field"),
+        (["edges", 0, "chart", "r0"], [0.95], "torus2 chart r0 must be two radii"),
+        (["interior_points", 1], [0.1, 0.2], "interior point [0.1, 0.2] must be four reals"),
+        (["edges", 0, "chart"], {"type": "graph_patch"}, "edge chart type 'graph_patch'"),
+        (["faces", 0, "chart"], {"type": "torus2"}, "face chart type 'torus2'"),
+    ],
+    ids=[
+        "string_chart",
+        "short_r0",
+        "short_interior_point",
+        "face_chart_on_edge",
+        "edge_chart_on_face",
+    ],
+)
+@pytest.mark.parametrize(
+    "command", [["check-domain"], ["reproduce", "--tau", "0,0,0,0"], ["eta"]]
+)
+def test_malformed_spec_field_is_input_error(runner, tmp_path, path, value, message, command):
+    spec = load_spec("perturbed_bidisk")
+    *parents, last = path
+    field = spec
+    for key in parents:
+        field = field[key]
+    field[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    result = runner.invoke(main, command[:1] + [str(bad)] + command[1:])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("invalid domain spec:")
+    assert result.stderr.count("\n") == 1
+    assert message in result.stderr
     assert "Traceback" not in result.output
 
 
@@ -430,6 +468,11 @@ def test_non_transverse_edge_is_precondition_failure(runner, tmp_path):
         ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--face-resolution", "0"],
         ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--edge-resolution", "-1"],
         ["eta", "bidisk", "--grid", "0"],
+        ["check-domain", "bidisk", "--resolution", "3"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--resolution", "3"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--face-resolution", "3"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--edge-resolution", "2"],
+        ["eta", "bidisk", "--grid", "3"],
     ],
 )
 def test_out_of_range_numeric_option_is_input_error(runner, args):

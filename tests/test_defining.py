@@ -69,6 +69,13 @@ def test_parse_rejects_unbalanced_parens():
         parse_poly("abs2(z1")
 
 
+@pytest.mark.parametrize("text", ["1.2.3*abs2(z1) - 1", ".*abs2(z1)"])
+def test_parse_malformed_number_is_located(text):
+    with pytest.raises(PolyParseError, match="malformed number") as exc_info:
+        parse_poly(text)
+    assert exc_info.value.pos == 0
+
+
 def test_non_hermitian_terms_rejected():
     with pytest.raises(HermitianSymmetryError):
         parse_poly("abs2(z1) + z1 - 1")

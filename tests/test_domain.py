@@ -278,7 +278,7 @@ def test_strict_convexity_batch_equals_single_points(perturbed_bidisk, sphere):
     cases = [
         (perturbed_bidisk, perturbed_bidisk.edges[0].chart.nodes(8).points,
          {"t_grid": 5, "ambient_grid": 8, "local_radius": 0.1}),
-        (sphere, sphere.faces[0].chart.nodes(3).points, {}),
+        (sphere, sphere.faces[0].chart.nodes(4).points, {}),
     ]
     for d, points, kwargs in cases:
         batch = check_strict_convexity(d, points, **kwargs)

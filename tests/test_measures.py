@@ -337,6 +337,24 @@ def test_failed_factor_build_caches_nothing():
         assert not any(kind == "edge" for kind, _, _ in d._cache)
 
 
+@pytest.mark.parametrize("resolution", [1, 2, 3, 4.5])
+def test_resolution_is_an_integer_of_at_least_four(resolution):
+    d = _fresh("perturbed_bidisk")
+    match = "resolution must be an integer >= 4"
+    for chart in [f.chart for f in d.faces] + [e.chart for e in d.edges]:
+        with pytest.raises(ValueError, match=match):
+            chart.nodes(resolution)
+    with pytest.raises(ValueError, match=match):
+        reproduce(d, _cubic, CACHE_TAU, resolution=resolution)
+    with pytest.raises(ValueError, match=match):
+        hardy_norm(d, _cubic, resolution=resolution)
+    assert d._cache == {}
+    # the smallest grid is built once, under the value that names it
+    reproduce(d, _cubic, CACHE_TAU, resolution=4)
+    reproduce(d, _cubic, CACHE_TAU, resolution=np.int64(4))
+    assert sorted(d._cache) == [("edge", 0, 4), ("face", 0, 4), ("face", 1, 4)]
+
+
 # ---------------------------------------------------------------------------
 # Cached measure pieces
 
