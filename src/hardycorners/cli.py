@@ -95,19 +95,10 @@ def spec_hash(spec):
 
 
 def _jsonify(obj):
-    if isinstance(obj, complex):
+    """``json.dumps`` hook: complex values as [re, im] pairs, numpy values as Python ones."""
+    if isinstance(obj, (complex, np.complexfloating)):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    return obj
+    return obj.tolist()
 
 
 def _finish(text, output, ok):
@@ -130,7 +121,7 @@ def _report(command, spec, resolution, results, tolerances, ok, output):
         "tolerances": tolerances,
         "pass": bool(ok),
     }
-    _finish(json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n", output, ok)
+    _finish(json.dumps(report, indent=2, sort_keys=True, default=_jsonify) + "\n", output, ok)
 
 
 _ALLOWED_NODES = (
@@ -353,10 +344,7 @@ def _edge_invariants(d, points):
     """
     try:
         inv = edge_eta(d, points)
-        return [
-            {"kappa": k, "eta_weight": w}
-            for k, w in zip(inv.kappa.tolist(), inv.eta_weight.tolist())
-        ]
+        return [{"kappa": k, "eta_weight": w} for k, w in zip(inv.kappa, inv.eta_weight)]
     except ValueError:
         pass
     out = []

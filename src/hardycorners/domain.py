@@ -10,7 +10,8 @@ locus to 1e-12, and chart tangent vectors come from exact implicit
 differentiation, so downstream quadrature sees the locus to full precision.
 A chart projects its whole quadrature grid in one vectorized Newton solve
 and returns the result as a :class:`NodeSet` of arrays; a node that does not
-converge, or an edge node whose member gradients are not transverse, raises
+converge, or whose tangents are singular (edge member gradients that are not
+transverse, a face's rho flat along its solve direction), raises
 :class:`ProjectionError`.
 
 The tangent machinery at an edge point:
@@ -64,6 +65,7 @@ __all__ = [
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXITER = 80
 _ONLOCUS_TOL = 1e-10
+_MEMBER_TOL = 1e-8
 
 
 class ProjectionError(RuntimeError):
@@ -133,6 +135,21 @@ def _newton(kind, x, step):
     raise ProjectionError(kind, rows.size, len(x))
 
 
+def _check_tangents(kind, regular, reason):
+    """Raise :class:`ProjectionError` unless the tangents are regular at every node."""
+    if not np.all(regular):
+        reason = f"tangents are singular ({reason})"
+        raise ProjectionError(kind, np.sum(~regular), len(regular), reason)
+
+
+def _real(kind, name, value):
+    """A chart's numeric field as a float; ``ValueError`` naming the field if it is not one."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} chart {name} must be a real number, not {value!r}") from None
+
+
 class Chart:
     """Base class: a parameterization of a face (3 params) or edge (2 params).
 
@@ -198,7 +215,7 @@ class TorusChart(Chart):
         if np.shape(r0) != (2,):
             raise ValueError(f"torus2 chart r0 must be two radii, not {r0!r}")
         self.rhos = tuple(rhos)
-        self.r0 = (float(r0[0]), float(r0[1]))
+        self.r0 = tuple(_real(self.kind, "r0", x) for x in r0)
 
     @staticmethod
     def _jacobian(grads, e):
@@ -231,13 +248,7 @@ class TorusChart(Chart):
         z = r * e
         grads = self._grads(z)
         jac, det, regular = self._jacobian(grads, e)
-        if not np.all(regular):
-            raise ProjectionError(
-                self.kind,
-                np.sum(~regular),
-                len(z),
-                "tangents are singular (member gradients are not transverse)",
-            )
+        _check_tangents(self.kind, regular, "member gradients are not transverse")
         tangents = np.zeros((len(z), 2, 2), dtype=complex)
         for axis in (0, 1):
             dz = tangents[:, axis]
@@ -257,6 +268,11 @@ class TorusChart(Chart):
         return self._node_list(resolution)
 
 
+def _regular(dn):
+    """Rows whose derivative along the solve direction is nonzero and finite."""
+    return np.isfinite(dn) & (dn != 0)
+
+
 def _radial_newton(kind, rho, base, direction, s0):
     """Solve rho(base + s * direction) = 0 for s per row, from the start value s0."""
 
@@ -264,12 +280,15 @@ def _radial_newton(kind, rho, base, direction, s0):
         u = direction[rows]
         z = base[rows] + s[:, None] * u
         val = rho(z[:, 0], z[:, 1])
-        return val[:, None], val / _directional(_grad(rho, z), u)
+        dn = _directional(_grad(rho, z), u)
+        regular = _regular(dn)
+        # a singular row takes no step, so it stays unconverged
+        return val[:, None], np.where(regular, val / np.where(regular, dn, 1.0), 0.0)
 
     return _newton(kind, np.full(len(direction), s0), step)
 
 
-def _implicit_tangents(rho, z, explicit, direction):
+def _implicit_tangents(kind, rho, z, explicit, direction):
     """Complete explicit tangents (N, dim, 2) in place to tangents of {rho = 0}.
 
     ``explicit[:, a]`` is d(point)/d(param_a) with the solved modulus held
@@ -277,6 +296,7 @@ def _implicit_tangents(rho, z, explicit, direction):
     """
     g = _grad(rho, z)
     dn = _directional(g, direction)
+    _check_tangents(kind, _regular(dn), "rho has zero derivative along the solve direction")
     for a in range(explicit.shape[1]):
         dz = explicit[:, a]
         dz += (-_directional(g, dz) / dn)[:, None] * direction
@@ -296,7 +316,7 @@ class SpherePolarChart(Chart):
 
     def __init__(self, rho, r0=1.0):
         self.rho = rho
-        self.r0 = float(r0)
+        self.r0 = _real(self.kind, "r0", r0)
 
     def project(self, params):
         theta, alpha, beta = params.T
@@ -310,7 +330,7 @@ class SpherePolarChart(Chart):
         tangents[:, 0, 1] = s * (c * eb)
         tangents[:, 1, 0] = s * (1j * c * ea)
         tangents[:, 2, 1] = s * (1j * sn * eb)
-        return z, _implicit_tangents(self.rho, z, tangents, u)
+        return z, _implicit_tangents(self.kind, self.rho, z, tangents, u)
 
     def point(self, theta, alpha, beta):
         return self._at(theta, alpha, beta)[0]
@@ -340,8 +360,8 @@ class GraphPatchChart(Chart):
             raise ValueError("solve must be 'z1' or 'z2'")
         self.rho = rho
         self.solve = solve
-        self.disk_radius = float(disk_radius)
-        self.r0 = float(r0)
+        self.disk_radius = _real(self.kind, "disk_radius", disk_radius)
+        self.r0 = _real(self.kind, "r0", r0)
 
     def project(self, params):
         r, phi, psi = params.T
@@ -358,7 +378,7 @@ class GraphPatchChart(Chart):
         tangents[:, 0, 1 - si] = self.disk_radius * ephi
         tangents[:, 1, 1 - si] = 1j * self.disk_radius * r * ephi
         tangents[:, 2, si] = 1j * m * epsi
-        return z, _implicit_tangents(self.rho, z, tangents, eradial)
+        return z, _implicit_tangents(self.kind, self.rho, z, tangents, eradial)
 
     def point(self, r, phi, psi):
         return self._at(r, phi, psi)[0]
@@ -458,14 +478,14 @@ class PwsDomain:
     def contains(self, zhat):
         return bool(_membership_from_values(self, self.rho_values(zhat)))
 
-    def active_members(self, zhat, tol=1e-8):
-        """Hypersurfaces through a point, or through every row of an ``(N, 2)`` array."""
+    def active_members(self, zhat):
+        """Hypersurfaces with ``|rho| <= 1e-8`` at a point or at all rows of an ``(N, 2)`` array."""
         vals = self.rho_values(np.asarray(zhat).T)
-        return [i for i, v in enumerate(vals) if np.all(np.abs(v) <= tol)]
+        return [i for i, v in enumerate(vals) if np.all(np.abs(v) <= _MEMBER_TOL)]
 
-    def edge_at(self, zhat, tol=1e-8):
-        """The declared edge through a point, or through every row of an ``(N, 2)`` array."""
-        active = set(self.active_members(zhat, tol))
+    def edge_at(self, zhat):
+        """The declared edge whose members are the :meth:`active_members` (``|rho| <= 1e-8``)."""
+        active = set(self.active_members(zhat))
         for e in self.edges:
             if set(e.members) == active:
                 return e
@@ -503,28 +523,31 @@ def make_chart(spec, rhos_by_label, face_label=None, member_labels=None):
 
 def domain_from_spec(spec):
     """Assemble a :class:`PwsDomain` from a domain-spec dictionary."""
-    hyper = []
-    rhos_by_label = {}
+    hyper, index = [], {}
     for h in spec["hypersurfaces"]:
         label = h["label"]
-        rho = parse_poly(h["rho"])
-        hyper.append((label, rho))
-        if label in rhos_by_label:
+        hyper.append((label, parse_poly(h["rho"])))
+        if label in index:
             raise ValueError(f"duplicate hypersurface label {label!r}")
-        rhos_by_label[label] = rho
-    index = {label: i for i, (label, _) in enumerate(hyper)}
+        index[label] = len(index)
+    rhos_by_label = dict(hyper)
+
+    def declared(label, piece):
+        if label not in index:
+            raise ValueError(f"{piece} names hypersurface {label!r}, which is not declared")
+        return index[label]
 
     faces = []
-    for f in spec.get("faces", []):
+    for fi, f in enumerate(spec.get("faces", [])):
         lab = f["hypersurface"]
-        chart = make_chart(f["chart"], rhos_by_label, face_label=lab)
-        faces.append(Face(index[lab], chart))
+        i = declared(lab, f"face {fi}")
+        faces.append(Face(i, make_chart(f["chart"], rhos_by_label, face_label=lab)))
 
     edges = []
-    for e in spec.get("edges", []):
+    for ei, e in enumerate(spec.get("edges", [])):
         labs = list(e["members"])
-        chart = make_chart(e["chart"], rhos_by_label, member_labels=labs)
-        edges.append(Edge(tuple(index[lab] for lab in labs), chart))
+        members = tuple(declared(lab, f"edge {ei}") for lab in labs)
+        edges.append(Edge(members, make_chart(e["chart"], rhos_by_label, member_labels=labs)))
 
     pts = []
     for p in spec.get("interior_points", []):
@@ -546,19 +569,20 @@ def canonical_spec(spec):
     return json.dumps(spec, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def strong_tangents(d, e, zhat, tol=1e-8):
+def strong_tangents(d, e, zhat):
     """The member hypersurfaces' tangent hyperplanes at an edge point, in member order.
 
     For an ``(N, 2)`` array of edge points the basepoint and the planes of the
-    returned set are ``(N, 3)`` arrays of homogeneous coordinates.
+    returned set are ``(N, 3)`` arrays of homogeneous coordinates.  A point
+    where some member has ``|rho| > 1e-8`` raises ``ValueError``.
     """
     from .kernels import StrongTangentSet
 
     zhat = np.asarray(zhat, dtype=complex)
     for m in e.members:
-        if np.any(np.abs(d.rho(m)(zhat[..., 0], zhat[..., 1])) > tol):
+        if np.any(np.abs(d.rho(m)(zhat[..., 0], zhat[..., 1])) > _MEMBER_TOL):
             raise ValueError(
-                f"point is not on hypersurface {d.label(m)!r} within {tol}"
+                f"point is not on hypersurface {d.label(m)!r} within {_MEMBER_TOL}"
             )
     planes = tuple(gradient_hyperplane(d.rho(m), zhat) for m in e.members)
     basepoint = HomVec.from_affine(zhat) if zhat.ndim == 1 else homogenize(zhat)
@@ -602,7 +626,7 @@ def check_local_intersection(d, zhat, radius, samples, seed=0):
     non-member hypersurface changes sign inside the ball (radius too large
     for a purely local statement).
     """
-    members = d.active_members(zhat, tol=1e-8)
+    members = d.active_members(zhat)
     if not members:
         raise ValueError("point is not on the boundary of any hypersurface")
     rng = np.random.default_rng(seed)
@@ -656,7 +680,7 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
     ``per_t`` is an ``(N,)`` array and ``min_margin``/``strict`` are ``(N,)``.
     """
     zhat = np.asarray(zhat, dtype=complex)
-    members = d.active_members(zhat, tol=1e-8)
+    members = d.active_members(zhat)
     if not members:
         raise ValueError("point is not on the boundary")
     if len(members) >= 2:

@@ -170,7 +170,7 @@ def _monomial_str(key):
 class HermitianPoly(Poly):
     """A real-valued polynomial: coefficient table with Hermitian symmetry."""
 
-    def __init__(self, terms=None, _tol=1e-12):
+    def __init__(self, terms=None):
         super().__init__(terms)
         bad = []
         seen = set()
@@ -183,7 +183,7 @@ class HermitianPoly(Poly):
             seen.add(skey)
             sc = self.terms.get(skey, 0.0 + 0.0j)
             scale = max(abs(c), abs(sc), 1.0)
-            if abs(c - sc.conjugate()) > _tol * scale:
+            if abs(c - sc.conjugate()) > 1e-12 * scale:
                 bad.append((key, c, skey, sc))
         if bad:
             raise HermitianSymmetryError(bad)

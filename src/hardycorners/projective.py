@@ -199,13 +199,6 @@ class HomVec:
         z1, z2 = zhat
         return cls((1.0, complex(z1), complex(z2)), role)
 
-    def affine(self):
-        """Return (z1/z0, z2/z0); error on the hyperplane at infinity of the chart."""
-        z0, z1, z2 = self.coords
-        if abs(z0) <= 1e-300:
-            raise ZeroDivisionError("representative lies on the affinization pole z0 = 0")
-        return (z1 / z0, z2 / z0)
-
 
 def proj_equal(u, v, tol=1e-10):
     """Projective equality: proportional coordinates within relative *tol*.
@@ -230,7 +223,7 @@ def homogenize(zhat):
 
 
 def affinize(z):
-    """Numpy triple -> affine pair (z1/z0, z2/z0)."""
+    """Triple (or HomVec) -> affine pair (z1/z0, z2/z0); error on the pole z0 = 0."""
     a = _as_triple(z)
     if abs(a[0]) <= 1e-300:
         raise ZeroDivisionError("representative lies on the affinization pole z0 = 0")
@@ -309,20 +302,13 @@ class ProjMap:
         return _stack_last(jac, ndim=2)
 
     def inverse(self):
-        return ProjMap(_unit_det(np.linalg.inv(self.matrix)))
+        return normalize_map(np.linalg.inv(self.matrix))
 
     def __matmul__(self, other):
         """Composition: (self @ other) applies *other* first."""
         if not isinstance(other, ProjMap):
             return NotImplemented
-        return ProjMap(_unit_det(self.matrix @ other.matrix))
-
-
-def _unit_det(m):
-    d = np.linalg.det(m)
-    if abs(d) < 1e-300:
-        raise ValueError("singular matrix cannot define a projective map")
-    return m / _principal_cube_root(d)
+        return normalize_map(self.matrix @ other.matrix)
 
 
 def normalize_map(m):
@@ -349,7 +335,7 @@ def dual_map(t):
     """
     if not isinstance(t, ProjMap):
         t = normalize_map(t)
-    return ProjMap(_unit_det(np.linalg.inv(t.matrix).T))
+    return normalize_map(np.linalg.inv(t.matrix).T)
 
 
 def pair(z, w):

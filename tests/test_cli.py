@@ -345,6 +345,11 @@ def test_malformed_spec_file_is_input_error(runner, tmp_path, command):
         (["interior_points", 1], [0.1, 0.2], "interior point [0.1, 0.2] must be four reals"),
         (["edges", 0, "chart"], {"type": "graph_patch"}, "edge chart type 'graph_patch'"),
         (["faces", 0, "chart"], {"type": "torus2"}, "face chart type 'torus2'"),
+        (["faces", 0, "hypersurface"], "sheet9", "face 0 names hypersurface 'sheet9'"),
+        (["edges", 0, "members"], ["sheet1", "sheet9"], "edge 0 names hypersurface 'sheet9'"),
+        (["faces", 0, "chart", "disk_radius"], "abc", "graph_patch chart disk_radius must be a real"),
+        (["faces", 0, "chart", "r0"], "abc", "graph_patch chart r0 must be a real number"),
+        (["edges", 0, "chart", "r0"], ["abc", 1.0], "torus2 chart r0 must be a real number"),
     ],
     ids=[
         "string_chart",
@@ -352,6 +357,11 @@ def test_malformed_spec_file_is_input_error(runner, tmp_path, command):
         "short_interior_point",
         "face_chart_on_edge",
         "edge_chart_on_face",
+        "undeclared_face_hypersurface",
+        "undeclared_edge_member",
+        "text_disk_radius",
+        "text_face_r0",
+        "text_edge_r0",
     ],
 )
 @pytest.mark.parametrize(
@@ -438,6 +448,19 @@ def test_unconvergent_chart_is_precondition_failure(runner, tmp_path, command):
     assert result.exit_code == 3
     assert result.stderr.count("\n") == 1
     assert "graph_patch chart Newton projection did not converge" in result.stderr
+
+
+@pytest.mark.parametrize("name, kind", [("sphere", "sphere_polar"), ("perturbed_bidisk", "graph_patch")])
+def test_radial_chart_started_at_zero_is_precondition_failure(runner, tmp_path, name, kind):
+    # at modulus 0 the face's rho has zero derivative along the solve direction
+    spec = load_spec(name)
+    spec["faces"][0]["chart"]["r0"] = 0
+    p = tmp_path / "r0_zero.json"
+    p.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["check-domain", str(p)])
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"precondition failure: {kind} chart Newton projection")
+    assert result.stderr.count("\n") == 1
 
 
 def test_non_transverse_edge_is_precondition_failure(runner, tmp_path):

@@ -1,4 +1,4 @@
-"""The package's exports agree with its modules' ``__all__`` lists."""
+"""The package exports exactly its modules' ``__all__`` lists."""
 
 import importlib
 import pkgutil
@@ -28,3 +28,11 @@ def test_every_all_entry_exists():
     for module in _modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+def test_every_all_entry_is_a_package_export():
+    for module in _modules():
+        for name in getattr(module, "__all__", ()):
+            assert getattr(hardycorners, name, None) is getattr(module, name), (
+                f"hardycorners.{name} is not {module.__name__}.{name}"
+            )

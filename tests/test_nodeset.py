@@ -10,6 +10,7 @@ from hardycorners.domain import (
     GraphPatchChart,
     NodeSet,
     ProjectionError,
+    SpherePolarChart,
     TorusChart,
     domain_from_spec,
     transform_domain,
@@ -129,3 +130,27 @@ def test_singular_tangent_jacobian_is_named():
         chart.nodes(4)
     assert info.value.kind == "torus2"
     assert info.value.unconverged == info.value.total == 16
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        SpherePolarChart(parse_poly("abs2(z1) + abs2(z2) - 1"), r0=0),
+        GraphPatchChart(parse_poly("abs2(z1) + 0.1*abs2(z2) - 1"), r0=0),
+    ],
+    ids=["sphere_polar", "graph_patch"],
+)
+def test_radial_start_at_zero_derivative_leaves_rows_unconverged(chart):
+    # at modulus 0 rho has zero derivative along the solve direction, so no row steps
+    with pytest.raises(ProjectionError) as info:
+        chart.nodes(8)
+    assert info.value.unconverged == info.value.total
+
+
+def test_singular_radial_tangents_are_named():
+    # rho ignores the solved coordinate z1: the node at |z2| = 1/2 lies on the
+    # locus from the start, with zero derivative along the solve direction
+    chart = GraphPatchChart(parse_poly("abs2(z2) - 0.25"))
+    with pytest.raises(ProjectionError, match="tangents are singular") as info:
+        chart.project(np.array([[0.5, 0.0, 0.0]]))
+    assert info.value.kind == "graph_patch"

@@ -35,7 +35,7 @@ def test_homvec_affine_roundtrip():
     zhat = (0.3 + 0.1j, -0.7 - 0.2j)
     v = HomVec.from_affine(zhat)
     assert v.role == "point"
-    assert np.allclose(v.affine(), zhat)
+    assert np.allclose(affinize(v), zhat)
 
 
 def test_homvec_rejects_bad_role():
