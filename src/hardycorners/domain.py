@@ -404,10 +404,10 @@ class TransformedChart(Chart):
 
     def project(self, params):
         points, tangents = self.base.project(params)
-        moved = np.stack(self.tmap.affine(points), axis=-1)
-        jac = self.tmap.jacobian(points)[:, None]
+        image, jac = self.tmap._affine_and_jacobian(points)
+        jac = jac[:, None]
         pushed = jac[..., 0] * tangents[..., None, 0] + jac[..., 1] * tangents[..., None, 1]
-        return moved, pushed
+        return np.stack(image, axis=-1), pushed
 
     def point(self, *params):
         return self._at(*params)[0]
@@ -462,8 +462,9 @@ class PwsDomain:
         if self.membership not in ("intersection", "union"):
             raise ValueError("membership must be 'intersection' or 'union'")
         labels = [lab for lab, _ in self.hypersurfaces]
-        if len(set(labels)) != len(labels):
-            raise ValueError("hypersurface labels must be unique")
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"duplicate hypersurface label {label!r}")
 
     def rho(self, i):
         return self.hypersurfaces[i][1]
@@ -523,13 +524,10 @@ def make_chart(spec, rhos_by_label, face_label=None, member_labels=None):
 
 def domain_from_spec(spec):
     """Assemble a :class:`PwsDomain` from a domain-spec dictionary."""
-    hyper, index = [], {}
-    for h in spec["hypersurfaces"]:
-        label = h["label"]
-        hyper.append((label, parse_poly(h["rho"])))
-        if label in index:
-            raise ValueError(f"duplicate hypersurface label {label!r}")
-        index[label] = len(index)
+    hyper = [(h["label"], parse_poly(h["rho"])) for h in spec["hypersurfaces"]]
+    # Built first, so that its own checks run before any piece's label is resolved.
+    d = PwsDomain(hyper, [], [], membership=spec.get("membership", "intersection"))
+    index = {label: i for i, (label, _) in enumerate(hyper)}
     rhos_by_label = dict(hyper)
 
     def declared(label, piece):
@@ -537,31 +535,21 @@ def domain_from_spec(spec):
             raise ValueError(f"{piece} names hypersurface {label!r}, which is not declared")
         return index[label]
 
-    faces = []
     for fi, f in enumerate(spec.get("faces", [])):
         lab = f["hypersurface"]
         i = declared(lab, f"face {fi}")
-        faces.append(Face(i, make_chart(f["chart"], rhos_by_label, face_label=lab)))
+        d.faces.append(Face(i, make_chart(f["chart"], rhos_by_label, face_label=lab)))
 
-    edges = []
     for ei, e in enumerate(spec.get("edges", [])):
         labs = list(e["members"])
         members = tuple(declared(lab, f"edge {ei}") for lab in labs)
-        edges.append(Edge(members, make_chart(e["chart"], rhos_by_label, member_labels=labs)))
+        d.edges.append(Edge(members, make_chart(e["chart"], rhos_by_label, member_labels=labs)))
 
-    pts = []
     for p in spec.get("interior_points", []):
         if np.shape(p) != (4,):
             raise ValueError(f"interior point {p!r} must be four reals re1, im1, re2, im2")
-        pts.append(np.array([complex(p[0], p[1]), complex(p[2], p[3])]))
-
-    return PwsDomain(
-        hypersurfaces=hyper,
-        faces=faces,
-        edges=edges,
-        interior_points=pts,
-        membership=spec.get("membership", "intersection"),
-    )
+        d.interior_points.append(np.array([complex(p[0], p[1]), complex(p[2], p[3])]))
+    return d
 
 
 def canonical_spec(spec):

@@ -17,6 +17,11 @@ as exact :class:`fractions.Fraction` pairs; for those only modulus-level
 statements are branch-independent, and :func:`pull_back_section` uses the
 principal branch and flags the value as chart dependent.
 
+The pole rule, one for :func:`affinize`, :meth:`ProjMap.affine`,
+:meth:`ProjMap.jacobian` and :func:`pull_back_section`: a triple ``(out0,
+out1, out2)`` lies on the pole z0 = 0, and raises ``ZeroDivisionError`` before
+any division, when ``|out0| <= 1e-14 * max(|out0|, |out1|, |out2|)``.
+
 Small-matrix algebra on stacks of matrices (:func:`det2`, :func:`solve2`,
 :func:`det3`, :func:`inv3`, :func:`det4`) is written out in closed form and
 broadcasts over leading axes such as a node axis; on stacks of tiny
@@ -222,12 +227,18 @@ def homogenize(zhat):
     return np.concatenate([np.ones(zhat.shape[:-1] + (1,), dtype=complex), zhat], axis=-1)
 
 
+def _off_pole(out0, out1, out2, message="image lies on the affinization pole z0 = 0"):
+    """``(out1/out0, out2/out0)``, or ``ZeroDivisionError(message)`` if some point is on the pole."""
+    a0 = abs(out0)
+    # |out0| <= 1e-14 * max(|out0|, |out1|, |out2|), spelled without a max
+    if np.any((a0 <= 1e-14 * abs(out1)) | (a0 <= 1e-14 * abs(out2)) | (a0 == 0)):
+        raise ZeroDivisionError(message)
+    return (out1 / out0, out2 / out0)
+
+
 def affinize(z):
     """Triple (or HomVec) -> affine pair (z1/z0, z2/z0); error on the pole z0 = 0."""
-    a = _as_triple(z)
-    if abs(a[0]) <= 1e-300:
-        raise ZeroDivisionError("representative lies on the affinization pole z0 = 0")
-    return (a[1] / a[0], a[2] / a[0])
+    return _off_pole(*_as_triple(z), "representative lies on the affinization pole z0 = 0")
 
 
 def _principal_cube_root(c):
@@ -283,23 +294,23 @@ class ProjMap:
 
         For an ``(N, 2)`` array of points the pair holds two ``(N,)`` arrays.
         """
-        out0, out1, out2 = self._images(zhat)
-        a0 = abs(out0)
-        # |out0| <= 1e-14 * max(|out0|, |out1|, |out2|), spelled without a max
-        if np.any((a0 <= 1e-14 * abs(out1)) | (a0 <= 1e-14 * abs(out2)) | (a0 == 0)):
-            raise ZeroDivisionError("image lies on the affinization pole z0 = 0")
-        return (out1 / out0, out2 / out0)
+        return _off_pole(*self._images(zhat))
 
-    def jacobian(self, zhat):
-        """Exact complex 2x2 Jacobian of the affine action at *zhat* (on the last two axes)."""
+    def _affine_and_jacobian(self, zhat):
+        """:meth:`affine` and :meth:`jacobian` at *zhat*, from one evaluation of M @ (1, z1, z2)."""
         m = self._entries
         den, num1, num2 = self._images(zhat)
+        image = _off_pole(den, num1, num2)
         den2 = den**2
         jac = [
             [(m[i + 1][j + 1] * den - num * m[0][j + 1]) / den2 for j in (0, 1)]
             for i, num in ((0, num1), (1, num2))
         ]
-        return _stack_last(jac, ndim=2)
+        return image, _stack_last(jac, ndim=2)
+
+    def jacobian(self, zhat):
+        """Exact complex 2x2 Jacobian of the affine action at *zhat* (on the last two axes)."""
+        return self._affine_and_jacobian(zhat)[1]
 
     def inverse(self):
         return normalize_map(np.linalg.inv(self.matrix))
@@ -421,13 +432,11 @@ def pull_back_section(t, f, zhat):
         raise TypeError("f must be a Section (affine value function + bidegree)")
     z1, z2, shape = _as_points(*zhat)
     points = np.stack([z1, z2], axis=-1)
-    den = t.den(points)
-    if np.any(np.abs(den) <= 1e-14):
-        raise ZeroDivisionError(
-            "affine point lies on the pole hyperplane of this affinization"
-        )
+    den, out1, out2 = t._images(points)
+    image = _off_pole(
+        den, out1, out2, "affine point lies on the pole hyperplane of this affinization"
+    )
     j, k = f.bidegree
-    image = t.affine(points)
     half = j.denominator != 1 or k.denominator != 1
     value = _frac_power(den, j) * _frac_power(np.conj(den), k) * f(image)
     return SectionValue(

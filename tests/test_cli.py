@@ -384,6 +384,17 @@ def test_malformed_spec_field_is_input_error(runner, tmp_path, path, value, mess
     assert "Traceback" not in result.output
 
 
+def test_check_domain_duplicate_label_is_input_error(runner, tmp_path):
+    spec = load_spec("bidisk")
+    for h in spec["hypersurfaces"]:
+        h["label"] = "disk1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["check-domain", str(bad)])
+    assert result.exit_code == 2
+    assert result.stderr == "invalid domain spec: duplicate hypersurface label 'disk1'\n"
+
+
 def test_reproduce_section_evaluation_error_is_input_error(runner):
     result = runner.invoke(
         main,

@@ -9,6 +9,7 @@ import pytest
 from hardycorners.cli import load_spec
 from hardycorners.domain import (
     GraphPatchChart,
+    PwsDomain,
     SpherePolarChart,
     TorusChart,
     TransformedChart,
@@ -72,6 +73,12 @@ def test_domain_from_spec_rejects_unknown_member():
     spec["edges"][0]["members"] = ["disk1", "nope"]
     with pytest.raises((KeyError, ValueError)):
         domain_from_spec(spec)
+
+
+def test_pws_domain_rejects_duplicate_labels():
+    rho = parse_poly("abs2(z1) - 1")
+    with pytest.raises(ValueError, match="duplicate hypersurface label 'x'"):
+        PwsDomain([("x", rho), ("y", rho), ("x", rho)], [], [])
 
 
 def test_canonical_spec_is_key_order_independent():

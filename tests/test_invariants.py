@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardycorners.domain import transform_domain
+from hardycorners.domain import Edge, PwsDomain, TorusChart, transform_domain
 from hardycorners.hermpoly import transform_poly
+from hardycorners.measures import hardy_norm
 from hardycorners.normalforms import (
     NormalizedEdge,
     apply_coordinate_change,
@@ -23,7 +24,7 @@ from hardycorners.normalforms import (
     model_edge_polys,
     normalize_coeffs,
 )
-from hardycorners.projective import ProjMap, normalize_map
+from hardycorners.projective import ProjMap, Section, normalize_map, pull_back_section
 
 from conftest import random_unit_det_map
 
@@ -403,3 +404,43 @@ def test_eta_rejects_flat_edge(bidisk):
     zhat = np.array([np.exp(0.4j), np.exp(1.1j)])
     with pytest.raises(ValueError):
         eta(bidisk, zhat)
+
+
+# ---------------------------------------------------------------------------
+# Projective invariance of the boundary norm on independent nodes
+#
+# The image norm is computed on nodes that a chart of the moved domain lays
+# down itself, not on the images of the base nodes, so agreement checks the
+# invariance of the measure rather than a change of variables.
+
+
+def _norm_section(z):
+    return z[0] * z[1] ** 2 + 0.5
+
+
+def _pulled(g):
+    return lambda z: pull_back_section(g, Section(_norm_section, bidegree=(-2, 0)), z).value
+
+
+@pytest.mark.parametrize("t, tol", [(0.3, 1e-12), (0.6, 1e-8)])
+def test_sphere_norm_is_invariant_under_ball_boosts(sphere, t, tol):
+    # The boost fixes the unit ball, so both norms use the sphere's own nodes.
+    c, s = np.cosh(t), np.sinh(t)
+    g = normalize_map([[c, s, 0], [s, c, 0], [0, 0, 1]])
+    base = hardy_norm(sphere, _norm_section, resolution=32)["total"]
+    image = hardy_norm(sphere, _pulled(g), resolution=32)["total"]
+    assert abs(image - base) / base <= tol
+
+
+@pytest.mark.parametrize("scale, edge_resolution", [(0.02, 16), (0.06, 24)])
+def test_edge_norm_is_invariant_on_a_native_chart(perturbed_bidisk, scale, edge_resolution):
+    rng = np.random.default_rng(114)
+    base = hardy_norm(perturbed_bidisk, _norm_section, edge_resolution=edge_resolution)["edges"][0]
+    for _ in range(3):
+        g = random_unit_det_map(rng, scale)
+        moved = transform_domain(perturbed_bidisk, g)
+        members = moved.edges[0].members
+        chart = TorusChart([moved.rho(i) for i in members], r0=(0.95, 0.95))
+        native = PwsDomain(moved.hypersurfaces, [], [Edge(members, chart)])
+        image = hardy_norm(native, _pulled(g.inverse()), edge_resolution=edge_resolution)
+        assert abs(image["edges"][0] - base) / base <= 1e-11

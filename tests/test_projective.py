@@ -1,5 +1,6 @@
 """Homogeneous coordinates, projective maps, duality, and line-bundle sections."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hardycorners.domain import TransformedChart
 from hardycorners.projective import (
     HomVec,
     ProjMap,
@@ -157,6 +159,72 @@ def test_jacobian_determinant_is_inverse_cubed_denominator(rng):
         zhat = _random_point(rng)
         det = np.linalg.det(t.jacobian(zhat))
         assert np.isclose(det, t.den(zhat) ** -3, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The pole rule and one map evaluation per call
+
+# den = 1 + 2 z1 vanishes exactly at z1 = -1/2.
+SHEAR = [[1, 2, 0], [0, 1, 0], [0, 0, 1]]
+# At (0, 0) the image is (1e-13, 0, 100) up to scale: den is far above 1e-14
+# in absolute terms but below 1e-14 of the image's largest coordinate.
+NEAR_POLE = [[1e-13, 0, 0], [0, 1, 0], [100, 0, 1]]
+
+
+def _count_images(monkeypatch):
+    calls = []
+    images = ProjMap._images
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return images(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProjMap, "_images", counted)
+    return calls
+
+
+def test_pullback_evaluates_the_map_once(rng, monkeypatch):
+    t = random_unit_det_map(rng)
+    f = Section(lambda zhat: zhat[0] + 1.0, bidegree=(-2, 0))
+    points = np.array([_random_point(rng) for _ in range(5)])
+    calls = _count_images(monkeypatch)
+    pull_back_section(t, f, (points[:, 0], points[:, 1]))
+    assert len(calls) == 1
+
+
+def test_transformed_chart_projection_evaluates_the_map_once(bidisk, rng, monkeypatch):
+    chart = TransformedChart(bidisk.edges[0].chart, random_unit_det_map(rng, scale=0.05))
+    params, _ = chart.grid(4)
+    calls = _count_images(monkeypatch)
+    chart.project(params)
+    assert len(calls) == 1
+
+
+def test_pullback_applies_the_relative_pole_rule():
+    f = Section(lambda zhat: 1.0, bidegree=(-2, 0))
+    with pytest.raises(ZeroDivisionError, match="pole hyperplane"):
+        pull_back_section(normalize_map(NEAR_POLE), f, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("matrix, zhat", [(NEAR_POLE, (0.0, 0.0)), (SHEAR, (-0.5, 0.0))])
+def test_affinize_raises_wherever_affine_does(matrix, zhat):
+    t = normalize_map(matrix)
+    with pytest.raises(ZeroDivisionError):
+        t.affine(zhat)
+    with pytest.raises(ZeroDivisionError):
+        affinize(t.matrix @ homogenize(zhat))
+
+
+def test_jacobian_names_the_pole_without_warnings():
+    t = normalize_map(SHEAR)
+    batch = np.array([[0.1, 0.0], [-0.5, 0.0], [0.3j, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDivisionError, match="pole"):
+            t.jacobian((-0.5, 0.0))
+        with pytest.raises(ZeroDivisionError, match="pole"):
+            t.jacobian(batch)
+        assert np.all(np.isfinite(t.jacobian(batch[[0, 2]])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,130 @@
+"""Print one digest line per library result, to check that a change keeps every number.
+
+Run from the repository root with ``PYTHONPATH=src python tools/fingerprint.py``
+in two checkouts and ``diff`` the outputs: an empty diff means every chart node
+set, every ``reproduce`` and ``hardy_norm`` result (cold and warm) and every
+projective map evaluation below is bit-identical between them.  A result that
+raises prints its exception type and message in place of a digest, so a
+changed error shows too.
+
+Each line is ``<name> <sha256 prefix>``.  The digest covers the raw bytes,
+dtype and shape of every array in the result, or the ``repr`` of a result
+that is not an array.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import astuple
+from fractions import Fraction
+
+import numpy as np
+
+from hardycorners import (
+    ProjectionError,
+    Section,
+    domain_from_spec,
+    hardy_norm,
+    normalize_map,
+    pull_back_section,
+    reproduce,
+    transform_domain,
+)
+from hardycorners.cli import load_spec
+
+SPECS = ("bidisk", "perturbed_bidisk", "sphere", "wedge_union")
+RESOLUTIONS = (4, 5, 8, 17)
+TAU = np.array([0.1 + 0.05j, -0.2 + 0.1j])
+
+
+def _digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            a = np.ascontiguousarray(part)
+            h.update(f"{a.dtype}{a.shape}".encode())
+            h.update(a.tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def _line(name, compute):
+    try:
+        parts = compute()
+    except (ArithmeticError, ValueError, ProjectionError) as exc:  # the library's named errors
+        print(f"{name} raises {type(exc).__name__}: {exc}")
+        return
+    print(f"{name} {_digest(*parts)}")
+
+
+def _map(seed, scale):
+    rng = np.random.default_rng(seed)
+    m = np.eye(3) + scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return normalize_map(m), rng
+
+
+def _section(z):
+    return z[0] * z[1] ** 2 + 0.5
+
+
+def _domains():
+    """Fresh domains (empty piece caches) by name, with one projective image."""
+    out = {name: domain_from_spec(load_spec(name)) for name in SPECS}
+    out["perturbed_bidisk@map"] = transform_domain(out["perturbed_bidisk"], _map(114, 0.06)[0])
+    return out
+
+
+def _pieces(d):
+    return [(f"face{i}", fc.chart) for i, fc in enumerate(d.faces)] + [
+        (f"edge{i}", e.chart) for i, e in enumerate(d.edges)
+    ]
+
+
+def nodesets():
+    for name, d in _domains().items():
+        for piece, chart in _pieces(d):
+            for r in RESOLUTIONS:
+                _line(f"nodes {name} {piece} r{r}", lambda: astuple(chart.nodes(r)))
+
+
+def results():
+    for name, d in _domains().items():
+        for state in ("cold", "warm"):
+            _line(
+                f"reproduce {name} {state}",
+                lambda: (reproduce(d, _section, TAU, resolution=8, edge_resolution=8),),
+            )
+        for state in ("cold", "warm"):
+            _line(
+                f"hardy_norm {name} {state}",
+                lambda: (hardy_norm(d, _section, resolution=8, edge_resolution=8),),
+            )
+
+
+def maps():
+    bidegrees = ((-2, 0), (1, 1), (Fraction(-3, 2), Fraction(1, 2)))
+    for seed in range(5):
+        t, rng = _map(seed, 0.3)
+        points = 0.5 * (rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))
+        one = (complex(points[0, 0]), complex(points[0, 1]))
+        _line(f"affine map{seed} batch", lambda: t.affine(points))
+        _line(f"affine map{seed} point", lambda: t.affine(one))
+        _line(f"jacobian map{seed} batch", lambda: (t.jacobian(points),))
+        _line(f"jacobian map{seed} point", lambda: (t.jacobian(one),))
+        for j, k in bidegrees:
+            f = Section(_section, bidegree=(j, k))
+            for label, zhat in (("batch", (points[:, 0], points[:, 1])), ("point", one)):
+
+                def pulled():
+                    v = pull_back_section(t, f, zhat)
+                    basepoint = getattr(v.basepoint, "array", v.basepoint)
+                    return v.value, v.bidegree, basepoint, v.chart_dependent
+
+                _line(f"pull_back_section map{seed} ({j}, {k}) {label}", pulled)
+
+
+if __name__ == "__main__":
+    nodesets()
+    results()
+    maps()
