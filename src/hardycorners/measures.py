@@ -21,36 +21,41 @@ section.  Both kernels depend on the interior point tau only through a
 pairing: the face density is a tau-free factor over ``(g_hat . (z -
 tau))**2`` with ``g_hat = g / |g|``, the corner kernel one over ``(tau .
 w1_hat)(tau . w2_hat)`` with the unit member hyperplanes.  And the measure
-does not depend on the section at all.  So each piece's share of both is
-built once per domain and resolution, on first use, and cached on the
-domain for its lifetime, as one read-only :class:`_Piece` in the dict
-``PwsDomain._cache``, keyed by ``(kind, index, resolution)``:
+does not depend on the section at all.  So both are built once per domain
+and resolution, on first use, and cached on the domain for its lifetime in
+the dict ``PwsDomain._cache``; every array in an entry is read-only:
 
-* ``"face"`` and ``"edge"``: the tau-free reproducing factor, i.e. the node
+* ``("face", index, resolution)`` and ``("edge", index, resolution)``: one
+  piece's tau-free reproducing factor, a :class:`_Piece` holding the node
   points, the ``normals`` tau is paired with (unit gradients, or the two
   unit member hyperplanes), and one weight per node that folds the
   quadrature weight, the orientation sign and the kernel factor.  80 bytes
   per face node (64 at a node where the density vanishes, which keeps no
   weight), 144 per edge node;
-* ``"face_measure"`` and ``"edge_measure"``: the node points and one
-  combined weight per node (quadrature weight times measure density), and
-  no ``normals``; 40 bytes per node.  The key holds the resolved edge
-  resolution, so the default and the same value given explicitly share one
-  entry.
+* ``("measure", resolution, edge_resolution)``: the whole
+  :class:`BoundaryMeasure` at one resolution pair, with the resolved edge
+  resolution in the key, so the default and the same value given
+  explicitly share one entry.  It holds one ``(N, 2)`` array of all node
+  points and one array of combined weights (quadrature weight times measure
+  density), faces first, and no ``normals``: 40 bytes per node.  Each
+  piece's :class:`_Piece` is a view of its rows.  The face nodes are not
+  shared between two entries that differ only in the edge resolution; that
+  costs a second face build, once, and nothing on a warm call.
 
-A later :func:`reproduce` call at any tau then costs one pairing, one
-section call and one contraction (:meth:`_Piece.contract`) per piece, and a
-later :func:`hardy_norm` one section call and one contraction per piece.
-Every check that does not depend on tau or the section (chart projection,
-vanishing gradients, the on-locus test of the strong tangents, degenerate
-orientation frames, non-positive edge weights) runs when an entry is built,
-and a failed build caches nothing; the pole checks, which depend on tau,
-and the section's shape check run on every call over every node.  Domains
+A later :func:`reproduce` call at any tau then costs one pairing per piece,
+and one section call and one contraction (:meth:`_Piece.contract`) per piece
+that has weighted nodes; a later :func:`hardy_norm` costs one section call on
+all nodes of the measure and one sum per piece.  Every check that does not
+depend on tau or the section (chart projection, vanishing gradients, the
+on-locus test of the strong tangents, degenerate orientation frames,
+non-positive edge weights) runs when an entry is built, and a failed build
+caches nothing; the pole checks, which depend on tau, run on every call over
+every node, and the section's shape check on every section call.  Domains
 and charts are treated as immutable once built, and
 :func:`~hardycorners.domain.transform_domain` builds a new domain with a
 cache of its own.
 
-A piece's factor entry and its measure entry each project the chart, on
+A piece's factor entry and the measure entry each project the chart, on
 purpose.  Building both at once would make :func:`reproduce` fail wherever
 the edge weight does: on ``bidisk``, :func:`hardy_norm` and every node of
 the ``eta`` CLI raise "canonical slice requires negative transverse
@@ -144,7 +149,9 @@ def _section_on(f, points):
     """A section's values ``(N,)`` at ``(N, 2)`` points, from one call on their coordinate pair."""
     n = len(points)
     values = np.asarray(f((points[:, 0], points[:, 1])))
-    if values.shape not in ((), (n,)):
+    if values.shape == (n,):
+        return values
+    if values.shape:
         raise ValueError(
             "a section is called on the coordinate pair (z1, z2) of N points, two "
             f"arrays of shape ({n},), and must return shape ({n},) or a scalar; "
@@ -162,7 +169,8 @@ class _Piece:
     Levi-flat nodes of a face factor, where the density vanishes) serve only
     the pole check.  ``normals`` are what tau is paired with in a factor:
     unit gradients ``(N, 2)`` on a face, the two unit member hyperplanes
-    ``(N, 2, 3)`` on an edge; a measure piece has none.  The arrays are
+    ``(N, 2, 3)`` on an edge; a measure piece has none, and its arrays are
+    views of its rows of the :class:`BoundaryMeasure`.  The arrays are
     read-only.
     """
 
@@ -178,42 +186,54 @@ class _Piece:
     def __len__(self):
         return len(self.weights)
 
-    def contract(self, f, divisor=1.0):
+    def contract(self, f, divisor):
         """``sum(weights * f(points) / divisor)`` over the weighted nodes.
 
-        ``f`` is a section, called once on the weighted nodes; ``divisor`` is
-        a scalar or one value per weighted node.
+        ``f`` is a section, called once on the weighted nodes, and not at all
+        when there are none (the sum is then 0); ``divisor`` is a scalar or
+        one value per weighted node.
         """
+        if not len(self):
+            return 0.0
         return np.sum(self.weights * _section_on(f, self.points[: len(self)]) / divisor)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryMeasure:
-    """Discretized boundary measure: one node set per piece.
+    """Discretized boundary measure: one node set for all pieces, faces first.
 
-    Each entry of ``face_nodes`` and ``edge_nodes`` is a piece's cached
-    :class:`_Piece`: its nodes as ``points`` ``(N, 2)`` and their combined
-    weights (quadrature weight times measure density) as ``weights``
-    ``(N,)``, both read-only.
+    ``points`` ``(N, 2)`` are the nodes of every face and then every edge,
+    and ``weights`` ``(N,)`` their combined weights (quadrature weight times
+    measure density).  Each entry of ``face_nodes`` and ``edge_nodes`` is a
+    piece's :class:`_Piece`, whose ``points`` and ``weights`` are views of
+    that piece's rows.  All arrays are read-only.
     """
 
+    points: np.ndarray
+    weights: np.ndarray
     face_nodes: list
     edge_nodes: list
 
     def integrate(self, func):
         """Integrate a scalar function; returns (total, per-face, per-edge).
 
-        ``func`` follows the section convention: it is called once per piece
-        on the coordinate pair ``(z1, z2)`` of the piece's nodes, two ``(N,)``
-        arrays, and returns ``(N,)`` values or a scalar.
+        ``func`` follows the section convention: it is called once, on the
+        coordinate pair ``(z1, z2)`` of all ``N`` nodes, two ``(N,)`` arrays,
+        and returns ``(N,)`` values or a scalar.  Each piece's share is the
+        ``np.sum`` of its rows of ``weights * values``.
 
         Raises
         ------
         ValueError
             If ``func`` returns any other shape.
         """
-        faces = [float(np.real(p.contract(func))) for p in self.face_nodes]
-        edges = [float(np.real(p.contract(func))) for p in self.edge_nodes]
+        terms = self.weights * _section_on(func, self.points)
+        shares, start = [], 0
+        for piece in self.face_nodes + self.edge_nodes:
+            end = start + len(piece)
+            shares.append(float(np.real(np.sum(terms[start:end]))))
+            start = end
+        faces, edges = shares[: len(self.face_nodes)], shares[len(self.face_nodes) :]
         return sum(faces) + sum(edges), faces, edges
 
 
@@ -221,13 +241,30 @@ def _face_measure(d, index, resolution):
     fc = d.faces[index]
     ns = fc.chart.nodes(resolution)
     dens = fefferman_density(d.rho(fc.hypersurface), ns.points, ns.tangents)
-    return _Piece(ns.points, ns.weights * dens)
+    return ns.points, ns.weights * dens
 
 
 def _edge_measure(d, index, resolution):
     ns = d.edges[index].chart.nodes(resolution)
     dens = edge_measure_density(eta(d, ns.points).eta_weight, ns.tangents)
-    return _Piece(ns.points, ns.weights * dens)
+    return ns.points, ns.weights * dens
+
+
+def _measure(d, resolution, edge_resolution):
+    pieces = [_face_measure(d, i, resolution) for i in range(len(d.faces))] + [
+        _edge_measure(d, i, edge_resolution) for i in range(len(d.edges))
+    ]
+    bounds = np.cumsum([0] + [len(w) for _, w in pieces]).tolist()
+    rows = [slice(start, end) for start, end in zip(bounds, bounds[1:])]
+    points = np.empty((bounds[-1], 2), dtype=complex)
+    weights = np.empty(bounds[-1])
+    for (p, w), r in zip(pieces, rows):
+        points[r], weights[r] = p, w
+    for a in (points, weights):
+        a.flags.writeable = False
+    views = [_Piece(points[r], weights[r]) for r in rows]
+    nf = len(d.faces)
+    return BoundaryMeasure(points, weights, views[:nf], views[nf:])
 
 
 def build_measure(d, resolution=16, edge_resolution=None):
@@ -237,9 +274,11 @@ def build_measure(d, resolution=16, edge_resolution=None):
     :func:`fefferman_density` weight; edges with the cube-rooted edge weight
     from :func:`hardycorners.normalforms.eta` (computed exactly from the
     defining polynomials, in one call per edge) against the arc element.
-    ``edge_resolution`` defaults to ``max(6, resolution // 2)``.  Each piece
-    is built on first use and cached on ``d`` (see the module docstring), so
-    a later call at the same resolutions returns the same arrays.
+    ``edge_resolution`` defaults to ``max(6, resolution // 2)``.  The
+    measure is assembled on first use, as one node set of all pieces, and
+    cached on ``d`` under the resolution pair (see the module docstring), so
+    a later call at the same resolutions returns the same object, and
+    :meth:`BoundaryMeasure.integrate` calls its function once on all nodes.
 
     Raises
     ------
@@ -252,24 +291,21 @@ def build_measure(d, resolution=16, edge_resolution=None):
     """
     if edge_resolution is None:
         edge_resolution = max(6, resolution // 2)
-    return BoundaryMeasure(
-        face_nodes=[_cached(d, "face_measure", i, resolution) for i in range(len(d.faces))],
-        edge_nodes=[_cached(d, "edge_measure", i, edge_resolution) for i in range(len(d.edges))],
-    )
+    return _cached(d, "measure", resolution, edge_resolution)
 
 
 def hardy_norm(d, f, resolution=16, edge_resolution=None):
     """Squared boundary norm of a section against the full boundary measure.
 
     ``f`` is a section in the library's convention: it is called once per
-    boundary piece on the coordinate pair ``(z1, z2)`` of the piece's nodes,
-    two ``(N,)`` arrays, works elementwise and returns ``(N,)`` values (a
-    scalar result stands for every node).  Returns a dict with the total and
-    the per-face / per-edge contributions.  The measure comes from
-    :func:`build_measure`, which caches it on ``d``; so only the first call
-    at a resolution discretizes, and every call is one section call and one
-    contraction per piece.  The only discretization is the quadrature
-    resolution: the edge weights are exact up to rounding.
+    ``hardy_norm``, on the coordinate pair ``(z1, z2)`` of all the measure's
+    nodes (faces first, then edges), two ``(N,)`` arrays, works elementwise
+    and returns ``(N,)`` values (a scalar result stands for every node).
+    Returns a dict with the total and the per-face / per-edge contributions.
+    The measure comes from :func:`build_measure`, which caches it on ``d``;
+    so only the first call at a resolution pair discretizes, and every call
+    is one section call plus one sum per piece.  The only discretization is
+    the quadrature resolution: the edge weights are exact up to rounding.
 
     Raises
     ------
@@ -310,22 +346,17 @@ def _edge_factor(d, index, resolution):
     return _Piece(ns.points, ns.weights * sgn * k, planes)
 
 
-_BUILDERS = {
-    "face": _face_factor,
-    "edge": _edge_factor,
-    "face_measure": _face_measure,
-    "edge_measure": _edge_measure,
-}
+_BUILDERS = {"face": _face_factor, "edge": _edge_factor, "measure": _measure}
 
 
-def _cached(d, kind, index, resolution):
-    """A piece's cached entry of ``kind`` (a :data:`_BUILDERS` key), built on first use.
+def _cached(d, *key):
+    """The entry under ``key = (kind, *args)``, built by ``_BUILDERS[kind](d, *args)`` on first use.
 
     The one lookup path of the per-domain cache; a failed build caches nothing.
     """
-    key = (kind, index, resolution)
     if key not in d._cache:
-        d._cache[key] = _BUILDERS[kind](d, index, resolution)
+        kind, *args = key
+        d._cache[key] = _BUILDERS[kind](d, *args)
     return d._cache[key]
 
 
@@ -337,14 +368,18 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     conormals.  Each piece's tau-free factor (its node set, unit gradients
     or hyperplanes, and folded weights) is built on the first call at a
     resolution and cached on ``d`` (see the module docstring); every call
-    pairs it with ``tau``, calls ``f`` once and contracts over the node
-    axis.  Returns a dict with the recovered value, the directly evaluated
-    reference ``f(tau)``, per-piece contributions and the relative error.
+    pairs it with ``tau`` over all its nodes (the pole check), calls ``f``
+    once on the weighted nodes and contracts over the node axis.  Returns a
+    dict with the recovered value, the directly evaluated reference
+    ``f(tau)``, per-piece contributions and the relative error.
 
     ``f`` is a section in the library's convention: it is called once per
-    boundary piece on the coordinate pair ``(z1, z2)`` of the piece's nodes,
-    two ``(N,)`` arrays, works elementwise and returns ``(N,)`` values (a
-    scalar result stands for every node); ``f(tau)`` is the one-point case.
+    boundary piece on the coordinate pair ``(z1, z2)`` of the piece's
+    weighted nodes, two ``(N,)`` arrays, works elementwise and returns
+    ``(N,)`` values (a scalar result stands for every node); ``f(tau)`` is
+    the one-point case.  A piece with no weighted nodes (a Levi-flat face,
+    where the density vanishes everywhere) is not passed to ``f`` and
+    contributes 0.
 
     Raises
     ------

@@ -70,6 +70,12 @@ def _as_points(z1, z2):
     return z1, z2, z1.shape
 
 
+def _affine_pair(zhat):
+    """The coordinate pair ``(z1, z2)`` of an affine point, or of an ``(..., 2)`` array of them."""
+    zhat = np.asarray(zhat, dtype=complex)
+    return _as_points(zhat[..., 0], zhat[..., 1])[:2]
+
+
 def _stack_last(values, ndim=1):
     """Evaluations nested ``ndim`` lists deep, as an array with the nesting as its last axes."""
     out = np.array(values, dtype=complex)
@@ -221,17 +227,27 @@ def proj_equal(u, v, tol=1e-10):
     return bool(np.max(np.abs(a / a[i] - b / b[i])) <= tol)
 
 
+def _lift(z1, z2):
+    """The representatives (1, z1, z2) of a coordinate pair, on a new last axis."""
+    out = np.empty(np.shape(z1) + (3,), dtype=complex)
+    out[..., 0] = 1.0
+    out[..., 1] = z1
+    out[..., 2] = z2
+    return out
+
+
 def homogenize(zhat):
     """Affine pair (z1, z2) -> numpy triple (1, z1, z2); (N, 2) arrays -> (N, 3)."""
     zhat = np.asarray(zhat, dtype=complex)
-    return np.concatenate([np.ones(zhat.shape[:-1] + (1,), dtype=complex), zhat], axis=-1)
+    return _lift(zhat[..., 0], zhat[..., 1])
 
 
 def _off_pole(out0, out1, out2, message="image lies on the affinization pole z0 = 0"):
     """``(out1/out0, out2/out0)``, or ``ZeroDivisionError(message)`` if some point is on the pole."""
     a0 = abs(out0)
-    # |out0| <= 1e-14 * max(|out0|, |out1|, |out2|), spelled without a max
-    if np.any((a0 <= 1e-14 * abs(out1)) | (a0 <= 1e-14 * abs(out2)) | (a0 == 0)):
+    # |out0| <= 1e-14 * max(|out0|, |out1|, |out2|): the |out0| term matters
+    # only at out0 = 0, and fmax, like the rule, ignores a NaN operand.
+    if np.any((a0 <= 1e-14 * np.fmax(abs(out1), abs(out2))) | (a0 == 0)):
         raise ZeroDivisionError(message)
     return (out1 / out0, out2 / out0)
 
@@ -279,27 +295,28 @@ class ProjMap:
         """The matrix entries as Python complex numbers, for scalar arithmetic."""
         return self.matrix.tolist()
 
-    def _images(self, zhat, count=3):
-        """The first ``count`` coordinates of M @ (1, z1, z2), elementwise over arrays of points."""
-        zhat = np.asarray(zhat, dtype=complex)
-        z1, z2, _ = _as_points(zhat[..., 0], zhat[..., 1])
+    def _images(self, z1, z2, count=3):
+        """The first ``count`` coordinates of M @ (1, z1, z2), elementwise over a coordinate pair.
+
+        ``(z1, z2)`` is as :func:`_as_points` returns it.
+        """
         return [m0 + m1 * z1 + m2 * z2 for m0, m1, m2 in self._entries[:count]]
 
     def den(self, zhat):
         """Homogeneous denominator M00 + M01*z1 + M02*z2 at an affine point."""
-        return self._images(zhat, 1)[0]
+        return self._images(*_affine_pair(zhat), 1)[0]
 
     def affine(self, zhat):
         """Apply as a fractional-linear map on affine pairs.
 
         For an ``(N, 2)`` array of points the pair holds two ``(N,)`` arrays.
         """
-        return _off_pole(*self._images(zhat))
+        return _off_pole(*self._images(*_affine_pair(zhat)))
 
     def _affine_and_jacobian(self, zhat):
         """:meth:`affine` and :meth:`jacobian` at *zhat*, from one evaluation of M @ (1, z1, z2)."""
         m = self._entries
-        den, num1, num2 = self._images(zhat)
+        den, num1, num2 = self._images(*_affine_pair(zhat))
         image = _off_pole(den, num1, num2)
         den2 = den**2
         jac = [
@@ -431,17 +448,20 @@ def pull_back_section(t, f, zhat):
     if not isinstance(f, Section):
         raise TypeError("f must be a Section (affine value function + bidegree)")
     z1, z2, shape = _as_points(*zhat)
-    points = np.stack([z1, z2], axis=-1)
-    den, out1, out2 = t._images(points)
+    den, out1, out2 = t._images(z1, z2)
     image = _off_pole(
         den, out1, out2, "affine point lies on the pole hyperplane of this affinization"
     )
     j, k = f.bidegree
     half = j.denominator != 1 or k.denominator != 1
-    value = _frac_power(den, j) * _frac_power(np.conj(den), k) * f(image)
+    factor = _frac_power(den, j)
+    if k:
+        factor = factor * _frac_power(np.conj(den), k)
+    # One point's value is a numpy complex whatever the bidegree.
+    value = _value(factor, np.complex128) * f(image)
     return SectionValue(
         value=value,
         bidegree=(j, k),
-        basepoint=HomVec.from_affine((z1, z2)) if shape is None else homogenize(points),
+        basepoint=HomVec.from_affine((z1, z2)) if shape is None else _lift(z1, z2),
         chart_dependent=half,
     )

@@ -262,6 +262,26 @@ def test_reproduce_raises_on_boundary_pole(bidisk):
         reproduce(bidisk, lambda z: 1.0, tau, face_resolution=6, edge_resolution=5)
 
 
+def test_reproduce_does_not_call_the_section_on_levi_flat_faces():
+    # The bidisk's faces keep no weighted node, so the section sees only the
+    # edge's nodes and tau, cold and warm alike.
+    d = domain_from_spec(load_spec("bidisk"))
+    calls = []
+
+    def f(z):
+        calls.append(np.shape(z[0]))
+        return z[0] * z[1] ** 2 + 0.5
+
+    tau = np.array([0.2 + 0.1j, -0.3 + 0.05j])
+    for _ in range(2):
+        calls.clear()
+        out = reproduce(d, f, tau, resolution=24, face_resolution=6)
+        assert calls == [(24 * 24,), ()]
+        assert out["per_piece"]["faces"] == [0j, 0j]
+        assert out["rel_err"] < 1e-10
+    assert [len(d._cache[("face", i, 6)]) for i in (0, 1)] == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Cached tau-free factors
 
@@ -360,13 +380,13 @@ def test_resolution_is_an_integer_of_at_least_four(resolution):
 
 
 def _measure_keys(d):
-    return sorted(key for key in d._cache if key[0].endswith("_measure"))
+    return sorted(key for key in d._cache if key[0] == "measure")
 
 
 def test_hardy_norm_is_bit_identical_warm_and_fresh():
     d = _fresh("perturbed_bidisk")
     first = hardy_norm(d, _cubic, resolution=8, edge_resolution=6)
-    assert _measure_keys(d) == [("edge_measure", 0, 6), ("face_measure", 0, 8), ("face_measure", 1, 8)]
+    assert _measure_keys(d) == [("measure", 8, 6)]
     second = hardy_norm(d, _cubic, resolution=8, edge_resolution=6)
     fresh = hardy_norm(_fresh("perturbed_bidisk"), _cubic, resolution=8, edge_resolution=6)
     assert first == second == fresh
@@ -376,7 +396,8 @@ def test_default_edge_resolution_shares_the_explicit_entry():
     d = _fresh("perturbed_bidisk")
     default = build_measure(d, resolution=12)
     explicit = build_measure(d, resolution=12, edge_resolution=6)
-    assert _measure_keys(d) == [("edge_measure", 0, 6), ("face_measure", 0, 12), ("face_measure", 1, 12)]
+    assert _measure_keys(d) == [("measure", 12, 6)]
+    assert explicit is default
     assert explicit.edge_nodes[0] is default.edge_nodes[0]
 
 
@@ -389,7 +410,7 @@ def test_measure_cache_keys_on_resolution(order):
         got = hardy_norm(d, _cubic, resolution=res, edge_resolution=edge_res)
         want = hardy_norm(_fresh("perturbed_bidisk"), _cubic, resolution=res, edge_resolution=edge_res)
         assert got == want
-    assert len(_measure_keys(d)) == 6
+    assert _measure_keys(d) == [("measure", 6, 8), ("measure", 8, 6)]
 
 
 def test_transformed_domain_builds_its_own_measure(rng):
@@ -409,10 +430,48 @@ def test_transformed_domain_builds_its_own_measure(rng):
 def test_cached_measure_arrays_are_read_only():
     d = _fresh("perturbed_bidisk")
     m = build_measure(d, resolution=6)
+    for a in (m.points, m.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # Each piece's arrays are views of its rows of the one node set, faces first.
+    start = 0
     for piece in m.face_nodes + m.edge_nodes:
-        for a in (piece.points, piece.weights):
+        end = start + len(piece)
+        for a, whole in ((piece.points, m.points), (piece.weights, m.weights)):
+            assert np.shares_memory(a, whole)
+            np.testing.assert_array_equal(a, whole[start:end])
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+        start = end
+    assert start == len(m.points) == len(m.weights)
+
+
+def test_warm_hardy_norm_calls_the_section_once_on_all_nodes():
+    d = _fresh("perturbed_bidisk")
+    hardy_norm(d, _cubic, resolution=8, edge_resolution=6)
+    calls = []
+
+    def f(z):
+        calls.append(z[0].shape)
+        return _cubic(z)
+
+    warm = hardy_norm(d, f, resolution=8, edge_resolution=6)
+    assert calls == [build_measure(d, resolution=8, edge_resolution=6).points[:, 0].shape]
+    assert calls == [(2 * 8 * 4 * 8 + 6 * 6,)]
+    assert warm == hardy_norm(_fresh("perturbed_bidisk"), _cubic, resolution=8, edge_resolution=6)
+
+
+def test_measure_shares_are_the_sums_over_each_piece():
+    m = build_measure(_fresh("perturbed_bidisk"), resolution=8, edge_resolution=6)
+
+    def func(z):
+        return np.abs(_cubic(z)) ** 2
+
+    total, faces, edges = m.integrate(func)
+    for share, piece in zip(faces + edges, m.face_nodes + m.edge_nodes):
+        values = func((piece.points[:, 0], piece.points[:, 1]))
+        assert share == np.sum(piece.weights * values)
+    assert total == sum(faces) + sum(edges)
 
 
 def test_failed_measure_build_caches_nothing(monkeypatch):
@@ -425,7 +484,7 @@ def test_failed_measure_build_caches_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="edge weight must be positive"):
             hardy_norm(d, _cubic, resolution=6)
-        assert not any(kind == "edge_measure" for kind, _, _ in d._cache)
+        assert not any(kind == "measure" for kind, _, _ in d._cache)
     monkeypatch.undo()
     assert hardy_norm(d, _cubic, resolution=6) == hardy_norm(_fresh("perturbed_bidisk"), _cubic, resolution=6)
 
@@ -443,10 +502,12 @@ def test_factor_and_measure_entries_stay_apart(reproduce_first):
 
     d = _fresh("perturbed_bidisk")
     assert run(d) == run(_fresh("perturbed_bidisk"))
-    assert len(d._cache) == len({id(entry) for entry in d._cache.values()}) == 6
-    for (kind, _, resolution), entry in d._cache.items():
+    assert len(d._cache) == len({id(entry) for entry in d._cache.values()}) == 4
+    assert d._cache[("measure", 8, 8)] is build_measure(d, resolution=8, edge_resolution=8)
+    for (kind, *_, resolution), entry in d._cache.items():
         assert resolution == 8
-        assert (entry.normals is None) == kind.endswith("_measure"), kind
+        pieces = entry.face_nodes + entry.edge_nodes if kind == "measure" else [entry]
+        assert all((p.normals is None) == (kind == "measure") for p in pieces), kind
 
 
 def _reproduce_node_by_node(d, f, tau, resolution):

@@ -13,6 +13,7 @@ from hardycorners.projective import (
     HomVec,
     ProjMap,
     Section,
+    _off_pole,
     affinize,
     dual_map,
     homogenize,
@@ -215,6 +216,61 @@ def test_affinize_raises_wherever_affine_does(matrix, zhat):
         affinize(t.matrix @ homogenize(zhat))
 
 
+def _three_comparison_rule(out0, out1, out2):
+    """Reference: the pole rule written as one comparison per coordinate."""
+    a0 = abs(out0)
+    return bool(np.any((a0 <= 1e-14 * abs(out1)) | (a0 <= 1e-14 * abs(out2)) | (a0 == 0)))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_ON = 1e-14 * 3.0  # exactly on the threshold of max(|out1|, |out2|) = 3
+_TIES = np.nextafter(_ON, [0.0, 1.0])  # the neighbours just below and above it
+POLE_TABLE = [
+    (0.0, 0.0, 0.0),
+    (0.0, 1.0, 2.0),
+    (0.0j, _NAN, _NAN),
+    (1.0, _NAN, 2.0),
+    (1e-15, _NAN, 2.0),
+    (1e-15, 2.0, _NAN),
+    (1e-15, _NAN, _NAN),
+    (_NAN, 1.0, 1.0),
+    (1.0, _INF, 0.0),
+    (1.0, 0.0, -_INF),
+    (_INF, 1.0, 1.0),
+    (_INF, _INF, _INF),
+    (_ON, 3.0, 1.0),
+    (_ON, 1.0, 3.0),
+    (_ON * 1j, 3.0j, -1.0),
+    (_TIES[0], 3.0, 3.0),
+    (_TIES[1], 3.0, 3.0),
+    (_TIES[1], 1.0, -3.0),
+    (_TIES[1], _NAN, 3.0),
+    (1e-300, 1e-286, 0.0),
+    (2e-300, 1e-286, 0.0),
+    (5e-324, 1e-309, 0.0),
+    (2e-323, 1e-309, 0.0),
+]
+
+
+@pytest.mark.parametrize("row", POLE_TABLE)
+def test_pole_rule_decides_as_one_comparison_per_coordinate(row):
+    expected = _three_comparison_rule(*(np.complex128(x) for x in row))
+    for triple in ([complex(x) for x in row], [np.array([x, 0.5], dtype=complex) for x in row]):
+        with np.errstate(all="ignore"):
+            try:
+                _off_pole(*triple)
+            except ZeroDivisionError:
+                raised = True
+            else:
+                raised = False
+        assert raised == expected, triple
+
+
+def test_pole_rule_table_covers_both_decisions():
+    decisions = [_three_comparison_rule(*(np.complex128(x) for x in row)) for row in POLE_TABLE]
+    assert 0 < sum(decisions) < len(decisions)
+
+
 def test_jacobian_names_the_pole_without_warnings():
     t = normalize_map(SHEAR)
     batch = np.array([[0.1, 0.0], [-0.5, 0.0], [0.3j, 0.2]])
@@ -299,6 +355,41 @@ def test_pullback_on_a_batch_equals_pointwise_calls(rng, bidegree):
     assert np.allclose(batch.value, [s.value for s in single], rtol=1e-14, atol=0)
     assert batch.chart_dependent == single[0].chart_dependent
     assert np.allclose(batch.basepoint[2], single[2].basepoint.array)
+
+
+def _cubic(zhat):
+    return zhat[0] ** 2 - 0.5 * zhat[1] + 1.0
+
+
+@pytest.mark.parametrize("j", [-3, -2, -1, 0, 1, 2])
+def test_pullback_of_bidegree_j_0_is_den_to_the_j_times_the_image_value(rng, j):
+    t = random_unit_det_map(rng)
+    points = np.array([_random_point(rng) for _ in range(7)])
+    got = pull_back_section(t, Section(_cubic, bidegree=(j, 0)), (points[:, 0], points[:, 1]))
+    np.testing.assert_array_equal(got.value, t.den(points) ** j * _cubic(t.affine(points)))
+    np.testing.assert_array_equal(got.basepoint, homogenize(points))
+
+
+def test_pullback_with_antiholomorphic_weight_matches_the_written_out_law(rng):
+    t = random_unit_det_map(rng)
+    points = np.array([_random_point(rng) for _ in range(7)])
+    zhat = (points[:, 0], points[:, 1])
+    den, image = t.den(points), _cubic(t.affine(points))
+    got = pull_back_section(t, Section(_cubic, bidegree=(1, 1)), zhat)
+    np.testing.assert_array_equal(got.value, den * np.conj(den) * image)
+    # principal branch: den**(-3/2) * conj(den)**(1/2) = |den|**-1 * exp(-2i arg den)
+    half = pull_back_section(t, Section(_cubic, bidegree=(Fraction(-3, 2), Fraction(1, 2))), zhat)
+    assert half.chart_dependent
+    want = np.exp(-2j * np.angle(den)) / np.abs(den) * image
+    np.testing.assert_allclose(half.value, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("bidegree", [(-2, 0), (0, 0), (1, 1), (Fraction(-3, 2), Fraction(1, 2))])
+def test_pullback_at_one_point_is_a_numpy_complex(rng, bidegree):
+    t = random_unit_det_map(rng)
+    for f in (_cubic, lambda zhat: 1.0):
+        value = pull_back_section(t, Section(f, bidegree=bidegree), tuple(_random_point(rng))).value
+        assert type(value) is np.complex128
 
 
 def test_pullback_batch_with_one_point_on_the_pole():

@@ -2,7 +2,10 @@
 
 Run from the repository root with ``PYTHONPATH=src python tools/fingerprint.py``
 in two checkouts and ``diff`` the outputs: an empty diff means every chart node
-set, every ``reproduce`` and ``hardy_norm`` result (cold and warm) and every
+set, every ``reproduce`` and ``hardy_norm`` result (cold and warm), every
+piece's points and weights in ``build_measure`` at two edge resolutions, the
+criterion 14 path (a warm ``hardy_norm`` of a pulled-back section on a
+projective image, at the ``norm_invariance`` benchmark's resolutions) and every
 projective map evaluation below is bit-identical between them.  A result that
 raises prints its exception type and message in place of a digest, so a
 changed error shows too.
@@ -23,6 +26,7 @@ import numpy as np
 from hardycorners import (
     ProjectionError,
     Section,
+    build_measure,
     domain_from_spec,
     hardy_norm,
     normalize_map,
@@ -35,6 +39,9 @@ from hardycorners.cli import load_spec
 SPECS = ("bidisk", "perturbed_bidisk", "sphere", "wedge_union")
 RESOLUTIONS = (4, 5, 8, 17)
 TAU = np.array([0.1 + 0.05j, -0.2 + 0.1j])
+EDGE_RESOLUTIONS = (6, 8)
+# The norm_invariance benchmark's resolutions (criterion 14).
+NORM_SIZES = {"resolution": 12, "edge_resolution": 8}
 
 
 def _digest(*parts):
@@ -68,10 +75,13 @@ def _section(z):
     return z[0] * z[1] ** 2 + 0.5
 
 
+_IMAGE_MAP = _map(114, 0.06)[0]
+
+
 def _domains():
     """Fresh domains (empty piece caches) by name, with one projective image."""
     out = {name: domain_from_spec(load_spec(name)) for name in SPECS}
-    out["perturbed_bidisk@map"] = transform_domain(out["perturbed_bidisk"], _map(114, 0.06)[0])
+    out["perturbed_bidisk@map"] = transform_domain(out["perturbed_bidisk"], _IMAGE_MAP)
     return out
 
 
@@ -102,6 +112,33 @@ def results():
             )
 
 
+def measures():
+    for name, d in _domains().items():
+        for er in EDGE_RESOLUTIONS:
+
+            def pieces():
+                m = build_measure(d, resolution=8, edge_resolution=er)
+                return [a for p in m.face_nodes + m.edge_nodes for a in (p.points, p.weights)]
+
+            _line(f"build_measure {name} r8 e{er}", pieces)
+
+
+def pulled_norm():
+    """Criterion 14's image norm: the (-2, 0) section pulled back along the inverse map."""
+    d = _domains()["perturbed_bidisk@map"]
+    section = Section(_section, bidegree=(-2, 0))
+    ginv = _IMAGE_MAP.inverse()
+
+    def f_moved(zp):
+        return pull_back_section(ginv, section, zp).value
+
+    for state in ("cold", "warm"):
+        _line(
+            f"hardy_norm pulled-back r12 e8 {state}",
+            lambda: (hardy_norm(d, f_moved, **NORM_SIZES),),
+        )
+
+
 def maps():
     bidegrees = ((-2, 0), (1, 1), (Fraction(-3, 2), Fraction(1, 2)))
     for seed in range(5):
@@ -127,4 +164,6 @@ def maps():
 if __name__ == "__main__":
     nodesets()
     results()
+    measures()
+    pulled_norm()
     maps()
