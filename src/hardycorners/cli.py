@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib.resources as resources
 import json
+import os
 import sys
 
 import click
@@ -59,9 +61,6 @@ BUILTIN_SPECS = ("bidisk", "perturbed_bidisk", "sphere", "wedge_union")
 
 def load_spec(name_or_path):
     """Load a domain spec from a file path or the built-in catalog."""
-    import importlib.resources as resources
-    import os
-
     if os.path.exists(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -244,6 +243,16 @@ def parse_tau(text):
     return np.array([complex(v[0], v[1]), complex(v[2], v[3])])
 
 
+class _FiniteRange(click.FloatRange):
+    """A :class:`click.FloatRange` that also rejects ``nan`` and ``inf``."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not np.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
 # Option types: sample counts, chart resolutions and grids (see Chart.grid), and RNG seeds.
 _POSITIVE = click.IntRange(min=1)
 _RESOLUTION = click.IntRange(min=4)
@@ -261,7 +270,7 @@ def main():
 @click.option(
     "--radius",
     default=0.05,
-    type=click.FloatRange(min=0, min_open=True),
+    type=_FiniteRange(min=0, min_open=True),
     show_default=True,
     help="Sampling ball radius.",
 )
@@ -308,7 +317,7 @@ def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
 @click.option("--resolution", default=32, type=_RESOLUTION, show_default=True)
 @click.option("--face-resolution", default=None, type=_RESOLUTION)
 @click.option("--edge-resolution", default=None, type=_RESOLUTION)
-@click.option("--tolerance", default=1e-6, show_default=True)
+@click.option("--tolerance", default=1e-6, type=_FiniteRange(min=0), show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def reproduce_cmd(
     spec_name, tau, f_expr, resolution, face_resolution, edge_resolution, tolerance, output

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermpoly import gradient_hyperplane, parse_poly, transform_poly
+from .kernels import StrongTangentSet
 from .projective import HomVec, ProjMap, _dot2, det2, homogenize, normalize_map, solve2
 from .quadrature import gauss_rule, tensor_grid, trapezoid_rule
 
@@ -445,9 +446,9 @@ class PwsDomain:
     counterexample fixture).
 
     A domain and its charts are treated as immutable once built:
-    :mod:`hardycorners.measures` caches each boundary piece's share of
-    ``reproduce`` and ``hardy_norm`` in ``_cache`` for the domain's
-    lifetime (its module docstring describes the layout).
+    :mod:`hardycorners.measures` caches the node sets of ``reproduce`` and
+    ``hardy_norm`` in ``_cache`` for the domain's lifetime (its module
+    docstring describes the layout).
     :func:`transform_domain` builds a new domain, with a cache of its own.
     """
 
@@ -564,8 +565,6 @@ def strong_tangents(d, e, zhat):
     returned set are ``(N, 3)`` arrays of homogeneous coordinates.  A point
     where some member has ``|rho| > 1e-8`` raises ``ValueError``.
     """
-    from .kernels import StrongTangentSet
-
     zhat = np.asarray(zhat, dtype=complex)
     for m in e.members:
         if np.any(np.abs(d.rho(m)(zhat[..., 0], zhat[..., 1])) > _MEMBER_TOL):

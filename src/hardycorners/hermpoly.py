@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .projective import HomVec, _as_points, _dot2, _stack_last
+from .projective import HomVec, ProjMap, _as_points, _dot2, _stack_last, normalize_map
 
 __all__ = [
     "Poly",
@@ -449,8 +449,6 @@ def transform_poly(rho, t, degree=None):
     common *degree* (the max over the family): quantities built from several
     gradients at once then rescale coherently.
     """
-    from .projective import ProjMap, normalize_map
-
     if not isinstance(t, ProjMap):
         t = normalize_map(t)
     dh, da = rho.max_degrees()

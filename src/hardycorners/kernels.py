@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -491,8 +492,6 @@ def simplex_integral(tau, method="closed", order=24):
         )
     sign = (-1.0) ** n
     if method == "closed":
-        from math import factorial
-
         return sign / (factorial(n - 1) * np.prod(factors))
     if method != "quadrature":
         raise ValueError("method must be 'closed' or 'quadrature'")
@@ -528,7 +527,7 @@ def pushforward_corner_check(d, zhat, tau, order=32):
     frame.  The integrand is one :func:`omega_cfl` call on the stack of Gauss
     nodes.  Returns a dict with both values and their relative difference.
     """
-    from .domain import strong_tangents
+    from .domain import strong_tangents  # domain imports this module at load time
 
     zhat = np.asarray(zhat, dtype=complex)
     e = d.edge_at(zhat)

@@ -21,47 +21,41 @@ section.  Both kernels depend on the interior point tau only through a
 pairing: the face density is a tau-free factor over ``(g_hat . (z -
 tau))**2`` with ``g_hat = g / |g|``, the corner kernel one over ``(tau .
 w1_hat)(tau . w2_hat)`` with the unit member hyperplanes.  And the measure
-does not depend on the section at all.  So both are built once per domain
-and resolution, on first use, and cached on the domain for its lifetime in
-the dict ``PwsDomain._cache``; every array in an entry is read-only:
+does not depend on the section at all.  So each is built on first use as
+one read-only node set of all pieces, faces first (a :class:`_NodeSet`),
+and cached for the domain's lifetime in the dict ``PwsDomain._cache``:
 
-* ``("face", index, resolution)`` and ``("edge", index, resolution)``: one
-  piece's tau-free reproducing factor, a :class:`_Piece` holding the node
-  points, the ``normals`` tau is paired with (unit gradients, or the two
-  unit member hyperplanes), and one weight per node that folds the
-  quadrature weight, the orientation sign and the kernel factor.  80 bytes
-  per face node (64 at a node where the density vanishes, which keeps no
-  weight), 144 per edge node;
-* ``("measure", resolution, edge_resolution)``: the whole
-  :class:`BoundaryMeasure` at one resolution pair, with the resolved edge
-  resolution in the key, so the default and the same value given
-  explicitly share one entry.  It holds one ``(N, 2)`` array of all node
-  points and one array of combined weights (quadrature weight times measure
-  density), faces first, and no ``normals``: 40 bytes per node.  Each
-  piece's :class:`_Piece` is a view of its rows.  The face nodes are not
-  shared between two entries that differ only in the edge resolution; that
-  costs a second face build, once, and nothing on a warm call.
+* ``("reproduce", face_resolution, edge_resolution)``: a :class:`_Factors`,
+  one complex weight per node folding the quadrature weight, orientation
+  sign and kernel factor, and what tau is paired with: unit gradients at
+  face nodes, two unit member hyperplanes at edge nodes.  Face nodes where
+  the density vanishes (Levi-flat) keep no weight and serve only the pole
+  check.  80 bytes per face node (64 if Levi-flat), 144 per edge node;
+* ``("measure", resolution, edge_resolution)``: the
+  :class:`BoundaryMeasure`, one real weight per node (quadrature weight
+  times measure density): 40 bytes per node.  The key holds the resolved
+  edge resolution, so the default and the same value given explicitly
+  share one entry.
 
-A later :func:`reproduce` call at any tau then costs one pairing per piece,
-and one section call and one contraction (:meth:`_Piece.contract`) per piece
-that has weighted nodes; a later :func:`hardy_norm` costs one section call on
-all nodes of the measure and one sum per piece.  Every check that does not
-depend on tau or the section (chart projection, vanishing gradients, the
-on-locus test of the strong tangents, degenerate orientation frames,
+A later :func:`reproduce` at any tau costs one pairing per face and one for
+all edges, into one divisor, then, like :func:`hardy_norm`, one section call
+on all weighted nodes and one sum per piece (:meth:`_NodeSet._sums`).  Every
+check that does not depend on tau or the section (chart projection, vanishing
+gradients, the strong tangents' on-locus test, degenerate orientation frames,
 non-positive edge weights) runs when an entry is built, and a failed build
-caches nothing; the pole checks, which depend on tau, run on every call over
-every node, and the section's shape check on every section call.  Domains
-and charts are treated as immutable once built, and
+caches nothing; the pole checks run on every call over every node, before the
+section call, and the shape check on every section call.  Domains and charts
+are treated as immutable once built, and
 :func:`~hardycorners.domain.transform_domain` builds a new domain with a
 cache of its own.
 
-A piece's factor entry and the measure entry each project the chart, on
-purpose.  Building both at once would make :func:`reproduce` fail wherever
-the edge weight does: on ``bidisk``, :func:`hardy_norm` and every node of
-the ``eta`` CLI raise "canonical slice requires negative transverse
-curvatures", while :func:`reproduce` is exact to rounding.  And caching one
-shared node set would keep its tangents (96 bytes per face node) alive for
-callers that use only one of the two.
+The two entries each project the charts, on purpose.  Building both at
+once would make :func:`reproduce` fail wherever the edge weight does: on
+``bidisk``, :func:`hardy_norm` and every node of the ``eta`` CLI raise
+"canonical slice requires negative transverse curvatures", while
+:func:`reproduce` is exact to rounding.  And caching one shared node set
+would keep its tangents (96 bytes per face node) alive for callers that use
+only one of the two.
 """
 
 from __future__ import annotations
@@ -162,57 +156,58 @@ def _section_on(f, points):
 
 @dataclass(frozen=True)
 class _Piece:
-    """One boundary piece's cached share of :func:`reproduce` or :func:`hardy_norm`.
-
-    ``points`` ``(N, 2)`` are the piece's nodes and ``weights`` the node
-    weights; they cover the first ``len(weights)`` nodes, and the rest (the
-    Levi-flat nodes of a face factor, where the density vanishes) serve only
-    the pole check.  ``normals`` are what tau is paired with in a factor:
-    unit gradients ``(N, 2)`` on a face, the two unit member hyperplanes
-    ``(N, 2, 3)`` on an edge; a measure piece has none, and its arrays are
-    views of its rows of the :class:`BoundaryMeasure`.  The arrays are
-    read-only.
-    """
+    """A piece's ``rows`` of a node set's weights, and views of its ``points`` and ``weights``."""
 
     points: np.ndarray
     weights: np.ndarray
-    normals: np.ndarray | None = None
-
-    def __post_init__(self):
-        for a in (self.points, self.weights, self.normals):
-            if a is not None:
-                a.flags.writeable = False
+    rows: slice
 
     def __len__(self):
         return len(self.weights)
 
-    def contract(self, f, divisor):
-        """``sum(weights * f(points) / divisor)`` over the weighted nodes.
-
-        ``f`` is a section, called once on the weighted nodes, and not at all
-        when there are none (the sum is then 0); ``divisor`` is a scalar or
-        one value per weighted node.
-        """
-        if not len(self):
-            return 0.0
-        return np.sum(self.weights * _section_on(f, self.points[: len(self)]) / divisor)
-
 
 @dataclass(frozen=True)
-class BoundaryMeasure:
-    """Discretized boundary measure: one node set for all pieces, faces first.
+class _NodeSet:
+    """The nodes of every boundary piece as one read-only node set, faces first.
 
-    ``points`` ``(N, 2)`` are the nodes of every face and then every edge,
-    and ``weights`` ``(N,)`` their combined weights (quadrature weight times
-    measure density).  Each entry of ``face_nodes`` and ``edge_nodes`` is a
-    piece's :class:`_Piece`, whose ``points`` and ``weights`` are views of
-    that piece's rows.  All arrays are read-only.
+    ``points`` ``(N, 2)`` carry the ``weights`` ``(N,)``; each piece's
+    :class:`_Piece` in ``face_nodes`` or ``edge_nodes`` views its rows.
     """
 
     points: np.ndarray
     weights: np.ndarray
     face_nodes: list
     edge_nodes: list
+
+    def _sums(self, terms):
+        """The ``np.sum`` of each piece's rows of ``terms`` ``(N,)``: (per face, per edge)."""
+        sums = [np.sum(terms[p.rows]) for p in self.face_nodes + self.edge_nodes]
+        return sums[: len(self.face_nodes)], sums[len(self.face_nodes) :]
+
+
+def _stack(parts, tail):
+    """``parts`` written one after another into one read-only array; a lone part is not copied."""
+    parts = [part for part in parts if len(part)] or [np.empty((0, *tail), dtype=complex)]
+    out = parts[0]
+    if len(parts) > 1:  # preallocated: concatenate's own output raised the peak RSS
+        out = np.empty((sum(map(len, parts)), *tail), np.result_type(*parts))
+        np.concatenate(parts, out=out)
+    out.flags.writeable = False
+    return out
+
+
+def _assemble(pieces, faces):
+    """A :class:`_NodeSet`'s fields from each piece's ``(points, weights, ...)``, faces first."""
+    points = _stack([p[0] for p in pieces], (2,))
+    weights = _stack([p[1] for p in pieces], ())
+    bounds = np.cumsum([0] + [len(p[1]) for p in pieces]).tolist()
+    views = [_Piece(points[a:b], weights[a:b], slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+    return points, weights, views[:faces], views[faces:]
+
+
+@dataclass(frozen=True)
+class BoundaryMeasure(_NodeSet):
+    """Discretized boundary measure: ``weights`` are quadrature weights times measure density."""
 
     def integrate(self, func):
         """Integrate a scalar function; returns (total, per-face, per-edge).
@@ -227,14 +222,24 @@ class BoundaryMeasure:
         ValueError
             If ``func`` returns any other shape.
         """
-        terms = self.weights * _section_on(func, self.points)
-        shares, start = [], 0
-        for piece in self.face_nodes + self.edge_nodes:
-            end = start + len(piece)
-            shares.append(float(np.real(np.sum(terms[start:end]))))
-            start = end
-        faces, edges = shares[: len(self.face_nodes)], shares[len(self.face_nodes) :]
+        sums = self._sums(self.weights * _section_on(func, self.points))
+        faces, edges = ([float(np.real(s)) for s in part] for part in sums)
         return sum(faces) + sum(edges), faces, edges
+
+
+@dataclass(frozen=True)
+class _Factors(_NodeSet):
+    """The tau-free factors of :func:`reproduce`: a :class:`_NodeSet` with pairing data.
+
+    ``flat_points`` ``(M, 2)`` are the Levi-flat face nodes, for the pole check
+    only.  ``unit_grad`` ``(M + F, 2)`` belong to them and then to the ``F``
+    face rows of ``points``; ``planes`` ``(N - F, 2, 3)``, unit member
+    hyperplanes, to its edge rows.
+    """
+
+    flat_points: np.ndarray
+    unit_grad: np.ndarray
+    planes: np.ndarray
 
 
 def _face_measure(d, index, resolution):
@@ -251,20 +256,9 @@ def _edge_measure(d, index, resolution):
 
 
 def _measure(d, resolution, edge_resolution):
-    pieces = [_face_measure(d, i, resolution) for i in range(len(d.faces))] + [
-        _edge_measure(d, i, edge_resolution) for i in range(len(d.edges))
-    ]
-    bounds = np.cumsum([0] + [len(w) for _, w in pieces]).tolist()
-    rows = [slice(start, end) for start, end in zip(bounds, bounds[1:])]
-    points = np.empty((bounds[-1], 2), dtype=complex)
-    weights = np.empty(bounds[-1])
-    for (p, w), r in zip(pieces, rows):
-        points[r], weights[r] = p, w
-    for a in (points, weights):
-        a.flags.writeable = False
-    views = [_Piece(points[r], weights[r]) for r in rows]
-    nf = len(d.faces)
-    return BoundaryMeasure(points, weights, views[:nf], views[nf:])
+    faces = [_face_measure(d, i, resolution) for i in range(len(d.faces))]
+    edges = [_edge_measure(d, i, edge_resolution) for i in range(len(d.edges))]
+    return BoundaryMeasure(*_assemble(faces + edges, len(faces)))
 
 
 def build_measure(d, resolution=16, edge_resolution=None):
@@ -275,10 +269,8 @@ def build_measure(d, resolution=16, edge_resolution=None):
     from :func:`hardycorners.normalforms.eta` (computed exactly from the
     defining polynomials, in one call per edge) against the arc element.
     ``edge_resolution`` defaults to ``max(6, resolution // 2)``.  The
-    measure is assembled on first use, as one node set of all pieces, and
-    cached on ``d`` under the resolution pair (see the module docstring), so
-    a later call at the same resolutions returns the same object, and
-    :meth:`BoundaryMeasure.integrate` calls its function once on all nodes.
+    measure is built once per resolution pair and cached on ``d`` (see the
+    module docstring), so a later call returns the same object.
 
     Raises
     ------
@@ -321,39 +313,44 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None):
 
 
 def _face_factor(d, index, resolution):
+    """A face's weighted ``points, weights, unit_grad``, then Levi-flat ``points, unit_grad``."""
     fc = d.faces[index]
     rho = d.rho(fc.hypersurface)
     ns = fc.chart.nodes(resolution)
     unit_grad, dens = _leray_factor(rho, ns.points, ns.tangents)
-    # Nodes where the density vanishes (Levi-flat faces) contribute nothing
-    # and their frames need no orientation: they go last, for the pole check.
-    # Reorder only when some vanish, so that no node arrays are copied otherwise.
+    # Nodes where the density vanishes (Levi-flat) contribute nothing and need no orientation:
+    # they serve only the pole check.  Select rows only when some vanish, to copy nothing otherwise.
     live = dens != 0
-    points, rows = ns.points, slice(None)
-    if not live.all():
-        order = np.argsort(~live, kind="stable")
-        points, unit_grad, rows = points[order], unit_grad[order], order[: np.count_nonzero(live)]
+    rows, flat = (slice(None), slice(0)) if live.all() else (live, ~live)
     sgn = orientation_sign_face(rho, ns.points[rows], ns.tangents[rows])
-    return _Piece(points, ns.weights[rows] * sgn * dens[rows], unit_grad)
+    weights = ns.weights[rows] * sgn * dens[rows]
+    return ns.points[rows], weights, unit_grad[rows], ns.points[flat], unit_grad[flat]
 
 
 def _edge_factor(d, index, resolution):
+    """An edge's ``(points, weights, planes)``: the unit member hyperplanes at each node."""
     e = d.edges[index]
     ns = e.chart.nodes(resolution)
     planes, k = _corner_factor(strong_tangents(d, e, ns.points), ns.tangents)
     rhos = (d.rho(e.members[0]), d.rho(e.members[1]))
     sgn = orientation_sign_edge(rhos, ns.points, ns.tangents)
-    return _Piece(ns.points, ns.weights * sgn * k, planes)
+    return ns.points, ns.weights * sgn * k, planes
 
 
-_BUILDERS = {"face": _face_factor, "edge": _edge_factor, "measure": _measure}
+def _factors(d, face_resolution, edge_resolution):
+    faces = [_face_factor(d, i, face_resolution) for i in range(len(d.faces))]
+    edges = [_edge_factor(d, i, edge_resolution) for i in range(len(d.edges))]
+    nodes = _assemble(faces + edges, len(faces))
+    flat_points = _stack([f[3] for f in faces], (2,))
+    unit_grad = _stack([f[4] for f in faces] + [f[2] for f in faces], (2,))
+    return _Factors(*nodes, flat_points, unit_grad, _stack([e[2] for e in edges], (2, 3)))
+
+
+_BUILDERS = {"reproduce": _factors, "measure": _measure}
 
 
 def _cached(d, *key):
-    """The entry under ``key = (kind, *args)``, built by ``_BUILDERS[kind](d, *args)`` on first use.
-
-    The one lookup path of the per-domain cache; a failed build caches nothing.
-    """
+    """The entry ``(kind, *args)`` of ``d._cache``, built once by ``_BUILDERS[kind](d, *args)``."""
     if key not in d._cache:
         kind, *args = key
         d._cache[key] = _BUILDERS[kind](d, *args)
@@ -365,21 +362,19 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
 
     Faces carry the smooth second-order Cauchy density, edges the corner
     kernel; orientation signs are computed per node from the outward
-    conormals.  Each piece's tau-free factor (its node set, unit gradients
-    or hyperplanes, and folded weights) is built on the first call at a
-    resolution and cached on ``d`` (see the module docstring); every call
-    pairs it with ``tau`` over all its nodes (the pole check), calls ``f``
-    once on the weighted nodes and contracts over the node axis.  Returns a
-    dict with the recovered value, the directly evaluated reference
-    ``f(tau)``, per-piece contributions and the relative error.
+    conormals.  The tau-free factors are built once per resolution pair and
+    cached on ``d`` (see the module docstring); every call pairs them with
+    ``tau`` over all nodes (the pole checks), then makes one section call on
+    all weighted nodes and sums each piece's rows.  Returns a dict with the
+    recovered value, the directly evaluated reference ``f(tau)``, per-piece
+    contributions and the relative error.
 
-    ``f`` is a section in the library's convention: it is called once per
-    boundary piece on the coordinate pair ``(z1, z2)`` of the piece's
-    weighted nodes, two ``(N,)`` arrays, works elementwise and returns
-    ``(N,)`` values (a scalar result stands for every node); ``f(tau)`` is
-    the one-point case.  A piece with no weighted nodes (a Levi-flat face,
-    where the density vanishes everywhere) is not passed to ``f`` and
-    contributes 0.
+    ``f`` is a section in the library's convention: it is called once on
+    the coordinate pair ``(z1, z2)`` of all weighted nodes (faces first,
+    then edges), two ``(N,)`` arrays, works elementwise and returns ``(N,)``
+    values (a scalar result stands for every node); ``f(tau)`` is the
+    one-point case.  Levi-flat nodes, where the density vanishes, are not
+    passed to ``f``, so a Levi-flat face contributes 0.
 
     Raises
     ------
@@ -388,7 +383,7 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
         integer of at least 4 (:meth:`~hardycorners.domain.Chart.grid`).
     ZeroDivisionError
         If a tangent hyperplane at some boundary node passes through ``tau``
-        (the formula's precondition fails).
+        (the formula's precondition fails); ``f`` is then not called.
     ProjectionError
         If a chart's Newton projection does not converge.
     """
@@ -397,18 +392,17 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     if edge_resolution is None:
         edge_resolution = resolution
     tau = np.asarray(tau, dtype=complex)
-    tau_hom = homogenize(tau)
-
-    face_vals = []
-    for i in range(len(d.faces)):
-        p = _cached(d, "face", i, face_resolution)
-        pairing = _leray_pairing(p.points, p.normals, tau)
-        face_vals.append(complex(p.contract(f, pairing[: len(p)] ** 2)))
-    edge_vals = []
-    for i in range(len(d.edges)):
-        p = _cached(d, "edge", i, edge_resolution)
-        edge_vals.append(complex(p.contract(f, _corner_pairing(p.normals, tau_hom))))
-
+    fac = _cached(d, "reproduce", face_resolution, edge_resolution)
+    # Every pole check runs before the section call, the Levi-flat nodes' first.  Each face
+    # pairs on its own, and no pairing outlives the divisor, to keep the temporaries small.
+    flat = len(fac.flat_points)
+    if flat:
+        _leray_pairing(fac.flat_points, fac.unit_grad[:flat], tau)
+    grads = fac.unit_grad[flat:]
+    squares = (_leray_pairing(p.points, grads[p.rows], tau) ** 2 for p in fac.face_nodes if len(p))
+    divisor = _stack([*squares, _corner_pairing(fac.planes, homogenize(tau))], ())
+    sums = fac._sums(fac.weights * _section_on(f, fac.points) / divisor)
+    face_vals, edge_vals = ([complex(s) for s in part] for part in sums)
     value = sum(face_vals) + sum(edge_vals)
     expected = complex(f(tau))
     rel_err = abs(value - expected) / max(abs(expected), 1e-300)

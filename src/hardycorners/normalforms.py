@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import Edge, PwsDomain
 from .hermpoly import HermitianPoly
 from .projective import (
     ProjMap,
@@ -169,8 +170,6 @@ def model_edge_polys(coeffs):
 
 def model_edge_domain(coeffs):
     """Minimal two-sheet domain carrying the straight model edge at the origin."""
-    from .domain import Edge, PwsDomain
-
     rho1, rho2 = model_edge_polys(coeffs)
     return PwsDomain(
         hypersurfaces=[("sheet1", rho1), ("sheet2", rho2)],

@@ -498,6 +498,11 @@ def test_non_transverse_edge_is_precondition_failure(runner, tmp_path):
         ["check-domain", "bidisk", "--samples", "-1"],
         ["check-domain", "bidisk", "--resolution", "0"],
         ["check-domain", "bidisk", "--radius", "0"],
+        ["check-domain", "bidisk", "--radius", "nan"],
+        ["check-domain", "bidisk", "--radius", "inf"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--tolerance", "nan"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--tolerance", "inf"],
+        ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--tolerance", "-1"],
         ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--resolution", "-3"],
         ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--face-resolution", "0"],
         ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--edge-resolution", "-1"],

@@ -9,6 +9,8 @@ from hardycorners.cli import load_spec
 from hardycorners.domain import ProjectionError, domain_from_spec, strong_tangents, transform_domain
 from hardycorners.hermpoly import parse_poly
 from hardycorners.kernels import (
+    _corner_pairing,
+    _leray_pairing,
     corner_kernel,
     orientation_sign_edge,
     orientation_sign_face,
@@ -16,6 +18,7 @@ from hardycorners.kernels import (
 )
 from hardycorners.measures import (
     BoundaryMeasure,
+    _Factors,
     build_measure,
     edge_measure_density,
     fefferman_density,
@@ -251,7 +254,7 @@ def test_reproduce_raises_on_boundary_pole(bidisk):
     # The pole check depends on tau, so a warm cache does not skip it: the
     # bidisk's faces are Levi-flat, and their nodes still take part.
     reproduce(bidisk, lambda z: 1.0, np.array([0.2, -0.1j]), resolution=12, face_resolution=6)
-    assert ("face", 0, 6) in bidisk._cache
+    assert ("reproduce", 6, 12) in bidisk._cache
     with pytest.raises(ZeroDivisionError):
         reproduce(bidisk, lambda z: 1.0, tau, resolution=12, face_resolution=6)
     # A pole at a face node at angle pi/3, which the 5-node edge grid misses,
@@ -279,11 +282,17 @@ def test_reproduce_does_not_call_the_section_on_levi_flat_faces():
         assert calls == [(24 * 24,), ()]
         assert out["per_piece"]["faces"] == [0j, 0j]
         assert out["rel_err"] < 1e-10
-    assert [len(d._cache[("face", i, 6)]) for i in (0, 1)] == [0, 0]
+    factors = d._cache[("reproduce", 6, 24)]
+    assert [len(piece) for piece in factors.face_nodes] == [0, 0]
+    # every face node is Levi-flat: it is kept, with its unit gradient, for the pole check only
+    flat = len(factors.flat_points)
+    assert flat == len(factors.unit_grad) == sum(len(fc.chart.nodes(6).points) for fc in d.faces)
+    assert not factors.flat_points.flags.writeable
+    assert len(factors.points) == len(factors.weights) == 24 * 24
 
 
 # ---------------------------------------------------------------------------
-# Cached tau-free factors
+# Cached tau-free factors: one assembled node set per resolution pair
 
 
 def _fresh(name):
@@ -300,10 +309,66 @@ CACHE_TAU = np.array([0.2 + 0.1j, -0.3 + 0.05j])
 def test_reproduce_is_bit_identical_warm_and_fresh():
     d = _fresh("perturbed_bidisk")
     first = reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
-    assert sorted(d._cache) == [("edge", 0, 6), ("face", 0, 8), ("face", 1, 8)]
+    assert sorted(d._cache) == [("reproduce", 8, 6)]
     second = reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
     fresh = reproduce(_fresh("perturbed_bidisk"), _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
     assert first == second == fresh
+
+
+def test_warm_reproduce_calls_the_section_once_on_all_weighted_nodes():
+    d = _fresh("perturbed_bidisk")
+    reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
+    calls = []
+
+    def f(z):
+        calls.append(np.shape(z[0]))
+        return _cubic(z)
+
+    warm = reproduce(d, f, CACHE_TAU, resolution=8, edge_resolution=6)
+    assert calls == [(2 * 8 * 4 * 8 + 6 * 6,), ()]
+    assert warm == reproduce(_fresh("perturbed_bidisk"), _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
+
+
+def test_reproduce_shares_are_the_sums_over_each_piece():
+    d = _fresh("perturbed_bidisk")
+    out = reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
+    fac = d._cache[("reproduce", 8, 6)]
+    assert len(fac.flat_points) == 0  # no Levi-flat node on this domain
+    divisor = np.concatenate(
+        [
+            _leray_pairing(fac.points[: len(fac.unit_grad)], fac.unit_grad, CACHE_TAU) ** 2,
+            _corner_pairing(fac.planes, homogenize(CACHE_TAU)),
+        ]
+    )
+    terms = fac.weights * _cubic((fac.points[:, 0], fac.points[:, 1])) / divisor
+    shares = out["per_piece"]["faces"] + out["per_piece"]["edges"]
+    start = 0
+    for share, piece in zip(shares, fac.face_nodes + fac.edge_nodes, strict=True):
+        assert share == np.sum(terms[start : start + len(piece)])
+        start += len(piece)
+    assert out["value"] == sum(shares)
+
+
+def test_edge_pole_raises_before_any_section_call():
+    # tau on one edge node's first member tangent hyperplane, and on no face
+    # node's: the edge's pole check must fail before the section sees a node.
+    d = _fresh("perturbed_bidisk")
+    reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
+    fac = d._cache[("reproduce", 8, 6)]
+    w = fac.planes[1, 0]
+    tau2 = 0.2j
+    tau = np.array([-(w[0] + w[2] * tau2) / w[1], tau2])
+    _leray_pairing(fac.points[: len(fac.unit_grad)], fac.unit_grad, tau)  # no face pole
+    calls = []
+
+    def f(z):
+        calls.append(np.shape(z[0]))
+        return _cubic(z)
+
+    for domain in (d, _fresh("perturbed_bidisk")):  # warm and cold
+        with pytest.raises(ZeroDivisionError, match="member tangent hyperplane"):
+            reproduce(domain, f, tau, resolution=8, edge_resolution=6)
+    assert calls == []
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -318,7 +383,7 @@ def test_reproduce_cache_keys_on_resolution(order):
             _fresh("perturbed_bidisk"), _cubic, tau, face_resolution=face_res, edge_resolution=edge_res
         )
         assert got == want
-    assert len(d._cache) == 6
+    assert sorted(d._cache) == [("reproduce", 6, 8), ("reproduce", 8, 6)]
 
 
 def test_transformed_domain_builds_its_own_factors(rng):
@@ -339,10 +404,22 @@ def test_transformed_domain_builds_its_own_factors(rng):
 def test_cached_factor_arrays_are_read_only():
     d = _fresh("perturbed_bidisk")
     reproduce(d, _cubic, CACHE_TAU, resolution=6)
-    for factor in d._cache.values():
-        for a in (factor.points, factor.normals, factor.weights):
+    fac = d._cache[("reproduce", 6, 6)]
+    for a in (fac.points, fac.weights, fac.unit_grad, fac.planes):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # Each piece's arrays are views of its rows of the weighted nodes, faces first.
+    assert len(fac.flat_points) == 0
+    start = 0
+    for piece in fac.face_nodes + fac.edge_nodes:
+        end = start + len(piece)
+        for a, whole in ((piece.points, fac.points), (piece.weights, fac.weights)):
+            assert np.shares_memory(a, whole)
+            np.testing.assert_array_equal(a, whole[start:end])
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+        start = end
+    assert start == len(fac.weights) == len(fac.unit_grad) + len(fac.planes)
 
 
 def test_failed_factor_build_caches_nothing():
@@ -354,7 +431,7 @@ def test_failed_factor_build_caches_nothing():
     for _ in range(2):
         with pytest.raises(ProjectionError, match="not transverse"):
             reproduce(d, lambda z: 1.0, np.array([0.0, 0.0]), resolution=6)
-        assert not any(kind == "edge" for kind, _, _ in d._cache)
+        assert not any(kind == "reproduce" for kind, _, _ in d._cache)
 
 
 @pytest.mark.parametrize("resolution", [1, 2, 3, 4.5])
@@ -372,7 +449,7 @@ def test_resolution_is_an_integer_of_at_least_four(resolution):
     # the smallest grid is built once, under the value that names it
     reproduce(d, _cubic, CACHE_TAU, resolution=4)
     reproduce(d, _cubic, CACHE_TAU, resolution=np.int64(4))
-    assert sorted(d._cache) == [("edge", 0, 4), ("face", 0, 4), ("face", 1, 4)]
+    assert sorted(d._cache) == [("reproduce", 4, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +579,12 @@ def test_factor_and_measure_entries_stay_apart(reproduce_first):
 
     d = _fresh("perturbed_bidisk")
     assert run(d) == run(_fresh("perturbed_bidisk"))
-    assert len(d._cache) == len({id(entry) for entry in d._cache.values()}) == 4
-    assert d._cache[("measure", 8, 8)] is build_measure(d, resolution=8, edge_resolution=8)
-    for (kind, *_, resolution), entry in d._cache.items():
-        assert resolution == 8
-        pieces = entry.face_nodes + entry.edge_nodes if kind == "measure" else [entry]
-        assert all((p.normals is None) == (kind == "measure") for p in pieces), kind
+    assert sorted(d._cache) == [("measure", 8, 8), ("reproduce", 8, 8)]
+    measure, factors = d._cache[("measure", 8, 8)], d._cache[("reproduce", 8, 8)]
+    assert measure is build_measure(d, resolution=8, edge_resolution=8)
+    assert type(measure) is BoundaryMeasure and measure.weights.dtype == float
+    assert type(factors) is _Factors and factors.weights.dtype == complex
+    assert not np.shares_memory(measure.points, factors.points)
 
 
 def _reproduce_node_by_node(d, f, tau, resolution):

@@ -5,8 +5,10 @@ in two checkouts and ``diff`` the outputs: an empty diff means every chart node
 set, every ``reproduce`` and ``hardy_norm`` result (cold and warm), every
 piece's points and weights in ``build_measure`` at two edge resolutions, the
 criterion 14 path (a warm ``hardy_norm`` of a pulled-back section on a
-projective image, at the ``norm_invariance`` benchmark's resolutions) and every
-projective map evaluation below is bit-identical between them.  A result that
+projective image, at the ``norm_invariance`` benchmark's resolutions), every
+projective map evaluation below, and ``reproduce`` at the ``curved_reproduce``
+and ``flat_corner_taus`` benchmarks' sizes (cold and warm, at several taus and
+at one pole) is bit-identical between them.  A result that
 raises prints its exception type and message in place of a digest, so a
 changed error shows too.
 
@@ -139,6 +141,27 @@ def pulled_norm():
         )
 
 
+def bench_reproduce():
+    """``reproduce`` at the two reproduce benchmarks' sizes, cold and warm, and at one pole."""
+    rng = np.random.default_rng(115)
+    points = 0.6 * rng.random((4, 2)) * np.exp(2j * np.pi * rng.random((4, 2)))
+    taus = {f"tau{i}": tau for i, tau in enumerate(points)}
+    # On the first disk's boundary circle, where face and edge tangent planes pass through it.
+    taus["pole"] = np.array([1.0, 0.0])
+    cases = [
+        ("perturbed_bidisk", "r24 e12", {"resolution": 24, "edge_resolution": 12}, {"tau": TAU}),
+        ("bidisk", "f6 e64", {"face_resolution": 6, "edge_resolution": 64}, {"tau": TAU, **taus}),
+    ]
+    for name, label, sizes, case_taus in cases:
+        d = domain_from_spec(load_spec(name))
+        for state in ("cold", "warm"):
+            for tau_name, tau in case_taus.items():
+                _line(
+                    f"reproduce {name} {label} {tau_name} {state}",
+                    lambda: (reproduce(d, _section, tau, **sizes),),
+                )
+
+
 def maps():
     bidegrees = ((-2, 0), (1, 1), (Fraction(-3, 2), Fraction(1, 2)))
     for seed in range(5):
@@ -167,3 +190,4 @@ if __name__ == "__main__":
     measures()
     pulled_norm()
     maps()
+    bench_reproduce()
