@@ -5,10 +5,11 @@ Exit codes across all subcommands:
 * 0 — run completed and every checked quantity met its tolerance;
 * 1 — run completed but a check or tolerance failed;
 * 2 — input error (bad or unreadable spec, unknown option value, malformed
-  expression, or a ``--f`` expression that fails to evaluate);
+  expression, a ``--f`` expression that fails to evaluate, or a
+  ``check-domain`` local check that cannot run at an edge or at ``--radius``);
 * 3 — precondition failure (a kernel pole: some tangent hyperplane passes
-  through the requested interior point; or a chart's Newton projection does
-  not converge).
+  through the requested interior point; or a chart's projection fails: its
+  Newton solve does not converge, or its tangents are singular).
 
 Reports are deterministic JSON documents of the shape
 ``{"command", "spec_hash", "resolution", "results": [...], "tolerances",
@@ -74,14 +75,18 @@ def load_spec(name_or_path):
     )
 
 
+def _input_error(message):
+    click.echo(message, err=True)
+    sys.exit(2)
+
+
 def _load_domain(spec_name):
     """Load and assemble a domain spec; exit 2 with one line if it is malformed."""
     try:
         spec = load_spec(spec_name)
         return spec, domain_from_spec(spec)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        click.echo(f"invalid domain spec: {exc}", err=True)
-        sys.exit(2)
+        _input_error(f"invalid domain spec: {exc}")
 
 
 def _precondition_failure(exc):
@@ -293,10 +298,18 @@ def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
     report_pass &= val["passed"]
 
     for ei, (e, z) in enumerate(zip(d.edges, edge_points)):
-        loc = check_local_intersection(d, z, radius, samples, seed=seed)
+        try:
+            # A radius so large that the defining functions overflow on the samples
+            # would leave infinite margins, which are not JSON.
+            with np.errstate(over="raise"):
+                loc = check_local_intersection(d, z, radius, samples, seed=seed)
+                conv = check_strict_convexity(d, z, local_radius=4 * radius)
+        except FloatingPointError:
+            _input_error(f"--radius {radius} is too large: the local checks at edge {ei} overflow")
+        except ValueError as exc:
+            _input_error(f"edge {ei}: {exc}")
         results.append({"check": "local_intersection", "edge": ei, **loc})
         report_pass &= loc["passed"]
-        conv = check_strict_convexity(d, z, local_radius=4 * radius)
         results.append(
             {
                 "check": "strict_convexity",
@@ -326,8 +339,7 @@ def reproduce_cmd(
     spec, d = _load_domain(spec_name)
     tau_pt = parse_tau(tau)
     if not d.contains(tau_pt):
-        click.echo("--tau is not an interior point of the domain", err=True)
-        sys.exit(2)
+        _input_error("--tau is not an interior point of the domain")
     f = parse_section_expr(f_expr)
     try:
         res = run_reproduce(
@@ -381,8 +393,7 @@ def eta_cmd(spec_name, edge, grid, fmt, with_margins, output):
     """
     spec, d = _load_domain(spec_name)
     if not 0 <= edge < len(d.edges):
-        click.echo(f"edge index {edge} out of range (domain has {len(d.edges)})", err=True)
-        sys.exit(2)
+        _input_error(f"edge index {edge} out of range (domain has {len(d.edges)})")
     e = d.edges[edge]
 
     try:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermpoly import gradient_hyperplane, parse_poly, transform_poly
-from .kernels import StrongTangentSet
+from .kernels import StrongTangentSet, _frame_dets
 from .projective import HomVec, ProjMap, _dot2, det2, homogenize, normalize_map, solve2
 from .quadrature import gauss_rule, tensor_grid, trapezoid_rule
 
@@ -136,6 +136,10 @@ def _newton(kind, x, step):
     raise ProjectionError(kind, rows.size, len(x))
 
 
+# Why a chart fails whose tangents and conormals do not span R^4 (see kernels._frame_dets).
+_RANK_DEFICIENT = "the frame of conormals and tangents is rank-deficient"
+
+
 def _check_tangents(kind, regular, reason):
     """Raise :class:`ProjectionError` unless the tangents are regular at every node."""
     if not np.all(regular):
@@ -223,12 +227,10 @@ class TorusChart(Chart):
         """d rho_l / d r_m at points z = r * e, with its determinant and regular rows.
 
         Returns the ``(N, 2, 2)`` Jacobians, their ``det2`` and the mask of
-        rows whose |det| clears 1e-14 times the product of the row norms.
+        nodes whose Jacobian's :func:`_transversality` clears 1e-14.
         """
         jac = np.stack([2.0 * np.real(g * e) for g in grads], axis=-2)
-        det = det2(jac)
-        sq = np.einsum("nij,nij->ni", jac, jac)
-        return jac, det, np.abs(det) > 1e-14 * np.sqrt(sq[:, 0] * sq[:, 1])
+        return jac, det2(jac), _transversality(jac) > 1e-14
 
     def _grads(self, z):
         return [_grad(rho, z) for rho in self.rhos]
@@ -256,6 +258,7 @@ class TorusChart(Chart):
             dz[:, axis] = 1j * r[:, axis] * e[:, axis]
             rhs = np.stack([-2.0 * np.real(_dot2(g, dz)) for g in grads], axis=-1)
             dz += solve2(jac, rhs[..., None], det)[..., 0] * e
+        _check_tangents(self.kind, _frame_dets(grads, tangents)[1], _RANK_DEFICIENT)
         return z, tangents
 
     def point(self, theta, phi):
@@ -301,6 +304,7 @@ def _implicit_tangents(kind, rho, z, explicit, direction):
     for a in range(explicit.shape[1]):
         dz = explicit[:, a]
         dz += (-_directional(g, dz) / dn)[:, None] * direction
+    _check_tangents(kind, _frame_dets([g], explicit)[1], _RANK_DEFICIENT)
     return explicit
 
 
@@ -581,6 +585,12 @@ def _member_planes(d, members, points):
     return np.stack([gradient_hyperplane(d.rho(m), points) for m in members], axis=-2)
 
 
+def _transversality(rows):
+    """``|det| / (|r1| |r2|)`` of 2x2 matrices ``(..., 2, 2)``: 0 for dependent or zero rows."""
+    norms = np.linalg.norm(rows, axis=-1)
+    return np.abs(det2(rows)) / np.maximum(norms[..., 0] * norms[..., 1], 1e-300)
+
+
 def weak_tangent(d, e, zhat, t):
     """Barycentric combination of the members' tangent hyperplanes at an edge point.
 
@@ -758,7 +768,8 @@ def validate_domain(d, resolution=12):
     Raises
     ------
     ProjectionError
-        If a chart's Newton projection does not converge.
+        If a chart's projection fails: its Newton solve does not converge, or
+        its tangents are singular (not transverse, or rank-deficient with the conormals).
     """
     failures = []
 
@@ -779,11 +790,8 @@ def validate_domain(d, resolution=12):
         for m in e.members:
             if np.any(np.abs(vals[m]) > _ONLOCUS_TOL):
                 failures.append(f"edge {ei} chart point leaves member {d.label(m)!r}")
-        g1 = _grad(d.rho(e.members[0]), z)
-        g2 = _grad(d.rho(e.members[1]), z)
-        det = det2(np.stack([g1, g2], axis=-2))
-        scale = np.maximum(np.linalg.norm(g1, axis=-1) * np.linalg.norm(g2, axis=-1), 1e-300)
-        if np.any(np.abs(det) / scale < 1e-8):
+        grads = np.stack([_grad(d.rho(m), z) for m in e.members], axis=-2)
+        if np.any(_transversality(grads) < 1e-8):
             failures.append(
                 f"edge {ei}: member gradients are complex-linearly dependent "
                 f"(transversality fails)"

@@ -199,9 +199,7 @@ class HermitianPoly(Poly):
 
     def grad_real(self, z1, z2):
         """Real gradient (d/dx1, d/dy1, d/dx2, d/dy2), stacked on a last axis of length 4."""
-        g = self.grad(z1, z2)
-        g1, g2 = g[..., 0], g[..., 1]
-        return np.stack([2 * g1.real, -2 * g1.imag, 2 * g2.real, -2 * g2.imag], axis=-1)
+        return _real_gradient(self.grad(z1, z2))
 
     def hessian_complex(self, z1, z2):
         """Complex Hessian H[j, k] = d^2 rho / (dz_k d conj(z_j)) on the last two axes."""
@@ -395,6 +393,19 @@ def parse_poly(text):
     return HermitianPoly(terms)
 
 
+def _real_gradient(g):
+    """The real gradient ``(d/dx1, d/dy1, d/dx2, d/dy2)`` of Wirtinger gradients: ``2 conj(g)``."""
+    return 2.0 * np.ascontiguousarray(np.conj(g)).view(float)
+
+
+def _gradient_norm(g):
+    """``|g|`` on the last axis; ``ValueError`` where it is below 1e-14 (a critical point)."""
+    gn = np.linalg.norm(g, axis=-1)
+    if np.any(gn < 1e-14):
+        raise ValueError("vanishing gradient: the defining function has a critical point")
+    return gn
+
+
 def gradient_hyperplane(rho, zhat):
     """The tangent hyperplane cut out by the holomorphic gradient at a boundary point.
 
@@ -405,8 +416,7 @@ def gradient_hyperplane(rho, zhat):
     """
     zhat = np.asarray(zhat, dtype=complex)
     g = rho.grad(zhat[..., 0], zhat[..., 1])
-    if np.any(np.max(np.abs(g), axis=-1) <= 1e-14):
-        raise ValueError("vanishing complex gradient: degenerate boundary point")
+    _gradient_norm(g)
     w = np.stack([-_dot2(g, zhat), g[..., 0], g[..., 1]], axis=-1)
     if w.ndim == 1:
         return HomVec(tuple(w), role="hyperplane")

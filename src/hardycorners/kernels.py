@@ -22,21 +22,29 @@ tangents (the weak-tangent fiber) and comparing with the corner kernel.
 :func:`simplex_integral` provides the scalar simplex identity that drives
 the corner normalization, with both a closed form and a quadrature route.
 
+The face density takes the Levi form as one Hermitian form, ``ddbar_rho(u,
+v) = u^H h v - v^H h u = 2i Im(u^H h v)`` with h the complex Hessian, and a
+vanishing gradient fails the one critical-point rule of :mod:`.hermpoly`.
+
 Evaluators return pure alternating-form values; orientation conventions are
 supplied separately by :func:`orientation_sign_face` and
 :func:`orientation_sign_edge` so that integration drivers stay explicit
-about boundary orientation.
+about boundary orientation.  Their frames take real conormals from
+Wirtinger gradients as ``grad_real`` does, so a caller that holds the
+gradients evaluates none again, and their degeneracy rule (``_frame_dets``)
+is the one the charts apply when they project.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
-from .projective import HomVec, _dot2, _value, det3, det4
+from .hermpoly import _gradient_norm, _real_gradient
+from .projective import HomVec, _det4_columns, _dot2, _value, det3
 from .quadrature import gauss_rule, simplex_rule
 
 __all__ = [
@@ -267,10 +275,6 @@ def omega_cfl_affine_form(z, w, tangents):
     )
 
 
-def _wedge_1_2(a, b, v1, v2, v3):
-    return a(v1) * b(v2, v3) - a(v2) * b(v1, v3) + a(v3) * b(v1, v2)
-
-
 def _frame(tangents, count):
     """Tangent vectors as a ``(..., count, 2)`` complex array (a list of vectors or a stack)."""
     t = np.asarray(tangents, dtype=complex)
@@ -288,27 +292,18 @@ def _leray_factor(rho, zhat, tangents):
     vanishes.
     """
     zhat = np.asarray(zhat, dtype=complex)
-    t = _frame(tangents, 3)
+    v1, v2, v3 = np.moveaxis(_frame(tangents, 3), -2, 0)
     g = rho.grad(zhat[..., 0], zhat[..., 1])
-    gn = np.linalg.norm(g, axis=-1)
-    if np.any(gn < 1e-14):
-        raise ValueError("defining function has vanishing gradient at the point")
+    gn = _gradient_norm(g)
     h = rho.hessian_complex(zhat[..., 0], zhat[..., 1])
 
-    def a(v):
-        return _dot2(g, v)
+    # Im(u^H h v): as h is Hermitian, ddbar_rho(u, v) = u^H h v - v^H h u is 2i times it
+    def levi(u, v):
+        return _dot2(np.conj(u), (h @ v[..., None])[..., 0]).imag
 
-    def b(u, v):
-        acc = 0.0j
-        for jj in range(2):
-            for kk in range(2):
-                acc = acc + h[..., jj, kk] * (
-                    np.conj(u[..., jj]) * v[..., kk] - np.conj(v[..., jj]) * u[..., kk]
-                )
-        return acc
-
-    numer = _wedge_1_2(a, b, t[..., 0, :], t[..., 1, :], t[..., 2, :])
-    return g / gn[..., None], numer / gn**2 / TWO_PI_I**2
+    a1, a2, a3 = (_dot2(g, v) for v in (v1, v2, v3))  # d_rho(v) = g . v
+    wedge = a1 * levi(v2, v3) - a2 * levi(v1, v3) + a3 * levi(v1, v2)
+    return g / gn[..., None], 2j * wedge / gn**2 / TWO_PI_I**2
 
 
 def _leray_pairing(zhat, unit_grad, tau_hat):
@@ -499,23 +494,22 @@ def simplex_integral(tau, method="closed", order=24):
     return sign * complex(np.sum(weights / (nodes @ factors) ** n))
 
 
-def _edge_tangent_basis(d, e, zhat):
-    """Real basis of the edge's tangent plane from the two member gradients, as ``(2, 2)`` rows."""
-    conormals = np.array([d.rho(m).grad_real(zhat[0], zhat[1]) for m in e.members])
-    _, _, vt = np.linalg.svd(conormals)
+def _edge_tangent_basis(planes):
+    """Real basis of the edge's tangent plane from the member hyperplanes, as ``(2, 2)`` rows."""
+    _, _, vt = np.linalg.svd(np.array([_real_gradient(w[1:]) for w in planes]))
     return vt[2:, 0::2] + 1j * vt[2:, 1::2]
 
 
-def _hyperplane_lifts(rho, zhat, vs):
-    """Derivatives of ``z -> gradient_hyperplane(rho, z)`` along the rows of ``vs``: ``(n, 3)``.
+def _hyperplane_lifts(rho, w, zhat, vs):
+    """Derivatives along ``vs`` of ``z -> gradient_hyperplane(rho, z)``, which is ``w`` at ``zhat``.
 
-    The gradient moves by ``H v + Hc^T conj(v)`` (holomorphic and complex
-    Hessians), so the hyperplane ``[-(g . z) : g]`` moves by
-    ``[-(dg . z) - g . v : dg]``.
+    The gradient ``g = w[1:]`` moves by ``H v + Hc^T conj(v)`` (holomorphic
+    and complex Hessians), so the hyperplane ``[-(g . z) : g]`` moves by
+    ``[-(dg . z) - g . v : dg]``: one ``(3,)`` row per row of ``vs``.
     """
     z1, z2 = zhat
     dg = vs @ rho.hessian_holomorphic(z1, z2).T + np.conj(vs) @ rho.hessian_complex(z1, z2)
-    return np.concatenate([(-(dg @ zhat) - vs @ rho.grad(z1, z2))[:, None], dg], axis=-1)
+    return np.concatenate([(-(dg @ zhat) - vs @ w[1:])[:, None], dg], axis=-1)
 
 
 def pushforward_corner_check(d, zhat, tau, order=32):
@@ -532,15 +526,16 @@ def pushforward_corner_check(d, zhat, tau, order=32):
     zhat = np.asarray(zhat, dtype=complex)
     e = d.edge_at(zhat)
     strong = strong_tangents(d, e, zhat)
-    vs = _edge_tangent_basis(d, e, zhat)
+    w_a, w_b = (p.array for p in strong.planes)
+    vs = _edge_tangent_basis((w_a, w_b))
     tau_arr = _as_point(tau)
     corner = corner_kernel(strong, tau_arr, vs).value
 
     # Hyperplane w_t = t w_a + (1 - t) w_b and its tangent lifts, at every Gauss node t.
     t, weights = gauss_rule(0.0, 1.0, order)
     t = t[:, None]
-    w_a, w_b = (p.array for p in strong.planes)
-    lift_a, lift_b = (_hyperplane_lifts(d.rho(m), zhat, vs) for m in e.members)
+    lift_a = _hyperplane_lifts(d.rho(e.members[0]), w_a, zhat, vs)
+    lift_b = _hyperplane_lifts(d.rho(e.members[1]), w_b, zhat, vs)
     w_t = t * w_a + (1.0 - t) * w_b
     dz = np.concatenate([np.zeros((2, 1)), vs], axis=-1)
     triple = [
@@ -559,27 +554,33 @@ def pushforward_corner_check(d, zhat, tau, order=32):
     }
 
 
-def _real_frame(conormals, tangents):
-    """Real 4x4 matrices, stacked over points: the conormals, then the tangents, as columns.
+def _real_columns(conormals, tangents):
+    """The columns of real 4x4 frames, stacked over points: the conormals, then the tangents.
 
     A complex tangent (v1, v2) becomes the real column (Re v1, Im v1, Re v2,
-    Im v2), which is exactly the float view of a contiguous complex pair.
+    Im v2), which is exactly the float view of a contiguous complex pair, so
+    the tangent columns are views and no frame is assembled.
     """
     real_t = np.ascontiguousarray(tangents, dtype=complex).view(float)
-    return np.concatenate(
-        [np.stack(conormals, axis=-1), np.swapaxes(real_t, -1, -2)], axis=-1
-    )
+    return [*conormals, *np.moveaxis(real_t, -2, 0)]
 
 
-def _orientation(frame, what):
-    """Sign of the determinant of real 4x4 frames (stacked over points).
+def _frame_dets(grads, tangents):
+    """Determinants of the real frames of ``grads``' conormals and ``tangents``; which are regular.
 
-    A frame whose |det| does not exceed 1e-12 times the product of its
-    column norms is degenerate.
+    A frame is degenerate if its |det| does not exceed 1e-12 times the
+    product of its column norms.
     """
-    det = det4(frame)
-    sq = np.einsum("...ij,...ij->...j", frame, frame)
-    if not np.all(np.abs(det) > 1e-12 * np.sqrt(np.prod(sq, axis=-1))):
+    cols = _real_columns([_real_gradient(g) for g in grads], tangents)
+    det = _det4_columns(cols)
+    scale = np.sqrt(prod(np.einsum("...i,...i->...", c, c) for c in cols))
+    return det, np.abs(det) > 1e-12 * scale
+
+
+def _orientation(grads, tangents, what):
+    """Sign of each :func:`_frame_dets` determinant; ``ValueError`` if a frame is degenerate."""
+    det, regular = _frame_dets(grads, tangents)
+    if not np.all(regular):
         raise ValueError(f"degenerate {what} frame")
     return _value(np.where(det > 0, 1.0, -1.0), float)
 
@@ -594,8 +595,7 @@ def orientation_sign_face(rho, zhat, tangents):
     array of signs.
     """
     zhat = np.asarray(zhat, dtype=complex)
-    frame = _real_frame([rho.grad_real(zhat[..., 0], zhat[..., 1])], _frame(tangents, 3))
-    return _orientation(frame, "face")
+    return _orientation([rho.grad(zhat[..., 0], zhat[..., 1])], _frame(tangents, 3), "face")
 
 
 def orientation_sign_edge(rho_members, zhat, tangents):
@@ -610,6 +610,5 @@ def orientation_sign_edge(rho_members, zhat, tangents):
     """
     r1, r2 = rho_members
     zhat = np.asarray(zhat, dtype=complex)
-    z1, z2 = zhat[..., 0], zhat[..., 1]
-    frame = _real_frame([r2.grad_real(z1, z2), r1.grad_real(z1, z2)], _frame(tangents, 2))
-    return _orientation(frame, "edge")
+    grads = [rho.grad(zhat[..., 0], zhat[..., 1]) for rho in (r2, r1)]
+    return _orientation(grads, _frame(tangents, 2), "edge")

@@ -40,14 +40,19 @@ and cached for the domain's lifetime in the dict ``PwsDomain._cache``:
 A later :func:`reproduce` at any tau costs one pairing per face and one for
 all edges, into one divisor, then, like :func:`hardy_norm`, one section call
 on all weighted nodes and one sum per piece (:meth:`_NodeSet._sums`).  Every
-check that does not depend on tau or the section (chart projection, vanishing
-gradients, the strong tangents' on-locus test, degenerate orientation frames,
-non-positive edge weights) runs when an entry is built, and a failed build
-caches nothing; the pole checks run on every call over every node, before the
-section call, and the shape check on every section call.  Domains and charts
-are treated as immutable once built, and
+check that does not depend on tau or the section (chart projection, with its
+rank-deficient frames, vanishing gradients, the strong tangents' on-locus
+test, non-positive edge weights) runs when an entry is built, and a failed
+build caches nothing; the pole checks run on every call over every node,
+before the section call, and the shape check on every section call.  Domains
+and charts are treated as immutable once built, and
 :func:`~hardycorners.domain.transform_domain` builds a new domain with a
 cache of its own.
+
+The orientation signs and the real conormal of :func:`fefferman_density` are
+converted from Wirtinger gradients that the build already holds (the face
+density's, or at edge nodes the member tangent hyperplanes'), not evaluated
+again.
 
 The two entries each project the charts, on purpose.  Building both at
 once would make :func:`reproduce` fail wherever the edge weight does: on
@@ -65,21 +70,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import strong_tangents
+from .hermpoly import _gradient_norm, _real_gradient
 from .kernels import (
     _corner_factor,
     _corner_pairing,
     _leray_factor,
     _leray_pairing,
-    _real_frame,
-    orientation_sign_edge,
-    orientation_sign_face,
+    _orientation,
+    _real_columns,
 )
 
-# Unused here since reproduce splits them into factor and pairing, but
-# bench/tracer.py wraps both by name in this module's namespace.
+# Unused here, but bench/tracer.py wraps these by name in this module's namespace.
 from .kernels import corner_kernel, smooth_leray_density  # noqa: F401
+from .kernels import orientation_sign_edge, orientation_sign_face  # noqa: F401
 from .normalforms import eta
-from .projective import det2, det3, det4, homogenize
+from .projective import _det4_columns, det2, det3, homogenize
 
 __all__ = [
     "BoundaryMeasure",
@@ -105,22 +110,19 @@ def fefferman_density(rho, zhat, tangents):
     zhat = np.asarray(zhat, dtype=complex)
     z1, z2 = zhat[..., 0], zhat[..., 1]
     g = rho.grad(z1, z2)
-    grad_r = rho.grad_real(z1, z2)
+    _gradient_norm(g)
+    grad_r = _real_gradient(g)
     gn = np.linalg.norm(grad_r, axis=-1)
-    if np.any(gn < 1e-14):
-        raise ValueError("defining function has vanishing gradient at the point")
     h = rho.hessian_complex(z1, z2)
     b = np.zeros(zhat.shape[:-1] + (3, 3), dtype=complex)
-    b[..., 0, 1] = np.conj(g[..., 0])
-    b[..., 0, 2] = np.conj(g[..., 1])
-    b[..., 1, 0] = g[..., 0]
-    b[..., 2, 0] = g[..., 1]
+    b[..., 0, 1:] = np.conj(g)
+    b[..., 1:, 0] = g
     # Row index holomorphic, column index anti-holomorphic, matching the
     # border pairing; this is what makes det B transform with |det dPhi|^2
     # under holomorphic changes of variables.
     b[..., 1:, 1:] = np.swapaxes(h, -1, -2)
     detb = det3(b).real
-    frame_det = det4(_real_frame([grad_r / gn[..., None]], tangents))
+    frame_det = _det4_columns(_real_columns([grad_r / gn[..., None]], tangents))
     return 2.0 ** (4.0 / 3.0) * np.abs(detb) ** (1.0 / 3.0) * np.abs(frame_det) / gn
 
 
@@ -275,7 +277,8 @@ def build_measure(d, resolution=16, edge_resolution=None):
     Raises
     ------
     ProjectionError
-        If a chart's Newton projection does not converge.
+        If a chart's projection fails: its Newton solve does not converge, or
+        its tangents are singular (not transverse, or rank-deficient with the conormals).
     ValueError
         If a resolution is not an integer of at least 4
         (:meth:`~hardycorners.domain.Chart.grid`), a face's defining function
@@ -315,14 +318,13 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None):
 def _face_factor(d, index, resolution):
     """A face's weighted ``points, weights, unit_grad``, then Levi-flat ``points, unit_grad``."""
     fc = d.faces[index]
-    rho = d.rho(fc.hypersurface)
     ns = fc.chart.nodes(resolution)
-    unit_grad, dens = _leray_factor(rho, ns.points, ns.tangents)
+    unit_grad, dens = _leray_factor(d.rho(fc.hypersurface), ns.points, ns.tangents)
     # Nodes where the density vanishes (Levi-flat) contribute nothing and need no orientation:
     # they serve only the pole check.  Select rows only when some vanish, to copy nothing otherwise.
     live = dens != 0
     rows, flat = (slice(None), slice(0)) if live.all() else (live, ~live)
-    sgn = orientation_sign_face(rho, ns.points[rows], ns.tangents[rows])
+    sgn = _orientation([unit_grad[rows]], ns.tangents[rows], "face")
     weights = ns.weights[rows] * sgn * dens[rows]
     return ns.points[rows], weights, unit_grad[rows], ns.points[flat], unit_grad[flat]
 
@@ -332,8 +334,8 @@ def _edge_factor(d, index, resolution):
     e = d.edges[index]
     ns = e.chart.nodes(resolution)
     planes, k = _corner_factor(strong_tangents(d, e, ns.points), ns.tangents)
-    rhos = (d.rho(e.members[0]), d.rho(e.members[1]))
-    sgn = orientation_sign_edge(rhos, ns.points, ns.tangents)
+    # The conormals in reversed member order, as orientation_sign_edge takes them.
+    sgn = _orientation([planes[:, 1, 1:], planes[:, 0, 1:]], ns.tangents, "edge")
     return ns.points, ns.weights * sgn * k, planes
 
 
@@ -385,7 +387,8 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
         If a tangent hyperplane at some boundary node passes through ``tau``
         (the formula's precondition fails); ``f`` is then not called.
     ProjectionError
-        If a chart's Newton projection does not converge.
+        If a chart's projection fails: its Newton solve does not converge, or
+        its tangents are singular (not transverse, or rank-deficient with the conormals).
     """
     if face_resolution is None:
         face_resolution = resolution

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Edge, PwsDomain
+from .domain import Edge, PwsDomain, _member_planes, _transversality
 from .hermpoly import HermitianPoly
 from .projective import (
     ProjMap,
@@ -185,22 +185,19 @@ def edge_frame(d, e, zhat):
 
     The affine part sends the basepoint to the origin and maps each member's
     complex tangent hyperplane to a model plane {Im zeta_l = 0} with unit
-    linear normalization (rows are i times the Wirtinger gradients); the
-    homogeneous representative is scaled to unit determinant.  For an
-    ``(N, 2)`` array of edge points the frames are returned as their
-    ``(N, 3, 3)`` matrices.
+    linear normalization (rows are i times the Wirtinger gradients, the
+    linear parts of the member tangent hyperplanes); the homogeneous
+    representative is scaled to unit determinant.  For an ``(N, 2)`` array
+    of edge points the frames are returned as their ``(N, 3, 3)`` matrices.
     """
     zhat = np.asarray(zhat, dtype=complex)
     points = zhat.reshape(-1, 2)
-    rows = np.stack([1j * d.rho(m).grad(points[:, 0], points[:, 1]) for m in e.members], axis=1)
-    norms = np.linalg.norm(rows, axis=-1)
-    for i, m in enumerate(e.members):
-        if np.any(norms[:, i] < 1e-14):
-            raise ValueError(f"vanishing gradient of member {d.label(m)!r}")
-    if np.any(np.abs(det2(rows)) < 1e-12 * norms[:, 0] * norms[:, 1]):
+    planes = _member_planes(d, e.members, points)
+    if np.any(_transversality(planes[..., 1:]) < 1e-12):
         raise ValueError("member gradients are complex-linearly dependent")
     hom = np.zeros((len(points), 3, 3), dtype=complex)
     hom[:, 0, 0] = 1.0
+    rows = 1j * planes[..., 1:]
     hom[:, 1:, 0] = -(rows @ points[:, :, None])[..., 0]
     hom[:, 1:, 1:] = rows
     mats = hom / _principal_cube_root(det3(hom))[:, None, None]

@@ -134,29 +134,29 @@ def inv3(a):
 
 
 def det4(a):
-    """Determinants of 4x4 matrices on the last two axes.
+    """Determinants of 4x4 matrices on the last two axes (see :func:`_det4_columns`)."""
+    return _det4_columns([a[..., :, j] for j in range(4)])
+
+
+def _det4_columns(cols):
+    """Determinants of the 4x4 matrices whose columns are the four ``(..., 4)`` arrays ``cols``.
 
     Laplace expansion along rows 0-1: the sum over column pairs of the 2x2
-    minor of rows 0-1 times the signed complementary minor of rows 2-3.
+    minor of rows 0-1 times the signed complementary minor of rows 2-3.  No
+    matrix is assembled, and the minors of rows 0-1 are formed one at a
+    time, to keep few arrays alive.
     """
 
-    def minors(r):
-        p, q = a[..., r, :], a[..., r + 1, :]
-        return {
-            (i, j): p[..., i] * q[..., j] - p[..., j] * q[..., i]
-            for i in range(4)
-            for j in range(i + 1, 4)
-        }
+    def minor(r, i, j):
+        return cols[i][..., r] * cols[j][..., r + 1] - cols[j][..., r] * cols[i][..., r + 1]
 
-    s, c = minors(0), minors(2)
-    return (
-        s[0, 1] * c[2, 3]
-        - s[0, 2] * c[1, 3]
-        + s[0, 3] * c[1, 2]
-        + s[1, 2] * c[0, 3]
-        - s[1, 3] * c[0, 2]
-        + s[2, 3] * c[0, 1]
-    )
+    c = {(i, j): minor(2, i, j) for i in range(4) for j in range(i + 1, 4)}
+    det = minor(0, 0, 1) * c[2, 3]
+    det = det - minor(0, 0, 2) * c[1, 3]
+    det = det + minor(0, 0, 3) * c[1, 2]
+    det = det + minor(0, 1, 2) * c[0, 3]
+    det = det - minor(0, 1, 3) * c[0, 2]
+    return det + minor(0, 2, 3) * c[0, 1]
 
 
 def _value(v, cast=complex):

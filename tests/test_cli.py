@@ -490,6 +490,70 @@ def test_non_transverse_edge_is_precondition_failure(runner, tmp_path):
         assert "Traceback" not in result.output
 
 
+def _spec_file(tmp_path, spec):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "constant, message",
+    [
+        ("1.9", "edge 0: radius 0.05 too large: non-member hypersurface 'ball' reaches the sample"),
+        ("2", "edge 0: no declared edge matches the active hypersurfaces [0, 1, 2]"),
+    ],
+    ids=["ball_near_the_edge", "ball_through_the_edge"],
+)
+def test_check_domain_local_geometry_error_is_input_error(runner, tmp_path, constant, message):
+    spec = load_spec("bidisk")
+    spec["hypersurfaces"].append({"label": "ball", "rho": f"abs2(z1) + abs2(z2) - {constant}"})
+    result = runner.invoke(main, ["check-domain", _spec_file(tmp_path, spec)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(message)
+    assert result.stderr.count("\n") == 1
+
+
+def test_check_domain_overflowing_radius_is_input_error(runner):
+    # the margins would be infinite, which JSON cannot carry
+    result = runner.invoke(main, ["check-domain", "bidisk", "--radius", "1e300"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "--radius 1e+300 is too large: the local checks at edge 0 overflow\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check-domain", "--resolution", "8"],
+        ["reproduce", "--tau", "0.1,0,0,0.2", "--resolution", "8"],
+        ["eta", "--grid", "6"],
+    ],
+    ids=["check-domain", "reproduce", "eta"],
+)
+def test_rank_deficient_chart_is_precondition_failure(runner, tmp_path, command):
+    if command[0] == "eta":
+        # eta projects only the edge chart: r0 = 0 on |z1 - 1|^2 = 1 holds z1 at 0
+        spec = {
+            "hypersurfaces": [
+                {"label": "a", "rho": "abs2(z1) - z1 - conj(z1)"},
+                {"label": "b", "rho": "abs2(z2) - 1"},
+            ],
+            "edges": [{"members": ["a", "b"], "chart": {"type": "torus2", "r0": [0.0, 1.0]}}],
+        }
+        kind = "torus2"
+    else:
+        # disk_radius 0 collapses face 0's disk, which no longer drops out silently
+        spec = load_spec("perturbed_bidisk")
+        spec["faces"][0]["chart"]["disk_radius"] = 0
+        kind = "graph_patch"
+    result = runner.invoke(main, command[:1] + [_spec_file(tmp_path, spec)] + command[1:])
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"precondition failure: {kind} chart tangents are singular")
+    assert "rank-deficient" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

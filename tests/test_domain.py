@@ -9,6 +9,7 @@ import pytest
 from hardycorners.cli import load_spec
 from hardycorners.domain import (
     GraphPatchChart,
+    ProjectionError,
     PwsDomain,
     SpherePolarChart,
     TorusChart,
@@ -141,6 +142,39 @@ def test_quad_nodes_cover_resolution(bidisk):
     assert len(nodes) == 64
     total = sum(w for _, w in nodes)
     assert np.isclose(total, (2 * np.pi) ** 2)
+
+
+def _collapsed_chart_domains():
+    """A face chart and an edge chart that Newton-converge but collapse a parameter axis."""
+    # disk_radius 0: the disk shrinks to a point, so two of the three tangents vanish
+    face_spec = load_spec("perturbed_bidisk")
+    face_spec["faces"][0]["chart"]["disk_radius"] = 0
+    # r0 = 0 on |z1 - 1|^2 = 1: every ray from 0 meets the circle at 0, so z1 stays 0
+    edge_spec = {
+        "hypersurfaces": [
+            {"label": "a", "rho": "abs2(z1) - z1 - conj(z1)"},
+            {"label": "b", "rho": "abs2(z2) - 1"},
+        ],
+        "faces": [],
+        "edges": [{"members": ["a", "b"], "chart": {"type": "torus2", "r0": [0.0, 1.0]}}],
+    }
+    return domain_from_spec(face_spec).faces[0].chart, domain_from_spec(edge_spec).edges[0].chart
+
+
+# Resolution 6 keeps the edge chart's angles off pi/2, where its Newton Jacobian is singular.
+@pytest.mark.parametrize(
+    "piece, kind, resolution, nodes",
+    [(0, "graph_patch", 8, 256), (1, "torus2", 6, 36)],
+    ids=["face", "edge"],
+)
+def test_rank_deficient_chart_frame_is_projection_error(rng, piece, kind, resolution, nodes):
+    chart = _collapsed_chart_domains()[piece]
+    message = f"{kind} chart tangents are singular .* rank-deficient.* at {nodes} of {nodes} nodes"
+    with pytest.raises(ProjectionError, match=message):
+        chart.nodes(resolution)
+    # the image of a collapsed chart is collapsed too
+    with pytest.raises(ProjectionError, match="rank-deficient"):
+        TransformedChart(chart, random_unit_det_map(rng, scale=0.1)).nodes(resolution)
 
 
 def test_transformed_chart_tracks_base(bidisk, rng):

@@ -434,6 +434,19 @@ def test_failed_factor_build_caches_nothing():
         assert not any(kind == "reproduce" for kind, _, _ in d._cache)
 
 
+def test_collapsed_face_chart_raises_instead_of_dropping_its_face():
+    # With disk_radius 0 every tangent frame of face 0 has rank 1: its measure density and
+    # face density vanish at every node, so face 0 would add exactly 0 to either sum.
+    spec = load_spec("perturbed_bidisk")
+    spec["faces"][0]["chart"]["disk_radius"] = 0
+    d = domain_from_spec(spec)
+    with pytest.raises(ProjectionError, match=r"rank-deficient\) at 256 of 256 nodes"):
+        reproduce(d, lambda z: z[0] + 1.0, np.array([0.1, 0.2j]), resolution=8)
+    with pytest.raises(ProjectionError, match=r"rank-deficient\) at 256 of 256 nodes"):
+        hardy_norm(d, lambda z: z[0] + 1.0, resolution=8)
+    assert not d._cache
+
+
 @pytest.mark.parametrize("resolution", [1, 2, 3, 4.5])
 def test_resolution_is_an_integer_of_at_least_four(resolution):
     d = _fresh("perturbed_bidisk")

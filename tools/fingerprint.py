@@ -2,15 +2,16 @@
 
 Run from the repository root with ``PYTHONPATH=src python tools/fingerprint.py``
 in two checkouts and ``diff`` the outputs: an empty diff means every chart node
-set, every ``reproduce`` and ``hardy_norm`` result (cold and warm), every
-piece's points and weights in ``build_measure`` at two edge resolutions, the
-criterion 14 path (a warm ``hardy_norm`` of a pulled-back section on a
-projective image, at the ``norm_invariance`` benchmark's resolutions), every
-projective map evaluation below, and ``reproduce`` at the ``curved_reproduce``
-and ``flat_corner_taus`` benchmarks' sizes (cold and warm, at several taus and
-at one pole) is bit-identical between them.  A result that
-raises prints its exception type and message in place of a digest, so a
-changed error shows too.
+set, every ``reproduce`` and ``hardy_norm`` result (cold and warm), each array
+of the cached ``reproduce`` factors (``weights``, ``unit_grad``, ``planes``),
+each field of every edge's ``eta``, every piece's points and weights in
+``build_measure`` at two edge resolutions, the criterion 14 path (a warm
+``hardy_norm`` of a pulled-back section on a projective image, at the
+``norm_invariance`` benchmark's resolutions), every projective map evaluation
+below, and ``reproduce`` at the ``curved_reproduce`` and ``flat_corner_taus``
+benchmarks' sizes (cold and warm, at several taus and at one pole) is
+bit-identical between them.  A result that raises prints its exception type
+and message in place of a digest, so a changed error shows too.
 
 Each line is ``<name> <sha256 prefix>``.  The digest covers the raw bytes,
 dtype and shape of every array in the result, or the ``repr`` of a result
@@ -20,7 +21,7 @@ that is not an array.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from hardycorners import (
     transform_domain,
 )
 from hardycorners.cli import load_spec
+from hardycorners.normalforms import eta
 
 SPECS = ("bidisk", "perturbed_bidisk", "sphere", "wedge_union")
 RESOLUTIONS = (4, 5, 8, 17)
@@ -58,13 +60,25 @@ def _digest(*parts):
     return h.hexdigest()[:16]
 
 
+# The library's named errors.
+_ERRORS = (ArithmeticError, ValueError, ProjectionError)
+
+
 def _line(name, compute):
     try:
         parts = compute()
-    except (ArithmeticError, ValueError, ProjectionError) as exc:  # the library's named errors
+    except _ERRORS as exc:
         print(f"{name} raises {type(exc).__name__}: {exc}")
         return
     print(f"{name} {_digest(*parts)}")
+
+
+def _factor_lines(name, d):
+    """One line per array of each cached ``reproduce`` entry: a diff names the array that moved."""
+    for key in sorted(k for k in d._cache if k[0] == "reproduce"):
+        for field in ("weights", "unit_grad", "planes"):
+            label = f"factors {name} f{key[1]} e{key[2]} {field}"
+            _line(label, lambda: (getattr(d._cache[key], field),))
 
 
 def _map(seed, scale):
@@ -107,11 +121,26 @@ def results():
                 f"reproduce {name} {state}",
                 lambda: (reproduce(d, _section, TAU, resolution=8, edge_resolution=8),),
             )
+        _factor_lines(name, d)
         for state in ("cold", "warm"):
             _line(
                 f"hardy_norm {name} {state}",
                 lambda: (hardy_norm(d, _section, resolution=8, edge_resolution=8),),
             )
+
+
+def edge_invariants():
+    """Every field of ``eta`` on each edge's nodes at resolution 8, one line each."""
+    for name, d in _domains().items():
+        for i, e in enumerate(d.edges):
+            label = f"eta {name} edge{i} r8"
+            try:
+                inv = eta(d, e.chart.nodes(8).points)
+            except _ERRORS as exc:
+                print(f"{label} raises {type(exc).__name__}: {exc}")
+                continue
+            for field in fields(inv):
+                _line(f"{label} {field.name}", lambda: (getattr(inv, field.name),))
 
 
 def measures():
@@ -160,6 +189,7 @@ def bench_reproduce():
                     f"reproduce {name} {label} {tau_name} {state}",
                     lambda: (reproduce(d, _section, tau, **sizes),),
                 )
+        _factor_lines(name, d)
 
 
 def maps():
@@ -187,6 +217,7 @@ def maps():
 if __name__ == "__main__":
     nodesets()
     results()
+    edge_invariants()
     measures()
     pulled_norm()
     maps()
