@@ -619,20 +619,27 @@ def check_local_intersection(d, zhat, radius, samples, seed=0):
     """Does the domain agree with the intersection of its members' half-spaces nearby?
 
     Samples the real 4-ball around the edge point and compares the domain's
-    membership rule against ``all(rho_member < 0)``.  Raises if any
-    non-member hypersurface changes sign inside the ball (radius too large
-    for a purely local statement).
+    membership rule against ``all(rho_member < 0)``.  Raises if the point
+    itself lies outside a non-member hypersurface (its ``rho >= 0`` there,
+    whatever the radius), or if a non-member changes sign inside the ball
+    (radius too large for a purely local statement).
     """
     members = d.active_members(zhat)
     if not members:
         raise ValueError("point is not on the boundary of any hypersurface")
+    nonmembers = [i for i in range(len(d.hypersurfaces)) if i not in members]
+    at_point = d.rho_values(zhat)
+    for i in nonmembers:
+        if at_point[i] >= 0:
+            raise ValueError(
+                f"the edge point lies outside non-member hypersurface {d.label(i)!r}"
+            )
     rng = np.random.default_rng(seed)
     center = np.array(
         [zhat[0].real, zhat[0].imag, zhat[1].real, zhat[1].imag], dtype=float
     )
     pts = _ball_samples(rng, center, radius, int(samples))
     vals = d.rho_values((pts[:, 0] + 1j * pts[:, 1], pts[:, 2] + 1j * pts[:, 3]))
-    nonmembers = [i for i in range(len(d.hypersurfaces)) if i not in members]
     reached = vals[nonmembers] >= 0
     if np.any(reached):
         first = np.argmax(np.any(reached, axis=0))

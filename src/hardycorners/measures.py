@@ -182,8 +182,8 @@ class _NodeSet:
     edge_nodes: list
 
     def _sums(self, terms):
-        """The ``np.sum`` of each piece's rows of ``terms`` ``(N,)``: (per face, per edge)."""
-        sums = [np.sum(terms[p.rows]) for p in self.face_nodes + self.edge_nodes]
+        """The sum of each piece's rows of ``terms`` ``(N,)``: (per face, per edge)."""
+        sums = [terms[p.rows].sum() for p in self.face_nodes + self.edge_nodes]
         return sums[: len(self.face_nodes)], sums[len(self.face_nodes) :]
 
 
@@ -217,7 +217,7 @@ class BoundaryMeasure(_NodeSet):
         ``func`` follows the section convention: it is called once, on the
         coordinate pair ``(z1, z2)`` of all ``N`` nodes, two ``(N,)`` arrays,
         and returns ``(N,)`` values or a scalar.  Each piece's share is the
-        ``np.sum`` of its rows of ``weights * values``.
+        sum of its rows of ``weights * values``.
 
         Raises
         ------

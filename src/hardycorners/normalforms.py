@@ -192,7 +192,12 @@ def edge_frame(d, e, zhat):
     """
     zhat = np.asarray(zhat, dtype=complex)
     points = zhat.reshape(-1, 2)
-    planes = _member_planes(d, e.members, points)
+    mats = _frame_matrices(_member_planes(d, e.members, points), points)
+    return ProjMap(mats[0]) if zhat.ndim == 1 else mats
+
+
+def _frame_matrices(planes, points):
+    """:func:`edge_frame`'s ``(N, 3, 3)`` matrices from the member hyperplanes ``(N, 2, 3)``."""
     if np.any(_transversality(planes[..., 1:]) < 1e-12):
         raise ValueError("member gradients are complex-linearly dependent")
     hom = np.zeros((len(points), 3, 3), dtype=complex)
@@ -200,14 +205,14 @@ def edge_frame(d, e, zhat):
     rows = 1j * planes[..., 1:]
     hom[:, 1:, 0] = -(rows @ points[:, :, None])[..., 0]
     hom[:, 1:, 1:] = rows
-    mats = hom / _principal_cube_root(det3(hom))[:, None, None]
-    return ProjMap(mats[0]) if zhat.ndim == 1 else mats
+    return hom / _principal_cube_root(det3(hom))[:, None, None]
 
 
-def _transformed_taylor2(rho, points, inv):
+def _transformed_taylor2(rho, points, inv, grad):
     """Real gradient ``(N, 4)`` and Hessian ``(N, 4, 4)`` of a member at the origin of each frame.
 
-    ``inv`` holds the inverse frame matrices ``V``, ``(N, 3, 3)``.
+    ``inv`` holds the inverse frame matrices ``V``, ``(N, 3, 3)``, and
+    ``grad`` the member's Wirtinger gradient ``(N, 2)`` at ``points``.
 
     The member in frame coordinates is ``|D|^(2n) rho(G(zeta))``, the
     polynomial that :func:`~hardycorners.hermpoly.transform_poly` builds:
@@ -232,7 +237,7 @@ def _transformed_taylor2(rho, points, inv):
     jac_t = np.swapaxes(jac, -1, -2)
     # Wirtinger derivatives in frame coordinates: g_k, g_kl = d^2/dzeta_k
     # dzeta_l and g_klbar = d^2/dzeta_k dconj(zeta_l)
-    gk = (rho.grad(z1, z2)[:, None, :] @ jac)[:, 0]
+    gk = (grad[:, None, :] @ jac)[:, 0]
     gkl = jac_t @ rho.hessian_holomorphic(z1, z2) @ jac
     gklbar = jac_t @ np.swapaxes(rho.hessian_complex(z1, z2), -1, -2) @ np.conj(jac)
     # G's second derivatives and the first derivatives of D^n together add
@@ -284,22 +289,39 @@ def extract_normal_form(d, zhat, frame=None):
     Raises
     ------
     ValueError
-        If an explicit frame matrix is singular (|det| at most 1e-12 times
-        the product of its row norms), or if the y-block ``B`` of the member
-        gradients is singular or ill-conditioned: the frame does not present
-        the edge as a graph over its real tangent plane.
+        If a member gradient vanishes at a point, if an explicit frame
+        matrix is singular (|det| at most 1e-12 times the product of its row
+        norms), or if the y-block ``B`` of the member gradients is singular
+        or ill-conditioned: the frame does not present the edge as a graph
+        over its real tangent plane.
+    """
+    return _fit(d, zhat, frame)[0]
+
+
+def _fit(d, zhat, frame):
+    """:func:`extract_normal_form`, and the ``(N, 3, 3)`` frame matrices it used.
+
+    Each member's gradient is evaluated once, for both the default frame and
+    the chain rule.
     """
     zhat = np.asarray(zhat, dtype=complex)
     points = zhat.reshape(-1, 2)
     e = d.edge_at(points)
+    planes = _member_planes(d, e.members, points)
     if frame is None:
-        frame = edge_frame(d, e, points)
-    mats = frame.matrix if isinstance(frame, ProjMap) else np.asarray(frame, dtype=complex)
-    mats = np.broadcast_to(mats, (len(points), 3, 3))
-    if not np.all(np.abs(det3(mats)) > 1e-12 * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)):
-        raise ValueError("the frame matrix is singular")
+        mats = _frame_matrices(planes, points)
+    else:
+        mats = frame.matrix if isinstance(frame, ProjMap) else np.asarray(frame, dtype=complex)
+        mats = np.broadcast_to(mats, (len(points), 3, 3))
+        if not np.all(np.abs(det3(mats)) > 1e-12 * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)):
+            raise ValueError("the frame matrix is singular")
     inv = inv3(mats)
-    grads, hessians = zip(*(_transformed_taylor2(d.rho(m), points, inv) for m in e.members))
+    grads, hessians = zip(
+        *(
+            _transformed_taylor2(d.rho(m), points, inv, planes[:, i, 1:])
+            for i, m in enumerate(e.members)
+        )
+    )
     grads = np.stack(grads, axis=1)
     hessians = np.stack(hessians, axis=1)
     a, b = grads[..., :2], grads[..., 2:]
@@ -326,7 +348,7 @@ def extract_normal_form(d, zhat, frame=None):
         g[..., 1, 0, 1],
         g[..., 1, 0, 0] / 2,
     )
-    return NormalForm(*(_value(c, float) for c in coeffs))
+    return NormalForm(*(_value(c, float) for c in coeffs)), mats
 
 
 def _as_coeffs(nf):
@@ -556,11 +578,12 @@ def eta(d, zhat):
     ``(N, 3, 3)`` frame matrices), computed in one pass.
     """
     zhat = np.asarray(zhat, dtype=complex)
-    fr = edge_frame(d, d.edge_at(zhat), zhat)
-    nf = extract_normal_form(d, zhat, frame=fr)
+    nf, mats = _fit(d, zhat, None)
+    if zhat.ndim == 1:
+        mats = mats[0]
     norm = normalize_coeffs(nf.coeffs)
     k = kappa(norm.b1, norm.b2)
-    m0 = (fr.matrix if isinstance(fr, ProjMap) else fr)[..., 0, :]
+    m0 = mats[..., 0, :]
     den = m0[..., 0] + m0[..., 1] * zhat[..., 0] + m0[..., 2] * zhat[..., 1]
     c1c2 = nf.c1 * nf.c2
     return EdgeInvariant(
@@ -568,7 +591,7 @@ def eta(d, zhat):
         eta_weight=_value(np.abs(den) ** 3 * k / c1c2, float),
         b1=norm.b1,
         b2=norm.b2,
-        frame=fr,
+        frame=ProjMap(mats) if zhat.ndim == 1 else mats,
         c1=nf.c1,
         c2=nf.c2,
         kappa_times_c1c2=_value(c1c2 * k, float),

@@ -300,7 +300,14 @@ class ProjMap:
 
         ``(z1, z2)`` is as :func:`_as_points` returns it.
         """
-        return [m0 + m1 * z1 + m2 * z2 for m0, m1, m2 in self._entries[:count]]
+        images = []
+        for m0, m1, m2 in self._entries[:count]:
+            # (m0 + m1*z1) + m2*z2, summed in place: the same roundings, fewer temporaries
+            t = m1 * z1
+            t += m0
+            t += m2 * z2
+            images.append(t)
+        return images
 
     def den(self, zhat):
         """Homogeneous denominator M00 + M01*z1 + M02*z2 at an affine point."""
@@ -404,16 +411,25 @@ class Section:
 
 @dataclass(frozen=True)
 class SectionValue:
-    """A section value with its weight data and the basepoint representative.
+    """A section value with its weight data and the coordinate pair it was taken at.
 
-    For ``N`` points at once ``value`` is an ``(N,)`` array and ``basepoint``
-    the ``(N, 3)`` array of representatives.
+    ``zhat`` is the pair ``(z1, z2)`` as :func:`pull_back_section` read it.
+    The basepoint representative ``(1, z1, z2)`` is built from it on first
+    read and kept: a :class:`HomVec` for one point; for ``N`` points at once
+    ``value`` is an ``(N,)`` array and ``basepoint`` the ``(N, 3)`` array of
+    representatives.  The pair's arrays are the caller's, not copies, so a
+    caller that writes to them reads ``basepoint`` first.
     """
 
     value: complex
     bidegree: tuple
-    basepoint: HomVec
+    zhat: tuple
     chart_dependent: bool = False
+
+    @cached_property
+    def basepoint(self):
+        z1, z2 = self.zhat
+        return HomVec.from_affine(self.zhat) if np.ndim(z1) == 0 else _lift(z1, z2)
 
 
 def _frac_power(base, expo):
@@ -447,7 +463,7 @@ def pull_back_section(t, f, zhat):
         t = normalize_map(t)
     if not isinstance(f, Section):
         raise TypeError("f must be a Section (affine value function + bidegree)")
-    z1, z2, shape = _as_points(*zhat)
+    z1, z2, _ = _as_points(*zhat)
     den, out1, out2 = t._images(z1, z2)
     image = _off_pole(
         den, out1, out2, "affine point lies on the pole hyperplane of this affinization"
@@ -462,6 +478,6 @@ def pull_back_section(t, f, zhat):
     return SectionValue(
         value=value,
         bidegree=(j, k),
-        basepoint=HomVec.from_affine((z1, z2)) if shape is None else _lift(z1, z2),
+        zhat=(z1, z2),
         chart_dependent=half,
     )

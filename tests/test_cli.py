@@ -497,17 +497,30 @@ def _spec_file(tmp_path, spec):
 
 
 @pytest.mark.parametrize(
-    "constant, message",
+    "constant, radius, message",
     [
-        ("1.9", "edge 0: radius 0.05 too large: non-member hypersurface 'ball' reaches the sample"),
-        ("2", "edge 0: no declared edge matches the active hypersurfaces [0, 1, 2]"),
+        ("1.9", "0.05", "edge 0: the edge point lies outside non-member hypersurface 'ball'\n"),
+        ("1.9", "1e-6", "edge 0: the edge point lies outside non-member hypersurface 'ball'\n"),
+        ("2", "0.05", "edge 0: no declared edge matches the active hypersurfaces [0, 1, 2]"),
+        (
+            "2.05",
+            "0.05",
+            "edge 0: radius 0.05 too large: non-member hypersurface 'ball' reaches the sample",
+        ),
     ],
-    ids=["ball_near_the_edge", "ball_through_the_edge"],
+    ids=[
+        "ball_near_the_edge",
+        "ball_near_the_edge_at_any_radius",
+        "ball_through_the_edge",
+        "ball_reaching_the_sample_ball",
+    ],
 )
-def test_check_domain_local_geometry_error_is_input_error(runner, tmp_path, constant, message):
+def test_check_domain_local_geometry_error_is_input_error(
+    runner, tmp_path, constant, radius, message
+):
     spec = load_spec("bidisk")
     spec["hypersurfaces"].append({"label": "ball", "rho": f"abs2(z1) + abs2(z2) - {constant}"})
-    result = runner.invoke(main, ["check-domain", _spec_file(tmp_path, spec)])
+    result = runner.invoke(main, ["check-domain", _spec_file(tmp_path, spec), "--radius", radius])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith(message)

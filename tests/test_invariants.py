@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardycorners.domain import Edge, PwsDomain, TorusChart, transform_domain
-from hardycorners.hermpoly import transform_poly
+from hardycorners.hermpoly import HermitianPoly, transform_poly
 from hardycorners.measures import hardy_norm
 from hardycorners.normalforms import (
     NormalizedEdge,
@@ -404,6 +404,20 @@ def test_eta_rejects_flat_edge(bidisk):
     zhat = np.array([np.exp(0.4j), np.exp(1.1j)])
     with pytest.raises(ValueError):
         eta(bidisk, zhat)
+
+
+def test_eta_evaluates_each_member_gradient_once(perturbed_bidisk, monkeypatch):
+    points = perturbed_bidisk.edges[0].chart.nodes(8).points
+    calls = []
+    grad = HermitianPoly.grad
+
+    def counted(self, *args):
+        calls.append(1)
+        return grad(self, *args)
+
+    monkeypatch.setattr(HermitianPoly, "grad", counted)
+    eta(perturbed_bidisk, points)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardycorners.domain import TransformedChart
+from hardycorners import projective
+from hardycorners.domain import TransformedChart, transform_domain
+from hardycorners.measures import hardy_norm
 from hardycorners.projective import (
     HomVec,
     ProjMap,
@@ -160,6 +162,15 @@ def test_jacobian_determinant_is_inverse_cubed_denominator(rng):
         zhat = _random_point(rng)
         det = np.linalg.det(t.jacobian(zhat))
         assert np.isclose(det, t.den(zhat) ** -3, rtol=1e-9)
+
+
+def test_images_equal_the_written_out_affine_rows(rng):
+    t = random_unit_det_map(rng)
+    points = np.array([_random_point(rng) for _ in range(7)])
+    m = t.matrix
+    for z1, z2 in ((points[:, 0], points[:, 1]), (complex(points[0, 0]), complex(points[0, 1]))):
+        for got, row in zip(t._images(z1, z2), m):
+            np.testing.assert_array_equal(got, row[0] + row[1] * z1 + row[2] * z2)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +411,35 @@ def test_pullback_batch_with_one_point_on_the_pole():
     with pytest.raises(ZeroDivisionError):
         pull_back_section(t, f, (z1, np.zeros(3)))
     assert np.all(np.isfinite(pull_back_section(t, f, (z1[[0, 2]], np.zeros(2))).value))
+
+
+def test_pullback_basepoint_is_built_on_first_read_and_kept(rng):
+    t = random_unit_det_map(rng)
+    f = Section(_cubic, bidegree=(-2, 0))
+    points = np.array([_random_point(rng) for _ in range(7)])
+    batch = pull_back_section(t, f, (points[:, 0], points[:, 1]))
+    np.testing.assert_array_equal(batch.basepoint, homogenize(points))
+    assert batch.basepoint is batch.basepoint
+    one = pull_back_section(t, f, tuple(points[0]))
+    assert one.basepoint == HomVec.from_affine(points[0])
+    assert one.basepoint is one.basepoint
+
+
+def test_warm_norm_of_a_pulled_back_section_builds_no_basepoint(perturbed_bidisk, monkeypatch):
+    g = normalize_map(np.eye(3) + 0.05 * np.array([[0, 1, 0.5j], [0.3, 0, 0], [0, -0.2j, 0]]))
+    moved = transform_domain(perturbed_bidisk, g)
+    f = Section(lambda z: z[0] * z[1] ** 2 + 0.5, bidegree=(-2, 0))
+
+    def pulled(zp):
+        return pull_back_section(g.inverse(), f, zp).value
+
+    before = hardy_norm(moved, pulled, resolution=8, edge_resolution=6)["total"]
+
+    def no_lift(*args):
+        raise AssertionError("the basepoint was built")
+
+    monkeypatch.setattr(projective, "_lift", no_lift)
+    assert hardy_norm(moved, pulled, resolution=8, edge_resolution=6)["total"] == before
 
 
 def test_pullback_composition_order(rng):
