@@ -5,11 +5,14 @@ list of smooth boundary faces (each a 3-real-dimensional piece of one
 hypersurface), and a list of edges (here: the 2-real-dimensional manifolds
 where exactly two hypersurfaces meet transversely over the complex field).
 Faces and edges carry explicit parameter charts from a small built-in
-catalog; a Newton projection refines every chart point onto its defining
-locus to 1e-12, and chart tangent vectors come from exact implicit
-differentiation, so downstream quadrature sees the locus to full precision.
-A chart projects its whole quadrature grid in one vectorized Newton solve
-and returns the result as a :class:`NodeSet` of arrays; a node that does not
+catalog.  A catalog chart gives only its geometry: base points and solve
+directions, along which ``k`` real moduli (1 on a face, 2 on an edge) put a
+point on its ``k`` defining functions.  One vectorized Newton solve
+(:meth:`Chart.project`) finds the moduli of the whole quadrature grid to
+1e-12, and one implicit differentiation with the same Jacobian completes the
+tangents, so downstream quadrature sees the locus to full precision.  One
+rule decides whether that Jacobian is regular: ``|det J| / prod |rows of J|
+> 1e-14``.  The result is a :class:`NodeSet` of arrays; a node that does not
 converge, or whose tangents are singular (edge member gradients that are not
 transverse, a face's rho flat along its solve direction), raises
 :class:`ProjectionError`.
@@ -107,33 +110,76 @@ class NodeSet:
         return len(self.weights)
 
 
-def _directional(g, direction):
-    """Real directional derivative 2 Re(g . v) from the Wirtinger gradient g."""
-    return 2.0 * np.real(_dot2(g, direction))
-
-
 def _grad(rho, z):
     return rho.grad(z[..., 0], z[..., 1])
 
 
-def _newton(kind, x, step):
-    """Newton-refine the rows of ``x`` until each row's residual is below tolerance.
+def _along(base, s, dirs):
+    """``base + sum_m s_m dirs_m``: rows ``(N, 2)``, moduli ``(N, k)``, directions ``(N, k, 2)``."""
+    z = base + s[:, 0, None] * dirs[:, 0]
+    for m in range(1, s.shape[1]):
+        z += s[:, m, None] * dirs[:, m]
+    return z
 
-    ``step(rows, x_rows)`` returns the residuals ``(n, m)`` and the Newton
-    corrections (shaped like ``x_rows``) at the given rows.  A converged row
-    is never updated again, so every row follows exactly the iteration it
-    would follow on its own.
+
+def _jacobian(grads, dirs):
+    """``J[:, l, m] = 2 Re(g_l . dir_m)``, d rho_l / d s_m, from the Wirtinger gradients."""
+    return 2.0 * np.real(np.stack([_dot2(g[:, None], dirs) for g in grads], axis=-2))
+
+
+def _det(rows):
+    """Determinants of k x k matrices ``(..., k, k)``, k = 1 or 2."""
+    return rows[..., 0, 0] if rows.shape[-1] == 1 else det2(rows)
+
+
+def _transversality(rows):
+    """``|det| / prod |rows|`` of k x k matrices ``(..., k, k)``, k = 1 or 2.
+
+    It is 0 for dependent or zero rows.
     """
-    x = np.array(x, dtype=float)
-    rows = np.arange(len(x))
+    det = np.abs(_det(rows))
+    scale = det if rows.shape[-1] == 1 else np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
+    with np.errstate(invalid="ignore"):  # inf / inf: a row that is not finite is singular
+        return det / np.maximum(scale, 1e-300)
+
+
+def _solve(jac, rhs):
+    """Solve ``jac x = rhs`` for Jacobians ``(N, k, k)`` and right-hand sides ``(N, k, c)``.
+
+    Returns ``x`` and the regular rows, where ``_transversality(jac) > 1e-14``
+    (the one regularity rule); a singular row's ``x`` is zero.
+    """
+    regular = _transversality(jac) > 1e-14
+    det = np.where(regular, _det(jac), 1.0)
+    x = rhs / det[:, None, None] if jac.shape[-1] == 1 else solve2(jac, rhs, det)
+    return np.where(regular[:, None, None], x, 0.0), regular
+
+
+def _newton(kind, rhos, base, dirs, start):
+    """The moduli ``s`` ``(N, k)`` with ``rho_l(base + sum_m s_m dirs_m) = 0``, from ``start``.
+
+    A converged row is never updated again, so every row follows exactly the
+    iteration it would follow on its own; a singular row takes no step, so it
+    stays unconverged.  ``x`` holds the moduli of the unconverged ``rows``
+    (it is ``s`` itself until a row converges), and every step works on
+    those rows only.
+    """
+    s = x = np.array(np.broadcast_to(start, dirs.shape[:2]), dtype=float)
+    rows = np.arange(len(s))
     for _ in range(_NEWTON_MAXITER):
-        vals, delta = step(rows, x[rows])
+        z = _along(base, x, dirs)
+        vals = np.stack([rho(z[:, 0], z[:, 1]) for rho in rhos], axis=-1)
         todo = ~(np.max(np.abs(vals), axis=-1) < _NEWTON_TOL)
-        rows = rows[todo]
-        if not rows.size:
-            return x
-        x[rows] -= delta[todo]
-    raise ProjectionError(kind, rows.size, len(x))
+        if not todo.all():
+            s[rows[~todo]] = x[~todo]
+            # take() with indices: several times faster than a boolean mask on these shapes
+            keep = np.flatnonzero(todo)
+            rows, x, base, dirs, z, vals = (a.take(keep, 0) for a in (rows, x, base, dirs, z, vals))
+            if not rows.size:
+                return s
+        jac = _jacobian([_grad(rho, z) for rho in rhos], dirs)
+        x -= _solve(jac, vals[..., None])[0][..., 0]
+    raise ProjectionError(kind, rows.size, len(s))
 
 
 # Why a chart fails whose tangents and conormals do not span R^4 (see kernels._frame_dets).
@@ -147,6 +193,13 @@ def _check_tangents(kind, regular, reason):
         raise ProjectionError(kind, np.sum(~regular), len(regular), reason)
 
 
+def _check_resolution(resolution):
+    """``resolution`` itself; ``ValueError`` unless it is an integer of at least 4."""
+    if not isinstance(resolution, (int, np.integer)) or resolution < 4:
+        raise ValueError(f"resolution must be an integer >= 4, got {resolution!r}")
+    return resolution
+
+
 def _real(kind, name, value):
     """A chart's numeric field as a float; ``ValueError`` naming the field if it is not one."""
     try:
@@ -158,11 +211,12 @@ def _real(kind, name, value):
 class Chart:
     """Base class: a parameterization of a face (3 params) or edge (2 params).
 
-    Subclasses set ``dim`` and ``radial`` and define the vectorized
-    projection of parameter rows onto the locus (:meth:`project`); every
-    other method is built on :meth:`grid` and :meth:`project`.  ``radial`` is
-    the length of a face chart's first (radial or polar) parameter interval,
-    and ``None`` on a chart whose axes are all periodic.
+    A catalog chart sets ``dim``, ``radial``, its defining functions
+    ``rhos``, the start ``r0`` of its moduli and ``_singular``, why its
+    tangents can be singular, and defines its geometry (:meth:`_geometry`);
+    every other method is built on :meth:`grid` and :meth:`project`.
+    ``radial`` is the length of a face chart's first (radial or polar)
+    parameter interval, and ``None`` on a chart whose axes are all periodic.
     """
 
     kind = "abstract"
@@ -177,16 +231,40 @@ class Chart:
         nodes on ``[0, radial]``.  A resolution that is not an integer of at
         least 4 raises ``ValueError``.
         """
-        if not isinstance(resolution, (int, np.integer)) or resolution < 4:
-            raise ValueError(f"resolution must be an integer >= 4, got {resolution!r}")
-        rules = [trapezoid_rule(resolution)] * self.dim
+        rules = [trapezoid_rule(_check_resolution(resolution))] * self.dim
         if self.radial is not None:
             rules[0] = gauss_rule(0.0, self.radial, max(4, resolution // 2))
         return tensor_grid(rules)
 
-    def project(self, params):
-        """Points ``(N, 2)`` and tangents ``(N, dim, 2)`` at parameter rows ``(N, dim)``."""
+    def _geometry(self, params):
+        """Base points ``(N, 2)``, solve directions ``(N, k, 2)`` and the ``s``-fixed tangents.
+
+        A chart point is ``base + sum_m s_m dirs_m`` for ``k = len(rhos)``
+        real moduli ``s``; the third value maps ``s`` ``(N, k)`` to the
+        tangents ``(N, dim, 2)`` taken with ``s`` fixed.
+        """
         raise NotImplementedError
+
+    def project(self, params):
+        """Points ``(N, 2)`` and tangents ``(N, dim, 2)`` at parameter rows ``(N, dim)``.
+
+        One Newton solve (:func:`_newton`) puts the points on the locus; the
+        tangents ``dz`` taken with ``s`` fixed are completed by solving ``J ds
+        = -2 Re(g . dz)`` with the Newton Jacobian ``J``.
+        """
+        base, dirs, fixed_tangents = self._geometry(params)
+        s = _newton(self.kind, self.rhos, base, dirs, self.r0)
+        z = _along(base, s, dirs)
+        grads = [_grad(rho, z) for rho in self.rhos]
+        tangents = fixed_tangents(s)
+        axes = range(self.dim)
+        rhs = np.stack([-2.0 * np.real(_dot2(g, tangents[:, a])) for g in grads for a in axes], -1)
+        ds, regular = _solve(_jacobian(grads, dirs), rhs.reshape(len(z), len(grads), self.dim))
+        _check_tangents(self.kind, regular, self._singular)
+        for a in axes:
+            tangents[:, a] = _along(tangents[:, a], ds[:, :, a], dirs)
+        _check_tangents(self.kind, _frame_dets(grads, tangents)[1], _RANK_DEFICIENT)
+        return z, tangents
 
     def nodes(self, resolution):
         """The :class:`NodeSet` of this chart at a resolution (one Newton solve)."""
@@ -213,6 +291,7 @@ class TorusChart(Chart):
 
     kind = "torus2"
     dim = 2
+    _singular = "member gradients are not transverse"
 
     def __init__(self, rhos, r0=(1.0, 1.0)):
         if len(rhos) != 2:
@@ -222,44 +301,11 @@ class TorusChart(Chart):
         self.rhos = tuple(rhos)
         self.r0 = tuple(_real(self.kind, "r0", x) for x in r0)
 
-    @staticmethod
-    def _jacobian(grads, e):
-        """d rho_l / d r_m at points z = r * e, with its determinant and regular rows.
-
-        Returns the ``(N, 2, 2)`` Jacobians, their ``det2`` and the mask of
-        nodes whose Jacobian's :func:`_transversality` clears 1e-14.
-        """
-        jac = np.stack([2.0 * np.real(g * e) for g in grads], axis=-2)
-        return jac, det2(jac), _transversality(jac) > 1e-14
-
-    def _grads(self, z):
-        return [_grad(rho, z) for rho in self.rhos]
-
-    def project(self, params):
+    def _geometry(self, params):
         e = np.exp(1j * params)
-
-        def step(rows, r):
-            er = e[rows]
-            z = r * er
-            vals = np.stack([rho(z[:, 0], z[:, 1]) for rho in self.rhos], axis=-1)
-            jac, det, regular = self._jacobian(self._grads(z), er)
-            # a singular row takes no step, so it stays unconverged
-            delta = solve2(jac, vals[..., None], np.where(regular, det, 1.0))[..., 0]
-            return vals, np.where(regular[:, None], delta, 0.0)
-
-        r = _newton(self.kind, np.broadcast_to(self.r0, e.shape), step)
-        z = r * e
-        grads = self._grads(z)
-        jac, det, regular = self._jacobian(grads, e)
-        _check_tangents(self.kind, regular, "member gradients are not transverse")
-        tangents = np.zeros((len(z), 2, 2), dtype=complex)
-        for axis in (0, 1):
-            dz = tangents[:, axis]
-            dz[:, axis] = 1j * r[:, axis] * e[:, axis]
-            rhs = np.stack([-2.0 * np.real(_dot2(g, dz)) for g in grads], axis=-1)
-            dz += solve2(jac, rhs[..., None], det)[..., 0] * e
-        _check_tangents(self.kind, _frame_dets(grads, tangents)[1], _RANK_DEFICIENT)
-        return z, tangents
+        dirs = np.zeros((len(e), 2, 2), dtype=complex)
+        dirs[:, 0, 0], dirs[:, 1, 1] = e[:, 0], e[:, 1]
+        return np.zeros_like(e), dirs, lambda r: 1j * r[..., None] * dirs
 
     def point(self, theta, phi):
         return self._at(theta, phi)[0]
@@ -272,42 +318,6 @@ class TorusChart(Chart):
         return self._node_list(resolution)
 
 
-def _regular(dn):
-    """Rows whose derivative along the solve direction is nonzero and finite."""
-    return np.isfinite(dn) & (dn != 0)
-
-
-def _radial_newton(kind, rho, base, direction, s0):
-    """Solve rho(base + s * direction) = 0 for s per row, from the start value s0."""
-
-    def step(rows, s):
-        u = direction[rows]
-        z = base[rows] + s[:, None] * u
-        val = rho(z[:, 0], z[:, 1])
-        dn = _directional(_grad(rho, z), u)
-        regular = _regular(dn)
-        # a singular row takes no step, so it stays unconverged
-        return val[:, None], np.where(regular, val / np.where(regular, dn, 1.0), 0.0)
-
-    return _newton(kind, np.full(len(direction), s0), step)
-
-
-def _implicit_tangents(kind, rho, z, explicit, direction):
-    """Complete explicit tangents (N, dim, 2) in place to tangents of {rho = 0}.
-
-    ``explicit[:, a]`` is d(point)/d(param_a) with the solved modulus held
-    fixed; the modulus moves along ``direction`` by implicit differentiation.
-    """
-    g = _grad(rho, z)
-    dn = _directional(g, direction)
-    _check_tangents(kind, _regular(dn), "rho has zero derivative along the solve direction")
-    for a in range(explicit.shape[1]):
-        dz = explicit[:, a]
-        dz += (-_directional(g, dz) / dn)[:, None] * direction
-    _check_tangents(kind, _frame_dets([g], explicit)[1], _RANK_DEFICIENT)
-    return explicit
-
-
 class SpherePolarChart(Chart):
     """Face chart for a sphere-like hypersurface, radially Newton-projected.
 
@@ -318,24 +328,21 @@ class SpherePolarChart(Chart):
     kind = "sphere_polar"
     dim = 3
     radial = np.pi / 2.0
+    _singular = "rho has zero derivative along the solve direction"
 
     def __init__(self, rho, r0=1.0):
-        self.rho = rho
+        self.rhos = (rho,)
         self.r0 = _real(self.kind, "r0", r0)
 
-    def project(self, params):
+    def _geometry(self, params):
         theta, alpha, beta = params.T
         ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
         c, sn = np.cos(theta), np.sin(theta)
         u = np.stack([c * ea, sn * eb], axis=-1)
-        s = _radial_newton(self.kind, self.rho, np.zeros_like(u), u, self.r0)
-        z = s[:, None] * u
-        tangents = np.zeros((len(z), 3, 2), dtype=complex)
-        tangents[:, 0, 0] = s * (-sn * ea)
-        tangents[:, 0, 1] = s * (c * eb)
-        tangents[:, 1, 0] = s * (1j * c * ea)
-        tangents[:, 2, 1] = s * (1j * sn * eb)
-        return z, _implicit_tangents(self.kind, self.rho, z, tangents, u)
+        unit = np.zeros((len(u), 3, 2), dtype=complex)  # the tangents at modulus 1
+        unit[:, 0, 0], unit[:, 0, 1] = -sn * ea, c * eb
+        unit[:, 1, 0], unit[:, 2, 1] = 1j * c * ea, 1j * sn * eb
+        return np.zeros_like(u), u[:, None], lambda s: s[..., None] * unit
 
     def point(self, theta, alpha, beta):
         return self._at(theta, alpha, beta)[0]
@@ -359,31 +366,33 @@ class GraphPatchChart(Chart):
     kind = "graph_patch"
     dim = 3
     radial = 1.0
+    _singular = SpherePolarChart._singular
 
     def __init__(self, rho, solve="z1", disk_radius=1.0, r0=1.0):
         if solve not in ("z1", "z2"):
             raise ValueError("solve must be 'z1' or 'z2'")
-        self.rho = rho
+        self.rhos = (rho,)
         self.solve = solve
         self.disk_radius = _real(self.kind, "disk_radius", disk_radius)
         self.r0 = _real(self.kind, "r0", r0)
 
-    def project(self, params):
+    def _geometry(self, params):
         r, phi, psi = params.T
         si = 0 if self.solve == "z1" else 1
         ephi, epsi = np.exp(1j * phi), np.exp(1j * psi)
         base = np.zeros((len(r), 2), dtype=complex)
         base[:, 1 - si] = self.disk_radius * r * ephi
-        eradial = np.zeros_like(base)
-        eradial[:, si] = epsi
-        m = _radial_newton(self.kind, self.rho, base, eradial, self.r0)
-        z = base
-        z[:, si] = m * epsi
-        tangents = np.zeros((len(r), 3, 2), dtype=complex)
-        tangents[:, 0, 1 - si] = self.disk_radius * ephi
-        tangents[:, 1, 1 - si] = 1j * self.disk_radius * r * ephi
-        tangents[:, 2, si] = 1j * m * epsi
-        return z, _implicit_tangents(self.kind, self.rho, z, tangents, eradial)
+        dirs = np.zeros((len(r), 1, 2), dtype=complex)
+        dirs[:, 0, si] = epsi
+
+        def fixed_tangents(m):
+            tangents = np.zeros((len(r), 3, 2), dtype=complex)
+            tangents[:, 0, 1 - si] = self.disk_radius * ephi
+            tangents[:, 1, 1 - si] = 1j * self.disk_radius * r * ephi
+            tangents[:, 2, si] = 1j * m[:, 0] * epsi
+            return tangents
+
+        return base, dirs, fixed_tangents
 
     def point(self, r, phi, psi):
         return self._at(r, phi, psi)[0]
@@ -585,24 +594,18 @@ def _member_planes(d, members, points):
     return np.stack([gradient_hyperplane(d.rho(m), points) for m in members], axis=-2)
 
 
-def _transversality(rows):
-    """``|det| / (|r1| |r2|)`` of 2x2 matrices ``(..., 2, 2)``: 0 for dependent or zero rows."""
-    norms = np.linalg.norm(rows, axis=-1)
-    return np.abs(det2(rows)) / np.maximum(norms[..., 0] * norms[..., 1], 1e-300)
-
-
 def weak_tangent(d, e, zhat, t):
     """Barycentric combination of the members' tangent hyperplanes at an edge point.
 
-    ``t`` lives on the standard simplex (non-negative, sums to 1); the
-    vertices reproduce the strong tangents, and every value is incident to
-    the basepoint up to rounding.
+    ``t`` lives on the standard simplex (finite, non-negative, sums to 1);
+    the vertices reproduce the strong tangents, and every value is incident
+    to the basepoint up to rounding.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (len(e.members),):
         raise ValueError(f"t must have {len(e.members)} barycentric coordinates")
-    if np.any(t < -1e-12) or abs(float(np.sum(t)) - 1.0) > 1e-10:
-        raise ValueError("t must be non-negative barycentric coordinates summing to 1")
+    if not np.all(np.isfinite(t)) or np.any(t < -1e-12) or abs(float(np.sum(t)) - 1.0) > 1e-10:
+        raise ValueError("t must be finite non-negative barycentric coordinates summing to 1")
     planes = _member_planes(d, e.members, np.asarray(zhat, dtype=complex)[None])[0]
     return HomVec(tuple(t @ planes), role="hyperplane")
 
@@ -682,14 +685,22 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
     face or edge.  For one point, ``per_t`` pairs each weight with its margin
     and ``min_margin``/``strict`` are scalars; for an array, each margin in
     ``per_t`` is an ``(N,)`` array and ``min_margin``/``strict`` are ``(N,)``.
+    A ``t_grid`` below 2 at an edge point, an ``ambient_grid`` below 1 or a
+    ``local_radius`` that is not positive and finite raises ``ValueError``.
     """
+    radius = 0.5 if local_radius is None else float(local_radius)
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"local_radius must be positive and finite, got {local_radius!r}")
+    if ambient_grid < 1:
+        raise ValueError(f"ambient_grid must be at least 1, got {ambient_grid!r}")
     zhat = np.asarray(zhat, dtype=complex)
     members = d.active_members(zhat)
     if not members:
         raise ValueError("point is not on the boundary")
     if len(members) >= 2:
         members = list(d.edge_at(zhat).members)
-    radius = 0.5 if local_radius is None else float(local_radius)
+        if t_grid < 2:
+            raise ValueError(f"t_grid must be at least 2 at an edge point, got {t_grid!r}")
 
     if len(members) == 1:
         t = np.ones((1, 1))

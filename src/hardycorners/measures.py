@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import strong_tangents
+from .domain import _check_resolution, strong_tangents
 from .hermpoly import _gradient_norm, _real_gradient
 from .kernels import (
     _corner_factor,
@@ -285,7 +285,7 @@ def build_measure(d, resolution=16, edge_resolution=None):
         has a vanishing gradient at a node, or an edge weight is not positive.
     """
     if edge_resolution is None:
-        edge_resolution = max(6, resolution // 2)
+        edge_resolution = max(6, _check_resolution(resolution) // 2)
     return _cached(d, "measure", resolution, edge_resolution)
 
 
@@ -351,11 +351,15 @@ def _factors(d, face_resolution, edge_resolution):
 _BUILDERS = {"reproduce": _factors, "measure": _measure}
 
 
-def _cached(d, *key):
-    """The entry ``(kind, *args)`` of ``d._cache``, built once by ``_BUILDERS[kind](d, *args)``."""
+def _cached(d, kind, *resolutions):
+    """The entry ``(kind, *resolutions)`` of ``d._cache``, built once by ``_BUILDERS[kind]``.
+
+    Every resolution is checked first, so that a value the charts reject
+    (``8.0``) never finds the entry of one they accept (``8``).
+    """
+    key = (kind, *map(_check_resolution, resolutions))
     if key not in d._cache:
-        kind, *args = key
-        d._cache[key] = _BUILDERS[kind](d, *args)
+        d._cache[key] = _BUILDERS[kind](d, *resolutions)
     return d._cache[key]
 
 
@@ -381,8 +385,10 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     Raises
     ------
     ValueError
-        If ``f`` returns values of any other shape, or a resolution is not an
-        integer of at least 4 (:meth:`~hardycorners.domain.Chart.grid`).
+        If ``tau`` is not a finite point of shape ``(2,)`` (checked before
+        anything is built or paired), ``f`` returns values of any other
+        shape, or a resolution is not an integer of at least 4
+        (:meth:`~hardycorners.domain.Chart.grid`).
     ZeroDivisionError
         If a tangent hyperplane at some boundary node passes through ``tau``
         (the formula's precondition fails); ``f`` is then not called.
@@ -395,6 +401,8 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     if edge_resolution is None:
         edge_resolution = resolution
     tau = np.asarray(tau, dtype=complex)
+    if tau.shape != (2,) or not np.all(np.isfinite(tau)):
+        raise ValueError(f"tau must be a finite point (z1, z2) of shape (2,), got {tau!r}")
     fac = _cached(d, "reproduce", face_resolution, edge_resolution)
     # Every pole check runs before the section call, the Levi-flat nodes' first.  Each face
     # pairs on its own, and no pairing outlives the divisor, to keep the temporaries small.

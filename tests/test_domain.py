@@ -233,6 +233,10 @@ def test_weak_tangent_validates_barycentric(bidisk):
         weak_tangent(bidisk, e, zhat, (-0.2, 1.2))
     with pytest.raises(ValueError):
         weak_tangent(bidisk, e, zhat, (1.0,))
+    with pytest.raises(ValueError, match="t must be finite"):
+        weak_tangent(bidisk, e, zhat, (np.nan, 1.0))
+    with pytest.raises(ValueError, match="t must be finite"):
+        weak_tangent(bidisk, e, zhat, (0.5, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +281,32 @@ def test_bidisk_edge_is_not_strictly_convex(bidisk):
     out = check_strict_convexity(bidisk, zhat, t_grid=5, ambient_grid=8)
     assert not out["strict"]
     assert abs(out["min_margin"]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("t_grid", 1),
+        ("t_grid", 0),
+        ("ambient_grid", 0),
+        ("local_radius", 0.0),
+        ("local_radius", -0.1),
+        ("local_radius", np.inf),
+        ("local_radius", np.nan),
+    ],
+)
+def test_strict_convexity_rejects_bad_arguments(bidisk, name, value):
+    zhat = np.array([np.exp(0.4j), np.exp(1.1j)])
+    with pytest.raises(ValueError, match=name):
+        check_strict_convexity(bidisk, zhat, **{name: value})
+
+
+def test_face_point_needs_no_t_grid(sphere):
+    # a face point has the single weight t = (1,), so t_grid is not read
+    zhat = np.array([1.0, 0.0])
+    out = check_strict_convexity(sphere, zhat, t_grid=1, ambient_grid=4)
+    assert [t for t, _ in out["per_t"]] == [(1.0,)]
+    assert out["strict"]
 
 
 def test_perturbed_edge_is_strictly_convex(perturbed_bidisk):

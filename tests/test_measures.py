@@ -465,6 +465,67 @@ def test_resolution_is_an_integer_of_at_least_four(resolution):
     assert sorted(d._cache) == [("reproduce", 4, 4)]
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_float_resolution_never_finds_the_integer_entry(warm):
+    # 8.0 == 8 hashes to the cache key of 8, so the check must come before the lookup
+    d = _fresh("perturbed_bidisk")
+    if warm:
+        reproduce(d, _cubic, CACHE_TAU, resolution=8)
+        build_measure(d, 8, 6)
+    before = dict(d._cache)
+    match = "resolution must be an integer >= 4, got 8.0"
+    with pytest.raises(ValueError, match=match):
+        reproduce(d, _cubic, CACHE_TAU, resolution=8.0)
+    with pytest.raises(ValueError, match=match):
+        reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=8.0)
+    with pytest.raises(ValueError, match=match):
+        build_measure(d, 8.0, 6)
+    with pytest.raises(ValueError, match=match):
+        build_measure(d, 8, 8.0)
+    with pytest.raises(ValueError, match=match):
+        hardy_norm(d, _cubic, resolution=8.0)
+    assert d._cache == before
+    # a numpy integer is an integer, and shares the entry
+    reproduce(d, _cubic, CACHE_TAU, resolution=np.int64(8))
+    build_measure(d, np.int64(8), np.int64(6))
+    assert sorted(d._cache) == [("measure", 8, 6), ("reproduce", 8, 8)]
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        np.array([np.nan, 0.1]),
+        np.array([0.1, np.inf * 1j]),
+        np.zeros(3),
+        np.zeros((1, 2)),
+        0.1,
+    ],
+    ids=["nan", "inf", "three", "row", "scalar"],
+)
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_bad_tau_raises_before_any_pairing_or_section_call(tau, warm, monkeypatch):
+    d = _fresh("perturbed_bidisk")
+    if warm:
+        reproduce(d, _cubic, CACHE_TAU, resolution=8)
+    before = dict(d._cache)
+    calls = []
+
+    def pairing(*args):
+        calls.append("pairing")
+        raise AssertionError("paired")
+
+    def f(z):
+        calls.append("section")
+        return _cubic(z)
+
+    monkeypatch.setattr("hardycorners.measures._leray_pairing", pairing)
+    monkeypatch.setattr("hardycorners.measures._corner_pairing", pairing)
+    with pytest.raises(ValueError, match="tau must be a finite point"):
+        reproduce(d, f, tau, resolution=8)
+    assert calls == []
+    assert d._cache == before
+
+
 # ---------------------------------------------------------------------------
 # Cached measure pieces
 

@@ -104,9 +104,19 @@ def test_unconvergent_projection_raises_named_error():
         chart.point(0.9, 0.0, 0.0)
 
 
-def test_nan_residual_counts_as_unconverged():
-    # rho is NaN wherever the radial Newton step starts, so no node converges
-    chart = GraphPatchChart(parse_poly("abs2(z1) - 1"), r0=float("nan"))
+BIDISK_RHOS = [parse_poly("abs2(z1) - 1"), parse_poly("abs2(z2) - 1")]
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        GraphPatchChart(parse_poly("abs2(z1) - 1"), r0=float("nan")),
+        TorusChart(BIDISK_RHOS, r0=(float("nan"), float("nan"))),
+    ],
+    ids=["graph_patch", "torus2"],
+)
+def test_nan_residual_counts_as_unconverged(chart):
+    # rho is NaN wherever the Newton solve starts, so no node converges
     with pytest.raises(ProjectionError) as info:
         chart.nodes(4)
     assert info.value.unconverged == info.value.total
@@ -137,11 +147,12 @@ def test_singular_tangent_jacobian_is_named():
     [
         SpherePolarChart(parse_poly("abs2(z1) + abs2(z2) - 1"), r0=0),
         GraphPatchChart(parse_poly("abs2(z1) + 0.1*abs2(z2) - 1"), r0=0),
+        TorusChart(BIDISK_RHOS, r0=(0, 0)),
     ],
-    ids=["sphere_polar", "graph_patch"],
+    ids=["sphere_polar", "graph_patch", "torus2"],
 )
 def test_radial_start_at_zero_derivative_leaves_rows_unconverged(chart):
-    # at modulus 0 rho has zero derivative along the solve direction, so no row steps
+    # at modulus 0 every rho has zero derivative along the solve directions, so no row steps
     with pytest.raises(ProjectionError) as info:
         chart.nodes(8)
     assert info.value.unconverged == info.value.total

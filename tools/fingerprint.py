@@ -8,10 +8,13 @@ each field of every edge's ``eta``, every piece's points and weights in
 ``build_measure`` at two edge resolutions, the criterion 14 path (a warm
 ``hardy_norm`` of a pulled-back section on a projective image, at the
 ``norm_invariance`` benchmark's resolutions), every projective map evaluation
-below, and ``reproduce`` at the ``curved_reproduce`` and ``flat_corner_taus``
+below and ``reproduce`` at the ``curved_reproduce`` and ``flat_corner_taus``
 benchmarks' sizes (cold and warm, at several taus and at one pole) is
-bit-identical between them.  A result that raises prints its exception type
-and message in place of a digest, so a changed error shows too.
+bit-identical between them, and each degenerate chart of
+``tests/test_nodeset.py`` fails with the same ``ProjectionError`` (kind,
+reason and counts of failed nodes).  A result that raises prints its
+exception type and message in place of a digest, so a changed error shows
+too.
 
 Each line is ``<name> <sha256 prefix>``.  The digest covers the raw bytes,
 dtype and shape of every array in the result, or the ``repr`` of a result
@@ -27,8 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from hardycorners import (
+    GraphPatchChart,
     ProjectionError,
     Section,
+    SpherePolarChart,
+    TorusChart,
     build_measure,
     domain_from_spec,
     hardy_norm,
@@ -38,6 +44,7 @@ from hardycorners import (
     transform_domain,
 )
 from hardycorners.cli import load_spec
+from hardycorners.hermpoly import parse_poly
 from hardycorners.normalforms import eta
 
 SPECS = ("bidisk", "perturbed_bidisk", "sphere", "wedge_union")
@@ -214,6 +221,30 @@ def maps():
                 _line(f"pull_back_section map{seed} ({j}, {k}) {label}", pulled)
 
 
+def degenerate_charts():
+    """The error of each degenerate chart of ``tests/test_nodeset.py``: failed and singular rows."""
+    sphere = parse_poly("abs2(z1) + abs2(z2) - 1")
+    sheet1 = parse_poly("abs2(z1) + 0.1*abs2(z2) - 1")
+    doubled = parse_poly("abs2(z1) + abs2(z2) - 2")
+    bidisk = [parse_poly("abs2(z1) - 1"), parse_poly("abs2(z2) - 1")]
+    nan = float("nan")
+    cases = {
+        "graph_patch off the locus r6": (GraphPatchChart(sphere, disk_radius=2.0), 6),
+        "graph_patch nan start r4": (GraphPatchChart(bidisk[0], r0=nan), 4),
+        "torus2 nan start r4": (TorusChart(bidisk, r0=(nan, nan)), 4),
+        "torus2 doubled member r4": (TorusChart([doubled, doubled], r0=(0.9, 0.9)), 4),
+        "torus2 doubled member on the locus r4": (TorusChart([doubled, doubled]), 4),
+        "sphere_polar zero start r8": (SpherePolarChart(sphere, r0=0), 8),
+        "graph_patch zero start r8": (GraphPatchChart(sheet1, r0=0), 8),
+        "torus2 zero start r8": (TorusChart(bidisk, r0=(0, 0)), 8),
+    }
+    for name, (chart, r) in cases.items():
+        _line(f"degenerate {name}", lambda: astuple(chart.nodes(r)))
+    flat = GraphPatchChart(parse_poly("abs2(z2) - 0.25"))
+    one_node = np.array([[0.5, 0.0, 0.0]])
+    _line("degenerate graph_patch flat along z1", lambda: flat.project(one_node))
+
+
 if __name__ == "__main__":
     nodesets()
     results()
@@ -222,3 +253,4 @@ if __name__ == "__main__":
     pulled_norm()
     maps()
     bench_reproduce()
+    degenerate_charts()
