@@ -57,6 +57,24 @@ def _canonical(terms):
     return {k: v for k, v in sorted(out.items()) if v != 0}
 
 
+def _values(polys, z1, z2):
+    """Each of ``polys`` at the points, which are conjugated once for all of them.
+
+    The conjugates are freed on return, before a caller stacks the values:
+    holding them across that allocation made the allocator give heap pages
+    back and fault them in again at every Newton step of a chart build.
+    """
+    z1, z2, shape = _as_points(z1, z2)
+    zs = (z1, z1.conjugate(), z2, z2.conjugate())
+    return [p._at(zs, shape) for p in polys]
+
+
+def _hessian(rows, z1, z2):
+    """The 2x2 polynomials ``rows`` evaluated on the last two axes."""
+    values = _values([*rows[0], *rows[1]], z1, z2)
+    return _stack_last([values[:2], values[2:]], ndim=2)
+
+
 class Poly:
     """Polynomial in (z1, conj z1, z2, conj z2) with complex coefficients.
 
@@ -80,8 +98,10 @@ class Poly:
 
     def __call__(self, z1, z2):
         """Evaluate at one point, or elementwise on arrays of points."""
-        z1, z2, shape = _as_points(z1, z2)
-        zs = (z1, z1.conjugate(), z2, z2.conjugate())
+        return _values([self], z1, z2)[0]
+
+    def _at(self, zs, shape):
+        """The value at ``zs = (z1, conj z1, z2, conj z2)``; ``shape`` is None for one point."""
         total = 0.0 + 0.0j if shape is None else np.zeros(shape, dtype=complex)
         for c, factors in self._table:
             term = c
@@ -194,8 +214,7 @@ class HermitianPoly(Poly):
 
     def grad(self, z1, z2):
         """Holomorphic Wirtinger gradient (d/dz1, d/dz2), stacked on a last axis of length 2."""
-        d1, d2 = self._derivatives[0]
-        return _stack_last([d1(z1, z2), d2(z1, z2)])
+        return _stack_last(_values(self._derivatives[0], z1, z2))
 
     def grad_real(self, z1, z2):
         """Real gradient (d/dx1, d/dy1, d/dx2, d/dy2), stacked on a last axis of length 4."""
@@ -203,15 +222,11 @@ class HermitianPoly(Poly):
 
     def hessian_complex(self, z1, z2):
         """Complex Hessian H[j, k] = d^2 rho / (dz_k d conj(z_j)) on the last two axes."""
-        return _stack_last(
-            [[h(z1, z2) for h in row] for row in self._derivatives[1]], ndim=2
-        )
+        return _hessian(self._derivatives[1], z1, z2)
 
     def hessian_holomorphic(self, z1, z2):
         """Holomorphic Hessian H[j, k] = d^2 rho / (dz_j dz_k) on the last two axes."""
-        return _stack_last(
-            [[h(z1, z2) for h in row] for row in self._holomorphic_hessian], ndim=2
-        )
+        return _hessian(self._holomorphic_hessian, z1, z2)
 
     def __repr__(self):
         return f"HermitianPoly({self.terms!r})"

@@ -133,8 +133,14 @@ def _as_hyperplane(w):
 
 
 def _dot3(a, b):
-    """Bilinear pairing over the last axis of homogeneous triples (no conjugation)."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    """Bilinear pairing over the last axis of homogeneous triples (no conjugation).
+
+    Summed in place, in the order ``(a0 b0 + a1 b1) + a2 b2``, to hold one product at a time.
+    """
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    out += a[..., 2] * b[..., 2]
+    return out
 
 
 def _norm(v):
@@ -306,15 +312,31 @@ def _leray_factor(rho, zhat, tangents):
     return g / gn[..., None], 2j * wedge / gn**2 / TWO_PI_I**2
 
 
-def _leray_pairing(zhat, unit_grad, tau_hat):
+def _leray_pairing(zhat, unit_grad, tau_hat, radius=None):
     """The unit gradients paired with ``z - tau``.
 
     Raises ``ZeroDivisionError`` where the pairing falls below ``1e-12 *
     |z - tau|``: the tangent hyperplane passes through ``tau``.
+
+    A ``radius`` no smaller than any ``|z|`` screens that check: as
+    ``|z - tau| <= radius + |tau|``, a smallest ``|pairing|`` of at least
+    ``1e-12 (radius + |tau|)`` (times ``1 + 1e-9``, for rounding) clears
+    every node's floor, and only otherwise are the floors computed.  So the
+    decision is the same, and a NaN pairing, which fails the screen, meets
+    the exact check.
+
+    The pairing is summed one coordinate at a time, in the order of
+    ``g1 (z1 - tau1) + g2 (z2 - tau2)``; on coordinate-major ``(N, 2)``
+    arrays (as :mod:`.measures` caches them) every read is contiguous, and a
+    screened call holds about three ``(N,)`` complex arrays at once.
     """
-    offset = zhat - tau_hat
-    pairing = _dot2(unit_grad, offset)
-    floor = 1e-12 * np.maximum(np.linalg.norm(offset, axis=-1), 1e-300)
+    pairing = unit_grad[..., 0] * (zhat[..., 0] - tau_hat[..., 0])
+    pairing += unit_grad[..., 1] * (zhat[..., 1] - tau_hat[..., 1])
+    if radius is not None:
+        bound = 1e-12 * max(radius + np.linalg.norm(tau_hat), 1e-300) * (1 + 1e-9)
+        if np.abs(pairing).min(initial=np.inf) >= bound:
+            return pairing
+    floor = 1e-12 * np.maximum(np.linalg.norm(zhat - tau_hat, axis=-1), 1e-300)
     if np.any(np.abs(pairing) < floor):
         raise ZeroDivisionError(
             "tangent hyperplane passes through the evaluation point"
@@ -368,8 +390,8 @@ def _corner_factor(strong, frame):
     return planes, z[..., 0] ** 2 * det0 * dz12 / TWO_PI_I**2
 
 
-def _corner_pairing(planes, tau):
-    """The product of ``tau``'s pairings with the two unit hyperplanes of each row.
+def _corner_pairing(planes, tau, out=None):
+    """The product of ``tau``'s pairings with the two unit hyperplanes of each row, into ``out``.
 
     Raises ``ZeroDivisionError`` where either pairing falls below ``1e-12 *
     |tau|``: that member tangent hyperplane passes through ``tau``.
@@ -377,7 +399,7 @@ def _corner_pairing(planes, tau):
     p = _dot3(planes, tau)
     if np.any(np.abs(p) < 1e-12 * np.linalg.norm(tau)):
         raise ZeroDivisionError("a member tangent hyperplane passes through tau")
-    return p[..., 0] * p[..., 1]
+    return np.multiply(p[..., 0], p[..., 1], out=out)
 
 
 def corner_kernel(strong, tau, frame):

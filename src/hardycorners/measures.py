@@ -30,24 +30,36 @@ and cached for the domain's lifetime in the dict ``PwsDomain._cache``:
   sign and kernel factor, and what tau is paired with: unit gradients at
   face nodes, two unit member hyperplanes at edge nodes.  Face nodes where
   the density vanishes (Levi-flat) keep no weight and serve only the pole
-  check.  80 bytes per face node (64 if Levi-flat), 144 per edge node;
+  check.  80 bytes per face node (64 if Levi-flat), 144 per edge node, and
+  one float per entry: R, the largest ``|z|`` over the face nodes;
 * ``("measure", resolution, edge_resolution)``: the
   :class:`BoundaryMeasure`, one real weight per node (quadrature weight
   times measure density): 40 bytes per node.  The key holds the resolved
   edge resolution, so the default and the same value given explicitly
   share one entry.
 
+Every multi-column node array of both entries (``points``, ``flat_points``,
+``unit_grad``, ``planes``) is coordinate-major: in Fortran order, so that each
+column, such as ``points[:, 0]``, is contiguous.  The pairings and the
+section call read only columns, and the bytes per node are those of
+row-major arrays.
+
 A later :func:`reproduce` at any tau costs one pairing per face and one for
-all edges, into one divisor, then, like :func:`hardy_norm`, one section call
-on all weighted nodes and one sum per piece (:meth:`_NodeSet._sums`).  Every
-check that does not depend on tau or the section (chart projection, with its
-rank-deficient frames, vanishing gradients, the strong tangents' on-locus
-test, non-positive edge weights) runs when an entry is built, and a failed
-build caches nothing; the pole checks run on every call over every node,
-before the section call, and the shape check on every section call.  Domains
-and charts are treated as immutable once built, and
-:func:`~hardycorners.domain.transform_domain` builds a new domain with a
-cache of its own.
+all edges, each written into its rows of one divisor, then, like
+:func:`hardy_norm`, one section call on all weighted nodes and one sum per
+piece (:meth:`_NodeSet._sums`).  Every check that does not depend on tau or
+the section (chart projection, with its rank-deficient frames, vanishing
+gradients, the strong tangents' on-locus test, non-positive edge weights)
+runs when an entry is built, and a failed build caches nothing; the pole
+checks run on every call over every node, before the section call, and the
+shape check on every section call.  A face's pole check is screened: as
+``|z - tau| <= R + |tau|``, a smallest ``|pairing|`` of at least
+``1e-12 (R + |tau|)`` clears every node's floor ``1e-12 |z - tau|``, and
+only when it does not are the floors computed
+(:func:`~hardycorners.kernels._leray_pairing`), so every decision is the
+per-node rule's.  Domains and charts are treated as immutable once built,
+and :func:`~hardycorners.domain.transform_domain` builds a new domain with
+a cache of its own.
 
 The orientation signs and the real conormal of :func:`fefferman_density` are
 converted from Wirtinger gradients that the build already holds (the face
@@ -188,11 +200,16 @@ class _NodeSet:
 
 
 def _stack(parts, tail):
-    """``parts`` written one after another into one read-only array; a lone part is not copied."""
-    parts = [part for part in parts if len(part)] or [np.empty((0, *tail), dtype=complex)]
-    out = parts[0]
-    if len(parts) > 1:  # preallocated: concatenate's own output raised the peak RSS
-        out = np.empty((sum(map(len, parts)), *tail), np.result_type(*parts))
+    """``parts`` written one after another into one new read-only array, coordinate-major.
+
+    The array is in Fortran order, so each column of a multi-column result
+    (``points[:, 0]``, ``planes[:, 0, 1]``) is contiguous, for a lone part too.
+    """
+    parts = [part for part in parts if len(part)]
+    dtype = np.result_type(*parts) if parts else complex
+    # Preallocated: concatenate's own output raised the peak RSS.
+    out = np.empty((sum(map(len, parts)), *tail), dtype, order="F")
+    if parts:
         np.concatenate(parts, out=out)
     out.flags.writeable = False
     return out
@@ -236,12 +253,15 @@ class _Factors(_NodeSet):
     ``flat_points`` ``(M, 2)`` are the Levi-flat face nodes, for the pole check
     only.  ``unit_grad`` ``(M + F, 2)`` belong to them and then to the ``F``
     face rows of ``points``; ``planes`` ``(N - F, 2, 3)``, unit member
-    hyperplanes, to its edge rows.
+    hyperplanes, to its edge rows.  ``radius`` is the largest ``|z|`` over
+    the ``M + F`` face nodes, which screens their pole checks
+    (:func:`~hardycorners.kernels._leray_pairing`).
     """
 
     flat_points: np.ndarray
     unit_grad: np.ndarray
     planes: np.ndarray
+    radius: float
 
 
 def _face_measure(d, index, resolution):
@@ -345,7 +365,14 @@ def _factors(d, face_resolution, edge_resolution):
     nodes = _assemble(faces + edges, len(faces))
     flat_points = _stack([f[3] for f in faces], (2,))
     unit_grad = _stack([f[4] for f in faces] + [f[2] for f in faces], (2,))
-    return _Factors(*nodes, flat_points, unit_grad, _stack([e[2] for e in edges], (2, 3)))
+    # The largest |z| over the face nodes, a column at a time: np.linalg.norm's row
+    # temporaries raised the peak RSS.
+    face_points = nodes[0][: len(unit_grad) - len(flat_points)]
+    radius = max(
+        np.hypot(abs(z[:, 0]), abs(z[:, 1])).max(initial=0.0) for z in (face_points, flat_points)
+    )
+    planes = _stack([e[2] for e in edges], (2, 3))
+    return _Factors(*nodes, flat_points, unit_grad, planes, float(radius))
 
 
 _BUILDERS = {"reproduce": _factors, "measure": _measure}
@@ -405,14 +432,18 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
         raise ValueError(f"tau must be a finite point (z1, z2) of shape (2,), got {tau!r}")
     fac = _cached(d, "reproduce", face_resolution, edge_resolution)
     # Every pole check runs before the section call, the Levi-flat nodes' first.  Each face
-    # pairs on its own, and no pairing outlives the divisor, to keep the temporaries small.
+    # pairs on its own, straight into its rows of the divisor, to keep the temporaries small.
     flat = len(fac.flat_points)
     if flat:
-        _leray_pairing(fac.flat_points, fac.unit_grad[:flat], tau)
+        _leray_pairing(fac.flat_points, fac.unit_grad[:flat], tau, fac.radius)
     grads = fac.unit_grad[flat:]
-    squares = (_leray_pairing(p.points, grads[p.rows], tau) ** 2 for p in fac.face_nodes if len(p))
-    divisor = _stack([*squares, _corner_pairing(fac.planes, homogenize(tau))], ())
-    sums = fac._sums(fac.weights * _section_on(f, fac.points) / divisor)
+    divisor = np.empty(len(fac.weights), dtype=complex)
+    for p in fac.face_nodes:
+        np.square(_leray_pairing(p.points, grads[p.rows], tau, fac.radius), out=divisor[p.rows])
+    _corner_pairing(fac.planes, homogenize(tau), out=divisor[len(grads) :])
+    terms = fac.weights * _section_on(f, fac.points)
+    terms /= divisor
+    sums = fac._sums(terms)
     face_vals, edge_vals = ([complex(s) for s in part] for part in sums)
     value = sum(face_vals) + sum(edge_vals)
     expected = complex(f(tau))

@@ -193,6 +193,48 @@ def test_smooth_density_pole_raises():
         smooth_leray_density(rho, zhat, tau, _sphere_tangent_frame(zhat))
 
 
+def _outcome(*args):
+    """The pairing, or the ``ZeroDivisionError`` message."""
+    try:
+        return kernels._leray_pairing(*args)
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", ["screen passes", "inconclusive", "below its floor", "nan row"])
+def test_leray_pole_screen_keeps_every_decision(case, rng):
+    # Coordinate-major nodes, as measures caches them, with unit gradients g.
+    # A node tau + s conj(g) + c (-g2, g1) pairs to exactly s (up to rounding)
+    # at |z - tau| = |(s, c)|.
+    n = 64
+    g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    g /= np.linalg.norm(g, axis=-1)[:, None]
+    tau = np.array([0.2 - 0.1j, 0.05j])
+    s = 0.5 + rng.random(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if case != "screen passes":
+        s[0], c[0] = 1e6, 1e6  # one far node inflates the radius
+        s[1], c[1] = {"inconclusive": 5e-12, "below its floor": 1e-13, "nan row": 1.0}[case], 1.0
+    z = tau + s[:, None] * np.conj(g) + c[:, None] * np.stack([-g[:, 1], g[:, 0]], axis=-1)
+    if case == "nan row":
+        z[2] = np.nan
+    z = np.asfortranarray(z)
+    radius = np.linalg.norm(z, axis=-1).max()
+    screened, exact = _outcome(z, g, tau, radius), _outcome(z, g, tau)
+    if case == "below its floor":
+        assert screened == exact == "tangent hyperplane passes through the evaluation point"
+        return
+    assert np.array_equal(screened, exact, equal_nan=True)
+    smallest = np.abs(exact).min()
+    bound = 1e-12 * (radius + np.linalg.norm(tau))
+    if case == "screen passes":
+        assert smallest >= 2 * bound
+    elif case == "inconclusive":
+        assert smallest < bound  # the per-node floors decide, and no node fails them
+    else:
+        assert np.isnan(exact[2]) and np.isnan(smallest)
+
+
 def test_smooth_density_rejects_critical_point():
     rho = parse_poly("abs2(z1)*abs2(z1) + abs2(z2)*abs2(z2)")
     with pytest.raises(ValueError):

@@ -422,6 +422,39 @@ def test_cached_factor_arrays_are_read_only():
     assert start == len(fac.weights) == len(fac.unit_grad) + len(fac.planes)
 
 
+@pytest.mark.parametrize("name", ["bidisk", "perturbed_bidisk", "sphere", "wedge_union"])
+def test_cached_node_sets_are_coordinate_major(name):
+    # sphere has one face and no edge: its node arrays are a lone part, copied all the same.
+    d = _fresh(name)
+    reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
+    fac = d._cache[("reproduce", 8, 6)]
+    entries = [(fac, ("points", "flat_points", "unit_grad", "planes"))]
+    if name in ("perturbed_bidisk", "sphere"):  # the others' edges have no measure weight
+        entries.append((build_measure(d, resolution=8, edge_resolution=6), ("points",)))
+    for entry, names in entries:
+        for field in names:
+            a = getattr(entry, field)
+            assert not a.flags.writeable
+            for column in np.ndindex(a.shape[1:]):
+                assert a[(slice(None), *column)].flags.c_contiguous, (field, column)
+        flat = []
+        for piece, fc in zip(entry.face_nodes, d.faces, strict=True):
+            nodes = fc.chart.nodes(8).points
+            if len(piece):
+                assert np.array_equal(piece.points, nodes)
+            else:  # a Levi-flat face keeps its nodes for the pole check only
+                assert entry is fac
+                flat.append(nodes)
+        for piece, e in zip(entry.edge_nodes, d.edges, strict=True):
+            assert np.array_equal(piece.points, e.chart.nodes(6).points)
+        if entry is fac:
+            assert np.array_equal(fac.flat_points, np.concatenate(flat or [np.empty((0, 2))]))
+    # The pole screen's radius: the largest |z| over the Levi-flat and the weighted face nodes.
+    face_points = fac.points[: len(fac.unit_grad) - len(fac.flat_points)]
+    largest = np.linalg.norm(np.concatenate([fac.flat_points, face_points]), axis=-1).max()
+    assert fac.radius == pytest.approx(largest, rel=1e-15)
+
+
 def test_failed_factor_build_caches_nothing():
     # both members are one sphere, so the edge chart's tangents are undefined
     spec = load_spec("bidisk")

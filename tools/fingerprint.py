@@ -9,7 +9,8 @@ each field of every edge's ``eta``, every piece's points and weights in
 ``hardy_norm`` of a pulled-back section on a projective image, at the
 ``norm_invariance`` benchmark's resolutions), every projective map evaluation
 below and ``reproduce`` at the ``curved_reproduce`` and ``flat_corner_taus``
-benchmarks' sizes (cold and warm, at several taus and at one pole) is
+benchmarks' sizes (cold and warm, at several taus and at one pole), and a
+warm ``reproduce`` at two taus next to one face node's tangent hyperplane is
 bit-identical between them, and each degenerate chart of
 ``tests/test_nodeset.py`` fails with the same ``ProjectionError`` (kind,
 reason and counts of failed nodes).  A result that raises prints its
@@ -199,6 +200,33 @@ def bench_reproduce():
         _factor_lines(name, d)
 
 
+def face_poles():
+    """Warm ``reproduce`` at two taus next to a face node's tangent hyperplane ``[-(g . z) : g]``.
+
+    tau is built as ``tests/test_measures.py`` builds an edge pole, from the
+    hyperplane and ``tau2 = 0.2i``.  On the hyperplane the node's pairing is
+    below its floor ``1e-12 |z - tau|``, so the call raises.  Moved off it
+    until the pairing is twice that floor, tau is still within
+    ``1e-12 (R + |tau|)`` of every face node's hyperplane for R the largest
+    face node ``|z|``, so a pole screen on that bound cannot decide and the
+    floors must; no node fails them, and the line is a value digest.
+    """
+    d = domain_from_spec(load_spec("perturbed_bidisk"))
+    sizes = {"resolution": 8, "edge_resolution": 6}
+    reproduce(d, _section, TAU, **sizes)
+    fac = d._cache[("reproduce", 8, 6)]
+    z, g = fac.points[5], fac.unit_grad[5]  # no Levi-flat node: unit_grad[5] is points[5]'s
+    w = np.array([-(g @ z), g[0], g[1]])
+    tau2 = 0.2j
+    on = np.array([-(w[0] + w[2] * tau2) / w[1], tau2])
+    off = on - np.array([2e-12 * np.linalg.norm(z - on) / g[0], 0.0])
+    for label, tau in (("on", on), ("off", off)):
+        _line(
+            f"reproduce perturbed_bidisk r8 e6 face pole {label} warm",
+            lambda: (reproduce(d, _section, tau, **sizes),),
+        )
+
+
 def maps():
     bidegrees = ((-2, 0), (1, 1), (Fraction(-3, 2), Fraction(1, 2)))
     for seed in range(5):
@@ -253,4 +281,5 @@ if __name__ == "__main__":
     pulled_norm()
     maps()
     bench_reproduce()
+    face_poles()
     degenerate_charts()
