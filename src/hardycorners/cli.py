@@ -31,6 +31,7 @@ import click
 import numpy as np
 
 from .domain import (
+    _ONLOCUS_TOL,
     ProjectionError,
     canonical_spec,
     check_local_intersection,
@@ -285,17 +286,13 @@ def main():
 def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
     """Validate a domain spec and probe its edges' local geometry."""
     spec, d = _load_domain(spec_name)
-
-    results = []
-    report_pass = True
-
     try:
         val = validate_domain(d, resolution=resolution)
-        edge_points = [e.chart.project(e.chart.grid(resolution)[0][:1])[0][0] for e in d.edges]
+        edge_points = [e.chart.nodes(resolution).points[0] for e in d.edges]
     except ProjectionError as exc:
         _precondition_failure(exc)
-    results.append({"check": "validate", **val})
-    report_pass &= val["passed"]
+    results = [{"check": "validate", **val}]
+    report_pass = val["passed"]
 
     for ei, (e, z) in enumerate(zip(d.edges, edge_points)):
         try:
@@ -310,17 +307,11 @@ def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
             _input_error(f"edge {ei}: {exc}")
         results.append({"check": "local_intersection", "edge": ei, **loc})
         report_pass &= loc["passed"]
-        results.append(
-            {
-                "check": "strict_convexity",
-                "edge": ei,
-                "members": conv["members"],
-                "min_margin": conv["min_margin"],
-                "strict": conv["strict"],
-            }
-        )
+        convexity = {key: conv[key] for key in ("members", "min_margin", "strict")}
+        results.append({"check": "strict_convexity", "edge": ei, **convexity})
 
-    _report("check-domain", spec, resolution, results, {"onlocus": 1e-10}, report_pass, output)
+    tolerances = {"onlocus": _ONLOCUS_TOL}
+    _report("check-domain", spec, resolution, results, tolerances, report_pass, output)
 
 
 @main.command("reproduce")

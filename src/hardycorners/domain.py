@@ -35,6 +35,7 @@ reports the avoidance margin of weak-tangent lines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,12 +201,25 @@ def _check_resolution(resolution):
     return resolution
 
 
-def _real(kind, name, value):
-    """A chart's numeric field as a float; ``ValueError`` naming the field if it is not one."""
+def _real(field, value):
+    """A numeric field as a float; ``ValueError`` naming the field if it is not one."""
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{kind} chart {name} must be a real number, not {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be a real number, not {value!r}") from None
+
+
+def _finite(field, value):
+    """A spec number as a float, or a list of them as a list of floats.
+
+    ``ValueError`` names the field unless each is a finite real number.
+    """
+    if isinstance(value, list):
+        return [_finite(field, v) for v in value]
+    x = _real(field, value)
+    if not math.isfinite(x):
+        raise ValueError(f"{field} must be finite, not {value!r}")
+    return x
 
 
 class Chart:
@@ -299,7 +313,7 @@ class TorusChart(Chart):
         if np.shape(r0) != (2,):
             raise ValueError(f"torus2 chart r0 must be two radii, not {r0!r}")
         self.rhos = tuple(rhos)
-        self.r0 = tuple(_real(self.kind, "r0", x) for x in r0)
+        self.r0 = tuple(_real("torus2 chart r0", x) for x in r0)
 
     def _geometry(self, params):
         e = np.exp(1j * params)
@@ -332,7 +346,7 @@ class SpherePolarChart(Chart):
 
     def __init__(self, rho, r0=1.0):
         self.rhos = (rho,)
-        self.r0 = _real(self.kind, "r0", r0)
+        self.r0 = _real("sphere_polar chart r0", r0)
 
     def _geometry(self, params):
         theta, alpha, beta = params.T
@@ -370,11 +384,11 @@ class GraphPatchChart(Chart):
 
     def __init__(self, rho, solve="z1", disk_radius=1.0, r0=1.0):
         if solve not in ("z1", "z2"):
-            raise ValueError("solve must be 'z1' or 'z2'")
+            raise ValueError(f"graph_patch chart solve must be 'z1' or 'z2', not {solve!r}")
         self.rhos = (rho,)
         self.solve = solve
-        self.disk_radius = _real(self.kind, "disk_radius", disk_radius)
-        self.r0 = _real(self.kind, "r0", r0)
+        self.disk_radius = _real("graph_patch chart disk_radius", disk_radius)
+        self.r0 = _real("graph_patch chart r0", r0)
 
     def _geometry(self, params):
         r, phi, psi = params.T
@@ -509,60 +523,83 @@ class PwsDomain:
         )
 
 
-def make_chart(spec, rhos_by_label, face_label=None, member_labels=None):
-    """Build a catalog chart from its spec dict.
+def make_chart(spec, rhos):
+    """Build a catalog chart from its spec dict on a piece's resolved polynomials.
 
-    ``rhos_by_label`` maps hypersurface labels to polynomials; face charts
-    bind the face's own polynomial (``face_label``), edge charts bind both
-    members' (``member_labels``).  A spec that is not a dict, or whose type
-    is not a chart of that kind of piece, raises ``ValueError``.
+    ``rhos`` holds a face's one polynomial (a ``sphere_polar`` or
+    ``graph_patch`` chart) or an edge's two members' in member order (a
+    ``torus2`` chart).  The chart's numbers (``r0``, and a graph patch's
+    ``disk_radius``) must be finite reals.  A spec that is not a dict, whose
+    type is not a chart of that kind of piece, or whose numbers are not
+    finite reals raises ``ValueError`` naming the field.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"chart must be an object with a 'type' field, not {spec!r}")
     ctype = spec.get("type")
-    if ctype == "torus2" and member_labels is not None:
-        rhos = [rhos_by_label[lab] for lab in member_labels]
-        return TorusChart(rhos, r0=spec.get("r0", (1.0, 1.0)))
-    if ctype == "sphere_polar" and face_label is not None:
-        return SpherePolarChart(rhos_by_label[face_label], r0=spec.get("r0", 1.0))
-    if ctype == "graph_patch" and face_label is not None:
-        return GraphPatchChart(
-            rhos_by_label[face_label],
-            solve=spec.get("solve", "z1"),
-            disk_radius=spec.get("disk_radius", 1.0),
-            r0=spec.get("r0", 1.0),
-        )
-    piece, catalog = ("edge", "torus2") if face_label is None else ("face", "sphere_polar, graph_patch")
+
+    def number(name, default):
+        return _finite(f"{ctype} chart {name}", spec.get(name, default))
+
+    if ctype == "torus2" and len(rhos) == 2:
+        return TorusChart(rhos, r0=number("r0", [1.0, 1.0]))
+    if ctype == "sphere_polar" and len(rhos) == 1:
+        return SpherePolarChart(*rhos, r0=number("r0", 1.0))
+    if ctype == "graph_patch" and len(rhos) == 1:
+        numbers = {name: number(name, 1.0) for name in ("disk_radius", "r0")}
+        return GraphPatchChart(*rhos, solve=spec.get("solve", "z1"), **numbers)
+    piece, catalog = ("face", "sphere_polar, graph_patch") if len(rhos) == 1 else ("edge", "torus2")
     raise ValueError(f"{piece} chart type {ctype!r} is not one of {catalog}")
 
 
+def _field(obj, key, piece, kind=object):
+    """``obj[key]``; ``ValueError`` naming the field and the piece unless it is a ``kind``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{piece} has no {key!r} field")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{piece} {key} must be a {kind.__name__}, not {obj[key]!r}")
+    return obj[key]
+
+
 def domain_from_spec(spec):
-    """Assemble a :class:`PwsDomain` from a domain-spec dictionary."""
-    hyper = [(h["label"], parse_poly(h["rho"])) for h in spec["hypersurfaces"]]
+    """Assemble a :class:`PwsDomain` from a domain-spec dictionary.
+
+    Each hypersurface needs a string ``label`` and a ``rho``, each face a
+    ``hypersurface`` and a ``chart``, each edge two distinct ``members`` and a
+    ``chart`` (see :func:`make_chart`); labels are unique, pieces name
+    declared labels, and each interior point is four finite reals.  Anything
+    else raises ``ValueError`` naming the field and the piece.
+    """
+    hyper = []
+    for hi, h in enumerate(_field(spec, "hypersurfaces", "the spec", list)):
+        piece = f"hypersurface {hi}"
+        hyper.append((_field(h, "label", piece, str), parse_poly(_field(h, "rho", piece, str))))
     # Built first, so that its own checks run before any piece's label is resolved.
     d = PwsDomain(hyper, [], [], membership=spec.get("membership", "intersection"))
-    index = {label: i for i, (label, _) in enumerate(hyper)}
-    rhos_by_label = dict(hyper)
+    labels = [label for label, _ in hyper]
+    spec = {"faces": [], "edges": [], "interior_points": [], **spec}
 
     def declared(label, piece):
-        if label not in index:
+        if label not in labels:
             raise ValueError(f"{piece} names hypersurface {label!r}, which is not declared")
-        return index[label]
+        return labels.index(label)
 
-    for fi, f in enumerate(spec.get("faces", [])):
-        lab = f["hypersurface"]
-        i = declared(lab, f"face {fi}")
-        d.faces.append(Face(i, make_chart(f["chart"], rhos_by_label, face_label=lab)))
+    for fi, f in enumerate(_field(spec, "faces", "the spec", list)):
+        i = declared(_field(f, "hypersurface", f"face {fi}"), f"face {fi}")
+        d.faces.append(Face(i, make_chart(_field(f, "chart", f"face {fi}"), [d.rho(i)])))
 
-    for ei, e in enumerate(spec.get("edges", [])):
-        labs = list(e["members"])
+    for ei, e in enumerate(_field(spec, "edges", "the spec", list)):
+        labs = _field(e, "members", f"edge {ei}", list)
+        if len(labs) != 2 or labs[0] == labs[1]:
+            raise ValueError(f"edge {ei} members must be two distinct hypersurfaces, not {labs!r}")
         members = tuple(declared(lab, f"edge {ei}") for lab in labs)
-        d.edges.append(Edge(members, make_chart(e["chart"], rhos_by_label, member_labels=labs)))
+        rhos = [d.rho(m) for m in members]
+        d.edges.append(Edge(members, make_chart(_field(e, "chart", f"edge {ei}"), rhos)))
 
-    for p in spec.get("interior_points", []):
+    for pi, p in enumerate(_field(spec, "interior_points", "the spec", list)):
         if np.shape(p) != (4,):
             raise ValueError(f"interior point {p!r} must be four reals re1, im1, re2, im2")
-        d.interior_points.append(np.array([complex(p[0], p[1]), complex(p[2], p[3])]))
+        x = _finite(f"interior point {pi}", list(p))
+        d.interior_points.append(np.array([complex(x[0], x[1]), complex(x[2], x[3])]))
     return d
 
 
@@ -771,17 +808,18 @@ def transform_domain(d, t):
     )
 
 
-def _sample_points(chart, resolution):
-    """Chart points at every ``resolution``-th node of its grid."""
-    params, _ = chart.grid(resolution)
-    return chart.project(params[::resolution])[0]
-
-
 def validate_domain(d, resolution=12):
-    """Structural validation: charts on-locus, sign conditions, transversality.
+    """Structural validation on every node of every chart at ``resolution``.
+
+    One loop over the boundary pieces, faces then edges, checks each node of
+    ``chart.nodes(resolution)``, the node set the integrals use: every member
+    is on the locus within ``1e-10`` and every other hypersurface is negative
+    (a NaN value counts as a failure); on an edge the member gradients are
+    also transverse.  Then every interior point must be inside: every
+    ``rho`` negative (NaN fails) on an intersection, some on a union.
 
     Returns a report dict with ``passed`` and a list of human-readable
-    ``failures`` naming the offending hypersurface or chart.
+    ``failures`` naming the offending hypersurface or piece.
 
     Raises
     ------
@@ -790,40 +828,26 @@ def validate_domain(d, resolution=12):
         its tangents are singular (not transverse, or rank-deficient with the conormals).
     """
     failures = []
-
-    for fi, f in enumerate(d.faces):
-        vals = d.rho_values(_sample_points(f.chart, resolution).T)
-        if np.any(np.abs(vals[f.hypersurface]) > _ONLOCUS_TOL):
-            failures.append(
-                f"face {fi} chart point leaves hypersurface "
-                f"{d.label(f.hypersurface)!r} (|rho| > {_ONLOCUS_TOL})"
-            )
-        for i in range(len(d.hypersurfaces)):
-            if i != f.hypersurface and np.any(vals[i] >= 0):
-                failures.append(f"face {fi} chart reaches the wrong side of {d.label(i)!r}")
-
-    for ei, e in enumerate(d.edges):
-        z = _sample_points(e.chart, resolution)
-        vals = d.rho_values(z.T)
-        for m in e.members:
-            if np.any(np.abs(vals[m]) > _ONLOCUS_TOL):
-                failures.append(f"edge {ei} chart point leaves member {d.label(m)!r}")
-        grads = np.stack([_grad(d.rho(m), z) for m in e.members], axis=-2)
-        if np.any(_transversality(grads) < 1e-8):
-            failures.append(
-                f"edge {ei}: member gradients are complex-linearly dependent "
-                f"(transversality fails)"
-            )
-        for i in range(len(d.hypersurfaces)):
-            if i not in e.members and np.any(vals[i] >= 0):
-                failures.append(f"edge {ei} chart reaches the wrong side of {d.label(i)!r}")
+    pieces = [(f"face {k}", (f.hypersurface,), f.chart) for k, f in enumerate(d.faces)]
+    pieces += [(f"edge {k}", e.members, e.chart) for k, e in enumerate(d.edges)]
+    for piece, members, chart in pieces:
+        z = chart.nodes(resolution).points
+        for i, vals in enumerate(d.rho_values(z.T)):
+            if i in members and np.any(np.abs(vals) > _ONLOCUS_TOL):
+                failures.append(f"{piece} chart leaves {d.label(i)!r} (|rho| > {_ONLOCUS_TOL})")
+            elif i not in members and not np.all(vals < 0):
+                failures.append(f"{piece} chart reaches the wrong side of {d.label(i)!r}")
+        if len(members) == 2:
+            grads = np.stack([_grad(d.rho(m), z) for m in members], axis=-2)
+            if np.any(_transversality(grads) < 1e-8):
+                failures.append(f"{piece} member gradients are not transverse")
 
     for p in d.interior_points:
         if d.membership == "intersection":
-            for i, (_, rho) in enumerate(d.hypersurfaces):
-                if rho(p[0], p[1]) >= 0:
+            for label, rho in d.hypersurfaces:
+                if not rho(p[0], p[1]) < 0:
                     failures.append(
-                        f"interior point {p} is on the wrong side of {d.label(i)!r}"
+                        f"interior point {p} is on the wrong side of {label!r}"
                         " (orientation: rho must be negative inside)"
                     )
         elif not d.contains(p):

@@ -337,6 +337,11 @@ def test_malformed_spec_file_is_input_error(runner, tmp_path, command):
     assert "Traceback" not in result.output
 
 
+NAN, INF = float("nan"), float("inf")
+# A table value that removes the field instead of setting it.
+_MISSING = object()
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -350,6 +355,24 @@ def test_malformed_spec_file_is_input_error(runner, tmp_path, command):
         (["faces", 0, "chart", "disk_radius"], "abc", "graph_patch chart disk_radius must be a real"),
         (["faces", 0, "chart", "r0"], "abc", "graph_patch chart r0 must be a real number"),
         (["edges", 0, "chart", "r0"], ["abc", 1.0], "torus2 chart r0 must be a real number"),
+        (["edges", 0, "members"], ["sheet1", "sheet1"], "edge 0 members must be two distinct"),
+        (["edges", 0, "members"], ["sheet1"], "edge 0 members must be two distinct"),
+        (["edges", 0, "members"], ["sheet1", "sheet2", "sheet1"], "edge 0 members must be two"),
+        (["faces", 0, "chart", "disk_radius"], NAN, "graph_patch chart disk_radius must be finite"),
+        (["edges", 0, "chart", "r0"], [1.0, INF], "torus2 chart r0 must be finite, not inf"),
+        (["interior_points", 0], [NAN, 0, 0, 0], "interior point 0 must be finite, not nan"),
+        (["interior_points", 1], [0.1, "abc", 0, 0], "interior point 1 must be a real number"),
+        (["hypersurfaces"], _MISSING, "the spec has no 'hypersurfaces' field"),
+        (["hypersurfaces", 0, "label"], _MISSING, "hypersurface 0 has no 'label' field"),
+        (["hypersurfaces", 1, "rho"], _MISSING, "hypersurface 1 has no 'rho' field"),
+        (["faces", 1, "hypersurface"], _MISSING, "face 1 has no 'hypersurface' field"),
+        (["faces", 0, "chart"], _MISSING, "face 0 has no 'chart' field"),
+        (["edges", 0, "members"], _MISSING, "edge 0 has no 'members' field"),
+        (["edges", 0, "chart"], _MISSING, "edge 0 has no 'chart' field"),
+        (["hypersurfaces", 0, "label"], ["x"], "hypersurface 0 label must be a str, not ['x']"),
+        (["faces", 0, "chart", "r0"], 10**400, "graph_patch chart r0 must be a real number"),
+        (["faces"], 5, "the spec faces must be a list, not 5"),
+        (["faces", 1, "chart", "solve"], "z3", "graph_patch chart solve must be 'z1' or 'z2'"),
     ],
     ids=[
         "string_chart",
@@ -362,6 +385,24 @@ def test_malformed_spec_file_is_input_error(runner, tmp_path, command):
         "text_disk_radius",
         "text_face_r0",
         "text_edge_r0",
+        "repeated_edge_member",
+        "one_member_edge",
+        "three_member_edge",
+        "nan_disk_radius",
+        "inf_edge_r0",
+        "nan_interior_point",
+        "text_interior_coordinate",
+        "no_hypersurfaces",
+        "no_label",
+        "no_rho",
+        "no_face_hypersurface",
+        "no_face_chart",
+        "no_edge_members",
+        "no_edge_chart",
+        "list_label",
+        "huge_integer_r0",
+        "faces_not_a_list",
+        "unknown_solve",
     ],
 )
 @pytest.mark.parametrize(
@@ -373,7 +414,10 @@ def test_malformed_spec_field_is_input_error(runner, tmp_path, path, value, mess
     field = spec
     for key in parents:
         field = field[key]
-    field[last] = value
+    if value is _MISSING:
+        del field[last]
+    else:
+        field[last] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
     result = runner.invoke(main, command[:1] + [str(bad)] + command[1:])

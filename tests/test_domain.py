@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from hardycorners.cli import load_spec
+from click.testing import CliRunner
+
+from hardycorners.cli import load_spec, main
 from hardycorners.domain import (
     GraphPatchChart,
     ProjectionError,
@@ -413,6 +415,34 @@ def test_validate_domain_flags_wrong_side_orientation():
     d = domain_from_spec(spec)
     out = validate_domain(d, resolution=6)
     assert not out["passed"]
+
+
+def test_validate_domain_checks_every_node_the_integrals_use(tmp_path):
+    # cut = -Re z1 (1 - |z2|^2) - 0.1 is -0.1 on face 1 and on the edge torus,
+    # but positive on face 0 where Re z1 < -0.1 / (1 - |z2|^2): never at the
+    # nodes of angle psi = 0 (z1 = 1), always at some of the others.
+    spec = copy.deepcopy(load_spec("bidisk"))
+    cut = "-0.5*z1 - 0.5*conj(z1) + 0.5*z1*abs2(z2) + 0.5*conj(z1)*abs2(z2) - 0.1"
+    spec["hypersurfaces"].append({"label": "cut", "rho": cut})
+    d = domain_from_spec(spec)
+    for resolution in (6, 8, 12):
+        z = d.faces[0].chart.nodes(resolution).points
+        assert np.any(d.rho(2)(z[:, 0], z[:, 1]) >= 0)
+        out = validate_domain(d, resolution=resolution)
+        assert out["failures"] == ["face 0 chart reaches the wrong side of 'cut'"]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(spec))
+    result = CliRunner().invoke(main, ["check-domain", str(path)])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["pass"] is False
+
+
+def test_validate_domain_counts_nan_interior_rho_as_failure():
+    d = domain_from_spec(load_spec("sphere"))
+    d.interior_points.append(np.array([complex(np.nan, 0.0), 0j]))
+    out = validate_domain(d, resolution=6)
+    assert len(out["failures"]) == 1
+    assert "[nan+0.j  0.+0.j] is on the wrong side of 'sphere'" in out["failures"][0]
 
 
 # ---------------------------------------------------------------------------

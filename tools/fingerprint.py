@@ -13,7 +13,8 @@ benchmarks' sizes (cold and warm, at several taus and at one pole), and a
 warm ``reproduce`` at two taus next to one face node's tangent hyperplane is
 bit-identical between them, and each degenerate chart of
 ``tests/test_nodeset.py`` fails with the same ``ProjectionError`` (kind,
-reason and counts of failed nodes).  A result that raises prints its
+reason and counts of failed nodes), and each domain's ``validate_domain``
+report is the same.  A result that raises prints its
 exception type and message in place of a digest, so a changed error shows
 too.
 
@@ -43,6 +44,7 @@ from hardycorners import (
     pull_back_section,
     reproduce,
     transform_domain,
+    validate_domain,
 )
 from hardycorners.cli import load_spec
 from hardycorners.hermpoly import parse_poly
@@ -273,6 +275,13 @@ def degenerate_charts():
     _line("degenerate graph_patch flat along z1", lambda: flat.project(one_node))
 
 
+def checks():
+    """The ``validate_domain`` report of each domain at each of ``RESOLUTIONS``."""
+    for name, d in _domains().items():
+        for r in RESOLUTIONS:
+            _line(f"validate_domain {name} r{r}", lambda: (validate_domain(d, r),))
+
+
 if __name__ == "__main__":
     nodesets()
     results()
@@ -283,3 +292,4 @@ if __name__ == "__main__":
     bench_reproduce()
     face_poles()
     degenerate_charts()
+    checks()
