@@ -288,7 +288,7 @@ def check_domain_cmd(spec_name, samples, radius, resolution, seed, output):
     spec, d = _load_domain(spec_name)
     try:
         val = validate_domain(d, resolution=resolution)
-        edge_points = [e.chart.nodes(resolution).points[0] for e in d.edges]
+        edge_points = [e.chart.project(e.chart.grid(resolution)[0][:1])[0][0] for e in d.edges]
     except ProjectionError as exc:
         _precondition_failure(exc)
     results = [{"check": "validate", **val}]
@@ -439,7 +439,7 @@ def _suite_simplex(rng, checks):
 
 def _random_edge_points(d, rng, count):
     e = d.edges[0]
-    points, _ = e.chart.project(2 * np.pi * rng.random((count, e.chart.dim)))
+    points = e.chart.project(2 * np.pi * rng.random((count, e.chart.dim)))[0]
     return [(e, z) for z in points]
 
 

@@ -12,7 +12,8 @@ point on its ``k`` defining functions.  One vectorized Newton solve
 1e-12, and one implicit differentiation with the same Jacobian completes the
 tangents, so downstream quadrature sees the locus to full precision.  One
 rule decides whether that Jacobian is regular: ``|det J| / prod |rows of J|
-> 1e-14``.  The result is a :class:`NodeSet` of arrays; a node that does not
+> 1e-14``.  The result is a :class:`NodeSet` of arrays, with each node's
+orientation sign from the frame its rank check builds; a node that does not
 converge, or whose tangents are singular (edge member gradients that are not
 transverse, a face's rho flat along its solve direction), raises
 :class:`ProjectionError`.
@@ -99,13 +100,16 @@ class NodeSet:
     ``params`` is ``(N, dim)``, ``weights`` ``(N,)``, ``points`` the affine
     points ``(N, 2)`` and ``tangents`` the chart tangent vectors
     ``(N, dim, 2)``: row ``n`` holds d(point)/d(param_a) at node ``n`` for
-    each parameter ``a``.
+    each parameter ``a``.  ``orientation`` ``(N,)`` is +1.0 or -1.0, the sign
+    of the real frame determinant ``det[conormals, tangents]``, with the
+    outward conormals in member order (see :meth:`Chart.project`).
     """
 
     params: np.ndarray
     weights: np.ndarray
     points: np.ndarray
     tangents: np.ndarray
+    orientation: np.ndarray
 
     def __len__(self):
         return len(self.weights)
@@ -260,11 +264,14 @@ class Chart:
         raise NotImplementedError
 
     def project(self, params):
-        """Points ``(N, 2)`` and tangents ``(N, dim, 2)`` at parameter rows ``(N, dim)``.
+        """Points ``(N, 2)``, tangents ``(N, dim, 2)`` and signs ``(N,)`` at rows ``(N, dim)``.
 
         One Newton solve (:func:`_newton`) puts the points on the locus; the
         tangents ``dz`` taken with ``s`` fixed are completed by solving ``J ds
-        = -2 Re(g . dz)`` with the Newton Jacobian ``J``.
+        = -2 Re(g . dz)`` with the Newton Jacobian ``J``.  The orientation is
+        the sign of the frame determinant that the rank check computes
+        (:func:`~hardycorners.kernels._frame_dets`, conormals in member
+        order), as +1.0 or -1.0.
         """
         base, dirs, fixed_tangents = self._geometry(params)
         s = _newton(self.kind, self.rhos, base, dirs, self.r0)
@@ -277,17 +284,17 @@ class Chart:
         _check_tangents(self.kind, regular, self._singular)
         for a in axes:
             tangents[:, a] = _along(tangents[:, a], ds[:, :, a], dirs)
-        _check_tangents(self.kind, _frame_dets(grads, tangents)[1], _RANK_DEFICIENT)
-        return z, tangents
+        det, regular = _frame_dets(grads, tangents)
+        _check_tangents(self.kind, regular, _RANK_DEFICIENT)
+        return z, tangents, np.where(det > 0, 1.0, -1.0)
 
     def nodes(self, resolution):
         """The :class:`NodeSet` of this chart at a resolution (one Newton solve)."""
         params, weights = self.grid(resolution)
-        points, tangents = self.project(params)
-        return NodeSet(params, weights, points, tangents)
+        return NodeSet(params, weights, *self.project(params))
 
     def _at(self, *params):
-        points, tangents = self.project(np.array([params], dtype=float))
+        points, tangents, _ = self.project(np.array([params], dtype=float))
         return points[0], list(tangents[0])
 
     def _node_list(self, resolution):
@@ -431,11 +438,17 @@ class TransformedChart(Chart):
         self.radial = base.radial
 
     def project(self, params):
-        points, tangents = self.base.project(params)
+        """The base chart's projection pushed by the map; its orientations carry over.
+
+        A biholomorphic map preserves orientation, and
+        :func:`~hardycorners.hermpoly.transform_poly` scales each defining
+        function by ``|den|**(2n) > 0``, so the outward side is the same.
+        """
+        points, tangents, orientation = self.base.project(params)
         image, jac = self.tmap._affine_and_jacobian(points)
         jac = jac[:, None]
         pushed = jac[..., 0] * tangents[..., None, 0] + jac[..., 1] * tangents[..., None, 1]
-        return np.stack(image, axis=-1), pushed
+        return np.stack(image, axis=-1), pushed, orientation
 
     def point(self, *params):
         return self._at(*params)[0]
@@ -567,12 +580,18 @@ def domain_from_spec(spec):
     ``hypersurface`` and a ``chart``, each edge two distinct ``members`` and a
     ``chart`` (see :func:`make_chart`); labels are unique, pieces name
     declared labels, and each interior point is four finite reals.  Anything
-    else raises ``ValueError`` naming the field and the piece.
+    else raises ``ValueError`` naming the field and the piece (a ``rho``
+    that :func:`~hardycorners.hermpoly.parse_poly` rejects, as
+    ``hypersurface 0 rho: <the parser's message>``).
     """
     hyper = []
     for hi, h in enumerate(_field(spec, "hypersurfaces", "the spec", list)):
         piece = f"hypersurface {hi}"
-        hyper.append((_field(h, "label", piece, str), parse_poly(_field(h, "rho", piece, str))))
+        label, rho = _field(h, "label", piece, str), _field(h, "rho", piece, str)
+        try:
+            hyper.append((label, parse_poly(rho)))
+        except ValueError as exc:
+            raise ValueError(f"{piece} rho: {exc}") from None
     # Built first, so that its own checks run before any piece's label is resolved.
     d = PwsDomain(hyper, [], [], membership=spec.get("membership", "intersection"))
     labels = [label for label, _ in hyper]
@@ -813,10 +832,12 @@ def validate_domain(d, resolution=12):
 
     One loop over the boundary pieces, faces then edges, checks each node of
     ``chart.nodes(resolution)``, the node set the integrals use: every member
-    is on the locus within ``1e-10`` and every other hypersurface is negative
-    (a NaN value counts as a failure); on an edge the member gradients are
-    also transverse.  Then every interior point must be inside: every
-    ``rho`` negative (NaN fails) on an intersection, some on a union.
+    is on the locus within ``1e-10`` and every other hypersurface is on the
+    side the membership rule puts the boundary on, negative on an
+    intersection and non-negative on a union (a NaN value fails either); on
+    an edge the member gradients are also transverse.  Then every interior
+    point must be inside: every ``rho`` negative (NaN fails) on an
+    intersection, some on a union.
 
     Returns a report dict with ``passed`` and a list of human-readable
     ``failures`` naming the offending hypersurface or piece.
@@ -828,6 +849,7 @@ def validate_domain(d, resolution=12):
         its tangents are singular (not transverse, or rank-deficient with the conormals).
     """
     failures = []
+    inside = d.membership == "intersection"
     pieces = [(f"face {k}", (f.hypersurface,), f.chart) for k, f in enumerate(d.faces)]
     pieces += [(f"edge {k}", e.members, e.chart) for k, e in enumerate(d.edges)]
     for piece, members, chart in pieces:
@@ -835,7 +857,7 @@ def validate_domain(d, resolution=12):
         for i, vals in enumerate(d.rho_values(z.T)):
             if i in members and np.any(np.abs(vals) > _ONLOCUS_TOL):
                 failures.append(f"{piece} chart leaves {d.label(i)!r} (|rho| > {_ONLOCUS_TOL})")
-            elif i not in members and not np.all(vals < 0):
+            elif i not in members and not np.all(vals < 0 if inside else vals >= 0):
                 failures.append(f"{piece} chart reaches the wrong side of {d.label(i)!r}")
         if len(members) == 2:
             grads = np.stack([_grad(d.rho(m), z) for m in members], axis=-2)
@@ -843,7 +865,7 @@ def validate_domain(d, resolution=12):
                 failures.append(f"{piece} member gradients are not transverse")
 
     for p in d.interior_points:
-        if d.membership == "intersection":
+        if inside:
             for label, rho in d.hypersurfaces:
                 if not rho(p[0], p[1]) < 0:
                     failures.append(

@@ -30,9 +30,11 @@ Evaluators return pure alternating-form values; orientation conventions are
 supplied separately by :func:`orientation_sign_face` and
 :func:`orientation_sign_edge` so that integration drivers stay explicit
 about boundary orientation.  Their frames take real conormals from
-Wirtinger gradients as ``grad_real`` does, so a caller that holds the
-gradients evaluates none again, and their degeneracy rule (``_frame_dets``)
-is the one the charts apply when they project.
+Wirtinger gradients as ``grad_real`` does, and their determinant
+(``_frame_dets``) is the one the charts compute for their rank check when
+they project; each node set keeps its sign as ``orientation``, which is
+what :func:`hardycorners.measures.reproduce` reads, and these two functions
+recompute it as a reference.
 """
 
 from __future__ import annotations

@@ -61,10 +61,14 @@ per-node rule's.  Domains and charts are treated as immutable once built,
 and :func:`~hardycorners.domain.transform_domain` builds a new domain with
 a cache of its own.
 
-The orientation signs and the real conormal of :func:`fefferman_density` are
-converted from Wirtinger gradients that the build already holds (the face
-density's, or at edge nodes the member tangent hyperplanes'), not evaluated
-again.
+The orientation signs are read from the node sets: each chart's projection
+keeps the sign of the frame determinant its rank check computes
+(:meth:`~hardycorners.domain.Chart.project`), with the conormals in member
+order, so an edge weight takes the opposite sign, as
+:func:`~hardycorners.kernels.orientation_sign_edge` reverses that order.  No
+frame is built here for orientation.  The real conormal of
+:func:`fefferman_density` is converted from the face gradient it already
+holds, not evaluated again.
 
 The two entries each project the charts, on purpose.  Building both at
 once would make :func:`reproduce` fail wherever the edge weight does: on
@@ -88,7 +92,6 @@ from .kernels import (
     _corner_pairing,
     _leray_factor,
     _leray_pairing,
-    _orientation,
     _real_columns,
 )
 
@@ -340,12 +343,11 @@ def _face_factor(d, index, resolution):
     fc = d.faces[index]
     ns = fc.chart.nodes(resolution)
     unit_grad, dens = _leray_factor(d.rho(fc.hypersurface), ns.points, ns.tangents)
-    # Nodes where the density vanishes (Levi-flat) contribute nothing and need no orientation:
-    # they serve only the pole check.  Select rows only when some vanish, to copy nothing otherwise.
+    # Nodes where the density vanishes (Levi-flat) contribute nothing: they serve only the
+    # pole check.  Select rows only when some vanish, to copy nothing otherwise.
     live = dens != 0
     rows, flat = (slice(None), slice(0)) if live.all() else (live, ~live)
-    sgn = _orientation([unit_grad[rows]], ns.tangents[rows], "face")
-    weights = ns.weights[rows] * sgn * dens[rows]
+    weights = ns.weights[rows] * ns.orientation[rows] * dens[rows]
     return ns.points[rows], weights, unit_grad[rows], ns.points[flat], unit_grad[flat]
 
 
@@ -354,9 +356,8 @@ def _edge_factor(d, index, resolution):
     e = d.edges[index]
     ns = e.chart.nodes(resolution)
     planes, k = _corner_factor(strong_tangents(d, e, ns.points), ns.tangents)
-    # The conormals in reversed member order, as orientation_sign_edge takes them.
-    sgn = _orientation([planes[:, 1, 1:], planes[:, 0, 1:]], ns.tangents, "edge")
-    return ns.points, ns.weights * sgn * k, planes
+    # orientation_sign_edge reverses the conormals' member order: two columns swap, the sign flips.
+    return ns.points, ns.weights * -ns.orientation * k, planes
 
 
 def _factors(d, face_resolution, edge_resolution):
@@ -394,13 +395,13 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     """Evaluate the reproducing formula for a holomorphic function.
 
     Faces carry the smooth second-order Cauchy density, edges the corner
-    kernel; orientation signs are computed per node from the outward
-    conormals.  The tau-free factors are built once per resolution pair and
-    cached on ``d`` (see the module docstring); every call pairs them with
-    ``tau`` over all nodes (the pole checks), then makes one section call on
-    all weighted nodes and sums each piece's rows.  Returns a dict with the
-    recovered value, the directly evaluated reference ``f(tau)``, per-piece
-    contributions and the relative error.
+    kernel; orientation signs are read from the node sets.  The tau-free
+    factors are built once per resolution pair and cached on ``d`` (see the
+    module docstring); every call pairs them with ``tau`` over all nodes (the
+    pole checks), then makes one section call on all weighted nodes and sums
+    each piece's rows.  Returns a dict with the recovered value, the directly
+    evaluated reference ``f(tau)``, per-piece contributions and the relative
+    error.
 
     ``f`` is a section in the library's convention: it is called once on
     the coordinate pair ``(z1, z2)`` of all weighted nodes (faces first,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hardycorners import kernels, measures
+from hardycorners import domain, kernels, measures
 from hardycorners.domain import check_strict_convexity, domain_from_spec
 from hardycorners.normalforms import eta
 from hardycorners.cli import load_spec, main, parse_section_expr, spec_hash
@@ -86,6 +86,20 @@ def test_check_domain_fails_on_union_wedge(runner):
     assert report["pass"] is False
     li = [r for r in report["results"] if r["check"] == "local_intersection"][0]
     assert li["disagreements"] > 0
+
+
+def test_check_domain_projects_each_chart_once(runner, monkeypatch):
+    # validate_domain projects every chart; the edge probe projects one node of its own.
+    nodes, kinds = domain.Chart.nodes, []
+
+    def counted(chart, resolution):
+        kinds.append(chart.kind)
+        return nodes(chart, resolution)
+
+    monkeypatch.setattr(domain.Chart, "nodes", counted)
+    result = runner.invoke(main, ["check-domain", "perturbed_bidisk", "--resolution", "32"])
+    assert result.exit_code == 0
+    assert kinds == ["graph_patch", "graph_patch", "torus2"]
 
 
 def test_check_domain_unknown_spec_is_usage_error(runner):
@@ -373,6 +387,12 @@ _MISSING = object()
         (["faces", 0, "chart", "r0"], 10**400, "graph_patch chart r0 must be a real number"),
         (["faces"], 5, "the spec faces must be a list, not 5"),
         (["faces", 1, "chart", "solve"], "z3", "graph_patch chart solve must be 'z1' or 'z2'"),
+        (
+            ["hypersurfaces", 0, "rho"],
+            "abs2(z3)",
+            "invalid domain spec: hypersurface 0 rho: expected variable z1 or z2 at position 5:"
+            " abs2(<HERE>z3)\n",
+        ),
     ],
     ids=[
         "string_chart",
@@ -403,6 +423,7 @@ _MISSING = object()
         "huge_integer_r0",
         "faces_not_a_list",
         "unknown_solve",
+        "malformed_rho",
     ],
 )
 @pytest.mark.parametrize(

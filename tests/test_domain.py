@@ -374,9 +374,9 @@ def test_strict_convexity_margins_match_per_t_reference(bidisk, perturbed_bidisk
     rng = np.random.default_rng(7)
     points = [(bidisk, np.array([np.exp(0.4j), 0.3]))]
     for d in (bidisk, perturbed_bidisk):
-        edge_points, _ = d.edges[0].chart.project(rng.uniform(0, 2 * np.pi, (3, 2)))
+        edge_points = d.edges[0].chart.project(rng.uniform(0, 2 * np.pi, (3, 2)))[0]
         points += [(d, z) for z in edge_points]
-    face_points, _ = sphere.faces[0].chart.project(rng.uniform(0.1, 1.4, (3, 3)))
+    face_points = sphere.faces[0].chart.project(rng.uniform(0.1, 1.4, (3, 3)))[0]
     points += [(sphere, z) for z in face_points]
     t_grid = kwargs.get("t_grid", 11)
     ambient_grid = kwargs.get("ambient_grid", 16)
@@ -435,6 +435,26 @@ def test_validate_domain_checks_every_node_the_integrals_use(tmp_path):
     result = CliRunner().invoke(main, ["check-domain", str(path)])
     assert result.exit_code == 1
     assert json.loads(result.output)["pass"] is False
+
+
+def test_validate_domain_applies_the_union_sign_rule(wedge_union):
+    # On a union a face is boundary only where the other hypersurfaces are
+    # non-negative: wedge_union's faces lie inside the other disk, so inside the union.
+    for k, fc in enumerate(wedge_union.faces):
+        z = fc.chart.nodes(8).points
+        assert np.all(wedge_union.rho(1 - k)(z[:, 0], z[:, 1]) < 0)
+    assert validate_domain(wedge_union, 8)["failures"] == [
+        "face 0 chart reaches the wrong side of 'disk2'",
+        "face 1 chart reaches the wrong side of 'disk1'",
+    ]
+    # Face 0 alone, against a non-member that is positive on it, then NaN on it.
+    def nan(z1, z2):
+        return np.full(np.shape(z1), np.nan)
+
+    for other, passed in ((parse_poly("4 - abs2(z2)"), True), (nan, False)):
+        hypersurfaces = [wedge_union.hypersurfaces[0], ("other", other)]
+        d = PwsDomain(hypersurfaces, wedge_union.faces[:1], [], [np.zeros(2, complex)], "union")
+        assert validate_domain(d, 8)["passed"] is passed
 
 
 def test_validate_domain_counts_nan_interior_rho_as_failure():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hardycorners import kernels
 from hardycorners.cli import load_spec
 from hardycorners.domain import ProjectionError, domain_from_spec, strong_tangents, transform_domain
 from hardycorners.hermpoly import parse_poly
@@ -656,6 +657,21 @@ def test_measure_shares_are_the_sums_over_each_piece():
         values = func((piece.points[:, 0], piece.points[:, 1]))
         assert share == np.sum(piece.weights * values)
     assert total == sum(faces) + sum(edges)
+
+
+def test_cold_reproduce_builds_one_frame_determinant_per_piece(monkeypatch):
+    # The charts' rank check computes each piece's frame determinants, and the
+    # orientation signs come with the node sets: reproduce builds no frame of its own.
+    det4, calls = kernels._det4_columns, []
+
+    def counted(cols):
+        calls.append(cols)
+        return det4(cols)
+
+    monkeypatch.setattr(kernels, "_det4_columns", counted)
+    d = domain_from_spec(load_spec("perturbed_bidisk"))
+    reproduce(d, lambda z: z[0] + 1.0, np.zeros(2), resolution=24, edge_resolution=12)
+    assert len(calls) == 3
 
 
 def test_failed_measure_build_caches_nothing(monkeypatch):

@@ -16,6 +16,7 @@ from hardycorners.domain import (
     transform_domain,
 )
 from hardycorners.hermpoly import parse_poly
+from hardycorners.kernels import orientation_sign_edge, orientation_sign_face
 
 from conftest import random_unit_det_map
 
@@ -90,6 +91,27 @@ def test_node_set_is_the_quadrature_grid(perturbed_bidisk):
     assert len(ns) == 4 * 8 * 8
     # Gauss in r over [0, 1], trapezoid in both angles
     assert np.isclose(np.sum(ns.weights), (2 * np.pi) ** 2)
+
+
+@pytest.mark.parametrize("name", ["bidisk", "perturbed_bidisk", "sphere", "wedge_union"])
+@pytest.mark.parametrize("scale", [None, 0.05, 0.2, 0.4])
+def test_node_set_orientation_is_the_reference_sign(name, scale):
+    # A transformed chart carries its base chart's signs; the reference
+    # recomputes them from the image's own defining functions.
+    d = domain_from_spec(load_spec(name))
+    if scale is not None:
+        d = transform_domain(d, random_unit_det_map(np.random.default_rng(21), scale=scale))
+    for resolution in (5, 8):
+        for f in d.faces:
+            ns = f.chart.nodes(resolution)
+            assert ns.orientation.shape == (len(ns),)
+            reference = orientation_sign_face(d.rho(f.hypersurface), ns.points, ns.tangents)
+            assert np.array_equal(ns.orientation, reference)
+        for e in d.edges:
+            ns = e.chart.nodes(resolution)
+            # The reference takes the conormals in reversed member order.
+            reference = orientation_sign_edge([d.rho(m) for m in e.members], ns.points, ns.tangents)
+            assert np.array_equal(-ns.orientation, reference)
 
 
 def test_unconvergent_projection_raises_named_error():

@@ -2,9 +2,10 @@
 
 Run from the repository root with ``PYTHONPATH=src python tools/fingerprint.py``
 in two checkouts and ``diff`` the outputs: an empty diff means every chart node
-set, every ``reproduce`` and ``hardy_norm`` result (cold and warm), each array
-of the cached ``reproduce`` factors (``weights``, ``unit_grad``, ``planes``),
-each field of every edge's ``eta``, every piece's points and weights in
+set (its geometry, and its orientation signs on a line of their own), every
+``reproduce`` and ``hardy_norm`` result (cold and warm), each array of the
+cached ``reproduce`` factors (``weights``, ``unit_grad``, ``planes``), each
+field of every edge's ``eta``, every piece's points and weights in
 ``build_measure`` at two edge resolutions, the criterion 14 path (a warm
 ``hardy_norm`` of a pulled-back section on a projective image, at the
 ``norm_invariance`` benchmark's resolutions), every projective map evaluation
@@ -117,11 +118,17 @@ def _pieces(d):
     ]
 
 
+def _geometry(ns):
+    return ns.params, ns.weights, ns.points, ns.tangents
+
+
 def nodesets():
+    """Each node set's geometry on one line, and its orientation signs on another."""
     for name, d in _domains().items():
         for piece, chart in _pieces(d):
             for r in RESOLUTIONS:
-                _line(f"nodes {name} {piece} r{r}", lambda: astuple(chart.nodes(r)))
+                _line(f"nodes {name} {piece} r{r}", lambda: _geometry(chart.nodes(r)))
+                _line(f"orientation {name} {piece} r{r}", lambda: (chart.nodes(r).orientation,))
 
 
 def results():
