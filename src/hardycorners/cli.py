@@ -8,8 +8,11 @@ Exit codes across all subcommands:
   expression, a ``--f`` expression that fails to evaluate, or a
   ``check-domain`` local check that cannot run at an edge or at ``--radius``);
 * 3 — precondition failure (a kernel pole: some tangent hyperplane passes
-  through the requested interior point; or a chart's projection fails: its
-  Newton solve does not converge, or its tangents are singular).
+  through the requested interior point; a chart's projection fails: its
+  Newton solve does not converge, or its tangents are singular; the domain's
+  membership is ``"union"``, which ``reproduce`` and ``eta`` do not
+  integrate; or another ``ValueError`` of the library's ``reproduce``, such
+  as a vanishing gradient at a node).
 
 Reports are deterministic JSON documents of the shape
 ``{"command", "spec_hash", "resolution", "results": [...], "tolerances",
@@ -33,6 +36,7 @@ import numpy as np
 from .domain import (
     _ONLOCUS_TOL,
     ProjectionError,
+    _require_intersection,
     canonical_spec,
     check_local_intersection,
     check_strict_convexity,
@@ -341,7 +345,7 @@ def reproduce_cmd(
             face_resolution=face_resolution,
             edge_resolution=edge_resolution,
         )
-    except (ZeroDivisionError, ProjectionError) as exc:
+    except (ZeroDivisionError, ProjectionError, ValueError) as exc:
         _precondition_failure(exc)
 
     ok = res["rel_err"] <= tolerance
@@ -388,8 +392,9 @@ def eta_cmd(spec_name, edge, grid, fmt, with_margins, output):
     e = d.edges[edge]
 
     try:
+        _require_intersection(d)
         ns = e.chart.nodes(grid)
-    except ProjectionError as exc:
+    except (ValueError, ProjectionError) as exc:
         _precondition_failure(exc)
 
     margins = [{"margin": None}] * len(ns)

@@ -725,6 +725,20 @@ def _membership_from_values(d, vals):
     return np.any(vals < 0, axis=0)
 
 
+def _require_intersection(d):
+    """``ValueError`` naming the membership unless ``d`` is an intersection domain.
+
+    The measure, the reproducing formula and the edge weight integrate over
+    every declared piece; on a union some pieces lie inside the domain
+    (``wedge_union``'s faces do), so there they would integrate another set.
+    """
+    if d.membership != "intersection":
+        raise ValueError(
+            f"a {d.membership!r} domain is not integrated: reproduce, hardy_norm, "
+            "build_measure and eta need membership 'intersection'"
+        )
+
+
 def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=None):
     """Avoidance margins of the weak-tangent lines through boundary points.
 

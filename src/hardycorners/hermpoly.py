@@ -15,20 +15,27 @@ offending term pair when it fails.
 The text grammar (stable across versions, used verbatim inside domain-spec
 files)::
 
-    poly    := term (("+" | "-") term)*
+    poly    := ["+" | "-"] term (("+" | "-") term)*
     term    := factor ("*" factor)*
-    factor  := coeff | var | var "^" int | "conj(" var ")" ["^" int]
-             | "abs2(" var ")"
-    coeff   := float | "(" float "," float ")"      # (re, im)
+    factor  := number | "(" signed "," signed ")"    # (re, im)
+             | var ["^" int] | "conj(" var ")" ["^" int] | "abs2(" var ")"
+    signed  := ["+" | "-"] number
+    number  := [0-9.]+ [("e" | "E") ["+" | "-"] [0-9]+]
+    int     := [0-9]+
     var     := "z1" | "z2"
 
 ``abs2(z1)`` is sugar for ``z1*conj(z1)``.  Exponents are non-negative
-integers; an omitted exponent means 1.
+integers; an omitted exponent means 1.  Numbers are ASCII decimals with an
+optional exponent (``0.5``, ``.5``, ``1e-3``, ``2.5E+1``) that ``float`` must
+accept, so ``1.2.3`` is a malformed number; other Unicode digits (``²``,
+``٣``) are not digits here, and a parse error names their position.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
+from operator import add
 
 import numpy as np
 
@@ -241,6 +248,11 @@ class PolyParseError(ValueError):
         super().__init__(f"{message} at position {pos}: {text[:pos]}<HERE>{text[pos:]}")
 
 
+# ASCII only: str.isdigit, int and float also take other Unicode digits.
+_NUMBER = re.compile(r"[+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?")
+_INTEGER = re.compile(r"[0-9]+")
+
+
 class _Tokenizer:
     def __init__(self, text):
         self.text = text
@@ -272,42 +284,24 @@ class _Tokenizer:
             return True
         return False
 
-    def number(self):
+    def match(self, pattern, message):
+        """Consume and return the text ``pattern`` matches at the next token; else ``message``."""
         self._skip_ws()
-        start = self.pos
-        i = self.pos
-        text = self.text
-        if i < len(text) and text[i] in "+-":
-            i += 1
-        digits = False
-        while i < len(text) and (text[i].isdigit() or text[i] == "."):
-            digits = True
-            i += 1
-        if i < len(text) and text[i] in "eE":
-            j = i + 1
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            if j < len(text) and text[j].isdigit():
-                i = j
-                while i < len(text) and text[i].isdigit():
-                    i += 1
-        if not digits:
-            self.error("expected a number")
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            self.error(message)
+        self.pos = m.end()
+        return m.group()
+
+    def number(self):
+        text = self.match(_NUMBER, "expected a number")
         try:
-            value = float(text[start:i])
+            return float(text)
         except ValueError:
-            self.error(f"malformed number {text[start:i]!r}", start)
-        self.pos = i
-        return value
+            self.error(f"malformed number {text!r}", self.pos - len(text))
 
     def integer(self):
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a non-negative integer exponent")
-        return int(self.text[start : self.pos])
+        return int(self.match(_INTEGER, "expected a non-negative integer exponent"))
 
 
 def _parse_var(tok):
@@ -331,7 +325,7 @@ def _parse_factor(tok):
         im = tok.number()
         tok.expect(")")
         return complex(re, im), (0, 0, 0, 0)
-    if ch.isdigit() or ch == ".":
+    if ch in "0123456789.":
         return complex(tok.number()), (0, 0, 0, 0)
     if tok.try_literal("abs2("):
         slot = _parse_var(tok)
@@ -438,25 +432,22 @@ def gradient_hyperplane(rho, zhat):
     return w
 
 
-def _linear_forms_product(rows, exps):
-    """Expand prod_i (rows[i] . Z)^exps[i] into a homogeneous triple-exponent dict.
+def _mul(a, b):
+    """The product of two ``{exponent tuple: coefficient}`` dicts."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(map(add, ka, kb))
+            out[key] = out.get(key, 0.0 + 0.0j) + ca * cb
+    return out
 
-    Returns a dict mapping (e0, e1, e2) -> coefficient for the polynomial in
-    (z0, z1, z2).
-    """
+
+def _linear_forms_product(forms, exps):
+    """``prod_i forms[i]**exps[i]`` of linear forms in ``(z0, z1, z2)``, as an exponent dict."""
     result = {(0, 0, 0): 1.0 + 0.0j}
-    for row, e in zip(rows, exps):
+    for form, e in zip(forms, exps):
         for _ in range(e):
-            new = {}
-            for key, c in result.items():
-                for j in range(3):
-                    if row[j] == 0:
-                        continue
-                    nk = list(key)
-                    nk[j] += 1
-                    nk = tuple(nk)
-                    new[nk] = new.get(nk, 0.0 + 0.0j) + c * row[j]
-            result = new
+            result = _mul(result, form)
     return result
 
 
@@ -483,15 +474,18 @@ def transform_poly(rho, t, degree=None):
     if degree < d:
         raise ValueError(f"degree {degree} is below the polynomial degree {d}")
     n = np.linalg.inv(t.matrix)
-    nrows = [tuple(n[i]) for i in range(3)]
-    crows = [tuple(np.conj(n[i])) for i in range(3)]
+    # The linear forms row . Z of the inverse's rows and of their conjugates, with Python
+    # complex coefficients: numpy scalar products round alike but cost several times more.
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    nforms, cforms = (
+        [{k: complex(c) for k, c in zip(units, row) if c != 0} for row in m]
+        for m in (n, np.conj(n))
+    )
 
     out = {}
     for (p1, q1, p2, q2), coeff in rho.terms.items():
-        e0 = degree - p1 - p2
-        f0 = degree - q1 - q2
-        holo = _linear_forms_product(nrows, (e0, p1, p2))
-        anti = _linear_forms_product(crows, (f0, q1, q2))
+        holo = _linear_forms_product(nforms, (degree - p1 - p2, p1, p2))
+        anti = _linear_forms_product(cforms, (degree - q1 - q2, q1, q2))
         for (h0, h1, h2), hc in holo.items():
             for (a0, a1, a2), ac in anti.items():
                 key = (h1, a1, h2, a2)  # dehomogenize: z0 = conj(z0) = 1

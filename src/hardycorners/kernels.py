@@ -45,7 +45,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .hermpoly import _gradient_norm, _real_gradient
+from .hermpoly import _gradient_norm, _real_gradient, gradient_hyperplane
 from .projective import HomVec, _det4_columns, _dot2, _value, det3
 from .quadrature import gauss_rule, simplex_rule
 
@@ -545,11 +545,10 @@ def pushforward_corner_check(d, zhat, tau, order=32):
     frame.  The integrand is one :func:`omega_cfl` call on the stack of Gauss
     nodes.  Returns a dict with both values and their relative difference.
     """
-    from .domain import strong_tangents  # domain imports this module at load time
-
     zhat = np.asarray(zhat, dtype=complex)
-    e = d.edge_at(zhat)
-    strong = strong_tangents(d, e, zhat)
+    e = d.edge_at(zhat)  # so every member has |rho| <= 1e-8 at zhat
+    planes = tuple(gradient_hyperplane(d.rho(m), zhat) for m in e.members)
+    strong = StrongTangentSet(basepoint=HomVec.from_affine(zhat), planes=planes)
     w_a, w_b = (p.array for p in strong.planes)
     vs = _edge_tangent_basis((w_a, w_b))
     tau_arr = _as_point(tau)

@@ -23,7 +23,10 @@ slice ``a1 = a2 = 0, c1 = c2 = -1, b1 <= b2``.
 On that slice a scalar invariant appears: :func:`kappa` combines the two
 remaining moduli through the Legendre transform of the universal convex
 profile :func:`edge_profile`.  :func:`eta` packages it with the frame
-normalization into the edge weight used by the boundary measure.
+normalization into the edge weight used by the boundary measure.  Like the
+measure, :func:`eta` is defined on intersection domains only: on a domain
+whose ``membership`` is ``"union"`` it raises ``ValueError`` naming the
+membership before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Edge, PwsDomain, _member_planes, _transversality
-from .hermpoly import HermitianPoly
+from .domain import Edge, PwsDomain, _member_planes, _require_intersection, _transversality
+from .hermpoly import HermitianPoly, _mul
 from .projective import (
     ProjMap,
     _principal_cube_root,
@@ -121,51 +124,26 @@ class EdgeInvariant:
     kappa_times_c1c2: float
 
 
-def _x_sq_terms(i):
-    """Monomial dict of x_i^2 in Wirtinger variables (i is 0 or 1)."""
-    if i == 0:
-        return {(2, 0, 0, 0): 0.25, (1, 1, 0, 0): 0.5, (0, 2, 0, 0): 0.25}
-    return {(0, 0, 2, 0): 0.25, (0, 0, 1, 1): 0.5, (0, 0, 0, 2): 0.25}
-
-
-_X1X2_TERMS = {
-    (1, 0, 1, 0): 0.25,
-    (1, 0, 0, 1): 0.25,
-    (0, 1, 1, 0): 0.25,
-    (0, 1, 0, 1): 0.25,
-}
-
-
 def model_edge_polys(coeffs):
     """Pair of defining functions of the straight model edge with given coefficients.
 
-    Builds ``rho_l = 2 (Im z_l - Q_l(Re z_1, Re z_2))`` with the quadratics
-    Q read from the six normal-form coefficients; the edge passes through the
-    origin with the identity adapted frame, and refitting there returns the
-    coefficients exactly (the surfaces are globally quadratic).
+    Builds ``rho_l = 2 Im z_l - 2 (a_l x_l^2 + b_l x_1 x_2 + c_l x_m^2)``
+    (``x = Re z``, ``m`` the other index) from the six normal-form
+    coefficients: each quadratic monomial is the term-dict product
+    (``hermpoly._mul``) of the real-part linear forms ``x_l = (z_l + conj
+    z_l) / 2``.  The edge passes through the origin with the identity adapted
+    frame, and refitting there returns the coefficients exactly (the surfaces
+    are globally quadratic).
     """
     a1, b1, c1, a2, b2, c2 = _as_coeffs(coeffs)
-
-    def build(lin_index, qa, qb, qc, qa_on, qc_on):
-        terms = {}
-        if lin_index == 0:
-            terms[(1, 0, 0, 0)] = -1j
-            terms[(0, 1, 0, 0)] = 1j
-        else:
-            terms[(0, 0, 1, 0)] = -1j
-            terms[(0, 0, 0, 1)] = 1j
-        for base, coef in (
-            (_x_sq_terms(qa_on), qa),
-            (_X1X2_TERMS, qb),
-            (_x_sq_terms(qc_on), qc),
-        ):
-            for k, v in base.items():
-                terms[k] = terms.get(k, 0.0) - 2.0 * coef * v
-        return HermitianPoly({k: v for k, v in terms.items() if v != 0})
-
-    rho1 = build(0, a1, b1, c1, 0, 1)
-    rho2 = build(1, a2, b2, c2, 1, 0)
-    return rho1, rho2
+    x = ({(1, 0, 0, 0): 0.5, (0, 1, 0, 0): 0.5}, {(0, 0, 1, 0): 0.5, (0, 0, 0, 1): 0.5})
+    rhos = []
+    for (l, m), (a, b, c) in (((0, 1), (a1, b1, c1)), ((1, 0), (a2, b2, c2))):
+        terms = dict(zip(x[l], (-1j, 1j)))  # 2 Im z_l = -i z_l + i conj(z_l)
+        for q, coef in ((_mul(x[l], x[l]), a), (_mul(*x), b), (_mul(x[m], x[m]), c)):
+            terms.update((k, -2.0 * coef * v) for k, v in q.items())
+        rhos.append(HermitianPoly({k: v for k, v in terms.items() if v != 0}))
+    return tuple(rhos)
 
 
 def model_edge_domain(coeffs):
@@ -575,8 +553,11 @@ def eta(d, zhat):
 
     ``zhat`` is one edge point or an ``(N, 2)`` array of points on one edge;
     for ``N`` points every field is an ``(N,)`` array (``frame`` holds the
-    ``(N, 3, 3)`` frame matrices), computed in one pass.
+    ``(N, 3, 3)`` frame matrices), computed in one pass.  A domain whose
+    membership is not ``"intersection"`` raises ``ValueError`` naming it
+    before anything is evaluated: a union's edge weight is not integrated.
     """
+    _require_intersection(d)
     zhat = np.asarray(zhat, dtype=complex)
     nf, mats = _fit(d, zhat, None)
     if zhat.ndim == 1:

@@ -273,6 +273,29 @@ def test_eta_flat_edge_reports_every_node(runner):
     assert all(set(r) == {"params", "error"} for r in rows)
 
 
+def test_eta_csv_marks_every_failed_row(runner):
+    # bidisk's edge is flat, so eta fails at every node: each row keeps its params only.
+    result = runner.invoke(main, ["eta", "bidisk", "--grid", "4", "--format", "csv"])
+    assert result.exit_code == 1
+    params = domain_from_spec(load_spec("bidisk")).edges[0].chart.nodes(4).params
+    assert result.output.splitlines() == ["param1,param2,kappa,eta_weight,margin"] + [
+        f"{p1:.17g},{p2:.17g},nan,nan," for p1, p2 in params
+    ]
+
+
+@pytest.mark.parametrize(
+    "command", [["reproduce", "wedge_union", "--tau", "0.2,0,0,0.1"], ["eta", "wedge_union"]]
+)
+def test_union_domain_is_precondition_failure(runner, command):
+    result = runner.invoke(main, command)
+    assert result.exit_code == 3
+    assert result.stderr == (
+        "precondition failure: a 'union' domain is not integrated: reproduce, hardy_norm, "
+        "build_measure and eta need membership 'intersection'\n"
+    )
+    assert "Traceback" not in result.output
+
+
 def test_eta_rejects_missing_edge(runner):
     result = runner.invoke(main, ["eta", "sphere", "--grid", "4"])
     assert result.exit_code == 2
@@ -290,6 +313,14 @@ def test_selftest_simplex_passes(runner, suite):
     report = _json_out(result)
     assert report["pass"] is True
     assert all(c["passed"] for c in report["results"])
+
+
+def test_selftest_chart_identity_checks_every_chart_pair(runner):
+    result = runner.invoke(main, ["selftest", "--suite", "chart-identity", "--seed", "3"])
+    assert result.exit_code == 0, result.output
+    checks = _json_out(result)["results"]
+    assert [c["name"] for c in checks] == ["chart_identity"] * 10
+    assert all(c["passed"] and 0 <= c["rel_err"] < 1e-10 for c in checks)
 
 
 def test_selftest_unknown_suite_is_usage_error(runner):
@@ -387,6 +418,7 @@ _MISSING = object()
         (["faces", 0, "chart", "r0"], 10**400, "graph_patch chart r0 must be a real number"),
         (["faces"], 5, "the spec faces must be a list, not 5"),
         (["faces", 1, "chart", "solve"], "z3", "graph_patch chart solve must be 'z1' or 'z2'"),
+        (["membership"], "xor", "membership must be 'intersection' or 'union'"),
         (
             ["hypersurfaces", 0, "rho"],
             "abs2(z3)",
@@ -423,6 +455,7 @@ _MISSING = object()
         "huge_integer_r0",
         "faces_not_a_list",
         "unknown_solve",
+        "unknown_membership",
         "malformed_rho",
     ],
 )

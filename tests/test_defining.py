@@ -76,6 +76,33 @@ def test_parse_malformed_number_is_located(text):
     assert exc_info.value.pos == 0
 
 
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("1e-3*abs2(z1) - 1", {(0, 0, 0, 0): -1.0, (1, 1, 0, 0): 1e-3}),
+        ("(2.5E+1, 0e0)*abs2(z2) - .5e1", {(0, 0, 0, 0): -5.0, (0, 0, 1, 1): 25.0}),
+    ],
+)
+def test_parse_number_with_exponent(text, terms):
+    assert parse_poly(text).terms == terms
+
+
+def test_parse_exponent_needs_digits():
+    with pytest.raises(PolyParseError, match="expected '\\+', '-' or end of input") as exc_info:
+        parse_poly("1e*abs2(z1)")
+    assert exc_info.value.pos == 1
+
+
+# Other Unicode digits pass str.isdigit, int and float, but the grammar's numbers are ASCII.
+@pytest.mark.parametrize(
+    "text, pos", [("z1^\u00b2", 3), ("\u0663*abs2(z1) - 1", 0), ("(\u0661, 0)*abs2(z1)", 1)]
+)
+def test_parse_rejects_non_ascii_digits(text, pos):
+    with pytest.raises(PolyParseError) as exc_info:
+        parse_poly(text)
+    assert exc_info.value.pos == pos
+
+
 def test_non_hermitian_terms_rejected():
     with pytest.raises(HermitianSymmetryError):
         parse_poly("abs2(z1) + z1 - 1")

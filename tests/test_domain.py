@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 from hardycorners.cli import load_spec, main
 from hardycorners.domain import (
+    Edge,
+    Face,
     GraphPatchChart,
     ProjectionError,
     PwsDomain,
@@ -455,6 +457,38 @@ def test_validate_domain_applies_the_union_sign_rule(wedge_union):
         hypersurfaces = [wedge_union.hypersurfaces[0], ("other", other)]
         d = PwsDomain(hypersurfaces, wedge_union.faces[:1], [], [np.zeros(2, complex)], "union")
         assert validate_domain(d, 8)["passed"] is passed
+
+
+def test_validate_domain_flags_a_chart_that_leaves_its_member():
+    # The face chart projects onto the sphere of radius 1.1, not onto the face's hypersurface.
+    sphere = parse_poly("abs2(z1) + abs2(z2) - 1")
+    chart = SpherePolarChart(parse_poly("abs2(z1) + abs2(z2) - 1.21"), r0=1.1)
+    d = PwsDomain([("sphere", sphere)], [Face(0, chart)], [], [np.zeros(2, complex)])
+    assert validate_domain(d, 6)["failures"] == ["face 0 chart leaves 'sphere' (|rho| > 1e-10)"]
+    d.faces[0] = Face(0, SpherePolarChart(sphere))
+    assert validate_domain(d, 6)["passed"]
+
+
+def test_validate_domain_flags_member_gradients_that_are_not_transverse():
+    # Both members cut out |z1| = 1, so their gradients are parallel at every node; the
+    # chart is the bidisk's torus, whose own members are transverse, so it projects.
+    disk1, disk2 = parse_poly("abs2(z1) - 1"), parse_poly("abs2(z2) - 1")
+    members = [("a", disk1), ("b", parse_poly("2*abs2(z1) - 2"))]
+    d = PwsDomain(members, [], [Edge((0, 1), TorusChart([disk1, disk2]))])
+    assert validate_domain(d, 6)["failures"] == ["edge 0 member gradients are not transverse"]
+    d.hypersurfaces[1] = ("b", disk2)
+    assert validate_domain(d, 6)["passed"]
+
+
+def test_validate_domain_flags_a_union_interior_point_outside():
+    sphere = parse_poly("abs2(z1) + abs2(z2) - 1")
+    outside = np.array([3.0 + 0j, 0j])
+    d = PwsDomain([("sphere", sphere)], [], [], [outside], "union")
+    assert validate_domain(d, 6)["failures"] == [
+        "declared interior point [3.+0.j 0.+0.j] is not inside the domain"
+    ]
+    d.interior_points[0] = np.zeros(2, complex)
+    assert validate_domain(d, 6)["passed"]
 
 
 def test_validate_domain_counts_nan_interior_rho_as_failure():

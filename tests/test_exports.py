@@ -1,6 +1,8 @@
-"""The package exports exactly its modules' ``__all__`` lists."""
+"""The package exports exactly its modules' ``__all__`` lists; its imports have no cycle."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 import types
 
@@ -36,3 +38,27 @@ def test_every_all_entry_is_a_package_export():
             assert getattr(hardycorners, name, None) is getattr(module, name), (
                 f"hardycorners.{name} is not {module.__name__}.{name}"
             )
+
+
+def test_module_imports_have_no_cycle():
+    # Every relative import, at module level or deferred inside a function, is an edge.
+    root = pathlib.Path(hardycorners.__file__).parent
+    graph = {}
+    for path in root.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        }
+    done = set()
+
+    def visit(name, stack):
+        assert name not in stack, " -> ".join([*stack, name])
+        if name not in done:
+            for dep in graph.get(name, ()):
+                visit(dep, [*stack, name])
+            done.add(name)
+
+    for name in graph:
+        visit(name, [])

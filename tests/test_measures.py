@@ -423,14 +423,14 @@ def test_cached_factor_arrays_are_read_only():
     assert start == len(fac.weights) == len(fac.unit_grad) + len(fac.planes)
 
 
-@pytest.mark.parametrize("name", ["bidisk", "perturbed_bidisk", "sphere", "wedge_union"])
+@pytest.mark.parametrize("name", ["bidisk", "perturbed_bidisk", "sphere"])
 def test_cached_node_sets_are_coordinate_major(name):
     # sphere has one face and no edge: its node arrays are a lone part, copied all the same.
     d = _fresh(name)
     reproduce(d, _cubic, CACHE_TAU, resolution=8, edge_resolution=6)
     fac = d._cache[("reproduce", 8, 6)]
     entries = [(fac, ("points", "flat_points", "unit_grad", "planes"))]
-    if name in ("perturbed_bidisk", "sphere"):  # the others' edges have no measure weight
+    if name != "bidisk":  # bidisk's flat edge has no measure weight
         entries.append((build_measure(d, resolution=8, edge_resolution=6), ("points",)))
     for entry, names in entries:
         for field in names:
@@ -454,6 +454,26 @@ def test_cached_node_sets_are_coordinate_major(name):
     face_points = fac.points[: len(fac.unit_grad) - len(fac.flat_points)]
     largest = np.linalg.norm(np.concatenate([fac.flat_points, face_points]), axis=-1).max()
     assert fac.radius == pytest.approx(largest, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: reproduce(d, _cubic, np.array([0.2, 0.1j]), resolution=8),
+        lambda d: hardy_norm(d, _cubic, resolution=8),
+        lambda d: build_measure(d, resolution=8),
+        lambda d: eta(d, np.array([1.0 + 0j, 1.0 + 0j])),
+    ],
+    ids=["reproduce", "hardy_norm", "build_measure", "eta"],
+)
+def test_union_domain_is_refused_before_any_chart_is_projected(call, monkeypatch):
+    d = _fresh("wedge_union")
+    projected = []
+    for chart in [fc.chart for fc in d.faces] + [e.chart for e in d.edges]:
+        monkeypatch.setattr(chart, "project", lambda *args: projected.append(args))
+    with pytest.raises(ValueError, match="^a 'union' domain is not integrated: reproduce, "):
+        call(d)
+    assert projected == [] and d._cache == {}
 
 
 def test_failed_factor_build_caches_nothing():

@@ -15,7 +15,12 @@ warm ``reproduce`` at two taus next to one face node's tangent hyperplane is
 bit-identical between them, and each degenerate chart of
 ``tests/test_nodeset.py`` fails with the same ``ProjectionError`` (kind,
 reason and counts of failed nodes), and each domain's ``validate_domain``
-report is the same.  A result that raises prints its
+report is the same.  The polynomial layer has lines of its own: the parsed
+terms of every built-in ``rho`` and of each text in ``POLY_TEXTS``,
+``model_edge_polys`` at seeded coefficients, ``transform_poly`` of every
+built-in hypersurface under five seeded maps at its own and a raised degree,
+and ``pushforward_corner_check`` at seeded points of each edge.  A result
+that raises prints its
 exception type and message in place of a digest, so a changed error shows
 too.
 
@@ -48,8 +53,9 @@ from hardycorners import (
     validate_domain,
 )
 from hardycorners.cli import load_spec
-from hardycorners.hermpoly import parse_poly
-from hardycorners.normalforms import eta
+from hardycorners.hermpoly import parse_poly, transform_poly
+from hardycorners.kernels import pushforward_corner_check
+from hardycorners.normalforms import eta, model_edge_polys
 
 SPECS = ("bidisk", "perturbed_bidisk", "sphere", "wedge_union")
 RESOLUTIONS = (4, 5, 8, 17)
@@ -282,6 +288,74 @@ def degenerate_charts():
     _line("degenerate graph_patch flat along z1", lambda: flat.project(one_node))
 
 
+# Malformed and edge-case inputs of the defining-function grammar, valid ones among them.
+POLY_TEXTS = (
+    "",
+    "   ",
+    "abs2(z1",
+    "abs2(z3) - 1",
+    "1.2.3*abs2(z1) - 1",
+    ".*abs2(z1)",
+    "+.5e+1*abs2(z1) - 1",
+    "1e-3*abs2(z1) - 1",
+    "(2.5E+1, 0e0)*abs2(z2) - .5e1",
+    "1e*abs2(z1)",
+    "(1, )*abs2(z1)",
+    "(1 2)*abs2(z1)",
+    "z1^",
+    "z1^-1",
+    "z1^2*conj(z1)^2 - 1 -",
+    "abs2(z1) + z1 - 1",
+    "(1,1)*z1*conj(z2) + (1,1)*conj(z1)*z2",
+    "conj(z1)^0*z1^0 - 1",
+    "z1^\u00b2*conj(z1)^2 - 1",
+    "\u0663*abs2(z1) - 1",
+    "(\u0661, 0)*abs2(z1) - 1",
+)
+
+
+def _terms(p):
+    """A polynomial's exponent keys and coefficients, as two arrays."""
+    return np.array(list(p.terms), dtype=int).reshape(-1, 4), np.array(list(p.terms.values()))
+
+
+def polynomials():
+    """The polynomial layer: parsing, the model edge, transform_poly and the corner check."""
+    rhos = {}
+    for name in SPECS:
+        for h in load_spec(name)["hypersurfaces"]:
+            label = f"{name} {h['label']}"
+            _line(f"parse_poly {label}", lambda: _terms(parse_poly(h["rho"])))
+            rhos[label] = parse_poly(h["rho"])
+    for i, text in enumerate(POLY_TEXTS):
+        _line(f"parse_poly text{i} {text!a}", lambda: _terms(parse_poly(text)))
+    rng = np.random.default_rng(116)
+    for i in range(6):
+        coeffs = tuple(rng.uniform(-2.0, 2.0, size=6))
+        _line(
+            f"model_edge_polys c{i}",
+            lambda: [a for p in model_edge_polys(coeffs) for a in _terms(p)],
+        )
+    for seed in range(5):
+        t = _map(seed, 0.3)[0]
+        for label, rho in rhos.items():
+            d = max(rho.max_degrees())
+            for degree in (d, d + 2):
+                _line(
+                    f"transform_poly map{seed} {label} d{degree}",
+                    lambda: _terms(transform_poly(rho, t, degree)),
+                )
+    tau = np.array([1.0, 0.1 + 0.05j, -0.2 + 0.1j])
+    for name, d in _domains().items():
+        for i, e in enumerate(d.edges):
+            params = 2 * np.pi * np.random.default_rng(117 + i).random((3, e.chart.dim))
+            for k, z in enumerate(e.chart.project(params)[0]):
+                _line(
+                    f"pushforward_corner_check {name} edge{i} z{k}",
+                    lambda: tuple(pushforward_corner_check(d, z, tau).values()),
+                )
+
+
 def checks():
     """The ``validate_domain`` report of each domain at each of ``RESOLUTIONS``."""
     for name, d in _domains().items():
@@ -300,3 +374,4 @@ if __name__ == "__main__":
     face_poles()
     degenerate_charts()
     checks()
+    polynomials()
