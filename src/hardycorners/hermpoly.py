@@ -28,11 +28,16 @@ files)::
 integers; an omitted exponent means 1.  Numbers are ASCII decimals with an
 optional exponent (``0.5``, ``.5``, ``1e-3``, ``2.5E+1``) that ``float`` must
 accept, so ``1.2.3`` is a malformed number; other Unicode digits (``²``,
-``٣``) are not digits here, and a parse error names their position.
+``٣``) are not digits here, and a parse error names their position.  A
+number that overflows a float (``1e999``), a term whose coefficient does
+(``(1e308, 1e308)*1e10``, or a repeated monomial whose coefficients sum
+past the float range), and an exponent longer than ``int`` converts (4,300
+digits) are parse errors at the number's, term's or exponent's position.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from functools import cached_property
 from operator import add
@@ -296,12 +301,19 @@ class _Tokenizer:
     def number(self):
         text = self.match(_NUMBER, "expected a number")
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             self.error(f"malformed number {text!r}", self.pos - len(text))
+        if not math.isfinite(value):
+            self.error(f"number {text!r} overflows a float", self.pos - len(text))
+        return value
 
     def integer(self):
-        return int(self.match(_INTEGER, "expected a non-negative integer exponent"))
+        text = self.match(_INTEGER, "expected a non-negative integer exponent")
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            self.error(f"exponent of {len(text)} digits is too long", self.pos - len(text))
 
 
 def _parse_var(tok):
@@ -347,7 +359,10 @@ def _parse_factor(tok):
     return 1.0 + 0.0j, tuple(exps)
 
 
-def _parse_term(tok, sign):
+def _parse_term(tok, sign, terms):
+    """Add one term's coefficient to ``terms``; an error if the sum is not finite."""
+    tok._skip_ws()
+    start = tok.pos
     coeff = complex(sign)
     exps = [0, 0, 0, 0]
     while True:
@@ -356,7 +371,11 @@ def _parse_term(tok, sign):
         exps = [a + b for a, b in zip(exps, e)]
         if not tok.try_literal("*"):
             break
-    return tuple(exps), coeff
+    key = tuple(exps)
+    total = terms.get(key, 0.0 + 0.0j) + coeff
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        tok.error(f"coefficient {total!r} of this term is not finite", start)
+    terms[key] = total
 
 
 def parse_poly(text):
@@ -388,8 +407,7 @@ def parse_poly(text):
     elif tok.try_literal("-"):
         sign = -1.0
     while True:
-        key, coeff = _parse_term(tok, sign)
-        terms[key] = terms.get(key, 0.0 + 0.0j) + coeff
+        _parse_term(tok, sign, terms)
         ch = tok.peek()
         if ch is None:
             break

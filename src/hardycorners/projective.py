@@ -20,7 +20,13 @@ principal branch and flags the value as chart dependent.
 The pole rule, one for :func:`affinize`, :meth:`ProjMap.affine`,
 :meth:`ProjMap.jacobian` and :func:`pull_back_section`: a triple ``(out0,
 out1, out2)`` lies on the pole z0 = 0, and raises ``ZeroDivisionError`` before
-any division, when ``|out0| <= 1e-14 * max(|out0|, |out1|, |out2|)``.
+any division, when ``|out0| <= 1e-14 * max(|out0|, |out1|, |out2|)``.  On a
+batch, :func:`pull_back_section` divides by one reciprocal ``1 / out0`` per
+point and decides the rule by a screen on the image it forms; only a batch
+that fails the screen is decided by the rule itself, and computed by its
+division.  Its screened image and negative-integer weights move by a few ulp
+from that division and ``den**j``; the one-point path and every other
+function here are exact as before.
 
 Small-matrix algebra on stacks of matrices (:func:`det2`, :func:`solve2`,
 :func:`det3`, :func:`inv3`, :func:`det4`) is written out in closed form and
@@ -435,8 +441,16 @@ class SectionValue:
 def _frac_power(base, expo):
     """base**expo for a Fraction exponent, principal branch, elementwise."""
     if expo.denominator == 1:
-        return base ** int(expo)
+        return base**expo.numerator
     return np.exp(float(expo) * np.log(base))
+
+
+# The screen of the batch pull-back.  When every real and imaginary part of
+# the image coordinates out_l * (1 / out0) lies below it, each |out_l| /
+# |out0| is below sqrt(2) * _SCREEN (1e14 / 1.06) up to a few ulp, so no point
+# is on the pole by the rule of _off_pole.  A NaN, an overflowed reciprocal
+# or a point near the pole fails it.
+_SCREEN = 1e14 / 1.5
 
 
 def pull_back_section(t, f, zhat):
@@ -454,6 +468,17 @@ def pull_back_section(t, f, zhat):
     the result is flagged ``chart_dependent`` (only its modulus is
     invariant).
 
+    One point is divided out as :meth:`ProjMap.affine` does it, and its
+    weight is ``den**j``.  ``N`` points share one reciprocal ``inv = 1 /
+    den``: the image is ``(out1 * inv, out2 * inv)``, within 1.5 ulp of
+    :meth:`ProjMap.affine`, and a negative integer ``j`` weighs by
+    ``inv**-j``, within a few ulp of ``den**j`` (``j >= 0`` and half-integer
+    weights are taken from ``den`` as for one point).  The pole rule is then
+    one screen on the image: its real and imaginary parts all below
+    ``1e14 / 1.5``.  A batch that fails the screen (a NaN, a reciprocal that
+    overflows, or a point near the pole) is decided by the exact rule and
+    computed by its division and ``den**j``, so the same batches raise.
+
     Raises
     ------
     ZeroDivisionError
@@ -463,15 +488,26 @@ def pull_back_section(t, f, zhat):
         t = normalize_map(t)
     if not isinstance(f, Section):
         raise TypeError("f must be a Section (affine value function + bidegree)")
-    z1, z2, _ = _as_points(*zhat)
+    z1, z2, shape = _as_points(*zhat)
     den, out1, out2 = t._images(z1, z2)
-    image = _off_pole(
-        den, out1, out2, "affine point lies on the pole hyperplane of this affinization"
-    )
     j, k = f.bidegree
-    half = j.denominator != 1 or k.denominator != 1
-    factor = _frac_power(den, j)
-    if k:
+    image = None
+    if shape is not None:
+        buf = np.empty((2,) + shape, dtype=complex)
+        with np.errstate(all="ignore"):
+            inv = 1.0 / den
+            np.multiply(out1, inv, out=buf[0])
+            np.multiply(out2, inv, out=buf[1])
+        if np.abs(buf.view(float)).max(initial=0.0) < _SCREEN:
+            image = (buf[0], buf[1])
+            n = j.numerator
+            factor = inv**-n if n < 0 and j.denominator == 1 else _frac_power(den, j)
+    if image is None:
+        image = _off_pole(
+            den, out1, out2, "affine point lies on the pole hyperplane of this affinization"
+        )
+        factor = _frac_power(den, j)
+    if k.numerator:
         factor = factor * _frac_power(np.conj(den), k)
     # One point's value is a numpy complex whatever the bidegree.
     value = _value(factor, np.complex128) * f(image)
@@ -479,5 +515,5 @@ def pull_back_section(t, f, zhat):
         value=value,
         bidegree=(j, k),
         zhat=(z1, z2),
-        chart_dependent=half,
+        chart_dependent=j.denominator != 1 or k.denominator != 1,
     )

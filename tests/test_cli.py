@@ -425,6 +425,21 @@ _MISSING = object()
             "invalid domain spec: hypersurface 0 rho: expected variable z1 or z2 at position 5:"
             " abs2(<HERE>z3)\n",
         ),
+        (
+            ["hypersurfaces", 0, "rho"],
+            "1e999*abs2(z1) - 1",
+            "hypersurface 0 rho: number '1e999' overflows a float at position 0",
+        ),
+        (
+            ["hypersurfaces", 0, "rho"],
+            "(1e308,1e308)*abs2(z1)*1e10 - 1",
+            "hypersurface 0 rho: coefficient (inf+infj) of this term is not finite at position 0",
+        ),
+        (
+            ["hypersurfaces", 0, "rho"],
+            "z1^" + "9" * 5000 + "*conj(z1) - 1",
+            "hypersurface 0 rho: exponent of 5000 digits is too long at position 3",
+        ),
     ],
     ids=[
         "string_chart",
@@ -457,6 +472,9 @@ _MISSING = object()
         "unknown_solve",
         "unknown_membership",
         "malformed_rho",
+        "overflowing_rho_number",
+        "overflowing_rho_coefficient",
+        "long_rho_exponent",
     ],
 )
 @pytest.mark.parametrize(

@@ -93,6 +93,28 @@ def test_parse_exponent_needs_digits():
     assert exc_info.value.pos == 1
 
 
+@pytest.mark.parametrize(
+    "text, pos, message",
+    [
+        ("1e999*abs2(z1) - 1", 0, "number '1e999' overflows a float"),
+        ("abs2(z1) - 1" + "0" * 400, 11, "overflows a float"),
+        ("(1e308,1e308)*abs2(z1)*1e10 - 1", 0, "coefficient (inf+infj) of this term is not finite"),
+        ("1e308*abs2(z1) + 1e308*abs2(z1) - 1", 17, "coefficient (inf+0j) of this term"),
+    ],
+)
+def test_parse_rejects_coefficients_that_overflow_a_float(text, pos, message):
+    with pytest.raises(PolyParseError) as exc_info:
+        parse_poly(text)
+    assert exc_info.value.pos == pos
+    assert message in str(exc_info.value)
+
+
+def test_parse_exponent_longer_than_int_converts_is_located():
+    with pytest.raises(PolyParseError, match="exponent of 5000 digits is too long") as exc_info:
+        parse_poly("z1^" + "9" * 5000 + "*conj(z1) - 1")
+    assert exc_info.value.pos == 3
+
+
 # Other Unicode digits pass str.isdigit, int and float, but the grammar's numbers are ASCII.
 @pytest.mark.parametrize(
     "text, pos", [("z1^\u00b2", 3), ("\u0663*abs2(z1) - 1", 0), ("(\u0661, 0)*abs2(z1)", 1)]

@@ -32,6 +32,10 @@ def _random_point(rng):
     return rng.standard_normal(2) + 1j * rng.standard_normal(2)
 
 
+def _pulled(t, func, bidegree, zhat):
+    return pull_back_section(t, Section(func, bidegree=bidegree), zhat).value
+
+
 # ---------------------------------------------------------------------------
 # Homogeneous vectors
 
@@ -252,6 +256,7 @@ POLE_TABLE = [
     (_ON, 3.0, 1.0),
     (_ON, 1.0, 3.0),
     (_ON * 1j, 3.0j, -1.0),
+    (_ON, 2.9 + 2.9j, 0.0),  # on the pole, though each part of out1 / out0 is below 1e14
     (_TIES[0], 3.0, 3.0),
     (_TIES[1], 3.0, 3.0),
     (_TIES[1], 1.0, -3.0),
@@ -280,6 +285,37 @@ def test_pole_rule_decides_as_one_comparison_per_coordinate(row):
 def test_pole_rule_table_covers_both_decisions():
     decisions = [_three_comparison_rule(*(np.complex128(x) for x in row)) for row in POLE_TABLE]
     assert 0 < sum(decisions) < len(decisions)
+
+
+@pytest.mark.parametrize("row", POLE_TABLE)
+def test_batch_pullback_decides_every_pole_row_as_the_rule(row, monkeypatch):
+    # The row and a point far from the pole, as the map's images of a batch of two.
+    triple = [np.array([x, 0.5], dtype=complex) for x in row]
+    monkeypatch.setattr(ProjMap, "_images", lambda self, z1, z2, count=3: triple)
+    expected = _three_comparison_rule(*(np.complex128(x) for x in row))
+    pulled = Section(lambda z: z[0] + z[1], bidegree=(0, 0))
+    with np.errstate(all="ignore"):
+        try:
+            value = pull_back_section(np.eye(3), pulled, (np.zeros(2), np.zeros(2))).value
+        except ZeroDivisionError:
+            value = None
+        exact = triple[1] / triple[0] + triple[2] / triple[0]
+    assert (value is None) == expected
+    if value is not None:
+        # the values of the exact rule's division, so never an overflowed 1 / den
+        np.testing.assert_allclose(value, exact, rtol=2e-15, atol=0)
+        assert np.all(np.isfinite(value) == np.isfinite(exact))
+
+
+def test_batch_pullback_with_a_nan_point_takes_the_exact_path(rng):
+    t = random_unit_det_map(rng)
+    points = np.array([_random_point(rng) for _ in range(7)])
+    points[3, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        value = _pulled(t, _cubic, (-2, 0), (points[:, 0], points[:, 1]))
+        exact = t.den(points) ** -2 * _cubic(t.affine(points))
+    assert np.isnan(value[3]) and np.all(np.isfinite(np.delete(value, 3)))
+    np.testing.assert_array_equal(value, exact)
 
 
 def test_jacobian_names_the_pole_without_warnings():
@@ -376,23 +412,38 @@ def _cubic(zhat):
 def test_pullback_of_bidegree_j_0_is_den_to_the_j_times_the_image_value(rng, j):
     t = random_unit_det_map(rng)
     points = np.array([_random_point(rng) for _ in range(7)])
-    got = pull_back_section(t, Section(_cubic, bidegree=(j, 0)), (points[:, 0], points[:, 1]))
-    np.testing.assert_array_equal(got.value, t.den(points) ** j * _cubic(t.affine(points)))
-    np.testing.assert_array_equal(got.basepoint, homogenize(points))
+    zhat = (points[:, 0], points[:, 1])
+    den = t.den(points)
+    # N points share one reciprocal 1 / den: a negative weight is inv**-j,
+    # within 4.3 ulp of den**j, and the image is within 1.5 ulp of affine.
+    # Both are checked apart: a section such as _cubic amplifies the image's
+    # ulps by its conditioning.
+    factor = _pulled(t, lambda z: 1.0, (j, 0), zhat)
+    if j >= 0:
+        np.testing.assert_array_equal(factor, den**j)
+    else:
+        np.testing.assert_allclose(factor, den**j, rtol=2e-15, atol=0)
+    for coord, want in enumerate(t.affine(points)):
+        got = _pulled(t, lambda z: z[coord], (0, 0), zhat)
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+    batch = pull_back_section(t, Section(_cubic, bidegree=(j, 0)), zhat)
+    np.testing.assert_array_equal(batch.basepoint, homogenize(points))
+    # one point is divided out and weighed exactly as affine and den**j are
+    one = tuple(points[0])
+    assert _pulled(t, _cubic, (j, 0), one) == t.den(one) ** j * _cubic(t.affine(one))
 
 
 def test_pullback_with_antiholomorphic_weight_matches_the_written_out_law(rng):
     t = random_unit_det_map(rng)
     points = np.array([_random_point(rng) for _ in range(7)])
     zhat = (points[:, 0], points[:, 1])
-    den, image = t.den(points), _cubic(t.affine(points))
-    got = pull_back_section(t, Section(_cubic, bidegree=(1, 1)), zhat)
-    np.testing.assert_array_equal(got.value, den * np.conj(den) * image)
+    den = t.den(points)
+    np.testing.assert_array_equal(_pulled(t, lambda z: 1.0, (1, 1), zhat), den * np.conj(den))
     # principal branch: den**(-3/2) * conj(den)**(1/2) = |den|**-1 * exp(-2i arg den)
-    half = pull_back_section(t, Section(_cubic, bidegree=(Fraction(-3, 2), Fraction(1, 2))), zhat)
-    assert half.chart_dependent
-    want = np.exp(-2j * np.angle(den)) / np.abs(den) * image
-    np.testing.assert_allclose(half.value, want, rtol=1e-14, atol=0)
+    half = (Fraction(-3, 2), Fraction(1, 2))
+    assert pull_back_section(t, Section(_cubic, bidegree=half), zhat).chart_dependent
+    want = np.exp(-2j * np.angle(den)) / np.abs(den)
+    np.testing.assert_allclose(_pulled(t, lambda z: 1.0, half, zhat), want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("bidegree", [(-2, 0), (0, 0), (1, 1), (Fraction(-3, 2), Fraction(1, 2))])
