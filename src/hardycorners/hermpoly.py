@@ -69,6 +69,12 @@ def _canonical(terms):
     return {k: v for k, v in sorted(out.items()) if v != 0}
 
 
+def _mate(key):
+    """The key of the conjugate monomial: each variable's exponent swapped with its conjugate's."""
+    p1, q1, p2, q2 = key
+    return (q1, p1, q2, p2)
+
+
 def _values(polys, z1, z2):
     """Each of ``polys`` at the points, which are conjugated once for all of them.
 
@@ -157,9 +163,7 @@ class Poly:
 
     def conj(self):
         """Complex conjugate polynomial (swaps holomorphic/antiholomorphic exponents)."""
-        return Poly(
-            {(q1, p1, q2, p2): c.conjugate() for (p1, q1, p2, q2), c in self.terms.items()}
-        )
+        return Poly({_mate(key): c.conjugate() for key, c in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -209,8 +213,7 @@ class HermitianPoly(Poly):
         for key, c in self.terms.items():
             if key in seen:
                 continue
-            p1, q1, p2, q2 = key
-            skey = (q1, p1, q2, p2)
+            skey = _mate(key)
             seen.add(key)
             seen.add(skey)
             sc = self.terms.get(skey, 0.0 + 0.0j)
@@ -433,6 +436,11 @@ def _gradient_norm(g):
     return gn
 
 
+def _hermitian_form(h, u, v):
+    """``u^H h v`` for complex Hessians ``h`` ``(..., 2, 2)`` and vectors ``u``, ``v`` ``(..., 2)``."""
+    return _dot2(np.conj(u), (h @ v[..., None])[..., 0])
+
+
 def gradient_hyperplane(rho, zhat):
     """The tangent hyperplane cut out by the holomorphic gradient at a boundary point.
 
@@ -511,9 +519,6 @@ def transform_poly(rho, t, degree=None):
     # roundoff can leave ~1e-17 asymmetries; resymmetrize exactly
     sym = {}
     for key, c in out.items():
-        p1, q1, p2, q2 = key
-        skey = (q1, p1, q2, p2)
-        mate = out.get(skey, 0.0 + 0.0j)
-        sym[key] = (c + mate.conjugate()) / 2.0
+        sym[key] = (c + out.get(_mate(key), 0.0 + 0.0j).conjugate()) / 2.0
     sym = {k: v for k, v in sym.items() if abs(v) > 1e-14}
     return HermitianPoly(sym)

@@ -22,9 +22,12 @@ tangents (the weak-tangent fiber) and comparing with the corner kernel.
 :func:`simplex_integral` provides the scalar simplex identity that drives
 the corner normalization, with both a closed form and a quadrature route.
 
-The face density takes the Levi form as one Hermitian form, ``ddbar_rho(u,
-v) = u^H h v - v^H h u = 2i Im(u^H h v)`` with h the complex Hessian, and a
-vanishing gradient fails the one critical-point rule of :mod:`.hermpoly`.
+Both face densities read the Levi form from one Hermitian form of the
+complex Hessian h, ``u^H h v`` (``hermpoly._hermitian_form``): this one as
+``ddbar_rho(u, v) = u^H h v - v^H h u = 2i Im(u^H h v)``, and
+:func:`~hardycorners.measures.fefferman_density` as ``v^H h v`` on the complex
+tangent.  A vanishing gradient fails the one critical-point rule of
+:mod:`.hermpoly`.
 
 Evaluators return pure alternating-form values; orientation conventions are
 supplied separately by :func:`orientation_sign_face` and
@@ -45,7 +48,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .hermpoly import _gradient_norm, _real_gradient, gradient_hyperplane
+from .hermpoly import _gradient_norm, _hermitian_form, _real_gradient, gradient_hyperplane
 from .projective import HomVec, _det4_columns, _dot2, _value, det3
 from .quadrature import gauss_rule, simplex_rule
 
@@ -304,13 +307,13 @@ def _leray_factor(rho, zhat, tangents):
     g = rho.grad(zhat[..., 0], zhat[..., 1])
     gn = _gradient_norm(g)
     h = rho.hessian_complex(zhat[..., 0], zhat[..., 1])
-
-    # Im(u^H h v): as h is Hermitian, ddbar_rho(u, v) = u^H h v - v^H h u is 2i times it
-    def levi(u, v):
-        return _dot2(np.conj(u), (h @ v[..., None])[..., 0]).imag
-
-    a1, a2, a3 = (_dot2(g, v) for v in (v1, v2, v3))  # d_rho(v) = g . v
-    wedge = a1 * levi(v2, v3) - a2 * levi(v1, v3) + a3 * levi(v1, v2)
+    # d_rho(v) = g . v, and Im(u^H h v) is ddbar_rho(u, v) / 2i, as h is Hermitian.  One
+    # expression: a list of the three terms raised the peak RSS.
+    wedge = (
+        _dot2(g, v1) * _hermitian_form(h, v2, v3).imag
+        - _dot2(g, v2) * _hermitian_form(h, v1, v3).imag
+        + _dot2(g, v3) * _hermitian_form(h, v1, v2).imag
+    )
     return g / gn[..., None], 2j * wedge / gn**2 / TWO_PI_I**2
 
 

@@ -3,9 +3,10 @@
 Two measure pieces live on a piecewise-smooth boundary:
 
 * on each smooth face, the defining-function-independent boundary density
-  built from the bordered complex Hessian (:func:`fefferman_density`) — the
-  natural surface measure of CR geometry, here normalized so that the unit
-  sphere with an orthonormal tangent frame gives 2**(1/3);
+  built from the determinant of the bordered complex Hessian, which is the
+  Levi form on the complex tangent (:func:`fefferman_density`) — the natural
+  surface measure of CR geometry, here normalized so that the unit sphere
+  with an orthonormal tangent frame gives 2**(1/3);
 * on each edge, the cube root of the edge weight produced by
   :mod:`.normalforms`, against the complex arc element of the edge
   (:func:`edge_measure_density`).
@@ -93,7 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import _check_resolution, _require_intersection, strong_tangents
-from .hermpoly import _gradient_norm, _real_gradient
+from .hermpoly import _gradient_norm, _hermitian_form, _real_gradient
 from .kernels import (
     _corner_factor,
     _corner_pairing,
@@ -106,7 +107,7 @@ from .kernels import (
 from .kernels import corner_kernel, smooth_leray_density  # noqa: F401
 from .kernels import orientation_sign_edge, orientation_sign_face  # noqa: F401
 from .normalforms import eta
-from .projective import _det4_columns, det2, det3, homogenize
+from .projective import _det4_columns, det2, homogenize
 
 __all__ = [
     "BoundaryMeasure",
@@ -122,12 +123,14 @@ def fefferman_density(rho, zhat, tangents):
     """Boundary measure density of a smooth face on a real tangent frame.
 
     Computes ``2**(4/3) * |det B|**(1/3) * |det[nu, V1, V2, V3]| / |grad|``
-    where B is the bordered complex Hessian of the defining function and nu
-    the unit outward real gradient.  Exactly independent of the choice of
-    defining function on the locus (rho -> u rho rescales det B by u^3 and
-    the gradient by u).  Levi-degenerate points give density 0; a vanishing
-    gradient raises.  Array-capable: ``(N, 2)`` points with ``(N, 3, 2)``
-    tangents give ``(N,)`` densities.
+    where B is the bordered complex Hessian ``[[0, conj(g)], [g, h^T]]`` of
+    the defining function and nu the unit outward real gradient.  Expanding
+    along its border, ``det B = -v^H h v`` with ``v = (g2, -g1)``: the Levi
+    form on the complex tangent line, as ``g . v = 0``.  Exactly independent
+    of the choice of defining function on the locus (rho -> u rho rescales
+    det B by u^3 and the gradient by u).  Levi-degenerate points give density
+    0; a vanishing gradient raises.  Array-capable: ``(N, 2)`` points with
+    ``(N, 3, 2)`` tangents give ``(N,)`` densities.
     """
     zhat = np.asarray(zhat, dtype=complex)
     z1, z2 = zhat[..., 0], zhat[..., 1]
@@ -135,17 +138,11 @@ def fefferman_density(rho, zhat, tangents):
     _gradient_norm(g)
     grad_r = _real_gradient(g)
     gn = np.linalg.norm(grad_r, axis=-1)
-    h = rho.hessian_complex(z1, z2)
-    b = np.zeros(zhat.shape[:-1] + (3, 3), dtype=complex)
-    b[..., 0, 1:] = np.conj(g)
-    b[..., 1:, 0] = g
-    # Row index holomorphic, column index anti-holomorphic, matching the
-    # border pairing; this is what makes det B transform with |det dPhi|^2
-    # under holomorphic changes of variables.
-    b[..., 1:, 1:] = np.swapaxes(h, -1, -2)
-    detb = det3(b).real
+    # |det B| = |v^H h v| on the complex tangent v = (g2, -g1): g . v = 0
+    v = np.stack([g[..., 1], -g[..., 0]], axis=-1)
+    levi = _hermitian_form(rho.hessian_complex(z1, z2), v, v).real
     frame_det = _det4_columns(_real_columns([grad_r / gn[..., None]], tangents))
-    return 2.0 ** (4.0 / 3.0) * np.abs(detb) ** (1.0 / 3.0) * np.abs(frame_det) / gn
+    return 2.0 ** (4.0 / 3.0) * np.abs(levi) ** (1.0 / 3.0) * np.abs(frame_det) / gn
 
 
 def edge_measure_density(eta_weight, tangents):
@@ -274,22 +271,19 @@ class _Factors(_NodeSet):
     radius: float
 
 
-def _face_measure(d, index, resolution):
-    fc = d.faces[index]
-    ns = fc.chart.nodes(resolution)
+def _face_measure(d, fc, ns):
     dens = fefferman_density(d.rho(fc.hypersurface), ns.points, ns.tangents)
     return ns.points, ns.weights * dens
 
 
-def _edge_measure(d, index, resolution):
-    ns = d.edges[index].chart.nodes(resolution)
+def _edge_measure(d, ns):
     dens = edge_measure_density(eta(d, ns.points).eta_weight, ns.tangents)
     return ns.points, ns.weights * dens
 
 
 def _measure(d, resolution, edge_resolution):
-    faces = [_face_measure(d, i, resolution) for i in range(len(d.faces))]
-    edges = [_edge_measure(d, i, edge_resolution) for i in range(len(d.edges))]
+    faces = [_face_measure(d, fc, fc.chart.nodes(resolution)) for fc in d.faces]
+    edges = [_edge_measure(d, e.chart.nodes(edge_resolution)) for e in d.edges]
     return BoundaryMeasure(*_assemble(faces + edges, len(faces)))
 
 
@@ -346,10 +340,8 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None):
     return {"total": total, "faces": faces, "edges": edges}
 
 
-def _face_factor(d, index, resolution):
+def _face_factor(d, fc, ns):
     """A face's weighted ``points, weights, unit_grad``, then Levi-flat ``points, unit_grad``."""
-    fc = d.faces[index]
-    ns = fc.chart.nodes(resolution)
     unit_grad, dens = _leray_factor(d.rho(fc.hypersurface), ns.points, ns.tangents)
     # Nodes where the density vanishes (Levi-flat) contribute nothing: they serve only the
     # pole check.  Select rows only when some vanish, to copy nothing otherwise.
@@ -359,18 +351,16 @@ def _face_factor(d, index, resolution):
     return ns.points[rows], weights, unit_grad[rows], ns.points[flat], unit_grad[flat]
 
 
-def _edge_factor(d, index, resolution):
+def _edge_factor(d, e, ns):
     """An edge's ``(points, weights, planes)``: the unit member hyperplanes at each node."""
-    e = d.edges[index]
-    ns = e.chart.nodes(resolution)
     planes, k = _corner_factor(strong_tangents(d, e, ns.points), ns.tangents)
     # orientation_sign_edge reverses the conormals' member order: two columns swap, the sign flips.
     return ns.points, ns.weights * -ns.orientation * k, planes
 
 
 def _factors(d, face_resolution, edge_resolution):
-    faces = [_face_factor(d, i, face_resolution) for i in range(len(d.faces))]
-    edges = [_edge_factor(d, i, edge_resolution) for i in range(len(d.edges))]
+    faces = [_face_factor(d, fc, fc.chart.nodes(face_resolution)) for fc in d.faces]
+    edges = [_edge_factor(d, e, e.chart.nodes(edge_resolution)) for e in d.edges]
     nodes = _assemble(faces + edges, len(faces))
     flat_points = _stack([f[3] for f in faces], (2,))
     unit_grad = _stack([f[4] for f in faces] + [f[2] for f in faces], (2,))

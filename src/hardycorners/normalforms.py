@@ -564,8 +564,8 @@ def eta(d, zhat):
         mats = mats[0]
     norm = normalize_coeffs(nf.coeffs)
     k = kappa(norm.b1, norm.b2)
-    m0 = mats[..., 0, :]
-    den = m0[..., 0] + m0[..., 1] * zhat[..., 0] + m0[..., 2] * zhat[..., 1]
+    # The frame's denominator at zhat: an adapted frame's first row is (den, 0, 0).
+    den = mats[..., 0, 0]
     c1c2 = nf.c1 * nf.c2
     return EdgeInvariant(
         kappa=k,

@@ -248,6 +248,28 @@ def homogenize(zhat):
     return _lift(zhat[..., 0], zhat[..., 1])
 
 
+# numpy divides complex arrays by multiplying with the reciprocal of a rescaled
+# denominator, which overflows where |out0| is subnormal, so a point that passes
+# the pole rule there would come out as inf+nanj; Python's complex division does not.
+_TINY = np.finfo(float).tiny
+_RESCALE = 2.0**600
+
+
+def _rescued_quotient(num, den, small):
+    """``num / den``, divided again after scaling both by 2**600 where ``small`` and not finite.
+
+    Only those rows move, so every quotient that is finite without the
+    rescaling is kept bit for bit.  The scaling is exact, and the overflow it
+    replaces raises no warning.
+    """
+    num, den, small = np.broadcast_arrays(num, den, small)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = num / den
+        redo = small & ~np.isfinite(q)
+        q[redo] = num[redo] * _RESCALE / (den[redo] * _RESCALE)
+    return q
+
+
 def _off_pole(out0, out1, out2, message="image lies on the affinization pole z0 = 0"):
     """``(out1/out0, out2/out0)``, or ``ZeroDivisionError(message)`` if some point is on the pole."""
     a0 = abs(out0)
@@ -255,7 +277,10 @@ def _off_pole(out0, out1, out2, message="image lies on the affinization pole z0 
     # only at out0 = 0, and fmax, like the rule, ignores a NaN operand.
     if np.any((a0 <= 1e-14 * np.fmax(abs(out1), abs(out2))) | (a0 == 0)):
         raise ZeroDivisionError(message)
-    return (out1 / out0, out2 / out0)
+    small = a0 < _TINY
+    if not isinstance(a0, np.ndarray) or not small.any():
+        return (out1 / out0, out2 / out0)
+    return tuple(_rescued_quotient(out, out0, small) for out in (out1, out2))
 
 
 def affinize(z):

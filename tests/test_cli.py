@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hardycorners import domain, kernels, measures
+from hardycorners import cli, domain, kernels, measures
 from hardycorners.domain import check_strict_convexity, domain_from_spec
 from hardycorners.normalforms import eta
 from hardycorners.cli import load_spec, main, parse_section_expr, spec_hash
@@ -715,3 +715,43 @@ def test_out_of_range_numeric_option_is_input_error(runner, args):
     assert len(errors) == 1
     assert f"Invalid value for '{args[-2]}': {args[-1]}" in errors[0]
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--f", "z1 +", "cannot parse expression 'z1 +'"),
+        ("--f", "'a'", "only numeric literals are allowed"),
+        ("--tau", "a,b,c,d", "cannot parse --tau 'a,b,c,d'"),
+    ],
+)
+def test_reproduce_malformed_expression_or_tau_is_input_error(runner, option, value, message):
+    args = ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--f", "z1"]
+    args[args.index(option) + 1] = value
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Error: {message}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_eta_batch_failure_evaluates_each_node_alone(runner, monkeypatch):
+    # The batch fails, and then only node 5 on its own: every other row keeps its values.
+    d = domain_from_spec(load_spec("perturbed_bidisk"))
+    points = d.edges[0].chart.nodes(4).points
+
+    def failing(dom, z):
+        if np.ndim(z) == 2 or np.array_equal(z, points[5]):
+            raise ValueError("no weight here")
+        return eta(dom, z)
+
+    monkeypatch.setattr(cli, "edge_eta", failing)
+    result = runner.invoke(main, ["eta", "perturbed_bidisk", "--grid", "4"])
+    assert result.exit_code == 1
+    rows = _json_out(result)["results"]
+    assert len(rows) == 16
+    assert set(rows[5]) == {"params", "error"} and rows[5]["error"] == "no weight here"
+    for i, (row, z) in enumerate(zip(rows, points)):
+        if i != 5:
+            inv = eta(d, z)
+            assert (row["kappa"], row["eta_weight"]) == (inv.kappa, inv.eta_weight)

@@ -1,5 +1,7 @@
 """Hermitian polynomial defining functions: parsing, calculus, transformation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -286,3 +288,24 @@ def test_parsed_polynomials_are_real_valued(a, b):
     )
     val = rho(0.3 + 0.7j, -0.2 + 0.1j)
     assert isinstance(val, float)
+
+
+def test_transform_poly_rejects_a_degree_below_the_polynomial():
+    sphere = parse_poly("abs2(z1) + abs2(z2) - 1")
+    with pytest.raises(ValueError, match="^degree 0 is below the polynomial degree 1$"):
+        transform_poly(sphere, np.eye(3), degree=0)
+
+
+@pytest.mark.parametrize(
+    "text, message", [("   ", "empty polynomial"), ("z1 +", "unexpected end of input")]
+)
+def test_parse_rejects_empty_input_and_a_dangling_sign(text, message):
+    expected = f"{message} at position {len(text)}: {text}<HERE>"
+    with pytest.raises(PolyParseError, match=f"^{re.escape(expected)}$") as info:
+        parse_poly(text)
+    assert info.value.pos == len(text)
+
+
+def test_parse_rejects_a_non_string():
+    with pytest.raises(TypeError, match="^parse_poly expects a string$"):
+        parse_poly(3)

@@ -537,3 +537,15 @@ def test_transformed_tangent_cycle_is_dual_image(bidisk, rng):
         w0 = weak_tangent(bidisk, e0, zhat, (t1, 1.0 - t1))
         w1 = weak_tangent(moved, e1, image, (t1, 1.0 - t1))
         assert proj_equal(td.matrix @ w0.array, w1.array, tol=1e-8)
+
+
+def test_torus_chart_needs_two_defining_functions():
+    sphere = parse_poly("abs2(z1) + abs2(z2) - 1")
+    with pytest.raises(ValueError, match="^torus2 chart needs exactly two defining functions$"):
+        TorusChart([sphere])
+
+
+def test_strict_convexity_rejects_a_point_off_the_boundary():
+    d = domain_from_spec(load_spec("perturbed_bidisk"))
+    with pytest.raises(ValueError, match="^point is not on the boundary$"):
+        check_strict_convexity(d, np.array([0.1, 0.2j]))

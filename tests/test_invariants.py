@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardycorners.domain import Edge, PwsDomain, TorusChart, transform_domain
-from hardycorners.hermpoly import HermitianPoly, transform_poly
+from hardycorners.hermpoly import HermitianPoly, parse_poly, transform_poly
 from hardycorners.measures import hardy_norm
 from hardycorners.normalforms import (
     NormalizedEdge,
@@ -458,3 +458,14 @@ def test_edge_norm_is_invariant_on_a_native_chart(perturbed_bidisk, scale, edge_
         native = PwsDomain(moved.hypersurfaces, [], [Edge(members, chart)])
         image = hardy_norm(native, _pulled(g.inverse()), edge_resolution=edge_resolution)
         assert abs(image["edges"][0] - base) / base <= 1e-11
+
+
+def test_edge_frame_rejects_complex_linearly_dependent_members():
+    # Both members vanish at (1, 0) with the same gradient (1, 0).
+    d = PwsDomain(
+        hypersurfaces=[("a", parse_poly("abs2(z1) - 1")), ("b", parse_poly("abs2(z1) + abs2(z2) - 1"))],
+        faces=[],
+        edges=[Edge((0, 1), None)],
+    )
+    with pytest.raises(ValueError, match="^member gradients are complex-linearly dependent$"):
+        edge_frame(d, d.edges[0], np.array([1.0, 0.0]))

@@ -6,7 +6,7 @@ import pytest
 from hardycorners import kernels
 from hardycorners.cli import _random_incident_pair, _random_tangents, load_spec
 from hardycorners.domain import domain_from_spec, strong_tangents, transform_domain
-from hardycorners.hermpoly import parse_poly
+from hardycorners.hermpoly import _real_gradient, parse_poly
 from hardycorners.kernels import (
     StrongTangentSet,
     corner_kernel,
@@ -19,7 +19,8 @@ from hardycorners.kernels import (
     simplex_integral,
     smooth_leray_density,
 )
-from hardycorners.projective import HomVec
+from hardycorners.measures import fefferman_density
+from hardycorners.projective import HomVec, _det4_columns, det3
 
 from conftest import random_unit_det_map
 
@@ -247,13 +248,13 @@ def test_smooth_density_rejects_critical_point():
 
 
 def _bordered_hessian_det(rho, z1, z2):
-    """det of the bordered complex Hessian ``[[0, conj(g)], [g, h^T]]`` of fefferman_density."""
+    """det of the bordered complex Hessian ``[[0, conj(g)], [g, h^T]]``, by cofactors along row 0."""
     g = rho.grad(z1, z2)
     b = np.zeros(g.shape[:-1] + (3, 3), dtype=complex)
     b[..., 0, 1:] = np.conj(g)
     b[..., 1:, 0] = g
     b[..., 1:, 1:] = np.swapaxes(rho.hessian_complex(z1, z2), -1, -2)
-    return np.linalg.det(b)
+    return det3(b)
 
 
 @pytest.mark.parametrize(
@@ -286,6 +287,55 @@ def test_leray_numerator_matches_bordered_hessian(name, image, tol):
         frame_det = np.linalg.det(np.stack([nu, *real], axis=-1))
         expected = 2 * _bordered_hessian_det(rho, z1, z2) * frame_det / gn
         assert np.all(np.abs(numer - expected) <= tol * np.abs(expected))
+
+
+def _fefferman_from_bordered_det(rho, points, tangents):
+    """fefferman_density with det B taken from the bordered 3x3 determinant, and ``|v|^T |h| |v|``.
+
+    The second value, with v = (g2, -g1), bounds the terms of det B = -v^H h v, so
+    ``eps`` times it is the rounding scale of both forms where they cancel.
+    """
+    z1, z2 = points.T
+    g = rho.grad(z1, z2)
+    grad_r = _real_gradient(g)
+    gn = np.linalg.norm(grad_r, axis=-1)
+    frame_det = _det4_columns(kernels._real_columns([grad_r / gn[:, None]], tangents))
+    detb = _bordered_hessian_det(rho, z1, z2).real
+    dens = 2.0 ** (4.0 / 3.0) * np.abs(detb) ** (1.0 / 3.0) * np.abs(frame_det) / gn
+    v = np.abs(g[:, ::-1])
+    scale = np.einsum("ni,nij,nj->n", v, np.abs(rho.hessian_complex(z1, z2)), v)
+    return dens, detb, scale
+
+
+@pytest.mark.parametrize("name", ["sphere", "perturbed_bidisk", "bidisk"])
+def test_fefferman_density_on_native_charts_is_the_bordered_determinants(name):
+    d = domain_from_spec(load_spec(name))
+    for face in d.faces:
+        ns = face.chart.nodes(12)
+        rho = d.rho(face.hypersurface)
+        dens = fefferman_density(rho, ns.points, ns.tangents)
+        np.testing.assert_array_equal(dens, _fefferman_from_bordered_det(rho, ns.points, ns.tangents)[0])
+        if name == "bidisk":  # Levi-flat: det B = 0 exactly
+            assert np.all(dens == 0.0)
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.2, 0.4])
+@pytest.mark.parametrize("name", ["sphere", "perturbed_bidisk"])
+def test_fefferman_density_on_images_matches_the_bordered_determinant(name, scale):
+    # The two forms of det B differ by at most 1.29 eps |v|^T |h| |v| (20 maps at each of
+    # scales 0.05-0.4): at most 3 ulp of det B at scale <= 0.1, 32 at 0.2 and 4,096 at 0.4,
+    # where both cancel.  The cube root divides that relative error by 3.
+    eps = np.finfo(float).eps
+    base = domain_from_spec(load_spec(name))
+    for seed in range(4):
+        d = transform_domain(base, random_unit_det_map(np.random.default_rng(seed), scale))
+        for face in d.faces:
+            ns = face.chart.nodes(12)
+            rho = d.rho(face.hypersurface)
+            dens = fefferman_density(rho, ns.points, ns.tangents)
+            ref, detb, cancel = _fefferman_from_bordered_det(rho, ns.points, ns.tangents)
+            bound = ref * (2 * eps * cancel / np.abs(detb) / 3 + 4 * eps)
+            assert np.all(np.abs(dens - ref) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -475,3 +525,17 @@ def test_pushforward_matches_corner_kernel(bidisk):
     out = pushforward_corner_check(bidisk, zhat, tau, order=24)
     assert out["rel_err"] < 1e-12
     assert np.isclose(out["corner"], out["fiber"], rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "z, w, message",
+    [
+        ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), "affine form requires z0 != 0"),
+        ((1.0, 0.0, 1.0), (0.0, 1.0, 0.0), "affine form requires w0 != 0"),
+        ((1.0, 1.0, 0.0), (-1.0, 1.0, 5.0), "affine form requires the second affine coordinate nonzero"),
+    ],
+    ids=["z0", "w0", "zhat2"],
+)
+def test_affine_form_rejects_an_incident_pair_off_its_chart(z, w, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        omega_cfl_affine_form(z, w, [])

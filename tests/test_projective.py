@@ -287,6 +287,32 @@ def test_pole_rule_table_covers_both_decisions():
     assert 0 < sum(decisions) < len(decisions)
 
 
+@pytest.mark.parametrize("row", [(2e-323, 1e-309, 0.0), (5e-324, 1e-312j, 3e-320), (3e-310j, -1e-300, 1e-296)])
+def test_subnormal_pole_distance_divides_as_one_point(row):
+    # numpy's batch division overflows where |out0| is subnormal; the rows pass the pole rule,
+    # so as arrays they must give the one-point quotients, with no warning.
+    one = _off_pole(*(complex(x) for x in row))
+    batch = _off_pole(*(np.array([x, 0.5], dtype=complex) for x in row))
+    for q, q1 in zip(batch, one):
+        np.testing.assert_allclose(q[0], q1, rtol=4.5e-16, atol=0)
+        assert np.isfinite(q).all()
+    assert (batch[0][1], batch[1][1]) == (1.0, 1.0)
+
+
+def test_subnormal_pole_distance_keeps_every_finite_quotient():
+    # Only quotients that overflow are divided again: every finite one stays bit for bit.
+    rng = np.random.default_rng(23)
+    out0 = 10.0 ** rng.uniform(-323, -307.7, 4000) * np.exp(2j * np.pi * rng.random(4000))
+    out1 = out0 * 10.0 ** rng.uniform(-3, 13, 4000) * np.exp(2j * np.pi * rng.random(4000))
+    with np.errstate(all="ignore"):
+        plain = out1 / out0
+    got = _off_pole(out0, out1, out1)[0]
+    finite = np.isfinite(plain)
+    assert 0 < finite.sum() < len(finite)
+    np.testing.assert_array_equal(got[finite], plain[finite])
+    assert np.isfinite(got).all()
+
+
 @pytest.mark.parametrize("row", POLE_TABLE)
 def test_batch_pullback_decides_every_pole_row_as_the_rule(row, monkeypatch):
     # The row and a point far from the pole, as the map's images of a batch of two.
@@ -299,10 +325,10 @@ def test_batch_pullback_decides_every_pole_row_as_the_rule(row, monkeypatch):
             value = pull_back_section(np.eye(3), pulled, (np.zeros(2), np.zeros(2))).value
         except ZeroDivisionError:
             value = None
-        exact = triple[1] / triple[0] + triple[2] / triple[0]
     assert (value is None) == expected
     if value is not None:
-        # the values of the exact rule's division, so never an overflowed 1 / den
+        # the values of one-point division, so never an overflowed 1 / den
+        exact = np.array([complex(a) / complex(d) + complex(b) / complex(d) for d, a, b in zip(*triple)])
         np.testing.assert_allclose(value, exact, rtol=2e-15, atol=0)
         assert np.all(np.isfinite(value) == np.isfinite(exact))
 
@@ -506,3 +532,56 @@ def test_pullback_composition_order(rng):
     )
     via_steps = pull_back_section(t, inner, zhat)
     assert np.isclose(via_composite.value, via_steps.value, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Argument checks
+
+
+def test_pair_takes_point_and_hyperplane_in_either_order():
+    p = HomVec((1.0, 2.0, 3.0))
+    h = HomVec((1.0, 1.0, 1.0), role="hyperplane")
+    assert pair(p, h) == pair(h, p) == 6.0
+    with pytest.raises(ValueError, match="^pairing needs one point and one hyperplane, got two points$"):
+        pair(p, p)
+    with pytest.raises(ValueError, match="got two hyperplanes$"):
+        pair(h, h)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.eye(2), "ProjMap matrix must be 3x3"),
+        (2.0 * np.eye(3), "ProjMap matrix must have unit determinant; use normalize_map"),
+    ],
+)
+def test_projmap_rejects_a_matrix_that_is_not_unimodular_3x3(matrix, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProjMap(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.eye(2), "expected a 3x3 matrix"),
+        (np.zeros((3, 3)), "singular matrix cannot define a projective map"),
+    ],
+)
+def test_normalize_map_rejects_a_matrix_that_is_not_invertible_3x3(matrix, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        normalize_map(matrix)
+
+
+def test_homvec_rejects_two_coordinates():
+    with pytest.raises(ValueError, match="^HomVec needs exactly 3 coordinates$"):
+        HomVec((1.0, 2.0))
+
+
+def test_proj_equal_is_false_at_a_zero_pivot():
+    # u's largest coordinate is the first, where v is 0
+    assert proj_equal((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) is False
+
+
+def test_pull_back_section_rejects_a_bare_callable():
+    with pytest.raises(TypeError, match=r"^f must be a Section \(affine value function \+ bidegree\)$"):
+        pull_back_section(np.eye(3), lambda z: 1.0, (0.0, 0.0))

@@ -6,7 +6,8 @@ set (its geometry, and its orientation signs on a line of their own), every
 ``reproduce`` and ``hardy_norm`` result (cold and warm), each array of the
 cached ``reproduce`` factors (``weights``, ``unit_grad``, ``planes``), each
 field of every edge's ``eta``, every piece's points and weights in
-``build_measure`` at two edge resolutions, the criterion 14 path (a warm
+``build_measure`` at two edge resolutions, ``fefferman_density`` on every
+face of each spec and of its projective image, the criterion 14 path (a warm
 ``hardy_norm`` of a pulled-back section on a projective image, at the
 ``norm_invariance`` benchmark's resolutions), every projective map evaluation
 below and ``reproduce`` at the ``curved_reproduce`` and ``flat_corner_taus``
@@ -55,6 +56,7 @@ from hardycorners import (
 from hardycorners.cli import load_spec
 from hardycorners.hermpoly import parse_poly, transform_poly
 from hardycorners.kernels import pushforward_corner_check
+from hardycorners.measures import fefferman_density
 from hardycorners.normalforms import eta, model_edge_polys
 
 SPECS = ("bidisk", "perturbed_bidisk", "sphere", "wedge_union")
@@ -175,6 +177,20 @@ def measures():
                 return [a for p in m.face_nodes + m.edge_nodes for a in (p.points, p.weights)]
 
             _line(f"build_measure {name} r8 e{er}", pieces)
+
+
+def face_densities():
+    """``fefferman_density`` on each face's resolution-8 nodes, for every spec and its image."""
+    for name in SPECS:
+        base = domain_from_spec(load_spec(name))
+        for label, d in ((name, base), (f"{name}@map", transform_domain(base, _IMAGE_MAP))):
+            for i, fc in enumerate(d.faces):
+                ns = fc.chart.nodes(8)
+                rho = d.rho(fc.hypersurface)
+                _line(
+                    f"fefferman_density {label} face{i} r8",
+                    lambda: (fefferman_density(rho, ns.points, ns.tangents),),
+                )
 
 
 def pulled_norm():
@@ -368,6 +384,7 @@ if __name__ == "__main__":
     results()
     edge_invariants()
     measures()
+    face_densities()
     pulled_norm()
     maps()
     bench_reproduce()
