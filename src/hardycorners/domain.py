@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .hermpoly import gradient_hyperplane, parse_poly, transform_poly
 from .kernels import StrongTangentSet, _frame_dets
-from .projective import HomVec, ProjMap, _dot2, det2, homogenize, normalize_map, solve2
+from .projective import HomVec, ProjMap, _dot2, _Frozen, det2, homogenize, normalize_map, solve2
 from .quadrature import gauss_rule, tensor_grid, trapezoid_rule
 
 __all__ = [
@@ -93,8 +93,7 @@ class ProjectionError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class NodeSet:
+class NodeSet(_Frozen):
     """A chart's quadrature nodes projected onto its locus, as arrays.
 
     ``params`` is ``(N, dim)``, ``weights`` ``(N,)``, ``points`` the affine
@@ -102,14 +101,20 @@ class NodeSet:
     ``(N, dim, 2)``: row ``n`` holds d(point)/d(param_a) at node ``n`` for
     each parameter ``a``.  ``orientation`` ``(N,)`` is +1.0 or -1.0, the sign
     of the real frame determinant ``det[conormals, tangents]``, with the
-    outward conormals in member order (see :meth:`Chart.project`).
+    outward conormals in member order (see :meth:`Chart.project`).  ``len``
+    counts the nodes.  Immutable, and compared by identity.
     """
 
-    params: np.ndarray
-    weights: np.ndarray
-    points: np.ndarray
-    tangents: np.ndarray
-    orientation: np.ndarray
+    __slots__ = ("params", "weights", "points", "tangents", "orientation")
+
+    def __init__(self, params, weights, points, tangents, orientation):
+        self._set(
+            params=params,
+            weights=weights,
+            points=points,
+            tangents=tangents,
+            orientation=orientation,
+        )
 
     def __len__(self):
         return len(self.weights)
@@ -460,23 +465,26 @@ class TransformedChart(Chart):
         return self.base.quad_nodes(resolution)
 
 
-@dataclass
-class Face:
-    """A smooth boundary piece: one hypersurface index plus its chart."""
+class Face(NamedTuple):
+    """A smooth boundary piece: one hypersurface index plus its chart.
+
+    A named tuple; the chart compares by identity.
+    """
 
     hypersurface: int
     chart: Chart
 
 
-@dataclass
-class Edge:
-    """Where exactly the member hypersurfaces meet, with its chart (k = 2 here)."""
+class Edge(NamedTuple):
+    """Where exactly the member hypersurfaces meet, with its chart (k = 2 here).
+
+    A named tuple; the chart compares by identity.
+    """
 
     members: tuple
     chart: Chart
 
 
-@dataclass
 class PwsDomain:
     """A piecewise-smooth domain with explicit boundary decomposition.
 
@@ -485,27 +493,33 @@ class PwsDomain:
     some defining function is negative — used for the non-pseudoconvex
     counterexample fixture).
 
+    ``interior_points`` defaults to a new empty list.
+
     A domain and its charts are treated as immutable once built:
     :mod:`hardycorners.measures` caches the node sets of ``reproduce`` and
     ``hardy_norm`` in ``_cache`` for the domain's lifetime (its module
     docstring describes the layout).
     :func:`transform_domain` builds a new domain, with a cache of its own.
+    Domains compare by identity.
     """
 
-    hypersurfaces: list
-    faces: list
-    edges: list
-    interior_points: list = field(default_factory=list)
-    membership: str = "intersection"
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("hypersurfaces", "faces", "edges", "interior_points", "membership", "_cache")
 
-    def __post_init__(self):
-        if self.membership not in ("intersection", "union"):
+    def __init__(
+        self, hypersurfaces, faces, edges, interior_points=None, membership="intersection"
+    ):
+        if membership not in ("intersection", "union"):
             raise ValueError("membership must be 'intersection' or 'union'")
-        labels = [lab for lab, _ in self.hypersurfaces]
+        labels = [lab for lab, _ in hypersurfaces]
         for i, label in enumerate(labels):
             if label in labels[:i]:
                 raise ValueError(f"duplicate hypersurface label {label!r}")
+        self.hypersurfaces = hypersurfaces
+        self.faces = faces
+        self.edges = edges
+        self.interior_points = [] if interior_points is None else interior_points
+        self.membership = membership
+        self._cache = {}
 
     def rho(self, i):
         return self.hypersurfaces[i][1]

@@ -42,14 +42,14 @@ recompute it as a reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .hermpoly import _gradient_norm, _hermitian_form, _real_gradient, gradient_hyperplane
-from .projective import HomVec, _det4_columns, _dot2, _value, det3
+from .projective import HomVec, _Frozen, _det4_columns, _dot2, _value, det3
 from .quadrature import gauss_rule, simplex_rule
 
 __all__ = [
@@ -71,15 +71,15 @@ TWO_PI_I = 2j * np.pi
 _REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(NamedTuple):
     """A kernel value together with its homogeneity bookkeeping.
 
     ``value`` is the alternating-form value on the tangent vectors it was
     evaluated with.  The bidegrees record how the value rescales when the
     homogeneous representative of each argument is rescaled: weight (p, q)
     means a factor lambda**p * conj(lambda)**q.  ``form_degree`` is the
-    number of tangent arguments consumed.
+    number of tangent arguments consumed.  A named tuple: it compares field
+    by field, which for an array ``value`` raises, as for any array.
     """
 
     value: complex
@@ -90,18 +90,21 @@ class Density:
     basepoint: object = None
 
 
-@dataclass(frozen=True)
-class StrongTangentSet:
+class StrongTangentSet(_Frozen):
     """Tangent hyperplanes of the member hypersurfaces at an edge point.
 
     ``planes`` is ordered like the edge's member list.  The basepoint keeps
     the homogeneous representative the planes were computed against.  At one
     point the basepoint and planes are :class:`HomVec` values; for ``N``
-    edge points at once they are ``(N, 3)`` coordinate arrays.
+    edge points at once they are ``(N, 3)`` coordinate arrays.  ``len`` and
+    indexing reach the planes.  Immutable; it compares by identity, since
+    its fields may be arrays.
     """
 
-    basepoint: object
-    planes: tuple
+    __slots__ = ("basepoint", "planes")
+
+    def __init__(self, basepoint, planes):
+        self._set(basepoint=basepoint, planes=planes)
 
     def __len__(self):
         return len(self.planes)

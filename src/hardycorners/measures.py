@@ -89,8 +89,6 @@ only one of the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domain import _check_resolution, _require_intersection, strong_tangents
@@ -107,7 +105,7 @@ from .kernels import (
 from .kernels import corner_kernel, smooth_leray_density  # noqa: F401
 from .kernels import orientation_sign_edge, orientation_sign_face  # noqa: F401
 from .normalforms import eta
-from .projective import _det4_columns, det2, homogenize
+from .projective import _det4_columns, _Frozen, det2, homogenize
 
 __all__ = [
     "BoundaryMeasure",
@@ -175,30 +173,33 @@ def _section_on(f, points):
     return np.broadcast_to(values, (n,))
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """A piece's ``rows`` of a node set's weights, and views of its ``points`` and ``weights``."""
+class _Piece(_Frozen):
+    """A piece's ``rows`` of a node set's weights, and views of its ``points`` and ``weights``.
 
-    points: np.ndarray
-    weights: np.ndarray
-    rows: slice
+    ``len`` counts its nodes.  Immutable, and compared by identity.
+    """
+
+    __slots__ = ("points", "weights", "rows")
+
+    def __init__(self, points, weights, rows):
+        self._set(points=points, weights=weights, rows=rows)
 
     def __len__(self):
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class _NodeSet:
+class _NodeSet(_Frozen):
     """The nodes of every boundary piece as one read-only node set, faces first.
 
     ``points`` ``(N, 2)`` carry the ``weights`` ``(N,)``; each piece's
     :class:`_Piece` in ``face_nodes`` or ``edge_nodes`` views its rows.
+    Immutable, and compared by identity, as are its subclasses.
     """
 
-    points: np.ndarray
-    weights: np.ndarray
-    face_nodes: list
-    edge_nodes: list
+    __slots__ = ("points", "weights", "face_nodes", "edge_nodes")
+
+    def __init__(self, points, weights, face_nodes, edge_nodes):
+        self._set(points=points, weights=weights, face_nodes=face_nodes, edge_nodes=edge_nodes)
 
     def _sums(self, terms):
         """The sum of each piece's rows of ``terms`` ``(N,)``: (per face, per edge)."""
@@ -231,9 +232,10 @@ def _assemble(pieces, faces):
     return points, weights, views[:faces], views[faces:]
 
 
-@dataclass(frozen=True)
 class BoundaryMeasure(_NodeSet):
     """Discretized boundary measure: ``weights`` are quadrature weights times measure density."""
+
+    __slots__ = ()
 
     def integrate(self, func):
         """Integrate a scalar function; returns (total, per-face, per-edge).
@@ -253,7 +255,6 @@ class BoundaryMeasure(_NodeSet):
         return sum(faces) + sum(edges), faces, edges
 
 
-@dataclass(frozen=True)
 class _Factors(_NodeSet):
     """The tau-free factors of :func:`reproduce`: a :class:`_NodeSet` with pairing data.
 
@@ -265,10 +266,13 @@ class _Factors(_NodeSet):
     (:func:`~hardycorners.kernels._leray_pairing`).
     """
 
-    flat_points: np.ndarray
-    unit_grad: np.ndarray
-    planes: np.ndarray
-    radius: float
+    __slots__ = ("flat_points", "unit_grad", "planes", "radius")
+
+    def __init__(
+        self, points, weights, face_nodes, edge_nodes, flat_points, unit_grad, planes, radius
+    ):
+        super().__init__(points, weights, face_nodes, edge_nodes)
+        self._set(flat_points=flat_points, unit_grad=unit_grad, planes=planes, radius=radius)
 
 
 def _face_measure(d, fc, ns):

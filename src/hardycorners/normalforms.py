@@ -31,7 +31,7 @@ membership before anything is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +68,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Quadratic coefficients of an edge at a basepoint."""
+class NormalForm(NamedTuple):
+    """Quadratic coefficients of an edge at a basepoint.
+
+    A named tuple of the six coefficients (arrays, for ``N`` basepoints at
+    once): equality is field by field, and raises for arrays as arrays do.
+    """
 
     a1: float
     b1: float
@@ -81,16 +84,16 @@ class NormalForm:
 
     @property
     def coeffs(self):
-        return (self.a1, self.b1, self.c1, self.a2, self.b2, self.c2)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class NormalizedEdge:
+class NormalizedEdge(NamedTuple):
     """Result of driving a normal form to the canonical slice.
 
     ``b1 <= b2`` are the surviving moduli; ``q`` and ``r`` are the two
     scaling parameters used, ``shift1``/``shift2`` the two shear parameters,
     and ``swapped`` records whether the final coordinate swap was applied.
+    A named tuple, compared field by field, like :class:`NormalForm`.
     """
 
     b1: float
@@ -102,8 +105,7 @@ class NormalizedEdge:
     swapped: bool
 
 
-@dataclass(frozen=True)
-class EdgeInvariant:
+class EdgeInvariant(NamedTuple):
     """Edge weight package at a basepoint.
 
     ``kappa`` is the scalar invariant of the canonical slice; ``eta_weight``
@@ -112,6 +114,10 @@ class EdgeInvariant:
     kappa, the pre-normalization transverse curvatures ``c1``, ``c2`` and the
     frame's homogeneous scale.  ``kappa_times_c1c2`` exposes the raw product
     for comparison; only the full package transforms cleanly.
+
+    A named tuple: ``_replace`` copies it with new fields, and equality is
+    field by field, which raises for the arrays of ``N`` basepoints (and
+    compares a one-point ``frame``, a :class:`ProjMap`, by identity).
     """
 
     kappa: float

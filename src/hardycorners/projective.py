@@ -36,7 +36,6 @@ matrices this is several times faster than batched ``numpy.linalg`` calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -60,6 +59,33 @@ __all__ = [
     "inv3",
     "det4",
 ]
+
+
+class _Frozen:
+    """Base of the library's immutable records that are not tuples.
+
+    Each record's ``__init__`` sets its fields once through :meth:`_set`;
+    assigning or deleting an attribute afterwards raises ``AttributeError``.
+    The records are written out by hand: ``dataclasses`` would compile
+    generated source for every record each time the library is imported.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __setstate__(self, state):
+        """Restore the fields of a copied or unpickled record (as ``copy`` and ``pickle`` do)."""
+        for fields in state if isinstance(state, tuple) else (state,):
+            self._set(**(fields or {}))
 
 
 def _as_points(z1, z2):
@@ -180,9 +206,11 @@ def _as_triple(v):
     return a
 
 
-@dataclass(frozen=True)
-class HomVec:
+class HomVec(_Frozen):
     """A point or hyperplane of projective 2-space in homogeneous coordinates.
+
+    Immutable, and equal (with equal hashes) to another HomVec with the same
+    coordinates and role.
 
     Parameters
     ----------
@@ -193,18 +221,28 @@ class HomVec:
         checks that it is fed one of each.
     """
 
-    coords: tuple
-    role: str = "point"
+    __slots__ = ("coords", "role")
 
-    def __post_init__(self):
-        c = tuple(complex(x) for x in self.coords)
+    def __init__(self, coords, role="point"):
+        c = tuple(complex(x) for x in coords)
         if len(c) != 3:
             raise ValueError("HomVec needs exactly 3 coordinates")
         if max(abs(x) for x in c) == 0.0:
             raise ValueError("all homogeneous coordinates are zero")
-        if self.role not in ("point", "hyperplane"):
-            raise ValueError(f"unknown role {self.role!r}")
-        object.__setattr__(self, "coords", c)
+        if role not in ("point", "hyperplane"):
+            raise ValueError(f"unknown role {role!r}")
+        self._set(coords=c, role=role)
+
+    def __repr__(self):
+        return f"HomVec(coords={self.coords!r}, role={self.role!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.coords, self.role) == (other.coords, other.role)
+
+    def __hash__(self):
+        return hash((self.coords, self.role))
 
     @property
     def array(self):
@@ -248,9 +286,10 @@ def homogenize(zhat):
     return _lift(zhat[..., 0], zhat[..., 1])
 
 
-# numpy divides complex arrays by multiplying with the reciprocal of a rescaled
-# denominator, which overflows where |out0| is subnormal, so a point that passes
-# the pole rule there would come out as inf+nanj; Python's complex division does not.
+# numpy divides complex arrays and scalars by multiplying with the reciprocal of
+# a rescaled denominator, which overflows where |out0| is subnormal, so a point
+# that passes the pole rule there would come out as inf+nanj; Python's complex
+# division does not.
 _TINY = np.finfo(float).tiny
 _RESCALE = 2.0**600
 
@@ -260,14 +299,14 @@ def _rescued_quotient(num, den, small):
 
     Only those rows move, so every quotient that is finite without the
     rescaling is kept bit for bit.  The scaling is exact, and the overflow it
-    replaces raises no warning.
+    replaces raises no warning.  Numpy scalars give a numpy scalar.
     """
     num, den, small = np.broadcast_arrays(num, den, small)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = num / den
+        q = np.asarray(num / den)  # 0-d for scalars, which divide to a numpy scalar
         redo = small & ~np.isfinite(q)
         q[redo] = num[redo] * _RESCALE / (den[redo] * _RESCALE)
-    return q
+    return q if q.ndim else q[()]
 
 
 def _off_pole(out0, out1, out2, message="image lies on the affinization pole z0 = 0"):
@@ -278,7 +317,8 @@ def _off_pole(out0, out1, out2, message="image lies on the affinization pole z0 
     if np.any((a0 <= 1e-14 * np.fmax(abs(out1), abs(out2))) | (a0 == 0)):
         raise ZeroDivisionError(message)
     small = a0 < _TINY
-    if not isinstance(a0, np.ndarray) or not small.any():
+    # A Python float |out0| comes from Python complex values, whose division needs no rescue.
+    if type(a0) is float or not small.any():
         return (out1 / out0, out2 / out0)
     return tuple(_rescued_quotient(out, out0, small) for out in (out1, out2))
 
@@ -296,26 +336,25 @@ def _principal_cube_root(c):
     return r ** (1.0 / 3.0) * np.exp(1j * np.angle(c) / 3.0)
 
 
-@dataclass(frozen=True)
-class ProjMap:
+class ProjMap(_Frozen):
     """A projective transformation of CP^2 with unit-determinant matrix.
 
     The matrix acts on column vectors of homogeneous coordinates:
     ``Z' = M @ Z``.  Use :func:`normalize_map` to build one from an arbitrary
-    invertible matrix.
+    invertible matrix.  The map keeps a read-only copy of the matrix.  It is
+    immutable and compares by identity: two maps with equal matrices are
+    not ``==``, so compare their ``matrix`` arrays.
     """
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError("ProjMap matrix must be 3x3")
         if abs(np.linalg.det(m) - 1.0) > 1e-9:
             raise ValueError("ProjMap matrix must have unit determinant; use normalize_map")
         m = m.copy()
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m)
 
     def apply(self, z):
         """Apply to a homogeneous triple (or point HomVec); returns a triple."""
@@ -416,12 +455,13 @@ def pair(z, w):
     return complex(_as_triple(z) @ _as_triple(w))
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(_Frozen):
     """A weighted section given by its affine value function.
 
     ``func(zhat)`` returns the value at the representative ``(1, z1, z2)``;
-    ``bidegree`` is the exact weight pair ``(j, k)`` (Fractions allowed).
+    ``bidegree`` is the exact weight pair ``(j, k)`` (Fractions allowed),
+    kept as a pair of :class:`~fractions.Fraction`.  Immutable, and equal
+    to another Section with the same function and bidegree.
 
     The value function follows the library's section convention: it is
     called with the coordinate pair ``zhat = (z1, z2)``, either of one point
@@ -429,19 +469,25 @@ class Section:
     returns ``(N,)`` values, or a scalar that stands for every point).
     """
 
-    func: object
-    bidegree: tuple
+    __slots__ = ("func", "bidegree")
 
-    def __post_init__(self):
-        j, k = self.bidegree
-        object.__setattr__(self, "bidegree", (Fraction(j), Fraction(k)))
+    def __init__(self, func, bidegree):
+        j, k = bidegree
+        self._set(func=func, bidegree=(Fraction(j), Fraction(k)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.func, self.bidegree) == (other.func, other.bidegree)
+
+    def __hash__(self):
+        return hash((self.func, self.bidegree))
 
     def __call__(self, zhat):
         return self.func(zhat)
 
 
-@dataclass(frozen=True)
-class SectionValue:
+class SectionValue(_Frozen):
     """A section value with its weight data and the coordinate pair it was taken at.
 
     ``zhat`` is the pair ``(z1, z2)`` as :func:`pull_back_section` read it.
@@ -449,13 +495,14 @@ class SectionValue:
     read and kept: a :class:`HomVec` for one point; for ``N`` points at once
     ``value`` is an ``(N,)`` array and ``basepoint`` the ``(N, 3)`` array of
     representatives.  The pair's arrays are the caller's, not copies, so a
-    caller that writes to them reads ``basepoint`` first.
+    caller that writes to them reads ``basepoint`` first.  Immutable; it
+    compares by identity, since its fields may be arrays.
     """
 
-    value: complex
-    bidegree: tuple
-    zhat: tuple
-    chart_dependent: bool = False
+    def __init__(self, value, bidegree, zhat, chart_dependent=False):
+        # Straight into the instance dict: every warm pull-back builds one.
+        fields = vars(self)
+        fields.update(value=value, bidegree=bidegree, zhat=zhat, chart_dependent=chart_dependent)
 
     @cached_property
     def basepoint(self):

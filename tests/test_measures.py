@@ -1,7 +1,5 @@
 """Boundary measure, squared boundary norm, and the reproducing formula."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -697,7 +695,7 @@ def test_cold_reproduce_builds_one_frame_determinant_per_piece(monkeypatch):
 def test_failed_measure_build_caches_nothing(monkeypatch):
     def negated_eta(d, points):
         out = eta(d, points)
-        return replace(out, eta_weight=-out.eta_weight)
+        return out._replace(eta_weight=-out.eta_weight)
 
     d = _fresh("perturbed_bidisk")
     monkeypatch.setattr("hardycorners.measures.eta", negated_eta)

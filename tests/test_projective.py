@@ -299,6 +299,40 @@ def test_subnormal_pole_distance_divides_as_one_point(row):
     assert (batch[0][1], batch[1][1]) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("row", [row for row in POLE_TABLE if 0 < abs(row[0]) < 1e-307])
+def test_affinize_of_one_subnormal_triple_is_its_batch_row(row):
+    # One triple divides numpy scalars, which overflow like the batch; warnings are errors here.
+    triple = [np.array([x, 0.5], dtype=complex) for x in row]
+    try:
+        batch = _off_pole(*triple)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            affinize(row)
+        return
+    one = affinize(row)
+    assert one == (batch[0][0], batch[1][0])
+    assert all(isinstance(q, np.complex128) and np.isfinite(q) for q in one)
+
+
+def test_affinize_keeps_every_quotient_it_had_without_the_rescue():
+    # Near and far from subnormal |z0|: each finite plain numpy-scalar quotient stays bit for bit.
+    rng = np.random.default_rng(29)
+    z0 = 10.0 ** rng.uniform(-323, 2, 600) * np.exp(2j * np.pi * rng.random(600))
+    z1, z2 = z0 * 10.0 ** rng.uniform(-3, 13, (2, 600)) * np.exp(2j * np.pi * rng.random((2, 600)))
+    rescued = 0
+    for row in zip(z0, z1, z2):
+        with np.errstate(all="ignore"):
+            plain = (row[1] / row[0], row[2] / row[0])
+        got = affinize(row)
+        for q, p in zip(got, plain):
+            assert np.isfinite(q)
+            if np.isfinite(p):
+                assert q == p
+            else:
+                rescued += 1
+    assert rescued > 0
+
+
 def test_subnormal_pole_distance_keeps_every_finite_quotient():
     # Only quotients that overflow are divided again: every finite one stays bit for bit.
     rng = np.random.default_rng(23)

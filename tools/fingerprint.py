@@ -33,7 +33,6 @@ that is not an array.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple, fields
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +129,15 @@ def _geometry(ns):
     return ns.params, ns.weights, ns.points, ns.tangents
 
 
+def _node_set(ns):
+    """Every field of a node set, in declaration order."""
+    return (*_geometry(ns), ns.orientation)
+
+
+# The fields of eta's EdgeInvariant, in declaration order.
+EDGE_FIELDS = ("kappa", "eta_weight", "b1", "b2", "frame", "c1", "c2", "kappa_times_c1c2")
+
+
 def nodesets():
     """Each node set's geometry on one line, and its orientation signs on another."""
     for name, d in _domains().items():
@@ -164,8 +172,8 @@ def edge_invariants():
             except _ERRORS as exc:
                 print(f"{label} raises {type(exc).__name__}: {exc}")
                 continue
-            for field in fields(inv):
-                _line(f"{label} {field.name}", lambda: (getattr(inv, field.name),))
+            for field in EDGE_FIELDS:
+                _line(f"{label} {field}", lambda: (getattr(inv, field),))
 
 
 def measures():
@@ -298,7 +306,7 @@ def degenerate_charts():
         "torus2 zero start r8": (TorusChart(bidisk, r0=(0, 0)), 8),
     }
     for name, (chart, r) in cases.items():
-        _line(f"degenerate {name}", lambda: astuple(chart.nodes(r)))
+        _line(f"degenerate {name}", lambda: _node_set(chart.nodes(r)))
     flat = GraphPatchChart(parse_poly("abs2(z2) - 0.25"))
     one_node = np.array([[0.5, 0.0, 0.0]])
     _line("degenerate graph_patch flat along z1", lambda: flat.project(one_node))

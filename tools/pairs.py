@@ -86,6 +86,22 @@ def _cell(q):
     return f"{q[1]:.5g} [{q[0]:.5g}, {q[2]:.5g}]"
 
 
+def compare(pairs, better):
+    """The pair statistics of one metric's ``(parent, change)`` values.
+
+    Returns ``(parent quartiles, change quartiles, relative change of the
+    medians, pairs won, gap beyond the parent's IQR)``.  ``better`` is
+    ``"higher"`` or ``"lower"``; a tie wins for neither side.
+    """
+    sides = list(zip(*pairs))
+    parent, change = (_quartiles(v) for v in sides)
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (c - p) > 0 for p, c in pairs)
+    gap = sign * (change[1] - parent[1])
+    rel = (change[1] - parent[1]) / parent[1] if parent[1] else float("nan")
+    return parent, change, rel, won, gap > parent[2] - parent[0]
+
+
 def summarize(runs, metrics):
     """One row per metric from ``runs``: a list of ``(parent, change)`` result pairs.
 
@@ -94,13 +110,8 @@ def summarize(runs, metrics):
     """
     rows = []
     for name, better in metrics:
-        sides = [[r[i]["metrics"][name]["value"] for r in runs] for i in (0, 1)]
-        parent, change = (_quartiles(v) for v in sides)
-        sign = 1.0 if better == "higher" else -1.0
-        won = sum(sign * (c - p) > 0 for p, c in zip(*sides))
-        gap = sign * (change[1] - parent[1])
-        rel = (change[1] - parent[1]) / parent[1] if parent[1] else float("nan")
-        rows.append((name, parent, change, rel, won, gap > parent[2] - parent[0]))
+        values = [tuple(r[i]["metrics"][name]["value"] for i in (0, 1)) for r in runs]
+        rows.append((name, *compare(values, better)))
     return rows
 
 
