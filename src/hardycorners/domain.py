@@ -26,10 +26,9 @@ The tangent machinery at an edge point:
   *weak* tangents) fills in the dual cycle that gives edges their weight in
   the reproducing formula.
 
-Two sampling checks probe the geometry: :func:`check_local_intersection`
-verifies that near an edge the domain looks like the intersection of its
-members' half-spaces (this is what fails for the non-pseudoconvex
-union-of-half-spaces configuration), and :func:`check_strict_convexity`
+A domain is the intersection of its hypersurfaces' negative sides, the
+pseudoconvex configuration of the paper.  :func:`validate_domain` checks
+every chart node against that rule, and :func:`check_strict_convexity`
 reports the avoidance margin of weak-tangent lines.
 """
 
@@ -60,7 +59,6 @@ __all__ = [
     "make_chart",
     "strong_tangents",
     "weak_tangent",
-    "check_local_intersection",
     "check_strict_convexity",
     "transform_domain",
     "validate_domain",
@@ -488,10 +486,9 @@ class Edge(NamedTuple):
 class PwsDomain:
     """A piecewise-smooth domain with explicit boundary decomposition.
 
-    ``membership`` is ``"intersection"`` (inside iff every defining function
-    is negative — the pseudoconvex configuration) or ``"union"`` (inside iff
-    some defining function is negative — used for the non-pseudoconvex
-    counterexample fixture).
+    A point is inside iff every defining function is negative there: the
+    domain is the intersection of the hypersurfaces' negative sides, the
+    pseudoconvex configuration.
 
     ``interior_points`` defaults to a new empty list.
 
@@ -503,13 +500,9 @@ class PwsDomain:
     Domains compare by identity.
     """
 
-    __slots__ = ("hypersurfaces", "faces", "edges", "interior_points", "membership", "_cache")
+    __slots__ = ("hypersurfaces", "faces", "edges", "interior_points", "_cache")
 
-    def __init__(
-        self, hypersurfaces, faces, edges, interior_points=None, membership="intersection"
-    ):
-        if membership not in ("intersection", "union"):
-            raise ValueError("membership must be 'intersection' or 'union'")
+    def __init__(self, hypersurfaces, faces, edges, interior_points=None):
         labels = [lab for lab, _ in hypersurfaces]
         for i, label in enumerate(labels):
             if label in labels[:i]:
@@ -518,7 +511,6 @@ class PwsDomain:
         self.faces = faces
         self.edges = edges
         self.interior_points = [] if interior_points is None else interior_points
-        self.membership = membership
         self._cache = {}
 
     def rho(self, i):
@@ -532,7 +524,7 @@ class PwsDomain:
         return np.array([rho(zhat[0], zhat[1]) for _, rho in self.hypersurfaces])
 
     def contains(self, zhat):
-        return bool(_membership_from_values(self, self.rho_values(zhat)))
+        return bool(np.all(self.rho_values(zhat) < 0))
 
     def active_members(self, zhat):
         """Hypersurfaces with ``|rho| <= 1e-8`` at a point or at all rows of an ``(N, 2)`` array."""
@@ -593,7 +585,8 @@ def domain_from_spec(spec):
     Each hypersurface needs a string ``label`` and a ``rho``, each face a
     ``hypersurface`` and a ``chart``, each edge two distinct ``members`` and a
     ``chart`` (see :func:`make_chart`); labels are unique, pieces name
-    declared labels, and each interior point is four finite reals.  Anything
+    declared labels, and each interior point is four finite reals.  An
+    optional ``membership`` field must be ``"intersection"``.  Anything
     else raises ``ValueError`` naming the field and the piece (a ``rho``
     that :func:`~hardycorners.hermpoly.parse_poly` rejects, as
     ``hypersurface 0 rho: <the parser's message>``).
@@ -606,8 +599,14 @@ def domain_from_spec(spec):
             hyper.append((label, parse_poly(rho)))
         except ValueError as exc:
             raise ValueError(f"{piece} rho: {exc}") from None
+    membership = spec.get("membership", "intersection")
+    if membership != "intersection":
+        raise ValueError(
+            f"membership must be 'intersection', not {membership!r}: "
+            "only intersection domains are integrated"
+        )
     # Built first, so that its own checks run before any piece's label is resolved.
-    d = PwsDomain(hyper, [], [], membership=spec.get("membership", "intersection"))
+    d = PwsDomain(hyper, [], [])
     labels = [label for label, _ in hyper]
     spec = {"faces": [], "edges": [], "interior_points": [], **spec}
 
@@ -678,79 +677,6 @@ def weak_tangent(d, e, zhat, t):
         raise ValueError("t must be finite non-negative barycentric coordinates summing to 1")
     planes = _member_planes(d, e.members, np.asarray(zhat, dtype=complex)[None])[0]
     return HomVec(tuple(t @ planes), role="hyperplane")
-
-
-def _ball_samples(rng, center, radius, n):
-    pts = rng.standard_normal((n, 4))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    radii = radius * rng.random(n) ** 0.25
-    pts = pts * radii[:, None]
-    return center[None, :] + pts
-
-
-def check_local_intersection(d, zhat, radius, samples, seed=0):
-    """Does the domain agree with the intersection of its members' half-spaces nearby?
-
-    Samples the real 4-ball around the edge point and compares the domain's
-    membership rule against ``all(rho_member < 0)``.  Raises if the point
-    itself lies outside a non-member hypersurface (its ``rho >= 0`` there,
-    whatever the radius), or if a non-member changes sign inside the ball
-    (radius too large for a purely local statement).
-    """
-    members = d.active_members(zhat)
-    if not members:
-        raise ValueError("point is not on the boundary of any hypersurface")
-    nonmembers = [i for i in range(len(d.hypersurfaces)) if i not in members]
-    at_point = d.rho_values(zhat)
-    for i in nonmembers:
-        if at_point[i] >= 0:
-            raise ValueError(
-                f"the edge point lies outside non-member hypersurface {d.label(i)!r}"
-            )
-    rng = np.random.default_rng(seed)
-    center = np.array(
-        [zhat[0].real, zhat[0].imag, zhat[1].real, zhat[1].imag], dtype=float
-    )
-    pts = _ball_samples(rng, center, radius, int(samples))
-    vals = d.rho_values((pts[:, 0] + 1j * pts[:, 1], pts[:, 2] + 1j * pts[:, 3]))
-    reached = vals[nonmembers] >= 0
-    if np.any(reached):
-        first = np.argmax(np.any(reached, axis=0))
-        i = nonmembers[int(np.argmax(reached[:, first]))]
-        raise ValueError(
-            f"radius {radius} too large: non-member hypersurface "
-            f"{d.label(i)!r} reaches the sample ball"
-        )
-    local = np.all(vals[members] < 0, axis=0)
-    disagreements = int(np.sum(local != _membership_from_values(d, vals)))
-    return {
-        "passed": disagreements == 0,
-        "samples": int(samples),
-        "disagreements": disagreements,
-        "members": [d.label(m) for m in members],
-        "radius": float(radius),
-    }
-
-
-def _membership_from_values(d, vals):
-    """Membership from the defining-function values on axis 0."""
-    if d.membership == "intersection":
-        return np.all(vals < 0, axis=0)
-    return np.any(vals < 0, axis=0)
-
-
-def _require_intersection(d):
-    """``ValueError`` naming the membership unless ``d`` is an intersection domain.
-
-    The measure, the reproducing formula and the edge weight integrate over
-    every declared piece; on a union some pieces lie inside the domain
-    (``wedge_union``'s faces do), so there they would integrate another set.
-    """
-    if d.membership != "intersection":
-        raise ValueError(
-            f"a {d.membership!r} domain is not integrated: reproduce, hardy_norm, "
-            "build_measure and eta need membership 'intersection'"
-        )
 
 
 def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=None):
@@ -851,7 +777,6 @@ def transform_domain(d, t):
         faces=new_faces,
         edges=new_edges,
         interior_points=new_pts,
-        membership=d.membership,
     )
 
 
@@ -860,12 +785,10 @@ def validate_domain(d, resolution=12):
 
     One loop over the boundary pieces, faces then edges, checks each node of
     ``chart.nodes(resolution)``, the node set the integrals use: every member
-    is on the locus within ``1e-10`` and every other hypersurface is on the
-    side the membership rule puts the boundary on, negative on an
-    intersection and non-negative on a union (a NaN value fails either); on
-    an edge the member gradients are also transverse.  Then every interior
-    point must be inside: every ``rho`` negative (NaN fails) on an
-    intersection, some on a union.
+    is on the locus within ``1e-10`` and every other hypersurface is
+    negative (a NaN value fails); on an edge the member gradients are also
+    transverse.  Then every interior point must be inside: every ``rho``
+    negative (NaN fails).
 
     Returns a report dict with ``passed`` and a list of human-readable
     ``failures`` naming the offending hypersurface or piece.
@@ -877,7 +800,6 @@ def validate_domain(d, resolution=12):
         its tangents are singular (not transverse, or rank-deficient with the conormals).
     """
     failures = []
-    inside = d.membership == "intersection"
     pieces = [(f"face {k}", (f.hypersurface,), f.chart) for k, f in enumerate(d.faces)]
     pieces += [(f"edge {k}", e.members, e.chart) for k, e in enumerate(d.edges)]
     for piece, members, chart in pieces:
@@ -885,7 +807,7 @@ def validate_domain(d, resolution=12):
         for i, vals in enumerate(d.rho_values(z.T)):
             if i in members and np.any(np.abs(vals) > _ONLOCUS_TOL):
                 failures.append(f"{piece} chart leaves {d.label(i)!r} (|rho| > {_ONLOCUS_TOL})")
-            elif i not in members and not np.all(vals < 0 if inside else vals >= 0):
+            elif i not in members and not np.all(vals < 0):
                 failures.append(f"{piece} chart reaches the wrong side of {d.label(i)!r}")
         if len(members) == 2:
             grads = np.stack([_grad(d.rho(m), z) for m in members], axis=-2)
@@ -893,14 +815,11 @@ def validate_domain(d, resolution=12):
                 failures.append(f"{piece} member gradients are not transverse")
 
     for p in d.interior_points:
-        if inside:
-            for label, rho in d.hypersurfaces:
-                if not rho(p[0], p[1]) < 0:
-                    failures.append(
-                        f"interior point {p} is on the wrong side of {label!r}"
-                        " (orientation: rho must be negative inside)"
-                    )
-        elif not d.contains(p):
-            failures.append(f"declared interior point {p} is not inside the domain")
+        for label, rho in d.hypersurfaces:
+            if not rho(p[0], p[1]) < 0:
+                failures.append(
+                    f"interior point {p} is on the wrong side of {label!r}"
+                    " (orientation: rho must be negative inside)"
+                )
 
     return {"passed": not failures, "failures": failures}

@@ -62,13 +62,6 @@ per-node rule's.  Domains and charts are treated as immutable once built,
 and :func:`~hardycorners.domain.transform_domain` builds a new domain with
 a cache of its own.
 
-Both entries exist only for intersection domains.  A domain whose
-``membership`` is ``"union"`` is refused with a ``ValueError`` naming it
-before any chart is projected, by :func:`reproduce`, :func:`hardy_norm` and
-:func:`build_measure` (and by :func:`~hardycorners.normalforms.eta`): some
-pieces of a union lie inside it (``wedge_union``'s faces do), so the sums
-over its declared pieces are not its boundary integrals.
-
 The orientation signs are read from the node sets: each chart's projection
 keeps the sign of the frame determinant its rank check computes
 (:meth:`~hardycorners.domain.Chart.project`), with the conormals in member
@@ -91,7 +84,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import _check_resolution, _require_intersection, strong_tangents
+from .domain import _check_resolution, strong_tangents
 from .hermpoly import _gradient_norm, _hermitian_form, _real_gradient
 from .kernels import (
     _corner_factor,
@@ -308,8 +301,8 @@ def build_measure(d, resolution=16, edge_resolution=None):
         If a chart's projection fails: its Newton solve does not converge, or
         its tangents are singular (not transverse, or rank-deficient with the conormals).
     ValueError
-        If ``d``'s membership is ``"union"``, a resolution is not an integer
-        of at least 4 (:meth:`~hardycorners.domain.Chart.grid`), a face's
+        If a resolution is not an integer of at least 4
+        (:meth:`~hardycorners.domain.Chart.grid`), a face's
         defining function has a vanishing gradient at a node, or an edge
         weight is not positive.
     """
@@ -384,12 +377,9 @@ _BUILDERS = {"reproduce": _factors, "measure": _measure}
 def _cached(d, kind, *resolutions):
     """The entry ``(kind, *resolutions)`` of ``d._cache``, built once by ``_BUILDERS[kind]``.
 
-    A domain whose membership is not ``"intersection"`` is refused first
-    (:func:`~hardycorners.domain._require_intersection`), before any chart
-    is projected.  Every resolution is checked next, so that a value the
-    charts reject (``8.0``) never finds the entry of one they accept (``8``).
+    Every resolution is checked first, so that a value the charts reject
+    (``8.0``) never finds the entry of one they accept (``8``).
     """
-    _require_intersection(d)
     key = (kind, *map(_check_resolution, resolutions))
     if key not in d._cache:
         d._cache[key] = _BUILDERS[kind](d, *resolutions)
@@ -419,9 +409,9 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     ------
     ValueError
         If ``tau`` is not a finite point of shape ``(2,)`` (checked before
-        anything is built or paired), ``d``'s membership is ``"union"``,
-        ``f`` returns values of any other shape, or a resolution is not an
-        integer of at least 4 (:meth:`~hardycorners.domain.Chart.grid`).
+        anything is built or paired), ``f`` returns values of any other
+        shape, or a resolution is not an integer of at least 4
+        (:meth:`~hardycorners.domain.Chart.grid`).
     ZeroDivisionError
         If a tangent hyperplane at some boundary node passes through ``tau``
         (the formula's precondition fails); ``f`` is then not called.

@@ -23,10 +23,7 @@ slice ``a1 = a2 = 0, c1 = c2 = -1, b1 <= b2``.
 On that slice a scalar invariant appears: :func:`kappa` combines the two
 remaining moduli through the Legendre transform of the universal convex
 profile :func:`edge_profile`.  :func:`eta` packages it with the frame
-normalization into the edge weight used by the boundary measure.  Like the
-measure, :func:`eta` is defined on intersection domains only: on a domain
-whose ``membership`` is ``"union"`` it raises ``ValueError`` naming the
-membership before anything is evaluated.
+normalization into the edge weight used by the boundary measure.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Edge, PwsDomain, _member_planes, _require_intersection, _transversality
+from .domain import Edge, PwsDomain, _member_planes, _transversality
 from .hermpoly import HermitianPoly, _mul
 from .projective import (
     ProjMap,
@@ -160,7 +157,6 @@ def model_edge_domain(coeffs):
         faces=[],
         edges=[Edge((0, 1), None)],
         interior_points=[],
-        membership="intersection",
     )
 
 
@@ -559,11 +555,8 @@ def eta(d, zhat):
 
     ``zhat`` is one edge point or an ``(N, 2)`` array of points on one edge;
     for ``N`` points every field is an ``(N,)`` array (``frame`` holds the
-    ``(N, 3, 3)`` frame matrices), computed in one pass.  A domain whose
-    membership is not ``"intersection"`` raises ``ValueError`` naming it
-    before anything is evaluated: a union's edge weight is not integrated.
+    ``(N, 3, 3)`` frame matrices), computed in one pass.
     """
-    _require_intersection(d)
     zhat = np.asarray(zhat, dtype=complex)
     nf, mats = _fit(d, zhat, None)
     if zhat.ndim == 1:

@@ -22,11 +22,6 @@ def sphere():
     return domain_from_spec(load_spec("sphere"))
 
 
-@pytest.fixture(scope="session")
-def wedge_union():
-    return domain_from_spec(load_spec("wedge_union"))
-
-
 def random_unit_det_map(rng, scale=0.3):
     """A random complex 3x3 projective map, normalized to determinant one."""
     from hardycorners.projective import normalize_map

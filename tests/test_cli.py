@@ -65,27 +65,14 @@ def test_parse_section_expr_rejects_names_and_calls():
 
 
 def test_check_domain_passes_on_bidisk(runner):
-    result = runner.invoke(
-        main, ["check-domain", "bidisk", "--samples", "100", "--resolution", "6"]
-    )
+    result = runner.invoke(main, ["check-domain", "bidisk", "--resolution", "6"])
     assert result.exit_code == 0, result.output
     report = _json_out(result)
     assert report["command"] == "check-domain"
     assert report["pass"] is True
     assert len(report["spec_hash"]) == 64
     checks = {r["check"] for r in report["results"]}
-    assert {"validate", "local_intersection", "strict_convexity"} <= checks
-
-
-def test_check_domain_fails_on_union_wedge(runner):
-    result = runner.invoke(
-        main, ["check-domain", "wedge_union", "--samples", "100", "--resolution", "6"]
-    )
-    assert result.exit_code == 1
-    report = _json_out(result)
-    assert report["pass"] is False
-    li = [r for r in report["results"] if r["check"] == "local_intersection"][0]
-    assert li["disagreements"] > 0
+    assert checks == {"validate", "strict_convexity"}
 
 
 def test_check_domain_projects_each_chart_once(runner, monkeypatch):
@@ -114,8 +101,6 @@ def test_check_domain_writes_output_file(runner, tmp_path):
         [
             "check-domain",
             "sphere",
-            "--samples",
-            "50",
             "--resolution",
             "6",
             "--output",
@@ -283,19 +268,6 @@ def test_eta_csv_marks_every_failed_row(runner):
     ]
 
 
-@pytest.mark.parametrize(
-    "command", [["reproduce", "wedge_union", "--tau", "0.2,0,0,0.1"], ["eta", "wedge_union"]]
-)
-def test_union_domain_is_precondition_failure(runner, command):
-    result = runner.invoke(main, command)
-    assert result.exit_code == 3
-    assert result.stderr == (
-        "precondition failure: a 'union' domain is not integrated: reproduce, hardy_norm, "
-        "build_measure and eta need membership 'intersection'\n"
-    )
-    assert "Traceback" not in result.output
-
-
 def test_eta_rejects_missing_edge(runner):
     result = runner.invoke(main, ["eta", "sphere", "--grid", "4"])
     assert result.exit_code == 2
@@ -418,7 +390,16 @@ _MISSING = object()
         (["faces", 0, "chart", "r0"], 10**400, "graph_patch chart r0 must be a real number"),
         (["faces"], 5, "the spec faces must be a list, not 5"),
         (["faces", 1, "chart", "solve"], "z3", "graph_patch chart solve must be 'z1' or 'z2'"),
-        (["membership"], "xor", "membership must be 'intersection' or 'union'"),
+        (
+            ["membership"],
+            "xor",
+            "membership must be 'intersection', not 'xor': only intersection domains are integrated",
+        ),
+        (
+            ["membership"],
+            "union",
+            "membership must be 'intersection', not 'union': only intersection domains are integrated",
+        ),
         (
             ["hypersurfaces", 0, "rho"],
             "abs2(z3)",
@@ -471,6 +452,7 @@ _MISSING = object()
         "faces_not_a_list",
         "unknown_solve",
         "unknown_membership",
+        "union_membership",
         "malformed_rho",
         "overflowing_rho_number",
         "overflowing_rho_coefficient",
@@ -613,34 +595,31 @@ def _spec_file(tmp_path, spec):
 
 
 @pytest.mark.parametrize(
-    "constant, radius, message",
+    "constant, radius, exit_code, message",
     [
-        ("1.9", "0.05", "edge 0: the edge point lies outside non-member hypersurface 'ball'\n"),
-        ("1.9", "1e-6", "edge 0: the edge point lies outside non-member hypersurface 'ball'\n"),
-        ("2", "0.05", "edge 0: no declared edge matches the active hypersurfaces [0, 1, 2]"),
-        (
-            "2.05",
-            "0.05",
-            "edge 0: radius 0.05 too large: non-member hypersurface 'ball' reaches the sample",
-        ),
+        # the ball's rho is 0.1 on the whole edge, whatever the convexity radius: no
+        # longer an input error, but a validate failure on the edge chart's nodes
+        ("1.9", "0.05", 1, "edge 0 chart reaches the wrong side of 'ball'"),
+        ("1.9", "1e-6", 1, "edge 0 chart reaches the wrong side of 'ball'"),
+        ("2", "0.05", 2, "edge 0: no declared edge matches the active hypersurfaces [0, 1, 2]"),
     ],
-    ids=[
-        "ball_near_the_edge",
-        "ball_near_the_edge_at_any_radius",
-        "ball_through_the_edge",
-        "ball_reaching_the_sample_ball",
-    ],
+    ids=["ball_near_the_edge", "ball_near_the_edge_at_any_radius", "ball_through_the_edge"],
 )
 def test_check_domain_local_geometry_error_is_input_error(
-    runner, tmp_path, constant, radius, message
+    runner, tmp_path, constant, radius, exit_code, message
 ):
     spec = load_spec("bidisk")
     spec["hypersurfaces"].append({"label": "ball", "rho": f"abs2(z1) + abs2(z2) - {constant}"})
     result = runner.invoke(main, ["check-domain", _spec_file(tmp_path, spec), "--radius", radius])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith(message)
-    assert result.stderr.count("\n") == 1
+    assert result.exit_code == exit_code
+    if exit_code == 1:
+        report = _json_out(result)
+        assert report["pass"] is False
+        assert message in report["results"][0]["failures"]
+    else:
+        assert result.stdout == ""
+        assert result.stderr.startswith(message)
+        assert result.stderr.count("\n") == 1
 
 
 def test_check_domain_overflowing_radius_is_input_error(runner):
@@ -687,8 +666,6 @@ def test_rank_deficient_chart_is_precondition_failure(runner, tmp_path, command)
     "args",
     [
         ["selftest", "--suite", "simplex", "--seed", "-1"],
-        ["check-domain", "bidisk", "--seed", "-1"],
-        ["check-domain", "bidisk", "--samples", "-1"],
         ["check-domain", "bidisk", "--resolution", "0"],
         ["check-domain", "bidisk", "--radius", "0"],
         ["check-domain", "bidisk", "--radius", "nan"],

@@ -19,7 +19,6 @@ from hardycorners.domain import (
     TorusChart,
     TransformedChart,
     canonical_spec,
-    check_local_intersection,
     check_strict_convexity,
     domain_from_spec,
     strong_tangents,
@@ -62,7 +61,6 @@ def test_bidisk_spec_structure(bidisk):
     assert [bidisk.label(i) for i in range(2)] == ["disk1", "disk2"]
     assert len(bidisk.faces) == 2
     assert len(bidisk.edges) == 1
-    assert bidisk.membership == "intersection"
     assert bidisk.contains(np.array([0.0, 0.0]))
     assert not bidisk.contains(np.array([1.2, 0.0]))
 
@@ -71,6 +69,15 @@ def test_sphere_spec_structure(sphere):
     assert len(sphere.faces) == 1
     assert len(sphere.edges) == 0
     assert sphere.contains(np.array([0.3, 0.2j]))
+
+
+def test_domain_from_spec_accepts_only_intersection_membership():
+    spec = load_spec("bidisk")
+    spec["membership"] = "intersection"
+    assert domain_from_spec(spec).contains(np.zeros(2, complex))
+    spec["membership"] = "union"
+    with pytest.raises(ValueError, match="^membership must be 'intersection', not 'union'"):
+        domain_from_spec(spec)
 
 
 def test_domain_from_spec_rejects_unknown_member():
@@ -244,39 +251,6 @@ def test_weak_tangent_validates_barycentric(bidisk):
 
 
 # ---------------------------------------------------------------------------
-# Local intersection-model check
-
-
-def test_local_intersection_holds_on_bidisk(bidisk):
-    zhat = np.array([np.exp(0.4j), np.exp(1.1j)])
-    out = check_local_intersection(bidisk, zhat, radius=0.05, samples=200)
-    assert out["passed"]
-    assert out["disagreements"] == 0
-    assert out["members"] == ["disk1", "disk2"]
-
-
-def test_local_intersection_fails_on_union_wedge(wedge_union):
-    zhat = np.array([np.exp(0.4j), np.exp(1.1j)])
-    out = check_local_intersection(wedge_union, zhat, radius=0.05, samples=200)
-    assert not out["passed"]
-    assert out["disagreements"] > 0
-
-
-def test_local_intersection_rejects_oversized_radius(bidisk):
-    # at a face point the other disk is a non-member; a huge ball reaches it
-    zhat = np.array([np.exp(0.4j), 0.0])
-    with pytest.raises(ValueError, match="disk2"):
-        check_local_intersection(bidisk, zhat, radius=1.5, samples=100)
-
-
-def test_local_intersection_requires_boundary_point(bidisk):
-    with pytest.raises(ValueError):
-        check_local_intersection(
-            bidisk, np.array([0.0, 0.0]), radius=0.05, samples=10
-        )
-
-
-# ---------------------------------------------------------------------------
 # Strict convexity margins
 
 
@@ -439,24 +413,18 @@ def test_validate_domain_checks_every_node_the_integrals_use(tmp_path):
     assert json.loads(result.output)["pass"] is False
 
 
-def test_validate_domain_applies_the_union_sign_rule(wedge_union):
-    # On a union a face is boundary only where the other hypersurfaces are
-    # non-negative: wedge_union's faces lie inside the other disk, so inside the union.
-    for k, fc in enumerate(wedge_union.faces):
-        z = fc.chart.nodes(8).points
-        assert np.all(wedge_union.rho(1 - k)(z[:, 0], z[:, 1]) < 0)
-    assert validate_domain(wedge_union, 8)["failures"] == [
-        "face 0 chart reaches the wrong side of 'disk2'",
-        "face 1 chart reaches the wrong side of 'disk1'",
-    ]
-    # Face 0 alone, against a non-member that is positive on it, then NaN on it.
+def test_validate_domain_counts_a_nan_non_member_as_the_wrong_side(bidisk):
+    # Face 0 alone, against a non-member that is negative on it, then NaN on it.
     def nan(z1, z2):
         return np.full(np.shape(z1), np.nan)
 
-    for other, passed in ((parse_poly("4 - abs2(z2)"), True), (nan, False)):
-        hypersurfaces = [wedge_union.hypersurfaces[0], ("other", other)]
-        d = PwsDomain(hypersurfaces, wedge_union.faces[:1], [], [np.zeros(2, complex)], "union")
-        assert validate_domain(d, 8)["passed"] is passed
+    for other, failures in (
+        (parse_poly("abs2(z2) - 4"), []),
+        (nan, ["face 0 chart reaches the wrong side of 'other'"]),
+    ):
+        hypersurfaces = [bidisk.hypersurfaces[0], ("other", other)]
+        d = PwsDomain(hypersurfaces, bidisk.faces[:1], [])
+        assert validate_domain(d, 8)["failures"] == failures
 
 
 def test_validate_domain_flags_a_chart_that_leaves_its_member():
@@ -477,17 +445,6 @@ def test_validate_domain_flags_member_gradients_that_are_not_transverse():
     d = PwsDomain(members, [], [Edge((0, 1), TorusChart([disk1, disk2]))])
     assert validate_domain(d, 6)["failures"] == ["edge 0 member gradients are not transverse"]
     d.hypersurfaces[1] = ("b", disk2)
-    assert validate_domain(d, 6)["passed"]
-
-
-def test_validate_domain_flags_a_union_interior_point_outside():
-    sphere = parse_poly("abs2(z1) + abs2(z2) - 1")
-    outside = np.array([3.0 + 0j, 0j])
-    d = PwsDomain([("sphere", sphere)], [], [], [outside], "union")
-    assert validate_domain(d, 6)["failures"] == [
-        "declared interior point [3.+0.j 0.+0.j] is not inside the domain"
-    ]
-    d.interior_points[0] = np.zeros(2, complex)
     assert validate_domain(d, 6)["passed"]
 
 

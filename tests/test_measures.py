@@ -454,26 +454,6 @@ def test_cached_node_sets_are_coordinate_major(name):
     assert fac.radius == pytest.approx(largest, rel=1e-15)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda d: reproduce(d, _cubic, np.array([0.2, 0.1j]), resolution=8),
-        lambda d: hardy_norm(d, _cubic, resolution=8),
-        lambda d: build_measure(d, resolution=8),
-        lambda d: eta(d, np.array([1.0 + 0j, 1.0 + 0j])),
-    ],
-    ids=["reproduce", "hardy_norm", "build_measure", "eta"],
-)
-def test_union_domain_is_refused_before_any_chart_is_projected(call, monkeypatch):
-    d = _fresh("wedge_union")
-    projected = []
-    for chart in [fc.chart for fc in d.faces] + [e.chart for e in d.edges]:
-        monkeypatch.setattr(chart, "project", lambda *args: projected.append(args))
-    with pytest.raises(ValueError, match="^a 'union' domain is not integrated: reproduce, "):
-        call(d)
-    assert projected == [] and d._cache == {}
-
-
 def test_failed_factor_build_caches_nothing():
     # both members are one sphere, so the edge chart's tangents are undefined
     spec = load_spec("bidisk")

@@ -93,7 +93,7 @@ def test_node_set_is_the_quadrature_grid(perturbed_bidisk):
     assert np.isclose(np.sum(ns.weights), (2 * np.pi) ** 2)
 
 
-@pytest.mark.parametrize("name", ["bidisk", "perturbed_bidisk", "sphere", "wedge_union"])
+@pytest.mark.parametrize("name", ["bidisk", "perturbed_bidisk", "sphere"])
 @pytest.mark.parametrize("scale", [None, 0.05, 0.2, 0.4])
 def test_node_set_orientation_is_the_reference_sign(name, scale):
     # A transformed chart carries its base chart's signs; the reference

@@ -41,10 +41,7 @@ def _fields():
         (NodeSet, dict(params=_A, weights=_A, points=_A, tangents=_A, orientation=_A)),
         (Face, dict(hypersurface=0, chart=None)),
         (Edge, dict(members=(0, 1), chart=None)),
-        (
-            PwsDomain,
-            dict(hypersurfaces=[("s", _RHO)], faces=[], edges=[], interior_points=[_A], membership="union"),
-        ),
+        (PwsDomain, dict(hypersurfaces=[("s", _RHO)], faces=[], edges=[], interior_points=[_A])),
         (Density, dict(value=1j, form_degree=2, **bidegrees, basepoint=point)),
         (StrongTangentSet, dict(basepoint=point, planes=(plane, plane))),
         (_Piece, dict(points=_A, weights=_A, rows=slice(0, 6))),
@@ -89,7 +86,7 @@ def test_records_keep_their_defaults_and_coercions():
     assert Section(_section, (-2, 1)).bidegree == (Fraction(-2), Fraction(1))
     assert not SectionValue(1j, (0, 0), (0j, 0j)).chart_dependent
     domain = PwsDomain([("s", _RHO)], [], [])
-    assert (domain.interior_points, domain.membership) == ([], "intersection")
+    assert domain.interior_points == []
     matrix = _EYE.copy()
     t = ProjMap(matrix)
     assert t.matrix is not matrix and not t.matrix.flags.writeable
@@ -108,8 +105,6 @@ def test_validation_messages_are_kept():
         ProjMap(np.eye(2))
     with pytest.raises(ValueError, match="unit determinant"):
         ProjMap(2 * _EYE)
-    with pytest.raises(ValueError, match="membership must be"):
-        PwsDomain([], [], [], [], "both")
     with pytest.raises(ValueError, match="duplicate hypersurface label 's'"):
         PwsDomain([("s", _RHO), ("s", _RHO)], [], [])
 

@@ -58,7 +58,7 @@ from hardycorners.kernels import pushforward_corner_check
 from hardycorners.measures import fefferman_density
 from hardycorners.normalforms import eta, model_edge_polys
 
-SPECS = ("bidisk", "perturbed_bidisk", "sphere", "wedge_union")
+SPECS = ("bidisk", "perturbed_bidisk", "sphere")
 RESOLUTIONS = (4, 5, 8, 17)
 TAU = np.array([0.1 + 0.05j, -0.2 + 0.1j])
 EDGE_RESOLUTIONS = (6, 8)
