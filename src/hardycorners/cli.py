@@ -6,19 +6,26 @@ Exit codes across all subcommands:
 * 1 — run completed but a check or tolerance failed;
 * 2 — input error (bad or unreadable spec, including a ``membership`` other
   than ``"intersection"``, unknown option value, malformed expression, a
-  ``--f`` expression that fails to evaluate, or a ``check-domain`` convexity
-  check that cannot run at an edge or at ``--radius``);
+  ``--f`` expression that fails to evaluate, a ``check-domain`` convexity
+  check that cannot run at an edge or at ``--radius``, an ``--output`` path
+  that cannot be written, or a ``--resolution``, ``--face-resolution``,
+  ``--edge-resolution`` or ``--grid`` too large for the memory);
 * 3 — precondition failure (a kernel pole: some tangent hyperplane passes
   through the requested interior point; a chart's projection fails: its
   Newton solve does not converge, or its tangents are singular; or another
   ``ValueError`` of the library's ``reproduce``, such as a vanishing gradient
   at a node).
 
-Reports are deterministic JSON documents of the shape
+A usage error (an option out of range, a missing or unknown option) is one
+line ``Error: ...`` on stderr, after the usage for an error of the command
+line's shape.  Reports are deterministic JSON documents of the shape
 ``{"command", "spec_hash", "resolution", "results": [...], "tolerances",
 "pass"}``; complex numbers are encoded as two-element [re, im] arrays.  The
 ``eta`` subcommand can instead emit CSV with the stable header
 ``param1,param2,kappa,eta_weight,margin``.
+
+The parser is built by :func:`main`, so that importing this module (as the
+benchmark and the tests do for :func:`load_spec`) loads no ``argparse``.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from __future__ import annotations
 import ast
 import importlib.resources as resources
 import json
+import math
 import os
 import sys
 
-import click
 import numpy as np
 
 from .domain import (
@@ -62,6 +69,15 @@ from .projective import ProjMap
 BUILTIN_SPECS = ("bidisk", "perturbed_bidisk", "sphere")
 
 
+class InputError(Exception):
+    """A usage error: :func:`main` prints it as one ``Error: ...`` line and exits 2.
+
+    It is not a ``ValueError`` or an ``ArithmeticError``, so that a ``--f``
+    expression failing inside ``reproduce`` is not taken for one of the
+    library's precondition failures (exit 3).
+    """
+
+
 def load_spec(name_or_path):
     """Load a domain spec from a file path or the built-in catalog."""
     if os.path.exists(name_or_path):
@@ -72,13 +88,13 @@ def load_spec(name_or_path):
             "specs", name_or_path + ".json"
         )
         return json.loads(ref.read_text(encoding="utf-8"))
-    raise click.UsageError(
+    raise InputError(
         f"spec {name_or_path!r} is neither a file nor one of {BUILTIN_SPECS}"
     )
 
 
 def _input_error(message):
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
     sys.exit(2)
 
 
@@ -92,7 +108,7 @@ def _load_domain(spec_name):
 
 
 def _precondition_failure(exc):
-    click.echo(f"precondition failure: {exc}", err=True)
+    print(f"precondition failure: {exc}", file=sys.stderr)
     sys.exit(3)
 
 
@@ -110,12 +126,19 @@ def _jsonify(obj):
 
 
 def _finish(text, output, ok):
-    """Write ``text`` to the file ``output`` (stdout if none), then exit 0 if ``ok``, else 1."""
+    """Write ``text`` to the file ``output`` (stdout if none), then exit 0 if ``ok``, else 1.
+
+    An ``output`` that cannot be written is an input error.
+    """
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _input_error(f"cannot write --output {output!r}: {exc.strerror or exc}")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     sys.exit(0 if ok else 1)
 
 
@@ -184,31 +207,31 @@ def parse_section_expr(expr):
     ``(N,)`` arrays) and evaluates elementwise, in complex floating point,
     with numpy's floating-point errors raised (underflow to zero is allowed,
     as in scalar arithmetic).  An arithmetic error at any point (a division by
-    zero, an overflow) is reported as a :class:`click.UsageError` naming the
+    zero, an overflow) is reported as an :class:`InputError` naming the
     first point where it occurs.
     """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
-        raise click.UsageError(f"cannot parse expression {expr!r}: {exc}") from exc
+        raise InputError(f"cannot parse expression {expr!r}: {exc}") from exc
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
-            raise click.UsageError(
+            raise InputError(
                 f"expression {expr!r} uses unsupported syntax "
                 f"({type(node).__name__})"
             )
         if isinstance(node, ast.Name) and node.id not in ("z1", "z2"):
-            raise click.UsageError(
+            raise InputError(
                 f"expression may only reference z1 and z2, not {node.id!r}"
             )
         if isinstance(node, ast.Constant) and not isinstance(
             node.value, (int, float, complex)
         ):
-            raise click.UsageError("only numeric literals are allowed")
+            raise InputError("only numeric literals are allowed")
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             power = _integer_literal(node.right)
             if power is None or abs(power) > _MAX_EXPONENT:
-                raise click.UsageError(
+                raise InputError(
                     f"expression {expr!r}: a ** exponent must be an integer literal "
                     f"of absolute value at most {_MAX_EXPONENT}"
                 )
@@ -230,11 +253,11 @@ def parse_section_expr(expr):
             try:
                 evaluate(z1[index], z2[index])
             except ArithmeticError as exc:
-                raise click.UsageError(
+                raise InputError(
                     f"expression {expr!r} cannot be evaluated at "
                     f"z = ({complex(z1[index])}, {complex(z2[index])}): {exc}"
                 ) from exc
-        raise click.UsageError(f"expression {expr!r} cannot be evaluated: {error}") from error
+        raise InputError(f"expression {expr!r} cannot be evaluated: {error}") from error
 
     return call
 
@@ -242,47 +265,16 @@ def parse_section_expr(expr):
 def parse_tau(text):
     parts = text.split(",")
     if len(parts) != 4:
-        raise click.UsageError(
+        raise InputError(
             "--tau must be four comma-separated reals: re1,im1,re2,im2"
         )
     try:
         v = [float(p) for p in parts]
     except ValueError as exc:
-        raise click.UsageError(f"cannot parse --tau {text!r}") from exc
+        raise InputError(f"cannot parse --tau {text!r}") from exc
     return np.array([complex(v[0], v[1]), complex(v[2], v[3])])
 
 
-class _FiniteRange(click.FloatRange):
-    """A :class:`click.FloatRange` that also rejects ``nan`` and ``inf``."""
-
-    def convert(self, value, param, ctx):
-        rv = super().convert(value, param, ctx)
-        if not np.isfinite(rv):
-            self.fail(f"{rv} is not a finite number.", param, ctx)
-        return rv
-
-
-# Option types: chart resolutions and grids (see Chart.grid), and RNG seeds.
-_RESOLUTION = click.IntRange(min=4)
-_SEED = click.IntRange(min=0)
-
-
-@click.group()
-def main():
-    """Projective Hardy-space machinery on piecewise-smooth domains."""
-
-
-@main.command("check-domain")
-@click.argument("spec_name")
-@click.option(
-    "--radius",
-    default=0.2,
-    type=_FiniteRange(min=0, min_open=True),
-    show_default=True,
-    help="Radius of the weak-tangent line samples at each edge.",
-)
-@click.option("--resolution", default=8, type=_RESOLUTION, show_default=True)
-@click.option("--output", type=click.Path(), default=None)
 def check_domain_cmd(spec_name, radius, resolution, output):
     """Validate a domain spec and probe its edges' local geometry."""
     spec, d = _load_domain(spec_name)
@@ -309,15 +301,6 @@ def check_domain_cmd(spec_name, radius, resolution, output):
     _report("check-domain", spec, resolution, results, tolerances, val["passed"], output)
 
 
-@main.command("reproduce")
-@click.argument("spec_name")
-@click.option("--tau", required=True, help="Interior point re1,im1,re2,im2.")
-@click.option("--f", "f_expr", default="1", show_default=True, help="Holomorphic expression in z1, z2.")
-@click.option("--resolution", default=32, type=_RESOLUTION, show_default=True)
-@click.option("--face-resolution", default=None, type=_RESOLUTION)
-@click.option("--edge-resolution", default=None, type=_RESOLUTION)
-@click.option("--tolerance", default=1e-6, type=_FiniteRange(min=0), show_default=True)
-@click.option("--output", type=click.Path(), default=None)
 def reproduce_cmd(
     spec_name, tau, f_expr, resolution, face_resolution, edge_resolution, tolerance, output
 ):
@@ -364,13 +347,6 @@ def _edge_invariants(d, points):
     return out
 
 
-@main.command("eta")
-@click.argument("spec_name")
-@click.option("--edge", default=0, show_default=True, help="Edge index.")
-@click.option("--grid", default=8, type=_RESOLUTION, show_default=True, help="Grid points per chart axis.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--with-margins/--no-margins", default=False, show_default=True)
-@click.option("--output", type=click.Path(), default=None)
 def eta_cmd(spec_name, edge, grid, fmt, with_margins, output):
     """Tabulate the edge invariant and weight over an edge chart grid.
 
@@ -550,14 +526,10 @@ _SUITES = {
 }
 
 
-@main.command("selftest")
-@click.option("--suite", required=True, help="One of: " + ", ".join(sorted(_SUITES)))
-@click.option("--seed", default=0, type=_SEED, show_default=True)
-@click.option("--output", type=click.Path(), default=None)
 def selftest_cmd(suite, seed, output):
     """Run an internal consistency suite."""
     if suite not in _SUITES:
-        raise click.UsageError(
+        raise InputError(
             f"unknown suite {suite!r}; choose from {sorted(_SUITES)}"
         )
     rng = np.random.default_rng(seed)
@@ -565,6 +537,156 @@ def selftest_cmd(suite, seed, output):
     _SUITES[suite](rng, checks)
     ok = all(c["passed"] for c in checks)
     _report("selftest", None, None, checks, {"suite": suite}, ok, output)
+
+
+def _number(kind, low=None, low_open=False):
+    """A converter of option text to a finite ``kind`` (``int`` or ``float``) of at least ``low``
+    (above it if ``low_open``); it raises ``ValueError`` with the reason."""
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid {kind.__name__}.") from None
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{value} is not a finite number.")
+        if low is not None and (value <= low if low_open else value < low):
+            raise ValueError(f"{value} is not in the range x{'>' if low_open else '>='}{low}.")
+        return value
+
+    return convert
+
+
+def _parser():
+    """The command line's parser, with one subparser per command.
+
+    ``argparse`` is imported here, not with the module.  A usage error is the
+    usage, then one line ``Error: ...``, and exit 2; an option value out of its
+    range reads ``Invalid value for '<option>': <reason>``.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"Error: {message}", file=sys.stderr)
+            sys.exit(2)
+
+    class Checked(argparse.Action):
+        """Store the option's value as ``check`` converts it."""
+
+        def __init__(self, option_strings, dest, check, **kwargs):
+            super().__init__(option_strings, dest, **kwargs)
+            self.check = check
+
+        def __call__(self, parser, namespace, value, option_string=None):
+            try:
+                setattr(namespace, self.dest, self.check(value))
+            except ValueError as exc:
+                message = f"Invalid value for '{option_string}': {exc}"
+                raise argparse.ArgumentError(None, message) from None
+
+    size = _number(int, 4)  # chart resolutions and grids (see Chart.grid)
+    parser = Parser(
+        prog="hardycorners",
+        description="Projective Hardy-space machinery on piecewise-smooth domains.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, spec=True):
+        doc = run.__doc__
+        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        if spec:
+            specs = ", ".join(BUILTIN_SPECS)
+            sub.add_argument("spec_name", metavar="SPEC", help=f"A spec file, or one of {specs}.")
+        return sub
+
+    def checked(sub, name, check, default, help, metavar="N"):
+        if default is not None:
+            help += " (default: %(default)s)"
+        sub.add_argument(name, action=Checked, check=check, default=default, help=help + ".", metavar=metavar)
+
+    def output(sub):
+        sub.add_argument("--output", metavar="FILE", help="Write the report here, not to stdout.")
+
+    sub = command("check-domain", check_domain_cmd)
+    radius = _number(float, 0, low_open=True)
+    checked(sub, "--radius", radius, 0.2, "Radius of the weak-tangent line samples at each edge", "R")
+    checked(sub, "--resolution", size, 8, "Nodes per chart axis")
+    output(sub)
+
+    sub = command("reproduce", reproduce_cmd)
+    sub.add_argument("--tau", required=True, metavar="re1,im1,re2,im2", help="The interior point.")
+    expression = "Holomorphic expression in z1, z2 (default: 1)."
+    sub.add_argument("--f", dest="f_expr", default="1", metavar="EXPR", help=expression)
+    checked(sub, "--resolution", size, 32, "Nodes per chart axis")
+    checked(sub, "--face-resolution", size, None, "The faces' own --resolution")
+    checked(sub, "--edge-resolution", size, None, "The edges' own --resolution")
+    checked(sub, "--tolerance", _number(float, 0), 1e-6, "Largest passing relative error", "TOL")
+    output(sub)
+
+    sub = command("eta", eta_cmd)
+    checked(sub, "--edge", _number(int), 0, "Edge index", "I")
+    checked(sub, "--grid", size, 8, "Grid points per chart axis")
+    sub.add_argument(
+        "--format", dest="fmt", choices=("json", "csv"), default="json", help="Report format (default: json)."
+    )
+    # Two flags, since BooleanOptionalAction would name the negative --no-with-margins.
+    sub.add_argument("--with-margins", action="store_true", help="Fill the margin column.")
+    sub.add_argument("--no-margins", dest="with_margins", action="store_false", help="Leave it empty.")
+    output(sub)
+
+    sub = command("selftest", selftest_cmd, spec=False)
+    suites = ", ".join(sorted(_SUITES))
+    sub.add_argument("--suite", required=True, metavar="NAME", help=f"One of: {suites}.")
+    checked(sub, "--seed", _number(int, 0), 0, "Seed of the suite's data")
+    output(sub)
+    return parser
+
+
+# The options that take no value: every other --option takes the next argument.
+_FLAGS = ("--help", "--with-margins", "--no-margins")
+# The options that size a command's node sets, named when it runs out of memory.
+_SIZES = ("resolution", "face_resolution", "edge_resolution", "grid")
+
+
+def _attach_values(argv):
+    """``argv`` with each ``--option value`` pair joined as ``--option=value``.
+
+    Otherwise ``argparse`` would read a value that begins with ``-``, such as
+    ``--tau -0.1,0,0.2,0`` or ``--f -z1``, as an option of its own.
+    """
+    out, rest = [], list(argv)
+    while rest:
+        arg = rest.pop(0)
+        if arg == "--":
+            return out + [arg] + rest
+        if arg.startswith("--") and "=" not in arg and arg not in _FLAGS and rest:
+            arg += "=" + rest.pop(0)
+        out.append(arg)
+    return out
+
+
+def main(argv=None):
+    """Run one command line (``sys.argv[1:]`` if ``argv`` is None) and exit with its code."""
+    args = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
+    run = args.pop("run")
+    try:
+        run(**args)
+    except InputError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except MemoryError:
+        sizes = " ".join(
+            f"--{name.replace('_', '-')} {value}"
+            for name, value in args.items()
+            if name in _SIZES and value is not None
+        )
+        if not sizes:
+            raise
+        _input_error(f"out of memory at {sizes}: choose a smaller size")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
-"""Shared fixtures: the bundled domain specs, loaded once per session."""
+"""Shared fixtures: the bundled domain specs, loaded once per session, and a CLI runner."""
+
+import contextlib
+import io
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -35,3 +39,44 @@ def random_unit_det_map(rng, scale=0.3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+class _Tee(io.StringIO):
+    """A text stream that also copies what it is given into ``both``."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+class Result(NamedTuple):
+    """One CLI run: its exit code, stdout, stderr, and ``output``, both in the order written."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str
+
+
+class Runner:
+    """Runs a command line in this process, capturing stdout and stderr."""
+
+    def invoke(self, main, args):
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+                code = 0
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        return Result(code, out.getvalue(), err.getvalue(), both.getvalue())
+
+
+@pytest.fixture
+def runner():
+    return Runner()

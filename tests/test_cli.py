@@ -4,17 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from hardycorners import cli, domain, kernels, measures
 from hardycorners.domain import check_strict_convexity, domain_from_spec
 from hardycorners.normalforms import eta
 from hardycorners.cli import load_spec, main, parse_section_expr, spec_hash
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def _json_out(result):
@@ -52,11 +46,9 @@ def test_parse_section_expr_evaluates():
 
 
 def test_parse_section_expr_rejects_names_and_calls():
-    import click
-
-    with pytest.raises(click.UsageError):
+    with pytest.raises(cli.InputError):
         parse_section_expr("q1 + 1")
-    with pytest.raises(click.UsageError):
+    with pytest.raises(cli.InputError):
         parse_section_expr("abs(z1)")
 
 
@@ -515,11 +507,9 @@ def test_reproduce_section_singular_at_some_nodes_is_input_error(runner):
 
 
 def test_parse_section_expr_bounds_exponents_when_parsing():
-    import click
-
     # rejected while parsing, so the power is never evaluated
     for expr in ("9**9**9", "z1**65", "z1**-65", "z1**z2", "z1**0.5", "z1**(1+1)"):
-        with pytest.raises(click.UsageError, match="exponent"):
+        with pytest.raises(cli.InputError, match="exponent"):
             parse_section_expr(expr)
     z = np.array([0.5 + 0.1j, -0.2j])
     assert np.isclose(parse_section_expr("z1**64 + z2**-2")(z), z[0] ** 64 + z[1] ** -2)
@@ -732,3 +722,121 @@ def test_eta_batch_failure_evaluates_each_node_alone(runner, monkeypatch):
         if i != 5:
             inv = eta(d, z)
             assert (row["kappa"], row["eta_weight"]) == (inv.kappa, inv.eta_weight)
+
+
+def test_input_error_is_not_a_library_error():
+    # reproduce_cmd turns ValueError into exit 3, and the section catches ArithmeticError
+    assert not issubclass(cli.InputError, (ValueError, ArithmeticError))
+
+
+_SMALL_RUNS = {
+    "check-domain": ["check-domain", "sphere", "--resolution", "6"],
+    "reproduce": ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--resolution", "8"],
+    "eta-json": ["eta", "perturbed_bidisk", "--grid", "4"],
+    "eta-csv": ["eta", "perturbed_bidisk", "--grid", "4", "--format", "csv"],
+    "selftest": ["selftest", "--suite", "simplex"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_unwritable_output_is_input_error(runner, tmp_path, command, where):
+    path = tmp_path / "missing" / "report.out" if where == "missing_directory" else tmp_path
+    reason = "No such file or directory" if where == "missing_directory" else "Is a directory"
+    result = runner.invoke(main, _SMALL_RUNS[command] + ["--output", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"cannot write --output {str(path)!r}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "args, sizes",
+    [
+        (["check-domain", "bidisk", "--resolution", "400"], "--resolution 400"),
+        (["reproduce", "bidisk", "--tau", "0.1,0,0.1,0"], "--resolution 32"),
+        (
+            ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--resolution", "8", "--face-resolution", "400"],
+            "--resolution 8 --face-resolution 400",
+        ),
+        (["eta", "perturbed_bidisk", "--grid", "400"], "--grid 400"),
+    ],
+    ids=["check-domain", "reproduce", "reproduce_face", "eta"],
+)
+def test_out_of_memory_is_input_error_naming_the_size(runner, monkeypatch, args, sizes):
+    def exhausted(chart, resolution):
+        raise MemoryError
+
+    monkeypatch.setattr(domain.Chart, "nodes", exhausted)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"out of memory at {sizes}: choose a smaller size\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["reproduce", "bidisk"],
+        ["selftest"],
+        ["eta", "bidisk", "--format", "xml"],
+        ["eta", "bidisk", "--grid"],
+        ["check-domain", "bidisk", "--samples", "4"],
+        ["check-domain", "bidisk", "--res", "8"],
+        [],
+    ],
+    ids=[
+        "no_tau",
+        "no_suite",
+        "unknown_format",
+        "no_grid_value",
+        "unknown_option",
+        "abbreviation",
+        "no_command",
+    ],
+)
+def test_malformed_command_line_is_one_error_line(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: hardycorners")
+    assert len([ln for ln in result.stderr.splitlines() if ln.startswith("Error:")]) == 1
+    assert result.stderr.splitlines()[-1].startswith("Error:")
+
+
+def test_option_values_may_begin_with_a_dash(runner):
+    # --tau -0.1,... and --f -z1 are values, not options
+    result = runner.invoke(
+        main, ["reproduce", "bidisk", "--tau", "-0.1,0,0.1,0", "--f", "-z1", "--resolution", "8"]
+    )
+    assert result.exit_code == 0, result.output
+    assert _json_out(result)["results"][0]["expected"] == [0.1, -0.0]
+
+
+def test_no_margins_undoes_with_margins(runner):
+    args = ["eta", "perturbed_bidisk", "--grid", "4", "--format", "csv"]
+    plain = runner.invoke(main, args)
+    undone = runner.invoke(main, args + ["--with-margins", "--no-margins"])
+    assert plain.exit_code == undone.exit_code == 0
+    assert undone.output == plain.output
+
+
+def _fresh_interpreter(*args):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_loads_no_click_and_help_exits_zero():
+    probe = "import sys, hardycorners.cli; print([m for m in sys.modules if m.split('.')[0] == 'click'])"
+    proc = _fresh_interpreter("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    for args in (["--help"], ["reproduce", "--help"]):
+        proc = _fresh_interpreter("-m", "hardycorners.cli", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hardycorners")

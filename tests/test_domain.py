@@ -6,8 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from click.testing import CliRunner
-
 from hardycorners.cli import load_spec, main
 from hardycorners.domain import (
     Edge,
@@ -393,7 +391,7 @@ def test_validate_domain_flags_wrong_side_orientation():
     assert not out["passed"]
 
 
-def test_validate_domain_checks_every_node_the_integrals_use(tmp_path):
+def test_validate_domain_checks_every_node_the_integrals_use(runner, tmp_path):
     # cut = -Re z1 (1 - |z2|^2) - 0.1 is -0.1 on face 1 and on the edge torus,
     # but positive on face 0 where Re z1 < -0.1 / (1 - |z2|^2): never at the
     # nodes of angle psi = 0 (z1 = 1), always at some of the others.
@@ -408,7 +406,7 @@ def test_validate_domain_checks_every_node_the_integrals_use(tmp_path):
         assert out["failures"] == ["face 0 chart reaches the wrong side of 'cut'"]
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(spec))
-    result = CliRunner().invoke(main, ["check-domain", str(path)])
+    result = runner.invoke(main, ["check-domain", str(path)])
     assert result.exit_code == 1
     assert json.loads(result.output)["pass"] is False
 

@@ -39,6 +39,11 @@ def _checkout(root, body):
     return root
 
 
+def _dependency(root, name):
+    """A top-level module ``name`` outside the standard library, on the checkout's path."""
+    (root / "src" / f"{name}.py").write_text("")
+
+
 def test_a_checkout_with_a_bytecode_cache_is_refused(importcost, tmp_path):
     roots = [_checkout(tmp_path / name, "") for name in ("parent", "change")]
     (roots[1] / "src" / "__pycache__").mkdir()
@@ -47,13 +52,20 @@ def test_a_checkout_with_a_bytecode_cache_is_refused(importcost, tmp_path):
 
 
 def test_a_run_counts_dataclasses_and_writes_nothing_in_the_checkouts(importcost, tmp_path, capsys):
-    record = "import dataclasses\n\n@dataclasses.dataclass\nclass Record:\n    x: int\n"
+    record = "import dataclasses, fakedep, json\n\n@dataclasses.dataclass\nclass Record:\n    x: int\n"
     roots = [_checkout(tmp_path / "parent", record), _checkout(tmp_path / "change", "")]
+    _dependency(roots[0], "fakedep")
     before = sorted(p for r in roots for p in r.rglob("*"))
     assert importcost.main([str(r) for r in roots] + ["--runs", "1"]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[-2:]]
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[-2:]]
     assert [(row[0], row[-3:]) for row in rows] == [
         ("uncached", ["1", "->", "0"]),
         ("cached", ["1", "->", "0"]),
+    ]
+    # numpy is imported before the timer, and json (like dataclasses) is standard
+    assert lines[3:5] == [
+        "third-party modules the parent's import adds: fakedep",
+        "third-party modules the change's import adds: none",
     ]
     assert sorted(p for r in roots for p in r.rglob("*")) == before

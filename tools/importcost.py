@@ -6,10 +6,12 @@ Run from anywhere, with the two checkouts' roots::
 
 Each run starts one interpreter per checkout, the side that goes first
 swapping from run to run.  The interpreter puts the checkout's ``src/`` first
-on its path, imports ``numpy`` and ``click``, and only then starts the timer
-around ``import hardycorners.cli``, so the figure is the library's own import.
-It also counts the classes of the ``hardycorners`` modules that
-``dataclasses.is_dataclass`` accepts (after the timer stops).
+on its path, imports ``numpy``, and only then starts the timer around
+``import hardycorners.cli``, so the figure is the library's own import with
+every other module it loads.  After the timer stops, it counts the classes of
+the ``hardycorners`` modules that ``dataclasses.is_dataclass`` accepts, and
+lists the top-level modules outside the standard library and ``hardycorners``
+that the import added to ``sys.modules`` (such as a command-line library).
 
 The runs are made twice:
 
@@ -25,8 +27,9 @@ The runs are made twice:
 For each, the table gives each side's median and quartiles in milliseconds,
 the relative change of the medians, the runs the change won (a lower time)
 and whether the gap of the medians exceeds the parent's interquartile
-range.  The tracer of ``bench/`` cannot see an import; this is its per-layer
-figure.  Nothing in either checkout is written.
+range.  The modules each side's import added are printed, from its first
+run, above the table.  The tracer of ``bench/`` cannot see an import; this is
+its per-layer figure.  Nothing in either checkout is written.
 """
 
 from __future__ import annotations
@@ -41,25 +44,28 @@ from pathlib import Path
 from pairs import _cell, compare
 
 # Run in a fresh interpreter: argv[1] is the checkout's src/.  Prints the
-# seconds of the import and the number of dataclasses it defines.
+# seconds of the import, the number of dataclasses it defines, and the
+# third-party top-level modules it added, if any.
 _WORKER = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
-import click, numpy
+import numpy
+before = {n.split(".")[0] for n in sys.modules}
 start = time.perf_counter()
 import hardycorners.cli
 elapsed = time.perf_counter() - start
+added = {n.split(".")[0] for n in sys.modules} - before - set(sys.stdlib_module_names)
 import dataclasses
 modules = [(n, m) for n, m in list(sys.modules.items()) if n.split(".")[0] == "hardycorners"]
 print(elapsed, sum(
     isinstance(obj, type) and obj.__module__ == name and dataclasses.is_dataclass(obj)
     for name, module in modules for obj in vars(module).values()
-))
+), *sorted(added - {"hardycorners"}))
 """
 
 
 def _import(src, env, cwd):
-    """One timed import of ``src``'s package: ``(seconds, dataclass count)``."""
+    """One timed import of ``src``'s package: ``(seconds, dataclass count, added third-party modules)``."""
     proc = subprocess.run(
         [sys.executable, "-c", _WORKER, str(src)],
         cwd=cwd,
@@ -68,8 +74,8 @@ def _import(src, env, cwd):
         text=True,
         check=True,
     )
-    seconds, count = proc.stdout.split()
-    return float(seconds), int(count)
+    seconds, count, *added = proc.stdout.split()
+    return float(seconds), int(count), tuple(added)
 
 
 def summarize(runs):
@@ -77,7 +83,8 @@ def summarize(runs):
 
     The row is ``(parent quartiles, change quartiles, relative change of the
     medians, runs won, gap beyond the parent's IQR, parent dataclasses,
-    change dataclasses)``; the counts are those of the first run.
+    change dataclasses)``; the counts are those of the first run.  Each
+    ``(seconds, count)`` may carry more fields, which are ignored.
     """
     stats = compare([(p[0], c[0]) for p, c in runs], "lower")
     return (*stats, runs[0][0][1], runs[0][1][1])
@@ -110,7 +117,8 @@ def main(argv=None):
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         uncached = dict(base, PYTHONDONTWRITEBYTECODE="1")
-        rows.append(("uncached", summarize(_measure(srcs, args.runs, uncached, tmp))))
+        first = _measure(srcs, args.runs, uncached, tmp)
+        rows.append(("uncached", summarize(first)))
         prefix = Path(tmp, "pycache")
         cached = {k: v for k, v in base.items() if k != "PYTHONDONTWRITEBYTECODE"}
         cached["PYTHONPYCACHEPREFIX"] = str(prefix)
@@ -118,8 +126,10 @@ def main(argv=None):
             _import(src, cached, tmp)
         rows.append(("cached", summarize(_measure(srcs, args.runs, cached, tmp))))
 
-    print(f"import hardycorners.cli, after numpy and click; runs={args.runs}")
+    print(f"import hardycorners.cli, after numpy; runs={args.runs}")
     print(f"parent={srcs[0]}\nchange={srcs[1]}")
+    for side, (_, _, added) in zip(("parent", "change"), first[0]):
+        print(f"third-party modules the {side}'s import adds: {', '.join(added) or 'none'}")
     print(
         f"{'bytecode':<9} {'parent ms median [q1, q3]':>30} {'change ms median [q1, q3]':>30} "
         f"{'change':>8} {'won':>6} {'gap>IQR':>7} {'dataclasses':>11}"
