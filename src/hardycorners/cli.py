@@ -18,11 +18,12 @@ Exit codes across all subcommands:
 
 A usage error (an option out of range, a missing or unknown option) is one
 line ``Error: ...`` on stderr, after the usage for an error of the command
-line's shape.  Reports are deterministic JSON documents of the shape
-``{"command", "spec_hash", "resolution", "results": [...], "tolerances",
-"pass"}``; complex numbers are encoded as two-element [re, im] arrays.  The
-``eta`` subcommand can instead emit CSV with the stable header
-``param1,param2,kappa,eta_weight,margin``.
+line's shape: the command's own usage for an argument it does not know,
+which the line quotes as typed.  Reports are deterministic JSON documents
+of the shape ``{"command", "spec_hash", "resolution", "results": [...],
+"tolerances", "pass"}``; complex numbers are encoded as two-element [re,
+im] arrays.  The ``eta`` subcommand can instead emit CSV with the stable
+header ``param1,param2,kappa,eta_weight,margin``.
 
 The parser is built by :func:`main`, so that importing this module (as the
 benchmark and the tests do for :func:`load_spec`) loads no ``argparse``.
@@ -597,7 +598,7 @@ def _parser():
     def command(name, run, spec=True):
         doc = run.__doc__
         sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, allow_abbrev=False)
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, command=sub)
         if spec:
             specs = ", ".join(BUILTIN_SPECS)
             sub.add_argument("spec_name", metavar="SPEC", help=f"A spec file, or one of {specs}.")
@@ -653,26 +654,35 @@ _SIZES = ("resolution", "face_resolution", "edge_resolution", "grid")
 
 
 def _attach_values(argv):
-    """``argv`` with each ``--option value`` pair joined as ``--option=value``.
+    """``argv`` with each ``--option value`` pair joined as ``--option=value``, and as typed.
 
     Otherwise ``argparse`` would read a value that begins with ``-``, such as
-    ``--tau -0.1,0,0.2,0`` or ``--f -z1``, as an option of its own.
+    ``--tau -0.1,0,0.2,0`` or ``--f -z1``, as an option of its own.  The
+    second value maps each joined argument back to the text typed,
+    ``--option value``, for error messages.
     """
-    out, rest = [], list(argv)
+    out, typed, rest = [], {}, list(argv)
     while rest:
         arg = rest.pop(0)
         if arg == "--":
-            return out + [arg] + rest
+            return out + [arg] + rest, typed
         if arg.startswith("--") and "=" not in arg and arg not in _FLAGS and rest:
-            arg += "=" + rest.pop(0)
+            value = rest.pop(0)
+            typed[f"{arg}={value}"] = f"{arg} {value}"
+            arg += "=" + value
         out.append(arg)
-    return out
+    return out, typed
 
 
 def main(argv=None):
     """Run one command line (``sys.argv[1:]`` if ``argv`` is None) and exit with its code."""
-    args = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
-    run = args.pop("run")
+    joined, typed = _attach_values(sys.argv[1:] if argv is None else argv)
+    args, unknown = _parser().parse_known_args(joined)
+    args = vars(args)
+    run, command = args.pop("run"), args.pop("command")
+    if unknown:
+        # The command's own usage, not the top-level one, and the arguments as typed.
+        command.error("unrecognized arguments: " + " ".join(typed.get(a, a) for a in unknown))
     try:
         run(**args)
     except InputError as exc:

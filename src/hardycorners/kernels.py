@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermpoly import _gradient_norm, _hermitian_form, _real_gradient, gradient_hyperplane
-from .projective import HomVec, _Frozen, _det4_columns, _dot2, _value, det3
+from .projective import HomVec, _Frozen, _det4_columns, _dot2, _value, det2, det3
 from .quadrature import gauss_rule, simplex_rule
 
 __all__ = [
@@ -389,12 +389,8 @@ def _corner_factor(strong, frame):
     z = _as_point(strong.basepoint)
     planes = np.stack([_as_hyperplane(w) for w in strong.planes], axis=-2)
     planes = planes / np.linalg.norm(planes, axis=-1)[..., None]
-    w1, w2 = planes[..., 0, :], planes[..., 1, :]
-    det0 = w1[..., 1] * w2[..., 2] - w1[..., 2] * w2[..., 1]
-
-    t = _frame(frame, 2)
-    v1, v2 = t[..., 0, :], t[..., 1, :]
-    dz12 = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    det0 = det2(planes[..., 1:])
+    dz12 = det2(_frame(frame, 2))
     return planes, z[..., 0] ** 2 * det0 * dz12 / TWO_PI_I**2
 
 
@@ -403,10 +399,19 @@ def _corner_pairing(planes, tau, out=None):
 
     Raises ``ZeroDivisionError`` where either pairing falls below ``1e-12 *
     |tau|``: that member tangent hyperplane passes through ``tau``.
+
+    The check is screened: as ``|p| >= max(|Re p|, |Im p|)``, every pairing
+    whose larger part reaches the floor clears it, and the parts of all
+    pairings are read through one float view.  Only when some pairing fails
+    that screen are the moduli taken, so the decision is the per-pairing
+    rule's; a NaN pairing fails the screen and meets the exact check.
     """
     p = _dot3(planes, tau)
-    if np.any(np.abs(p) < 1e-12 * np.linalg.norm(tau)):
-        raise ZeroDivisionError("a member tangent hyperplane passes through tau")
+    floor = 1e-12 * np.linalg.norm(tau)
+    parts = np.abs(p.ravel(order="K").view(float))
+    if not np.maximum(parts[0::2], parts[1::2]).min(initial=np.inf) >= floor:
+        if np.any(np.abs(p) < floor):
+            raise ZeroDivisionError("a member tangent hyperplane passes through tau")
     return np.multiply(p[..., 0], p[..., 1], out=out)
 
 

@@ -45,22 +45,27 @@ column, such as ``points[:, 0]``, is contiguous.  The pairings and the
 section call read only columns, and the bytes per node are those of
 row-major arrays.
 
-A later :func:`reproduce` at any tau costs one pairing per face and one for
-all edges, each written into its rows of one divisor, then, like
-:func:`hardy_norm`, one section call on all weighted nodes and one sum per
-piece (:meth:`_NodeSet._sums`).  Every check that does not depend on tau or
-the section (chart projection, with its rank-deficient frames, vanishing
-gradients, the strong tangents' on-locus test, non-positive edge weights)
-runs when an entry is built, and a failed build caches nothing; the pole
-checks run on every call over every node, before the section call, and the
-shape check on every section call.  A face's pole check is screened: as
-``|z - tau| <= R + |tau|``, a smallest ``|pairing|`` of at least
-``1e-12 (R + |tau|)`` clears every node's floor ``1e-12 |z - tau|``, and
-only when it does not are the floors computed
-(:func:`~hardycorners.kernels._leray_pairing`), so every decision is the
-per-node rule's.  Domains and charts are treated as immutable once built,
-and :func:`~hardycorners.domain.transform_domain` builds a new domain with
-a cache of its own.
+A later :func:`reproduce` at any tau costs one pairing per face that keeps
+weighted nodes and one for all edges, each written into its rows of one
+divisor, then, like :func:`hardy_norm`, one section call on all weighted
+nodes and one sum per piece that has rows (:meth:`_NodeSet._sums`); an
+empty piece, such as a Levi-flat face of ``bidisk``, is ``0j`` without a
+pairing or a sum.  Every check that does not depend on tau or the section
+(chart projection, with its rank-deficient frames, vanishing gradients, the
+strong tangents' on-locus test, non-positive edge weights) runs when an
+entry is built, and a failed build caches nothing; the pole checks run on
+every call over every node, before the section call, and the shape check
+on every section call.  A face's pole check is screened: as ``|z - tau| <=
+R + |tau|``, a smallest ``|pairing|`` of at least ``1e-12 (R + |tau|)``
+clears every node's floor ``1e-12 |z - tau|``, and only when it does not
+are the floors computed (:func:`~hardycorners.kernels._leray_pairing`), so
+every decision is the per-node rule's.  The edges' check is screened too: a
+pairing whose larger real or imaginary part reaches the floor ``1e-12
+|tau|`` clears it, and only when some pairing does not are the moduli taken
+(:func:`~hardycorners.kernels._corner_pairing`).  Domains and charts are
+treated as immutable once built, and
+:func:`~hardycorners.domain.transform_domain` builds a new domain with a
+cache of its own.
 
 The orientation signs are read from the node sets: each chart's projection
 keeps the sign of the frame determinant its rank check computes
@@ -195,8 +200,11 @@ class _NodeSet(_Frozen):
         self._set(points=points, weights=weights, face_nodes=face_nodes, edge_nodes=edge_nodes)
 
     def _sums(self, terms):
-        """The sum of each piece's rows of ``terms`` ``(N,)``: (per face, per edge)."""
-        sums = [terms[p.rows].sum() for p in self.face_nodes + self.edge_nodes]
+        """The sum of each piece's rows of ``terms`` ``(N,)``: (per face, per edge).
+
+        An empty piece sums to ``0j``, without a slice.
+        """
+        sums = [terms[p.rows].sum() if len(p) else 0j for p in self.face_nodes + self.edge_nodes]
         return sums[: len(self.face_nodes)], sums[len(self.face_nodes) :]
 
 
@@ -428,13 +436,14 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
         raise ValueError(f"tau must be a finite point (z1, z2) of shape (2,), got {tau!r}")
     fac = _cached(d, "reproduce", face_resolution, edge_resolution)
     # Every pole check runs before the section call, the Levi-flat nodes' first.  Each face
-    # pairs on its own, straight into its rows of the divisor, to keep the temporaries small.
+    # with weighted rows pairs on its own, straight into its rows of the divisor, to keep the
+    # temporaries small.
     flat = len(fac.flat_points)
     if flat:
         _leray_pairing(fac.flat_points, fac.unit_grad[:flat], tau, fac.radius)
     grads = fac.unit_grad[flat:]
     divisor = np.empty(len(fac.weights), dtype=complex)
-    for p in fac.face_nodes:
+    for p in filter(len, fac.face_nodes):
         np.square(_leray_pairing(p.points, grads[p.rows], tau, fac.radius), out=divisor[p.rows])
     _corner_pairing(fac.planes, homogenize(tau), out=divisor[len(grads) :])
     terms = fac.weights * _section_on(f, fac.points)

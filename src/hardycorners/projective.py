@@ -330,10 +330,7 @@ def affinize(z):
 
 def _principal_cube_root(c):
     """Principal cube root r^(1/3) * exp(i*arg/3) with arg in (-pi, pi], elementwise."""
-    r = np.abs(c)
-    if np.any(r == 0.0):
-        raise ZeroDivisionError("cube root of zero")
-    return r ** (1.0 / 3.0) * np.exp(1j * np.angle(c) / 3.0)
+    return np.abs(c) ** (1.0 / 3.0) * np.exp(1j * np.angle(c) / 3.0)
 
 
 class ProjMap(_Frozen):

@@ -803,6 +803,74 @@ def test_malformed_command_line_is_one_error_line(runner, args):
     assert result.stderr.splitlines()[-1].startswith("Error:")
 
 
+@pytest.mark.parametrize(
+    "args, typed",
+    [
+        (["check-domain", "bidisk", "--samples", "4"], "--samples 4"),
+        (["check-domain", "bidisk", "--samples=4", "--res", "8"], "--samples=4 --res 8"),
+        (["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--g", "-z1"], "--g -z1"),
+        (["selftest", "--suite", "simplex", "extra"], "extra"),
+    ],
+    ids=["check-domain", "joined_and_abbreviated", "dash_value", "positional"],
+)
+def test_unknown_argument_shows_the_command_usage_and_the_arguments_as_typed(runner, args, typed):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"usage: hardycorners {args[0]} [-h]")
+    assert result.stderr.splitlines()[-1] == f"Error: unrecognized arguments: {typed}"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["check-domain", "bidisk", "--resolution", "eight"], "'eight' is not a valid int."),
+        (["check-domain", "bidisk", "--radius", "wide"], "'wide' is not a valid float."),
+    ],
+)
+def test_numeric_option_that_is_not_a_number_is_input_error(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == f"Error: Invalid value for '{args[-2]}': {message}"
+
+
+def test_double_dash_ends_the_options(runner):
+    plain = runner.invoke(main, ["check-domain", "--resolution", "6", "sphere"])
+    dashed = runner.invoke(main, ["check-domain", "--resolution", "6", "--", "sphere"])
+    assert plain.exit_code == dashed.exit_code == 0
+    assert dashed.output == plain.output
+
+
+def test_out_of_memory_without_a_size_option_is_raised(runner, monkeypatch):
+    # selftest has no size to name, so its MemoryError is not turned into an input error.
+    def exhausted(rng, checks):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._SUITES, "simplex", exhausted)
+    with pytest.raises(MemoryError):
+        runner.invoke(main, ["selftest", "--suite", "simplex"])
+
+
+def test_section_batch_failure_that_no_point_repeats_is_input_error():
+    # On no points, a constant division by zero fails the batch and no single point.
+    f = parse_section_expr("z1 + 1/0")
+    with pytest.raises(cli.InputError, match=r"^expression 'z1 \+ 1/0' cannot be evaluated: "):
+        f((np.empty(0), np.empty(0)))
+
+
+def test_eta_margin_failure_marks_every_row(runner, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("no margin here")
+
+    monkeypatch.setattr(cli, "check_strict_convexity", failing)
+    result = runner.invoke(main, ["eta", "perturbed_bidisk", "--grid", "4", "--with-margins"])
+    assert result.exit_code == 1
+    rows = _json_out(result)["results"]
+    assert len(rows) == 16
+    assert all(row.keys() == {"params", "error"} and row["error"] == "no margin here" for row in rows)
+
+
 def test_option_values_may_begin_with_a_dash(runner):
     # --tau -0.1,... and --f -z1 are values, not options
     result = runner.invoke(

@@ -89,6 +89,10 @@ def test_parse_number_with_exponent(text, terms):
     assert parse_poly(text).terms == terms
 
 
+def test_parse_accepts_a_leading_plus():
+    assert parse_poly("+abs2(z1) - 1").terms == parse_poly("abs2(z1) - 1").terms
+
+
 def test_parse_exponent_needs_digits():
     with pytest.raises(PolyParseError, match="expected '\\+', '-' or end of input") as exc_info:
         parse_poly("1e*abs2(z1)")

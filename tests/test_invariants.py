@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hardycorners.domain import Edge, PwsDomain, TorusChart, transform_domain
 from hardycorners.hermpoly import HermitianPoly, parse_poly, transform_poly
 from hardycorners.measures import hardy_norm
+from hardycorners import normalforms
 from hardycorners.normalforms import (
+    NormalForm,
     NormalizedEdge,
     apply_coordinate_change,
     change_matrix,
@@ -262,6 +264,15 @@ def test_change_matrix_rejects_unknown_kind():
         apply_coordinate_change(COEFFS, "rotate", 1.0)
     with pytest.raises(ValueError):
         apply_coordinate_change(COEFFS, "scale", -2.0)
+    with pytest.raises(ValueError, match="^scale parameter must be positive$"):
+        change_matrix("scale", 0.0)
+
+
+def test_coordinate_change_takes_a_normal_form_or_six_coefficients():
+    swapped = apply_coordinate_change(COEFFS, "swap")
+    assert apply_coordinate_change(NormalForm(*COEFFS), "swap") == swapped
+    with pytest.raises(ValueError, match="^expected six normal-form coefficients$"):
+        apply_coordinate_change(COEFFS[:5], "swap")
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +342,19 @@ def test_legendre_argmax_stationarity():
         t = legendre_argmax(p)
         assert -1.0 < t < 1.0
         assert abs(8.0 * t / (1.0 - t * t) ** 2 - p) < 1e-9
+
+
+def test_legendre_argmax_converges_well_inside_its_step_budget(monkeypatch):
+    # Newton from an upper bound decreases onto the root: from 0 to the largest float, the
+    # loop makes at most 7 steps and an 8th pass that finds no decrease, far inside the
+    # budget of 50.  A budget below what a point needs raises.
+    p = np.concatenate([[0.0], np.logspace(-320, 308, 2000), [np.finfo(float).max]])
+    want = legendre_argmax(p)
+    monkeypatch.setattr(normalforms, "_ARGMAX_MAXITER", 8)
+    assert np.array_equal(legendre_argmax(p), want)
+    monkeypatch.setattr(normalforms, "_ARGMAX_MAXITER", 1)
+    with pytest.raises(RuntimeError, match="^Legendre maximizer did not converge$"):
+        legendre_argmax(1.0)
 
 
 def test_legendre_transform_basics():

@@ -396,6 +396,54 @@ def test_corner_kernel_pole_raises():
         corner_kernel(strong, tau, frame)
 
 
+def _corner_outcome(planes, tau):
+    """Whether :func:`kernels._corner_pairing` raises, and whether the unscreened rule does."""
+    p = kernels._dot3(planes, tau)
+    unscreened = bool(np.any(np.abs(p) < 1e-12 * np.linalg.norm(tau)))
+    try:
+        out = kernels._corner_pairing(planes, tau)
+    except ZeroDivisionError as exc:
+        assert str(exc) == "a member tangent hyperplane passes through tau"
+        return True, unscreened
+    assert np.array_equal(out, p[..., 0] * p[..., 1], equal_nan=True)
+    return False, unscreened
+
+
+@pytest.mark.parametrize("case", ["complex", "nan plane", "zero part"])
+def test_corner_pole_screen_decides_as_the_unscreened_rule(case):
+    # Unit hyperplanes (N, 2, 3), coordinate-major as measures caches them, and tau = (1, tau1,
+    # tau2), moved off one row's hyperplane until that pairing is 1e-16 to 1e-9 times |tau|,
+    # or 0.6 to 1.5 times its floor 1e-12 |tau|, where both parts can lie below the floor and
+    # the modulus above it.  "nan plane" puts a NaN in one plane; "zero part" pairs real planes
+    # and planes times 1j with a real tau, so every pairing has an exactly zero part, and
+    # zeroes some planes.
+    rng = np.random.default_rng(2814)
+    decisions = []
+    for _ in range(1500):
+        n = int(rng.integers(1, 9))
+        planes = rng.standard_normal((n, 2, 3)) + 1j * rng.standard_normal((n, 2, 3))
+        tau = np.array([1.0, *(rng.standard_normal(2) + 1j * rng.standard_normal(2))])
+        if case == "zero part":
+            planes, tau = planes.real * rng.choice([1, 1j], size=(n, 2, 1)), tau.real + 0j
+        planes /= np.linalg.norm(planes, axis=-1, keepdims=True)
+        w = planes[rng.integers(n), rng.integers(2)]
+        tau[1] = -(w[0] + w[2] * tau[2]) / w[1]
+        share = 10.0 ** rng.uniform(-16, -9) if rng.random() < 0.5 else 1e-12 * rng.uniform(0.6, 1.5)
+        if case == "zero part":
+            phase = rng.choice([-1, 1]) * w[1] / abs(w[1])  # keeps tau real
+        else:
+            phase = np.exp(2j * np.pi * rng.random())
+        tau[1] += share * np.linalg.norm(tau) * phase / w[1]
+        if case == "zero part":
+            planes[rng.random(n) < 0.1, rng.integers(2)] = 0.0
+        elif case == "nan plane":
+            planes.view(float)[rng.integers(n), rng.integers(2), rng.integers(6)] = np.nan
+        screened, unscreened = _corner_outcome(np.asfortranarray(planes), tau)
+        assert screened == unscreened
+        decisions.append(screened)
+    assert 0.2 < np.mean(decisions) < 0.8
+
+
 def test_cramer_residual_near_zero_for_true_corners(bidisk, rng):
     for _ in range(10):
         th, ph = rng.uniform(0, 2 * np.pi, 2)
@@ -525,6 +573,41 @@ def test_pushforward_matches_corner_kernel(bidisk):
     out = pushforward_corner_check(bidisk, zhat, tau, order=24)
     assert out["rel_err"] < 1e-12
     assert np.isclose(out["corner"], out["fiber"], rtol=1e-10)
+
+
+def _misused_kernel(case):
+    """Call a kernel with an argument of the wrong count, shape or role."""
+    z, w = HomVec((1.0, 0.5, 0.0), "point"), HomVec((-0.5, 1.0, 0.0), "hyperplane")
+    lift = (np.zeros(3), np.zeros(3))
+    one_plane = StrongTangentSet(_bidisk_corner_data().basepoint, (w,))
+    sphere = parse_poly("abs2(z1) + abs2(z2) - 1")
+    calls = {
+        "minor_vector": lambda: one_plane.minor_vector(),
+        "omega_two_tangents": lambda: omega_cfl(z, w, [lift] * 2),
+        "point_role": lambda: omega_cfl(w, w, [lift] * 3),
+        "hyperplane_role": lambda: omega_cfl(z, z, [lift] * 3),
+        "leray_two_tangents": lambda: smooth_leray_density(sphere, [1.0, 0.0], [0.0, 0.0], np.eye(2)),
+        "corner_one_plane": lambda: corner_kernel(one_plane, [1.0, 0.1, 0.2], np.eye(2)),
+        "simplex_method": lambda: simplex_integral([0.1, 0.2], method="trapezoid"),
+    }
+    return calls[case]()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("minor_vector", "^minor vector is defined for exactly two planes$"),
+        ("omega_two_tangents", "^the incidence density consumes exactly three tangents$"),
+        ("point_role", "^expected a point, got a hyperplane$"),
+        ("hyperplane_role", "^expected a hyperplane, got a point$"),
+        ("leray_two_tangents", r"^expected 3 tangent vectors of length 2, got shape \(2, 2\)$"),
+        ("corner_one_plane", "^corner kernel needs exactly two tangent hyperplanes$"),
+        ("simplex_method", "^method must be 'closed' or 'quadrature'$"),
+    ],
+)
+def test_kernel_arguments_of_the_wrong_count_shape_or_role_raise(case, message):
+    with pytest.raises(ValueError, match=message):
+        _misused_kernel(case)
 
 
 @pytest.mark.parametrize(

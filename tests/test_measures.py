@@ -348,6 +348,48 @@ def test_reproduce_shares_are_the_sums_over_each_piece():
     assert out["value"] == sum(shares)
 
 
+def test_warm_bidisk_reproduce_pairs_and_sums_no_empty_face_piece(monkeypatch):
+    # Both bidisk faces are Levi-flat, so both face pieces of the entry are empty: a warm call
+    # pairs only the Levi-flat nodes (their pole check) and the edge rows, and each empty
+    # piece is 0j.  The value is the sum of every piece's rows, empty ones included.
+    sizes = {"face_resolution": 6, "edge_resolution": 24}
+    d = _fresh("bidisk")
+    cold = reproduce(d, _cubic, CACHE_TAU, **sizes)
+    fac = d._cache[("reproduce", 6, 24)]
+    assert [len(p) for p in fac.face_nodes] == [0, 0]
+    paired = []
+
+    def pairing(zhat, *args):
+        paired.append(len(zhat))
+        return _leray_pairing(zhat, *args)
+
+    monkeypatch.setattr("hardycorners.measures._leray_pairing", pairing)
+    warm = reproduce(d, _cubic, CACHE_TAU, **sizes)
+    assert paired == [len(fac.flat_points)]
+    assert warm["per_piece"]["faces"] == [0j, 0j]
+    assert warm == cold
+    terms = fac.weights * _cubic((fac.points[:, 0], fac.points[:, 1]))
+    terms /= _corner_pairing(fac.planes, homogenize(CACHE_TAU))
+    shares = [complex(terms[p.rows].sum()) for p in fac.face_nodes + fac.edge_nodes]
+    assert warm["value"] == sum(shares[:2]) + sum(shares[2:])
+    assert warm["rel_err"] < 1e-10
+
+
+def test_node_set_sums_take_no_slice_of_an_empty_piece():
+    d = _fresh("bidisk")
+    reproduce(d, _cubic, CACHE_TAU, face_resolution=6, edge_resolution=8)
+    fac = d._cache[("reproduce", 6, 8)]
+    sliced = []
+
+    class Terms:
+        def __getitem__(self, rows):
+            sliced.append(rows)
+            return np.ones(rows.stop - rows.start, dtype=complex)
+
+    assert fac._sums(Terms()) == ([0j, 0j], [64])
+    assert sliced == [fac.edge_nodes[0].rows]
+
+
 def test_edge_pole_raises_before_any_section_call():
     # tau on one edge node's first member tangent hyperplane, and on no face
     # node's: the edge's pole check must fail before the section sees a node.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hardycorners.cli import load_spec
 from hardycorners.domain import (
+    Chart,
     GraphPatchChart,
     NodeSet,
     ProjectionError,
@@ -112,6 +113,12 @@ def test_node_set_orientation_is_the_reference_sign(name, scale):
             # The reference takes the conormals in reversed member order.
             reference = orientation_sign_edge([d.rho(m) for m in e.members], ns.points, ns.tangents)
             assert np.array_equal(-ns.orientation, reference)
+
+
+def test_chart_without_geometry_cannot_project():
+    # The base class leaves _geometry to the catalog charts.
+    with pytest.raises(NotImplementedError):
+        Chart().project(np.zeros((1, 0)))
 
 
 def test_unconvergent_projection_raises_named_error():

@@ -606,6 +606,21 @@ def test_normalize_map_rejects_a_matrix_that_is_not_invertible_3x3(matrix, messa
         normalize_map(matrix)
 
 
+def test_pair_rejects_a_sequence_that_is_not_a_triple():
+    with pytest.raises(ValueError, match=r"^expected 3 homogeneous coordinates, got shape \(2,\)$"):
+        pair((1.0, 2.0), HomVec((1.0, 1.0, 1.0), role="hyperplane"))
+
+
+def test_projmap_composes_only_with_a_projmap():
+    with pytest.raises(TypeError):
+        ProjMap(np.eye(3)) @ 2
+
+
+def test_dual_map_normalizes_a_raw_matrix(rng):
+    m = 2.0 * np.eye(3) + 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    assert np.array_equal(dual_map(m).matrix, dual_map(normalize_map(m)).matrix)
+
+
 def test_homvec_rejects_two_coordinates():
     with pytest.raises(ValueError, match="^HomVec needs exactly 3 coordinates$"):
         HomVec((1.0, 2.0))

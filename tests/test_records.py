@@ -115,6 +115,8 @@ def test_formerly_frozen_records_refuse_assignment(cls, fields):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
         assert _same(getattr(record, name), getattr(cls(**fields), name))
 
 
@@ -135,6 +137,14 @@ def test_homvec_equality_and_hash_are_by_value():
     assert a != HomVec((1, 2j, 3), "hyperplane")
     assert a != HomVec((2, 4j, 6))
     assert a != a.coords
+
+
+def test_section_equality_and_hash_are_by_function_and_bidegree():
+    a, b = Section(_section, (1, 0)), Section(_section, (Fraction(1), 0.0))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Section(_section, (0, 1))
+    assert a != Section(lambda z: _section(z), (1, 0))
+    assert a != (_section, (1, 0))
 
 
 def test_array_records_compare_by_identity():

@@ -12,7 +12,8 @@ face of each spec and of its projective image, the criterion 14 path (a warm
 ``norm_invariance`` benchmark's resolutions), every projective map evaluation
 below and ``reproduce`` at the ``curved_reproduce`` and ``flat_corner_taus``
 benchmarks' sizes (cold and warm, at several taus and at one pole), and a
-warm ``reproduce`` at two taus next to one face node's tangent hyperplane is
+warm ``reproduce`` at two taus next to one face node's tangent hyperplane
+and at two next to one edge node's member tangent hyperplane is
 bit-identical between them, and each degenerate chart of
 ``tests/test_nodeset.py`` fails with the same ``ProjectionError`` (kind,
 reason and counts of failed nodes), and each domain's ``validate_domain``
@@ -57,6 +58,7 @@ from hardycorners.hermpoly import parse_poly, transform_poly
 from hardycorners.kernels import pushforward_corner_check
 from hardycorners.measures import fefferman_density
 from hardycorners.normalforms import eta, model_edge_polys
+from hardycorners.projective import homogenize
 
 SPECS = ("bidisk", "perturbed_bidisk", "sphere")
 RESOLUTIONS = (4, 5, 8, 17)
@@ -266,6 +268,32 @@ def face_poles():
         )
 
 
+def edge_poles():
+    """Warm ``reproduce`` at a tau on one edge node's member tangent hyperplane, and just off it.
+
+    tau is built as ``tests/test_measures.py`` builds an edge pole, on no face
+    node's hyperplane, so the corner pole rule decides.  On the hyperplane the
+    node's pairing is below its floor ``1e-12 |tau|``, so the call raises.
+    Moved off it until the pairing is ``0.8 (1 + i)`` times that floor, both
+    of its parts are below the floor and its modulus is above it, so a screen
+    on the parts cannot decide and the moduli must; no pairing fails them,
+    and the line is a value digest.
+    """
+    d = domain_from_spec(load_spec("perturbed_bidisk"))
+    sizes = {"resolution": 8, "edge_resolution": 6}
+    reproduce(d, _section, TAU, **sizes)
+    w = d._cache[("reproduce", 8, 6)].planes[1, 0]
+    tau2 = 0.2j
+    on = np.array([-(w[0] + w[2] * tau2) / w[1], tau2])
+    floor = 1e-12 * np.linalg.norm(homogenize(on))
+    off = on + np.array([0.8 * (1 + 1j) * floor / w[1], 0.0])
+    for label, tau in (("on", on), ("off", off)):
+        _line(
+            f"reproduce perturbed_bidisk r8 e6 edge pole {label} warm",
+            lambda: (reproduce(d, _section, tau, **sizes),),
+        )
+
+
 def maps():
     bidegrees = ((-2, 0), (1, 1), (Fraction(-3, 2), Fraction(1, 2)))
     for seed in range(5):
@@ -397,6 +425,7 @@ if __name__ == "__main__":
     maps()
     bench_reproduce()
     face_poles()
+    edge_poles()
     degenerate_charts()
     checks()
     polynomials()
