@@ -27,6 +27,8 @@ header ``param1,param2,kappa,eta_weight,margin``.
 
 The parser is built by :func:`main`, so that importing this module (as the
 benchmark and the tests do for :func:`load_spec`) loads no ``argparse``.
+Nor does it load :mod:`.normalforms`: only ``eta`` and ``selftest --suite
+laws`` import it, when they run.
 """
 
 from __future__ import annotations
@@ -58,13 +60,6 @@ from .kernels import (
     simplex_integral,
 )
 from .measures import reproduce as run_reproduce
-from .normalforms import (
-    apply_coordinate_change,
-    change_matrix,
-    eta as edge_eta,
-    extract_normal_form,
-    model_edge_domain,
-)
 from .projective import ProjMap
 
 BUILTIN_SPECS = ("bidisk", "perturbed_bidisk", "sphere")
@@ -80,8 +75,12 @@ class InputError(Exception):
 
 
 def load_spec(name_or_path):
-    """Load a domain spec from a file path or the built-in catalog."""
-    if os.path.exists(name_or_path):
+    """Load a domain spec from a file path or the built-in catalog.
+
+    A name is read as a path only if it names a file, so a directory named
+    like a built-in spec does not hide it.
+    """
+    if os.path.isfile(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     if name_or_path in BUILTIN_SPECS:
@@ -333,15 +332,17 @@ def _edge_invariants(d, points):
     Only if the batch raises are the points evaluated one at a time, so that
     each failing point gets its own ``error`` entry.
     """
+    from .normalforms import eta
+
     try:
-        inv = edge_eta(d, points)
+        inv = eta(d, points)
         return [{"kappa": k, "eta_weight": w} for k, w in zip(inv.kappa, inv.eta_weight)]
     except ValueError:
         pass
     out = []
     for z in points:
         try:
-            inv = edge_eta(d, z)
+            inv = eta(d, z)
             out.append({"kappa": inv.kappa, "eta_weight": inv.eta_weight})
         except ValueError as exc:
             out.append({"error": str(exc)})
@@ -470,6 +471,13 @@ def _suite_chart_identity(rng, checks):
 
 
 def _suite_laws(rng, checks):
+    from .normalforms import (
+        apply_coordinate_change,
+        change_matrix,
+        extract_normal_form,
+        model_edge_domain,
+    )
+
     ident = ProjMap(np.eye(3, dtype=complex))
     kinds = [
         ("shear1", 0.7j),

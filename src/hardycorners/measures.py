@@ -9,7 +9,9 @@ Two measure pieces live on a piecewise-smooth boundary:
   with an orthonormal tangent frame gives 2**(1/3);
 * on each edge, the cube root of the edge weight produced by
   :mod:`.normalforms`, against the complex arc element of the edge
-  (:func:`edge_measure_density`).
+  (:func:`edge_measure_density`).  That module is imported by the first
+  measure build, not with this one: the reproducing formula does not use
+  the edge invariant.
 
 :func:`hardy_norm` integrates |f|^2 against both pieces; the combination is
 what transforms cleanly under projective maps.  :func:`reproduce` runs the
@@ -102,7 +104,6 @@ from .kernels import (
 # Unused here, but bench/tracer.py wraps these by name in this module's namespace.
 from .kernels import corner_kernel, smooth_leray_density  # noqa: F401
 from .kernels import orientation_sign_edge, orientation_sign_face  # noqa: F401
-from .normalforms import eta
 from .projective import _det4_columns, _Frozen, det2, homogenize
 
 __all__ = [
@@ -279,6 +280,18 @@ class _Factors(_NodeSet):
 def _face_measure(d, fc, ns):
     dens = fefferman_density(d.rho(fc.hypersurface), ns.points, ns.tangents)
     return ns.points, ns.weights * dens
+
+
+def eta(d, points):
+    """:func:`hardycorners.normalforms.eta`, imported on the first call.
+
+    Only a measure build needs the edge normal forms, so a process that only
+    reproduces never loads :mod:`.normalforms`.  The name stays in this
+    module's namespace, where ``bench/tracer.py`` wraps it.
+    """
+    from .normalforms import eta
+
+    return eta(d, points)
 
 
 def _edge_measure(d, ns):

@@ -27,6 +27,15 @@ def test_load_spec_builtin_and_path(tmp_path):
     assert load_spec(str(p)) == spec
 
 
+def test_a_directory_named_like_a_builtin_spec_does_not_hide_it(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bidisk").mkdir()
+    assert load_spec("bidisk")["name"] == "bidisk"
+    result = runner.invoke(main, ["check-domain", "bidisk", "--resolution", "6"])
+    assert result.exit_code == 0, result.output
+    assert _json_out(result)["pass"] is True
+
+
 def test_spec_hash_is_stable_sha256():
     spec = load_spec("bidisk")
     h = spec_hash(spec)
@@ -712,7 +721,7 @@ def test_eta_batch_failure_evaluates_each_node_alone(runner, monkeypatch):
             raise ValueError("no weight here")
         return eta(dom, z)
 
-    monkeypatch.setattr(cli, "edge_eta", failing)
+    monkeypatch.setattr("hardycorners.normalforms.eta", failing)
     result = runner.invoke(main, ["eta", "perturbed_bidisk", "--grid", "4"])
     assert result.exit_code == 1
     rows = _json_out(result)["results"]

@@ -1,12 +1,20 @@
-"""The package exports exactly its modules' ``__all__`` lists; its imports have no cycle."""
+"""The package exports exactly its modules' ``__all__`` lists; its imports have no cycle.
+
+The edge normal forms load on first use: a process that only reproduces or
+checks a domain never imports :mod:`hardycorners.normalforms`.
+"""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import hardycorners
+from hardycorners import normalforms
 
 
 def _modules():
@@ -15,10 +23,11 @@ def _modules():
 
 
 def test_every_package_export_is_in_its_modules_all():
+    # dir(), not vars(): the normal forms' names are resolved on first use.
     exported = {
-        name: obj
-        for name, obj in vars(hardycorners).items()
-        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+        name: getattr(hardycorners, name)
+        for name in dir(hardycorners)
+        if not name.startswith("_") and not isinstance(getattr(hardycorners, name), types.ModuleType)
     }
     assert exported
     for name, obj in exported.items():
@@ -62,3 +71,54 @@ def test_module_imports_have_no_cycle():
 
     for name in graph:
         visit(name, [])
+
+
+def test_normal_form_names_are_the_modules_all_and_resolve_to_its_objects():
+    assert hardycorners._NORMALFORMS == tuple(normalforms.__all__)
+    assert hardycorners.eta is normalforms.eta
+    assert set(normalforms.__all__) <= set(dir(hardycorners))
+    assert set(normalforms.__all__) <= set(hardycorners.__all__)
+    bound = {}
+    exec("from hardycorners import *", bound)
+    for name in normalforms.__all__:
+        assert bound[name] is getattr(normalforms, name)
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    assert not hasattr(hardycorners, "no_such_name")
+
+
+# Run in a fresh interpreter: the benchmark's import line, then a reproduce,
+# a domain check and both CLI commands that use no measure; then a measure.
+_PROBE = """
+import contextlib, io, sys
+import numpy as np
+from hardycorners import cli, domain, measures, projective
+
+def loaded():
+    return "hardycorners.normalforms" in sys.modules
+
+d = domain.domain_from_spec(cli.load_spec("bidisk"))
+measures.reproduce(d, lambda z: z[0] * z[1] + 0.5, np.array([0.2 + 0.1j, -0.3]), resolution=8)
+domain.validate_domain(d, resolution=6)
+for args in (
+    ["check-domain", "bidisk", "--resolution", "6"],
+    ["reproduce", "bidisk", "--tau", "0.2,0.1,-0.3,0", "--resolution", "8"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.main(args)
+print(loaded())
+p = domain.domain_from_spec(cli.load_spec("perturbed_bidisk"))
+measures.hardy_norm(p, lambda z: z[0] + 1.0, resolution=6)
+print(loaded())
+"""
+
+
+def test_normal_forms_load_with_the_first_measure_only():
+    src = str(pathlib.Path(hardycorners.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

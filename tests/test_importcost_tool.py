@@ -18,24 +18,28 @@ def importcost(monkeypatch):
 
 
 def test_summary_counts_runs_won_and_reports_the_first_runs_counts(importcost):
+    parent, change = ("cli", "domain", "normalforms"), ("cli", "domain")
     runs = [
-        ((0.024, 17), (0.012, 0)),
-        ((0.025, 17), (0.011, 0)),
-        ((0.023, 17), (0.024, 0)),
+        ((0.024, parent), (0.012, change)),
+        ((0.025, parent), (0.011, change)),
+        ((0.023, ()), (0.024, ())),
     ]
     parent, change, rel, won, beyond, n_parent, n_change = importcost.summarize(runs)
     assert parent == pytest.approx((0.0235, 0.024, 0.0245))
     assert change == pytest.approx((0.0115, 0.012, 0.018))
     assert rel == pytest.approx(-0.5)
     assert won == 2 and beyond
-    assert (n_parent, n_change) == (17, 0)
+    assert (n_parent, n_change) == (3, 2)
 
 
-def _checkout(root, body):
+def _checkout(root, body, extra=()):
+    """A package with the four modules the benchmark imports, ``cli`` holding ``body``."""
     package = root / "src" / "hardycorners"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "cli.py").write_text(body)
+    for name in ("domain", "measures", "projective", *extra):
+        (package / f"{name}.py").write_text("")
     return root
 
 
@@ -51,20 +55,27 @@ def test_a_checkout_with_a_bytecode_cache_is_refused(importcost, tmp_path):
         importcost.main([str(r) for r in roots] + ["--runs", "1"])
 
 
-def test_a_run_counts_dataclasses_and_writes_nothing_in_the_checkouts(importcost, tmp_path, capsys):
-    record = "import dataclasses, fakedep, json\n\n@dataclasses.dataclass\nclass Record:\n    x: int\n"
-    roots = [_checkout(tmp_path / "parent", record), _checkout(tmp_path / "change", "")]
+def test_a_run_lists_the_loaded_modules_and_writes_nothing_in_the_checkouts(
+    importcost, tmp_path, capsys
+):
+    eager = "import fakedep, json\nfrom . import normalforms\n"
+    roots = [
+        _checkout(tmp_path / "parent", eager, extra=("normalforms",)),
+        _checkout(tmp_path / "change", "", extra=("normalforms",)),
+    ]
     _dependency(roots[0], "fakedep")
     before = sorted(p for r in roots for p in r.rglob("*"))
     assert importcost.main([str(r) for r in roots] + ["--runs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines[-2:]]
     assert [(row[0], row[-3:]) for row in rows] == [
-        ("uncached", ["1", "->", "0"]),
-        ("cached", ["1", "->", "0"]),
+        ("uncached", ["5", "->", "4"]),
+        ("cached", ["5", "->", "4"]),
     ]
-    # numpy is imported before the timer, and json (like dataclasses) is standard
-    assert lines[3:5] == [
+    # numpy is imported before the timer, and json is standard
+    assert lines[3:7] == [
+        "hardycorners modules the parent's import loads: cli, domain, measures, normalforms, projective",
+        "hardycorners modules the change's import loads: cli, domain, measures, projective",
         "third-party modules the parent's import adds: fakedep",
         "third-party modules the change's import adds: none",
     ]

@@ -720,7 +720,7 @@ def test_failed_measure_build_caches_nothing(monkeypatch):
         return out._replace(eta_weight=-out.eta_weight)
 
     d = _fresh("perturbed_bidisk")
-    monkeypatch.setattr("hardycorners.measures.eta", negated_eta)
+    monkeypatch.setattr("hardycorners.normalforms.eta", negated_eta)
     for _ in range(2):
         with pytest.raises(ValueError, match="edge weight must be positive"):
             hardy_norm(d, _cubic, resolution=6)

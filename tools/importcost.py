@@ -1,4 +1,4 @@
-"""Time ``import hardycorners.cli`` in two checkouts, in alternating fresh interpreters.
+"""Time the benchmark's import of ``hardycorners`` in two checkouts, in alternating fresh interpreters.
 
 Run from anywhere, with the two checkouts' roots::
 
@@ -6,12 +6,14 @@ Run from anywhere, with the two checkouts' roots::
 
 Each run starts one interpreter per checkout, the side that goes first
 swapping from run to run.  The interpreter puts the checkout's ``src/`` first
-on its path, imports ``numpy``, and only then starts the timer around
-``import hardycorners.cli``, so the figure is the library's own import with
-every other module it loads.  After the timer stops, it counts the classes of
-the ``hardycorners`` modules that ``dataclasses.is_dataclass`` accepts, and
-lists the top-level modules outside the standard library and ``hardycorners``
-that the import added to ``sys.modules`` (such as a command-line library).
+on its path, imports ``numpy``, and only then starts the timer around the
+line ``bench/workloads.py`` imports the library with, ``from hardycorners
+import cli, domain, measures, projective``: the package import with every
+module it loads, and the names asked of the package, which go through its
+module ``__getattr__``.  After the timer stops, it lists the ``hardycorners``
+submodules that the import loaded, and the top-level modules outside the
+standard library and ``hardycorners`` that it added to ``sys.modules`` (such
+as a command-line library).
 
 The runs are made twice:
 
@@ -27,8 +29,9 @@ The runs are made twice:
 For each, the table gives each side's median and quartiles in milliseconds,
 the relative change of the medians, the runs the change won (a lower time)
 and whether the gap of the medians exceeds the parent's interquartile
-range.  The modules each side's import added are printed, from its first
-run, above the table.  The tracer of ``bench/`` cannot see an import; this is
+range, and the number of ``hardycorners`` submodules each side loaded.  The
+modules each side's import loaded and added are printed, from its first run,
+above the table.  The tracer of ``bench/`` cannot see an import; this is
 its per-layer figure.  Nothing in either checkout is written.
 """
 
@@ -44,28 +47,24 @@ from pathlib import Path
 from pairs import _cell, compare
 
 # Run in a fresh interpreter: argv[1] is the checkout's src/.  Prints the
-# seconds of the import, the number of dataclasses it defines, and the
-# third-party top-level modules it added, if any.
+# seconds of the import, the package's submodules it loaded (comma-separated,
+# "-" if none), and the third-party top-level modules it added, if any.
 _WORKER = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy
 before = {n.split(".")[0] for n in sys.modules}
 start = time.perf_counter()
-import hardycorners.cli
+from hardycorners import cli, domain, measures, projective
 elapsed = time.perf_counter() - start
 added = {n.split(".")[0] for n in sys.modules} - before - set(sys.stdlib_module_names)
-import dataclasses
-modules = [(n, m) for n, m in list(sys.modules.items()) if n.split(".")[0] == "hardycorners"]
-print(elapsed, sum(
-    isinstance(obj, type) and obj.__module__ == name and dataclasses.is_dataclass(obj)
-    for name, module in modules for obj in vars(module).values()
-), *sorted(added - {"hardycorners"}))
+package = sorted(n.partition(".")[2] for n in sys.modules if n.startswith("hardycorners."))
+print(elapsed, ",".join(package) or "-", *sorted(added - {"hardycorners"}))
 """
 
 
 def _import(src, env, cwd):
-    """One timed import of ``src``'s package: ``(seconds, dataclass count, added third-party modules)``."""
+    """One timed import of ``src``'s package: ``(seconds, submodules loaded, added third-party modules)``."""
     proc = subprocess.run(
         [sys.executable, "-c", _WORKER, str(src)],
         cwd=cwd,
@@ -74,20 +73,21 @@ def _import(src, env, cwd):
         text=True,
         check=True,
     )
-    seconds, count, *added = proc.stdout.split()
-    return float(seconds), int(count), tuple(added)
+    seconds, package, *added = proc.stdout.split()
+    modules = () if package == "-" else tuple(package.split(","))
+    return float(seconds), modules, tuple(added)
 
 
 def summarize(runs):
-    """One mode's row from ``runs``: ``((seconds, count), (seconds, count))`` pairs, parent first.
+    """One mode's row from ``runs``: ``((seconds, modules), (seconds, modules))`` pairs, parent first.
 
     The row is ``(parent quartiles, change quartiles, relative change of the
-    medians, runs won, gap beyond the parent's IQR, parent dataclasses,
-    change dataclasses)``; the counts are those of the first run.  Each
-    ``(seconds, count)`` may carry more fields, which are ignored.
+    medians, runs won, gap beyond the parent's IQR, parent submodule count,
+    change submodule count)``; the counts are those of the first run.  Each
+    ``(seconds, modules)`` may carry more fields, which are ignored.
     """
     stats = compare([(p[0], c[0]) for p, c in runs], "lower")
-    return (*stats, runs[0][0][1], runs[0][1][1])
+    return (*stats, len(runs[0][0][1]), len(runs[0][1][1]))
 
 
 def _measure(srcs, runs, env, cwd):
@@ -126,20 +126,22 @@ def main(argv=None):
             _import(src, cached, tmp)
         rows.append(("cached", summarize(_measure(srcs, args.runs, cached, tmp))))
 
-    print(f"import hardycorners.cli, after numpy; runs={args.runs}")
+    print(f"from hardycorners import cli, domain, measures, projective, after numpy; runs={args.runs}")
     print(f"parent={srcs[0]}\nchange={srcs[1]}")
+    for side, (_, package, _) in zip(("parent", "change"), first[0]):
+        print(f"hardycorners modules the {side}'s import loads: {', '.join(package) or 'none'}")
     for side, (_, _, added) in zip(("parent", "change"), first[0]):
         print(f"third-party modules the {side}'s import adds: {', '.join(added) or 'none'}")
     print(
         f"{'bytecode':<9} {'parent ms median [q1, q3]':>30} {'change ms median [q1, q3]':>30} "
-        f"{'change':>8} {'won':>6} {'gap>IQR':>7} {'dataclasses':>11}"
+        f"{'change':>8} {'won':>6} {'gap>IQR':>7} {'modules':>8}"
     )
     for mode, (p, c, rel, won, beyond, n_parent, n_change) in rows:
         ms = [tuple(1e3 * v for v in q) for q in (p, c)]
         counts = f"{n_parent} -> {n_change}"
         print(
             f"{mode:<9} {_cell(ms[0]):>30} {_cell(ms[1]):>30} {rel:>+8.1%} "
-            f"{f'{won}/{args.runs}':>6} {'yes' if beyond else 'no':>7} {counts:>11}"
+            f"{f'{won}/{args.runs}':>6} {'yes' if beyond else 'no':>7} {counts:>8}"
         )
     return 0
 
