@@ -7,7 +7,8 @@ with the weights of a fixed rule, so this module only builds rules:
   accurate for analytic periodic integrands (tori of edges, angular
   directions of boundary charts);
 * :func:`gauss_rule` — Gauss-Legendre nodes on an interval (radial and polar
-  directions of boundary charts);
+  directions of boundary charts), computed by Golub-Welsch with numpy's
+  symmetric eigensolver, so that ``numpy.polynomial`` is never imported;
 * :func:`tensor_grid` — the lexicographic tensor product of such axes, which
   the boundary charts share as their quadrature grids;
 * :func:`simplex_rule` — a collapsed-coordinate (Duffy-type) Gauss rule on
@@ -19,10 +20,10 @@ Node order is fixed, so a weighted sum over a rule is bit-reproducible.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = ["gauss_rule", "simplex_rule", "tensor_grid", "trapezoid_rule"]
 
@@ -46,10 +47,37 @@ def tensor_grid(axes):
     return params, weights.ravel()
 
 
+def _legendre_p(n, x):
+    """``P_n(x)`` and ``P_n'(x)`` from the three-term recurrence (``|x| < 1``)."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=64)
 def _legendre(order):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
-    x, w = leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre recurrence, each refined by one Newton step on ``P_n``; the
+    weights are ``2 / ((1 - x^2) P_n'(x)^2)``.  Both are then symmetrized
+    about 0 and the weights scaled to sum to 2.  As for numpy's
+    ``leggauss``, an order that is not an integer raises ``TypeError`` and
+    one below 1 ``ValueError``.
+    """
+    n = operator.index(order)
+    if n < 1:
+        raise ValueError(f"order must be a positive integer, not {n}")
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    p, dp = _legendre_p(n, x)
+    x -= p / dp
+    dp = _legendre_p(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    w *= 2.0 / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

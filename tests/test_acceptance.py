@@ -10,21 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from hardycorners.cli import _random_incident_pair, _random_tangents
 from hardycorners.domain import (
     check_strict_convexity,
     strong_tangents,
     transform_domain,
 )
-from hardycorners.kernels import (
-    StrongTangentSet,
-    corner_kernel,
+from hardycorners.incidence import (
+    _random_incident_pair,
+    _random_tangents,
     cramer_residual,
     omega_cfl,
     omega_cfl_affine_form,
     pushforward_corner_check,
     simplex_integral,
 )
+from hardycorners.kernels import StrongTangentSet, corner_kernel
 from hardycorners.measures import fefferman_density, hardy_norm, reproduce
 from hardycorners.normalforms import (
     apply_coordinate_change,

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from hardycorners import cli, domain, kernels, measures
+from hardycorners import cli, commands, domain, kernels, measures
 from hardycorners.domain import check_strict_convexity, domain_from_spec
 from hardycorners.normalforms import eta
-from hardycorners.cli import load_spec, main, parse_section_expr, spec_hash
+from hardycorners.cli import load_spec, parse_section_expr
+from hardycorners.commands import main, spec_hash
 
 
 def _json_out(result):
@@ -351,7 +352,7 @@ def test_malformed_spec_file_is_input_error(runner, tmp_path, command):
     bad.write_text("{bad")
     result = runner.invoke(main, command[:1] + [str(bad)] + command[1:])
     assert result.exit_code == 2
-    assert result.stderr.startswith("invalid domain spec:")
+    assert result.stderr.startswith("Error: invalid domain spec:")
     assert "Traceback" not in result.output
 
 
@@ -477,7 +478,7 @@ def test_malformed_spec_field_is_input_error(runner, tmp_path, path, value, mess
     bad.write_text(json.dumps(spec))
     result = runner.invoke(main, command[:1] + [str(bad)] + command[1:])
     assert result.exit_code == 2
-    assert result.stderr.startswith("invalid domain spec:")
+    assert result.stderr.startswith("Error: invalid domain spec:")
     assert result.stderr.count("\n") == 1
     assert message in result.stderr
     assert "Traceback" not in result.output
@@ -491,7 +492,7 @@ def test_check_domain_duplicate_label_is_input_error(runner, tmp_path):
     bad.write_text(json.dumps(spec))
     result = runner.invoke(main, ["check-domain", str(bad)])
     assert result.exit_code == 2
-    assert result.stderr == "invalid domain spec: duplicate hypersurface label 'disk1'\n"
+    assert result.stderr == "Error: invalid domain spec: duplicate hypersurface label 'disk1'\n"
 
 
 def test_reproduce_section_evaluation_error_is_input_error(runner):
@@ -617,7 +618,7 @@ def test_check_domain_local_geometry_error_is_input_error(
         assert message in report["results"][0]["failures"]
     else:
         assert result.stdout == ""
-        assert result.stderr.startswith(message)
+        assert result.stderr.startswith(f"Error: {message}")
         assert result.stderr.count("\n") == 1
 
 
@@ -626,7 +627,7 @@ def test_check_domain_overflowing_radius_is_input_error(runner):
     result = runner.invoke(main, ["check-domain", "bidisk", "--radius", "1e300"])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr == "--radius 1e+300 is too large: the local checks at edge 0 overflow\n"
+    assert result.stderr == "Error: --radius 1e+300 is too large: the local checks at edge 0 overflow\n"
 
 
 @pytest.mark.parametrize(
@@ -733,6 +734,28 @@ def test_eta_batch_failure_evaluates_each_node_alone(runner, monkeypatch):
             assert (row["kappa"], row["eta_weight"]) == (inv.kappa, inv.eta_weight)
 
 
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["check-domain", "SPEC"], "invalid domain spec: the spec has no 'hypersurfaces' field"),
+        (["reproduce", "bidisk", "--tau", "nan,0,0,0"], "--tau is not an interior point of the domain"),
+        (
+            ["eta", "perturbed_bidisk", "--grid", "4", "--edge", "5"],
+            "edge index 5 out of range (domain has 1)",
+        ),
+    ],
+    ids=["spec_without_hypersurfaces", "nan_tau", "missing_edge"],
+)
+def test_input_errors_found_by_a_command_are_one_error_line(runner, tmp_path, args, line):
+    # Every exit 2 reads "Error: ...", as the parser's own usage errors do.
+    spec = tmp_path / "faces_only.json"
+    spec.write_text(json.dumps({"faces": []}))
+    result = runner.invoke(main, [str(spec) if a == "SPEC" else a for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {line}\n"
+
+
 def test_input_error_is_not_a_library_error():
     # reproduce_cmd turns ValueError into exit 3, and the section catches ArithmeticError
     assert not issubclass(cli.InputError, (ValueError, ArithmeticError))
@@ -755,7 +778,7 @@ def test_unwritable_output_is_input_error(runner, tmp_path, command, where):
     result = runner.invoke(main, _SMALL_RUNS[command] + ["--output", str(path)])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr == f"cannot write --output {str(path)!r}: {reason}\n"
+    assert result.stderr == f"Error: cannot write --output {str(path)!r}: {reason}\n"
 
 
 @pytest.mark.parametrize(
@@ -779,7 +802,7 @@ def test_out_of_memory_is_input_error_naming_the_size(runner, monkeypatch, args,
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr == f"out of memory at {sizes}: choose a smaller size\n"
+    assert result.stderr == f"Error: out of memory at {sizes}: choose a smaller size\n"
 
 
 @pytest.mark.parametrize(
@@ -856,7 +879,7 @@ def test_out_of_memory_without_a_size_option_is_raised(runner, monkeypatch):
     def exhausted(rng, checks):
         raise MemoryError
 
-    monkeypatch.setitem(cli._SUITES, "simplex", exhausted)
+    monkeypatch.setitem(commands._SUITES, "simplex", exhausted)
     with pytest.raises(MemoryError):
         runner.invoke(main, ["selftest", "--suite", "simplex"])
 
@@ -872,7 +895,7 @@ def test_eta_margin_failure_marks_every_row(runner, monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("no margin here")
 
-    monkeypatch.setattr(cli, "check_strict_convexity", failing)
+    monkeypatch.setattr(commands, "check_strict_convexity", failing)
     result = runner.invoke(main, ["eta", "perturbed_bidisk", "--grid", "4", "--with-margins"])
     assert result.exit_code == 1
     rows = _json_out(result)["results"]
@@ -909,11 +932,11 @@ def _fresh_interpreter(*args):
 
 
 def test_import_loads_no_click_and_help_exits_zero():
-    probe = "import sys, hardycorners.cli; print([m for m in sys.modules if m.split('.')[0] == 'click'])"
+    probe = "import sys, hardycorners.commands; print([m for m in sys.modules if m.split('.')[0] == 'click'])"
     proc = _fresh_interpreter("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     for args in (["--help"], ["reproduce", "--help"]):
-        proc = _fresh_interpreter("-m", "hardycorners.cli", *args)
+        proc = _fresh_interpreter("-m", "hardycorners.commands", *args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: hardycorners")

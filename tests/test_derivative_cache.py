@@ -13,7 +13,7 @@ import pytest
 from hardycorners.cli import load_spec
 from hardycorners.domain import check_strict_convexity, domain_from_spec
 from hardycorners.hermpoly import Poly
-from hardycorners.kernels import pushforward_corner_check
+from hardycorners.incidence import pushforward_corner_check
 from hardycorners.measures import hardy_norm, reproduce
 from hardycorners.normalforms import eta
 

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from hardycorners.cli import load_spec, main
+from hardycorners.cli import load_spec
+from hardycorners.commands import main
 from hardycorners.domain import (
     Edge,
     Face,

@@ -1,7 +1,10 @@
 """The package exports exactly its modules' ``__all__`` lists; its imports have no cycle.
 
-The edge normal forms load on first use: a process that only reproduces or
-checks a domain never imports :mod:`hardycorners.normalforms`.
+Two modules load on first use, through one name-to-module map: a process
+that only reproduces or checks a domain never imports
+:mod:`hardycorners.normalforms`, and one that reproduces and takes norms, as
+the benchmark does, never imports :mod:`hardycorners.incidence`,
+:mod:`hardycorners.commands` or ``numpy.polynomial``.
 """
 
 import ast
@@ -14,7 +17,7 @@ import sys
 import types
 
 import hardycorners
-from hardycorners import normalforms
+from hardycorners import incidence, normalforms
 
 
 def _modules():
@@ -73,24 +76,42 @@ def test_module_imports_have_no_cycle():
         visit(name, [])
 
 
-def test_normal_form_names_are_the_modules_all_and_resolve_to_its_objects():
-    assert hardycorners._NORMALFORMS == tuple(normalforms.__all__)
+def test_lazy_names_are_their_modules_all_and_resolve_to_its_objects():
+    # One map serves every module loaded on first use: its names are that module's __all__.
+    owners = set(hardycorners._LAZY.values())
+    assert owners == {"incidence", "normalforms"}
+    for owner in owners:
+        module = importlib.import_module(f"hardycorners.{owner}")
+        assert [n for n, o in hardycorners._LAZY.items() if o == owner] == module.__all__
+        assert set(module.__all__) <= set(dir(hardycorners))
+        assert set(module.__all__) <= set(hardycorners.__all__)
+        bound = {}
+        exec("from hardycorners import *", bound)
+        for name in module.__all__:
+            assert getattr(hardycorners, name) is getattr(module, name)
+            assert bound[name] is getattr(module, name)
     assert hardycorners.eta is normalforms.eta
-    assert set(normalforms.__all__) <= set(dir(hardycorners))
-    assert set(normalforms.__all__) <= set(hardycorners.__all__)
-    bound = {}
-    exec("from hardycorners import *", bound)
-    for name in normalforms.__all__:
-        assert bound[name] is getattr(normalforms, name)
+    assert hardycorners.omega_cfl is incidence.omega_cfl
 
 
 def test_an_unknown_package_attribute_raises_attribute_error():
     assert not hasattr(hardycorners, "no_such_name")
 
 
-# Run in a fresh interpreter: the benchmark's import line, then a reproduce,
-# a domain check and both CLI commands that use no measure; then a measure.
-_PROBE = """
+def _run_probe(probe):
+    """Run ``probe`` in a fresh interpreter without a bytecode cache; its stdout lines."""
+    src = str(pathlib.Path(hardycorners.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+# The benchmark's import line, then a reproduce, a domain check and both CLI
+# commands that use no measure; then a measure.
+_NORMAL_FORMS_PROBE = """
 import contextlib, io, sys
 import numpy as np
 from hardycorners import cli, domain, measures, projective
@@ -101,12 +122,13 @@ def loaded():
 d = domain.domain_from_spec(cli.load_spec("bidisk"))
 measures.reproduce(d, lambda z: z[0] * z[1] + 0.5, np.array([0.2 + 0.1j, -0.3]), resolution=8)
 domain.validate_domain(d, resolution=6)
+from hardycorners import commands
 for args in (
     ["check-domain", "bidisk", "--resolution", "6"],
     ["reproduce", "bidisk", "--tau", "0.2,0.1,-0.3,0", "--resolution", "8"],
 ):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-        cli.main(args)
+        commands.main(args)
 print(loaded())
 p = domain.domain_from_spec(cli.load_spec("perturbed_bidisk"))
 measures.hardy_norm(p, lambda z: z[0] + 1.0, resolution=6)
@@ -115,10 +137,37 @@ print(loaded())
 
 
 def test_normal_forms_load_with_the_first_measure_only():
-    src = str(pathlib.Path(hardycorners.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert _run_probe(_NORMAL_FORMS_PROBE) == ["False", "True"]
+
+
+# The benchmark's import line, a reproduce and a hardy_norm; then a name of
+# the identity checks, read from the package; then a command line.
+_LEAN_PROBE = """
+import contextlib, io, sys
+import numpy as np
+from hardycorners import cli, domain, measures, projective
+
+def loaded():
+    watched = ("hardycorners.incidence", "hardycorners.commands", "numpy.polynomial")
+    print(" ".join(m for m in watched if m in sys.modules) or "-")
+
+d = domain.domain_from_spec(cli.load_spec("perturbed_bidisk"))
+measures.reproduce(d, lambda z: z[0] * z[1] + 0.5, np.array([0.2 + 0.1j, -0.3]), resolution=8)
+measures.hardy_norm(d, lambda z: z[0] + 1.0, resolution=6)
+loaded()
+import hardycorners
+hardycorners.omega_cfl
+loaded()
+from hardycorners import commands
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    commands.main(["check-domain", "bidisk", "--resolution", "6"])
+loaded()
+"""
+
+
+def test_the_benchmark_path_loads_no_identity_checks_commands_or_numpy_polynomial():
+    assert _run_probe(_LEAN_PROBE) == [
+        "-",
+        "hardycorners.incidence",
+        "hardycorners.incidence hardycorners.commands",
+    ]

@@ -58,7 +58,7 @@ def test_a_checkout_with_a_bytecode_cache_is_refused(importcost, tmp_path):
 def test_a_run_lists_the_loaded_modules_and_writes_nothing_in_the_checkouts(
     importcost, tmp_path, capsys
 ):
-    eager = "import fakedep, json\nfrom . import normalforms\n"
+    eager = "import fakedep, json, numpy.polynomial\nfrom . import normalforms\n"
     roots = [
         _checkout(tmp_path / "parent", eager, extra=("normalforms",)),
         _checkout(tmp_path / "change", "", extra=("normalforms",)),
@@ -72,10 +72,12 @@ def test_a_run_lists_the_loaded_modules_and_writes_nothing_in_the_checkouts(
         ("uncached", ["5", "->", "4"]),
         ("cached", ["5", "->", "4"]),
     ]
-    # numpy is imported before the timer, and json is standard
-    assert lines[3:7] == [
+    # numpy is imported before the timer, but not its polynomial package; json is standard
+    assert lines[3:9] == [
         "hardycorners modules the parent's import loads: cli, domain, measures, normalforms, projective",
         "hardycorners modules the change's import loads: cli, domain, measures, projective",
+        "numpy subpackages the parent's import adds: numpy.polynomial",
+        "numpy subpackages the change's import adds: none",
         "third-party modules the parent's import adds: fakedep",
         "third-party modules the change's import adds: none",
     ]

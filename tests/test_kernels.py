@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from hardycorners import kernels
-from hardycorners.cli import _random_incident_pair, _random_tangents, load_spec
+from hardycorners.cli import load_spec
 from hardycorners.domain import domain_from_spec, strong_tangents, transform_domain
 from hardycorners.hermpoly import _real_gradient, parse_poly
-from hardycorners.kernels import (
-    StrongTangentSet,
-    corner_kernel,
+from hardycorners.incidence import (
+    _random_incident_pair,
+    _random_tangents,
     cramer_residual,
     omega_cfl,
     omega_cfl_affine_form,
-    orientation_sign_edge,
-    orientation_sign_face,
     pushforward_corner_check,
     simplex_integral,
+)
+from hardycorners.kernels import (
+    StrongTangentSet,
+    corner_kernel,
+    orientation_sign_edge,
+    orientation_sign_face,
     smooth_leray_density,
 )
 from hardycorners.measures import fefferman_density
@@ -514,7 +518,7 @@ def test_simplex_pole_raises():
 def test_simplex_pole_guard_is_the_exact_hull_distance():
     # the distance from 0 to the hull of the factors is the minimum of
     # |sum_j w_j f_j| over the simplex, which a dense sample bounds from above
-    from hardycorners.kernels import _hull_distance
+    from hardycorners.incidence import _hull_distance
 
     rng = np.random.default_rng(3)
     g = np.linspace(0.0, 1.0, 201)

@@ -88,3 +88,48 @@ def test_simplex_validates_arguments():
         simplex_rule(4, 8)
     with pytest.raises(ValueError):
         simplex_rule(2, 1)
+
+
+def _legendre_table(x, count):
+    """``P_0 .. P_{count-1}`` at ``x``, as rows, by the three-term recurrence."""
+    p = [np.ones_like(x), x]
+    for k in range(1, count - 1):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return np.array(p[:count])
+
+
+def test_gauss_rule_order_is_a_positive_integer():
+    for order in (0, -1):
+        with pytest.raises(ValueError):
+            gauss_rule(-1.0, 1.0, order)
+    with pytest.raises(TypeError):
+        gauss_rule(-1.0, 1.0, 2.5)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 16, 33, 64, 96])
+def test_gauss_rule_is_symmetric_and_its_weights_sum_to_two(order):
+    x, w = gauss_rule(-1.0, 1.0, order)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    assert np.all(w > 0) and np.all(np.abs(x) < 1)
+    assert abs(np.sum(w) - 2.0) <= 4 * np.spacing(2.0)
+
+
+def test_gauss_rule_is_discretely_orthogonal_on_legendre_polynomials():
+    # sum_i w_i P_m(x_i) P_k(x_i) = 2 / (2m + 1) delta_mk for m, k < order
+    for order in range(4, 65):
+        x, w = gauss_rule(-1.0, 1.0, order)
+        p = _legendre_table(x, order)
+        gram = (p * w) @ p.T
+        exact = np.diag(2.0 / (2 * np.arange(order) + 1))
+        np.testing.assert_allclose(gram, exact, rtol=0, atol=1e-14, err_msg=f"order {order}")
+
+
+def test_gauss_rule_agrees_with_numpy_leggauss():
+    from numpy.polynomial.legendre import leggauss
+
+    for order in range(1, 65):
+        x, w = gauss_rule(-1.0, 1.0, order)
+        x_ref, w_ref = leggauss(order)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=2.2e-16)
+        np.testing.assert_allclose(w, w_ref, rtol=2e-12, atol=0)

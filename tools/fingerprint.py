@@ -55,7 +55,7 @@ from hardycorners import (
 )
 from hardycorners.cli import load_spec
 from hardycorners.hermpoly import parse_poly, transform_poly
-from hardycorners.kernels import pushforward_corner_check
+from hardycorners.incidence import pushforward_corner_check
 from hardycorners.measures import fefferman_density
 from hardycorners.normalforms import eta, model_edge_polys
 from hardycorners.projective import homogenize

@@ -11,9 +11,11 @@ line ``bench/workloads.py`` imports the library with, ``from hardycorners
 import cli, domain, measures, projective``: the package import with every
 module it loads, and the names asked of the package, which go through its
 module ``__getattr__``.  After the timer stops, it lists the ``hardycorners``
-submodules that the import loaded, and the top-level modules outside the
-standard library and ``hardycorners`` that it added to ``sys.modules`` (such
-as a command-line library).
+submodules that the import loaded, the ``numpy`` subpackages that it added
+(``numpy`` itself is loaded before the timer, but some of its subpackages,
+such as ``numpy.polynomial``, load only when imported), and the top-level
+modules outside the standard library and ``hardycorners`` that it added to
+``sys.modules`` (such as a command-line library).
 
 The runs are made twice:
 
@@ -47,24 +49,32 @@ from pathlib import Path
 from pairs import _cell, compare
 
 # Run in a fresh interpreter: argv[1] is the checkout's src/.  Prints the
-# seconds of the import, the package's submodules it loaded (comma-separated,
-# "-" if none), and the third-party top-level modules it added, if any.
+# seconds of the import, the package's submodules it loaded and the numpy
+# subpackages it added (each comma-separated, "-" if none), and the
+# third-party top-level modules it added, if any.
 _WORKER = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy
-before = {n.split(".")[0] for n in sys.modules}
+before = set(sys.modules)
 start = time.perf_counter()
 from hardycorners import cli, domain, measures, projective
 elapsed = time.perf_counter() - start
-added = {n.split(".")[0] for n in sys.modules} - before - set(sys.stdlib_module_names)
+new = set(sys.modules) - before
+added = {n.split(".")[0] for n in new} - {n.split(".")[0] for n in before}
+added -= set(sys.stdlib_module_names) | {"hardycorners"}
 package = sorted(n.partition(".")[2] for n in sys.modules if n.startswith("hardycorners."))
-print(elapsed, ",".join(package) or "-", *sorted(added - {"hardycorners"}))
+subpackages = sorted({".".join(n.split(".")[:2]) for n in new if n.startswith("numpy.")})
+print(elapsed, ",".join(package) or "-", ",".join(subpackages) or "-", *sorted(added))
 """
 
 
 def _import(src, env, cwd):
-    """One timed import of ``src``'s package: ``(seconds, submodules loaded, added third-party modules)``."""
+    """One timed import of ``src``'s package.
+
+    Returns ``(seconds, submodules loaded, numpy subpackages added, third-party
+    modules added)``.
+    """
     proc = subprocess.run(
         [sys.executable, "-c", _WORKER, str(src)],
         cwd=cwd,
@@ -73,9 +83,9 @@ def _import(src, env, cwd):
         text=True,
         check=True,
     )
-    seconds, package, *added = proc.stdout.split()
-    modules = () if package == "-" else tuple(package.split(","))
-    return float(seconds), modules, tuple(added)
+    seconds, package, subpackages, *added = proc.stdout.split()
+    modules, numpy_added = (() if f == "-" else tuple(f.split(",")) for f in (package, subpackages))
+    return float(seconds), modules, numpy_added, tuple(added)
 
 
 def summarize(runs):
@@ -128,9 +138,11 @@ def main(argv=None):
 
     print(f"from hardycorners import cli, domain, measures, projective, after numpy; runs={args.runs}")
     print(f"parent={srcs[0]}\nchange={srcs[1]}")
-    for side, (_, package, _) in zip(("parent", "change"), first[0]):
+    for side, (_, package, _, _) in zip(("parent", "change"), first[0]):
         print(f"hardycorners modules the {side}'s import loads: {', '.join(package) or 'none'}")
-    for side, (_, _, added) in zip(("parent", "change"), first[0]):
+    for side, (_, _, numpy_added, _) in zip(("parent", "change"), first[0]):
+        print(f"numpy subpackages the {side}'s import adds: {', '.join(numpy_added) or 'none'}")
+    for side, (_, _, _, added) in zip(("parent", "change"), first[0]):
         print(f"third-party modules the {side}'s import adds: {', '.join(added) or 'none'}")
     print(
         f"{'bytecode':<9} {'parent ms median [q1, q3]':>30} {'change ms median [q1, q3]':>30} "
