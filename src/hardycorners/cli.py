@@ -10,7 +10,9 @@
 The command-line program itself (its parser, commands, reports and
 self-test suites) is :mod:`hardycorners.commands`, which imports this
 module; this module imports nothing else of the package, so that a process
-that only loads specs, as the benchmark does, compiles no command.
+that only loads specs, as the benchmark does, compiles no command.  Run as
+a program (``python -m hardycorners.cli``), it runs no command: it names
+the program's two entry points in one ``Error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import ast
 import importlib.resources as resources
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -174,3 +177,12 @@ def parse_tau(text):
     except ValueError as exc:
         raise InputError(f"cannot parse --tau {text!r}") from exc
     return np.array([complex(v[0], v[1]), complex(v[2], v[3])])
+
+
+if __name__ == "__main__":
+    print(
+        "Error: hardycorners.cli is not the command-line program; run "
+        "'python -m hardycorners.commands COMMAND ...' or the 'hardycorners' script",
+        file=sys.stderr,
+    )
+    sys.exit(2)

@@ -18,9 +18,9 @@ specializations, and this module checks the identities that connect them:
   fiber), compared with the corner kernel.
 
 Neither :func:`~hardycorners.measures.reproduce` nor
-:func:`~hardycorners.measures.hardy_norm` runs any of this, so the package
-loads this module on first use: when one of its names is read from the
-package, or by the acceptance checks and ``selftest`` suites that import it.
+:func:`~hardycorners.measures.hardy_norm` runs any of this, so this module
+loads only where it is imported: by the acceptance checks and the
+``selftest`` suites that use it.
 ``_random_incident_pair`` and ``_random_tangents`` draw the random incident
 data those checks run on.
 """

@@ -940,3 +940,23 @@ def test_import_loads_no_click_and_help_exits_zero():
         proc = _fresh_interpreter("-m", "hardycorners.commands", *args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: hardycorners")
+
+
+def test_running_the_cli_module_runs_nothing_and_exits_two():
+    # It names the program's entry points and neither imports nor forwards to it.
+    probe = (
+        "import runpy, sys; sys.argv = ['cli', 'check-domain', 'bidisk']\n"
+        "try:\n    runpy.run_module('hardycorners.cli', run_name='__main__')\n"
+        "finally:\n    print('hardycorners.commands' in sys.modules)"
+    )
+    for args, stdout in (
+        (["-m", "hardycorners.cli", "check-domain", "bidisk"], ""),
+        (["-c", probe], "False\n"),
+    ):
+        proc = _fresh_interpreter(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == stdout
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("Error: ")
+        assert "python -m hardycorners.commands" in line and "'hardycorners' script" in line
+    assert _fresh_interpreter("-m", "hardycorners.commands", "check-domain", "bidisk").returncode == 0

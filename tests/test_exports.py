@@ -1,10 +1,13 @@
-"""The package exports exactly its modules' ``__all__`` lists; its imports have no cycle.
+"""The package root holds only its modules; their imports have no cycle.
 
-Two modules load on first use, through one name-to-module map: a process
-that only reproduces or checks a domain never imports
-:mod:`hardycorners.normalforms`, and one that reproduces and takes norms, as
-the benchmark does, never imports :mod:`hardycorners.incidence`,
-:mod:`hardycorners.commands` or ``numpy.polynomial``.
+Every name is imported from its own module (``from hardycorners.measures
+import reproduce``): importing the package loads no module and binds no
+module's name, and no file of the repository reads a name from the package
+root.  A module loads when it is imported, so a process that only reproduces
+or checks a domain never imports :mod:`hardycorners.normalforms`, and one
+that reproduces and takes norms, as the benchmark does, never imports
+:mod:`hardycorners.incidence`, :mod:`hardycorners.commands` or
+``numpy.polynomial``.
 """
 
 import ast
@@ -14,28 +17,17 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
-import types
+
+import pytest
 
 import hardycorners
-from hardycorners import incidence, normalforms
+
+_SUBMODULES = {info.name for info in pkgutil.iter_modules(hardycorners.__path__)}
 
 
 def _modules():
-    for info in pkgutil.iter_modules(hardycorners.__path__, "hardycorners."):
-        yield importlib.import_module(info.name)
-
-
-def test_every_package_export_is_in_its_modules_all():
-    # dir(), not vars(): the normal forms' names are resolved on first use.
-    exported = {
-        name: getattr(hardycorners, name)
-        for name in dir(hardycorners)
-        if not name.startswith("_") and not isinstance(getattr(hardycorners, name), types.ModuleType)
-    }
-    assert exported
-    for name, obj in exported.items():
-        module = importlib.import_module(obj.__module__)
-        assert name in module.__all__, f"{obj.__module__}.__all__ lacks {name!r}"
+    for name in sorted(_SUBMODULES):
+        yield importlib.import_module(f"hardycorners.{name}")
 
 
 def test_every_all_entry_exists():
@@ -44,12 +36,45 @@ def test_every_all_entry_exists():
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
 
 
-def test_every_all_entry_is_a_package_export():
+def test_a_module_name_cannot_be_imported_from_the_package():
+    # ``from hardycorners import reproduce`` among them; written as text, so
+    # that the walk below does not find it.
     for module in _modules():
         for name in getattr(module, "__all__", ()):
-            assert getattr(hardycorners, name, None) is getattr(module, name), (
-                f"hardycorners.{name} is not {module.__name__}.{name}"
-            )
+            assert not hasattr(hardycorners, name), f"hardycorners.{name} resolves"
+            with pytest.raises(ImportError):
+                exec(f"from hardycorners import {name}", {})
+
+
+def test_no_file_reads_a_name_from_the_package_root():
+    # ``from hardycorners import X`` and ``hardycorners.X`` name only submodules
+    # (and dunders such as ``__path__``), as do the package's own ``from . import X``.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = pathlib.Path(hardycorners.__file__).resolve().parent
+    found = []
+    for top in ("src", "tests", "tools", "bench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 0 and node.module == "hardycorners")
+                    or (node.level == 1 and node.module is None and path.parent == package)
+                ):
+                    names = [alias.name for alias in node.names]
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "hardycorners"
+                    and not node.attr.startswith("__")
+                ):
+                    names = [node.attr]
+                else:
+                    continue
+                found += [
+                    f"{path.relative_to(root)}:{node.lineno} {name}"
+                    for name in names
+                    if name not in _SUBMODULES
+                ]
+    assert not found, found
 
 
 def test_module_imports_have_no_cycle():
@@ -76,24 +101,6 @@ def test_module_imports_have_no_cycle():
         visit(name, [])
 
 
-def test_lazy_names_are_their_modules_all_and_resolve_to_its_objects():
-    # One map serves every module loaded on first use: its names are that module's __all__.
-    owners = set(hardycorners._LAZY.values())
-    assert owners == {"incidence", "normalforms"}
-    for owner in owners:
-        module = importlib.import_module(f"hardycorners.{owner}")
-        assert [n for n, o in hardycorners._LAZY.items() if o == owner] == module.__all__
-        assert set(module.__all__) <= set(dir(hardycorners))
-        assert set(module.__all__) <= set(hardycorners.__all__)
-        bound = {}
-        exec("from hardycorners import *", bound)
-        for name in module.__all__:
-            assert getattr(hardycorners, name) is getattr(module, name)
-            assert bound[name] is getattr(module, name)
-    assert hardycorners.eta is normalforms.eta
-    assert hardycorners.omega_cfl is incidence.omega_cfl
-
-
 def test_an_unknown_package_attribute_raises_attribute_error():
     assert not hasattr(hardycorners, "no_such_name")
 
@@ -107,6 +114,22 @@ def _run_probe(probe):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+_BARE_IMPORT_PROBE = """
+import importlib, pkgutil, sys
+import hardycorners
+print(sorted(m for m in sys.modules if m.startswith("hardycorners.")))
+for info in pkgutil.iter_modules(hardycorners.__path__, "hardycorners."):
+    module = importlib.import_module(info.name)
+    print(info.name, sorted(set(getattr(module, "__all__", ())) & set(vars(hardycorners))))
+"""
+
+
+def test_importing_the_package_loads_no_module_and_binds_no_module_name():
+    lines = _run_probe(_BARE_IMPORT_PROBE)
+    assert lines[0] == "[]"
+    assert lines[1:] == [f"hardycorners.{name} []" for name in sorted(_SUBMODULES)]
 
 
 # The benchmark's import line, then a reproduce, a domain check and both CLI
@@ -140,8 +163,8 @@ def test_normal_forms_load_with_the_first_measure_only():
     assert _run_probe(_NORMAL_FORMS_PROBE) == ["False", "True"]
 
 
-# The benchmark's import line, a reproduce and a hardy_norm; then a name of
-# the identity checks, read from the package; then a command line.
+# The benchmark's import line, a reproduce and a hardy_norm; then the
+# identity checks' module; then a command line.
 _LEAN_PROBE = """
 import contextlib, io, sys
 import numpy as np
@@ -155,8 +178,7 @@ d = domain.domain_from_spec(cli.load_spec("perturbed_bidisk"))
 measures.reproduce(d, lambda z: z[0] * z[1] + 0.5, np.array([0.2 + 0.1j, -0.3]), resolution=8)
 measures.hardy_norm(d, lambda z: z[0] + 1.0, resolution=6)
 loaded()
-import hardycorners
-hardycorners.omega_cfl
+import hardycorners.incidence
 loaded()
 from hardycorners import commands
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):

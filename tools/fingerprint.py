@@ -21,10 +21,14 @@ report is the same.  The polynomial layer has lines of its own: the parsed
 terms of every built-in ``rho`` and of each text in ``POLY_TEXTS``,
 ``model_edge_polys`` at seeded coefficients, ``transform_poly`` of every
 built-in hypersurface under five seeded maps at its own and a raised degree,
-and ``pushforward_corner_check`` at seeded points of each edge.  A result
-that raises prints its
-exception type and message in place of a digest, so a changed error shows
-too.
+and ``pushforward_corner_check`` at seeded points of each edge.  So do the
+other identity checks of ``hardycorners.incidence``: ``omega_cfl`` on a
+stack of seeded incident pairs in its default charts and in each fixed
+chart, ``omega_cfl_affine_form`` on each pair, ``cramer_residual`` at seeded
+edge points of ``bidisk`` and ``perturbed_bidisk``, and both routes of
+``simplex_integral`` at seeded parameters for n = 2 and 3 and at a pole.  A
+result that raises prints its exception type and message in place of a
+digest, so a changed error shows too.
 
 Each line is ``<name> <sha256 prefix>``.  The digest covers the raw bytes,
 dtype and shape of every array in the result, or the ``repr`` of a result
@@ -38,27 +42,30 @@ from fractions import Fraction
 
 import numpy as np
 
-from hardycorners import (
+from hardycorners.cli import load_spec
+from hardycorners.domain import (
     GraphPatchChart,
     ProjectionError,
-    Section,
     SpherePolarChart,
     TorusChart,
-    build_measure,
     domain_from_spec,
-    hardy_norm,
-    normalize_map,
-    pull_back_section,
-    reproduce,
+    strong_tangents,
     transform_domain,
     validate_domain,
 )
-from hardycorners.cli import load_spec
 from hardycorners.hermpoly import parse_poly, transform_poly
-from hardycorners.incidence import pushforward_corner_check
-from hardycorners.measures import fefferman_density
+from hardycorners.incidence import (
+    _random_incident_pair,
+    _random_tangents,
+    cramer_residual,
+    omega_cfl,
+    omega_cfl_affine_form,
+    pushforward_corner_check,
+    simplex_integral,
+)
+from hardycorners.measures import build_measure, fefferman_density, hardy_norm, reproduce
 from hardycorners.normalforms import eta, model_edge_polys
-from hardycorners.projective import homogenize
+from hardycorners.projective import Section, homogenize, normalize_map, pull_back_section
 
 SPECS = ("bidisk", "perturbed_bidisk", "sphere")
 RESOLUTIONS = (4, 5, 8, 17)
@@ -408,6 +415,46 @@ def polynomials():
                 )
 
 
+def identities():
+    """The incidence identity checks: ``omega_cfl``, its affine form, ``cramer_residual``, ``simplex_integral``."""
+    rng = np.random.default_rng(118)
+    pairs = [_random_incident_pair(rng) for _ in range(4)]
+    lifts = [_random_tangents(rng, z, w) for z, w in pairs]
+    z = np.array([z for z, _ in pairs])
+    w = np.array([w for _, w in pairs])
+    # Tangent i of every pair, stacked along the pair axis.
+    stacked = [(np.array([t[i][0] for t in lifts]), np.array([t[i][1] for t in lifts])) for i in range(3)]
+    _line("omega_cfl pairs4 default", lambda: (omega_cfl(z, w, stacked).value,))
+    for j in range(3):
+        for k in range(3):
+            _line(
+                f"omega_cfl pairs4 ({j}, {k})",
+                lambda: (omega_cfl(z, w, stacked, charts=(j, k)).value,),
+            )
+    for i, ((zi, wi), tangents) in enumerate(zip(pairs, lifts)):
+        _line(f"omega_cfl_affine_form pair{i}", lambda: (omega_cfl_affine_form(zi, wi, tangents).value,))
+    for name in ("bidisk", "perturbed_bidisk"):
+        d = domain_from_spec(load_spec(name))
+        for i, e in enumerate(d.edges):
+            params = 2 * np.pi * np.random.default_rng(119 + i).random((5, e.chart.dim))
+            points = e.chart.project(params)[0]
+            _line(
+                f"cramer_residual {name} edge{i} z0-4",
+                lambda: (cramer_residual(strong_tangents(d, e, points)),),
+            )
+    rng = np.random.default_rng(120)
+    for n in (2, 3):
+        taus = [0.5 * (rng.random(n) - 0.5) + 0.25j * (rng.random(n) - 0.5) for _ in range(3)]
+        # A factor 1 - tau_j of 0 puts the pole on the simplex: both routes raise.
+        taus.append(np.ones(n))
+        for i, tau in enumerate(taus):
+            _line(f"simplex_integral n{n} tau{i} closed", lambda: (simplex_integral(tau, "closed"),))
+            _line(
+                f"simplex_integral n{n} tau{i} quadrature o24",
+                lambda: (simplex_integral(tau, "quadrature", order=24),),
+            )
+
+
 def checks():
     """The ``validate_domain`` report of each domain at each of ``RESOLUTIONS``."""
     for name, d in _domains().items():
@@ -429,3 +476,4 @@ if __name__ == "__main__":
     degenerate_charts()
     checks()
     polynomials()
+    identities()

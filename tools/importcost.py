@@ -8,14 +8,14 @@ Each run starts one interpreter per checkout, the side that goes first
 swapping from run to run.  The interpreter puts the checkout's ``src/`` first
 on its path, imports ``numpy``, and only then starts the timer around the
 line ``bench/workloads.py`` imports the library with, ``from hardycorners
-import cli, domain, measures, projective``: the package import with every
-module it loads, and the names asked of the package, which go through its
-module ``__getattr__``.  After the timer stops, it lists the ``hardycorners``
-submodules that the import loaded, the ``numpy`` subpackages that it added
-(``numpy`` itself is loaded before the timer, but some of its subpackages,
-such as ``numpy.polynomial``, load only when imported), and the top-level
-modules outside the standard library and ``hardycorners`` that it added to
-``sys.modules`` (such as a command-line library).
+import cli, domain, measures, projective``: the package import and the
+import of the four modules, with every module they load.  After the timer
+stops, it lists the ``hardycorners`` submodules that the import loaded, the
+``numpy`` subpackages that it added (``numpy`` itself is loaded before the
+timer, but some of its subpackages, such as ``numpy.polynomial``, load only
+when imported), and the top-level modules outside the standard library and
+``hardycorners`` that it added to ``sys.modules`` (such as a command-line
+library).
 
 The runs are made twice:
 
