@@ -241,7 +241,7 @@ def eta_cmd(spec_name, edge, grid, fmt, with_margins, output):
     _report("eta", spec, grid, rows, {"positive_weight": 0.0}, all_ok, output)
 
 
-def _suite_simplex(rng, checks):
+def _suite_simplex(rng):
     from .incidence import simplex_integral
 
     for n in (2, 3):
@@ -249,10 +249,7 @@ def _suite_simplex(rng, checks):
             tau = 0.5 * (rng.random(n) - 0.5) + 0.25j * (rng.random(n) - 0.5)
             closed = simplex_integral(tau, method="closed")
             quad = simplex_integral(tau, method="quadrature", order=24)
-            rel = abs(closed - quad) / abs(closed)
-            checks.append(
-                {"name": f"simplex_n{n}", "rel_err": rel, "passed": rel < 1e-6}
-            )
+            yield f"simplex_n{n}", "rel_err", abs(closed - quad) / abs(closed), 1e-6
 
 
 def _random_edge_points(d, rng, count):
@@ -261,19 +258,17 @@ def _random_edge_points(d, rng, count):
     return chart.project(2 * np.pi * rng.random((count, chart.dim)))[0]
 
 
-def _suite_cramer(rng, checks):
+def _suite_cramer(rng):
     from .incidence import cramer_residual
 
     for name in ("bidisk", "perturbed_bidisk"):
         d = domain_from_spec(load_spec(name))
         points = _random_edge_points(d, rng, 5)
         for res in cramer_residual(strong_tangents(d, d.edges[0], points)).tolist():
-            checks.append(
-                {"name": f"cramer_{name}", "residual": res, "passed": res < 1e-12}
-            )
+            yield f"cramer_{name}", "residual", res, 1e-12
 
 
-def _suite_symmetry(rng, checks):
+def _suite_symmetry(rng):
     from .incidence import _random_incident_pair, _random_tangents, omega_cfl
 
     for _ in range(10):
@@ -282,11 +277,10 @@ def _suite_symmetry(rng, checks):
         a = omega_cfl(z, w, tangents)
         swapped = [(dw, dz) for dz, dw in tangents]
         b = omega_cfl(w, z, swapped)
-        rel = abs(a.value - b.value) / max(abs(a.value), 1e-300)
-        checks.append({"name": "symmetry", "rel_err": rel, "passed": rel < 1e-10})
+        yield "symmetry", "rel_err", abs(a.value - b.value) / max(abs(a.value), 1e-300), 1e-10
 
 
-def _suite_chart_identity(rng, checks):
+def _suite_chart_identity(rng):
     from .incidence import _random_incident_pair, _random_tangents, omega_cfl, omega_cfl_affine_form
 
     for _ in range(10):
@@ -298,12 +292,10 @@ def _suite_chart_identity(rng, checks):
                 vals.append(omega_cfl(z, w, tangents, charts=(j, k)).value)
         ref = omega_cfl_affine_form(z, w, tangents).value
         spread = max(abs(v - ref) for v in vals) / max(abs(ref), 1e-300)
-        checks.append(
-            {"name": "chart_identity", "rel_err": spread, "passed": spread < 1e-10}
-        )
+        yield "chart_identity", "rel_err", spread, 1e-10
 
 
-def _suite_laws(rng, checks):
+def _suite_laws(rng):
     from .normalforms import (
         apply_coordinate_change,
         change_matrix,
@@ -325,24 +317,16 @@ def _suite_laws(rng, checks):
         d2 = transform_domain(d, change_matrix(kind, param))
         nf = extract_normal_form(d2, np.array([0.0j, 0.0j]), frame=ident)
         got = nf.coeffs
-        err = max(abs(p - g) for p, g in zip(predicted, got))
-        checks.append({"name": f"law_{kind}", "abs_err": err, "passed": err < 1e-6})
+        yield f"law_{kind}", "abs_err", max(abs(p - g) for p, g in zip(predicted, got)), 1e-6
 
 
-def _suite_anchor(rng, checks):
+def _suite_anchor(rng):
     from .incidence import pushforward_corner_check
 
     d = domain_from_spec(load_spec("perturbed_bidisk"))
     tau = np.array([1.0, 0.1 + 0.05j, -0.2 + 0.1j])
     for z in _random_edge_points(d, rng, 3):
-        res = pushforward_corner_check(d, z, tau)
-        checks.append(
-            {
-                "name": "pushforward",
-                "rel_err": res["rel_err"],
-                "passed": res["rel_err"] < 1e-5,
-            }
-        )
+        yield "pushforward", "rel_err", pushforward_corner_check(d, z, tau)["rel_err"], 1e-5
     db = domain_from_spec(load_spec("bidisk"))
     rep = run_reproduce(
         db,
@@ -351,15 +335,11 @@ def _suite_anchor(rng, checks):
         resolution=32,
         face_resolution=6,
     )
-    checks.append(
-        {
-            "name": "anchor_reproduce",
-            "rel_err": rep["rel_err"],
-            "passed": rep["rel_err"] < 1e-8,
-        }
-    )
+    yield "anchor_reproduce", "rel_err", rep["rel_err"], 1e-8
 
 
+# Each suite yields its checks as (name, figure, value, tolerance): a check
+# passes when its value is below the tolerance.
 _SUITES = {
     "simplex": _suite_simplex,
     "cramer": _suite_cramer,
@@ -376,9 +356,10 @@ def selftest_cmd(suite, seed, output):
         raise InputError(
             f"unknown suite {suite!r}; choose from {sorted(_SUITES)}"
         )
-    rng = np.random.default_rng(seed)
-    checks = []
-    _SUITES[suite](rng, checks)
+    checks = [
+        {"name": name, figure: value, "passed": value < tolerance}
+        for name, figure, value, tolerance in _SUITES[suite](np.random.default_rng(seed))
+    ]
     ok = all(c["passed"] for c in checks)
     _report("selftest", None, None, checks, {"suite": suite}, ok, output)
 

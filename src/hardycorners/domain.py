@@ -5,7 +5,11 @@ list of smooth boundary faces (each a 3-real-dimensional piece of one
 hypersurface), and a list of edges (here: the 2-real-dimensional manifolds
 where exactly two hypersurfaces meet transversely over the complex field).
 Faces and edges carry explicit parameter charts from a small built-in
-catalog.  A catalog chart gives only its geometry: base points and solve
+catalog.  A catalog chart gives only its axes and its geometry.  Its
+``axes`` say how each parameter is integrated: ``None`` for a periodic
+angle (the trapezoid rule on ``[0, 2*pi)``), or a length ``L`` for an
+interval ``[0, L]`` (Gauss-Legendre), and :meth:`Chart.grid` builds the
+quadrature grid from them.  Its geometry is base points and solve
 directions, along which ``k`` real moduli (1 on a face, 2 on an edge) put a
 point on its ``k`` defining functions.  One vectorized Newton solve
 (:meth:`Chart.project`) finds the moduli of the whole quadrature grid to
@@ -232,30 +236,35 @@ def _finite(field, value):
 class Chart:
     """Base class: a parameterization of a face (3 params) or edge (2 params).
 
-    A catalog chart sets ``dim``, ``radial``, its defining functions
-    ``rhos``, the start ``r0`` of its moduli and ``_singular``, why its
-    tangents can be singular, and defines its geometry (:meth:`_geometry`);
-    every other method is built on :meth:`grid` and :meth:`project`.
-    ``radial`` is the length of a face chart's first (radial or polar)
-    parameter interval, and ``None`` on a chart whose axes are all periodic.
+    A catalog chart declares its ``axes``, one entry per parameter: ``None``
+    for a periodic axis on ``[0, 2*pi)``, or the length ``L`` of an interval
+    ``[0, L]``.  It also sets its defining functions ``rhos``, the start
+    ``r0`` of its moduli and ``_singular``, why its tangents can be
+    singular, and defines its geometry (:meth:`_geometry`); every other
+    method is built on :meth:`grid` and :meth:`project`.  ``dim`` is
+    ``len(axes)``.
     """
 
     kind = "abstract"
-    dim = 0
-    radial = None
+    axes = ()
+
+    @property
+    def dim(self):
+        return len(self.axes)
 
     def grid(self, resolution):
-        """Deterministic quadrature grid: params ``(N, dim)`` and weights ``(N,)``.
+        """Deterministic grid on the ``axes``: params ``(N, dim)`` and weights ``(N,)``.
 
-        Each periodic axis carries ``resolution`` trapezoid nodes; a face
-        chart's first axis carries ``max(4, resolution // 2)`` Gauss-Legendre
-        nodes on ``[0, radial]``.  A resolution that is not an integer of at
-        least 4 raises ``ValueError``.
+        Each periodic axis carries ``resolution`` trapezoid nodes (one rule,
+        shared by every periodic axis), and an axis of length ``L`` carries
+        ``max(4, resolution // 2)`` Gauss-Legendre nodes on ``[0, L]``.  A
+        resolution that is not an integer of at least 4 raises ``ValueError``.
         """
-        rules = [trapezoid_rule(_check_resolution(resolution))] * self.dim
-        if self.radial is not None:
-            rules[0] = gauss_rule(0.0, self.radial, max(4, resolution // 2))
-        return tensor_grid(rules)
+        periodic = trapezoid_rule(_check_resolution(resolution))
+        order = max(4, resolution // 2)
+        return tensor_grid(
+            [periodic if length is None else gauss_rule(0.0, length, order) for length in self.axes]
+        )
 
     def _geometry(self, params):
         """Base points ``(N, 2)``, solve directions ``(N, k, 2)`` and the ``s``-fixed tangents.
@@ -281,11 +290,11 @@ class Chart:
         z = _along(base, s, dirs)
         grads = [_grad(rho, z) for rho in self.rhos]
         tangents = fixed_tangents(s)
-        axes = range(self.dim)
-        rhs = np.stack([-2.0 * np.real(_dot2(g, tangents[:, a])) for g in grads for a in axes], -1)
+        dims = range(self.dim)
+        rhs = np.stack([-2.0 * np.real(_dot2(g, tangents[:, a])) for g in grads for a in dims], -1)
         ds, regular = _solve(_jacobian(grads, dirs), rhs.reshape(len(z), len(grads), self.dim))
         _check_tangents(self.kind, regular, self._singular)
-        for a in axes:
+        for a in dims:
             tangents[:, a] = _along(tangents[:, a], ds[:, :, a], dirs)
         det, regular = _frame_dets(grads, tangents)
         _check_tangents(self.kind, regular, _RANK_DEFICIENT)
@@ -314,7 +323,7 @@ class TorusChart(Chart):
     """
 
     kind = "torus2"
-    dim = 2
+    axes = (None, None)
     _singular = "member gradients are not transverse"
 
     def __init__(self, rhos, r0=(1.0, 1.0)):
@@ -350,8 +359,7 @@ class SpherePolarChart(Chart):
     """
 
     kind = "sphere_polar"
-    dim = 3
-    radial = np.pi / 2.0
+    axes = (np.pi / 2.0, None, None)
     _singular = "rho has zero derivative along the solve direction"
 
     def __init__(self, rho, r0=1.0):
@@ -388,8 +396,7 @@ class GraphPatchChart(Chart):
     """
 
     kind = "graph_patch"
-    dim = 3
-    radial = 1.0
+    axes = (1.0, None, None)
     _singular = SpherePolarChart._singular
 
     def __init__(self, rho, solve="z1", disk_radius=1.0, r0=1.0):
@@ -430,15 +437,17 @@ class GraphPatchChart(Chart):
 
 
 class TransformedChart(Chart):
-    """A chart composed with a projective map, with exact pushed tangents."""
+    """A chart composed with a projective map, with exact pushed tangents.
+
+    It has its base chart's ``axes``, so its grid is the base chart's grid.
+    """
 
     kind = "transformed"
 
     def __init__(self, base, tmap):
         self.base = base
         self.tmap = tmap
-        self.dim = base.dim
-        self.radial = base.radial
+        self.axes = base.axes
 
     def project(self, params):
         """The base chart's projection pushed by the map; its orientations carry over.
@@ -795,10 +804,13 @@ def validate_domain(d, resolution=12):
 
     Raises
     ------
+    ValueError
+        If ``resolution`` is not an integer of at least 4.
     ProjectionError
         If a chart's projection fails: its Newton solve does not converge, or
         its tangents are singular (not transverse, or rank-deficient with the conormals).
     """
+    _check_resolution(resolution)
     failures = []
     pieces = [(f"face {k}", (f.hypersurface,), f.chart) for k, f in enumerate(d.faces)]
     pieces += [(f"edge {k}", e.members, e.chart) for k, e in enumerate(d.edges)]

@@ -32,17 +32,10 @@ from math import factorial
 
 import numpy as np
 
-from .hermpoly import _real_gradient, gradient_hyperplane
-from .kernels import (
-    TWO_PI_I,
-    Density,
-    StrongTangentSet,
-    _as_hyperplane,
-    _as_point,
-    _dot3,
-    corner_kernel,
-)
-from .projective import HomVec, _value, det3
+from .domain import strong_tangents
+from .hermpoly import _real_gradient
+from .kernels import TWO_PI_I, Density, _coords, _dot3, corner_kernel
+from .projective import _value, det3
 from .quadrature import gauss_rule, simplex_rule
 
 __all__ = [
@@ -119,8 +112,8 @@ def omega_cfl(z, w, tangents, charts=None):
     """
     if len(tangents) != 3:
         raise ValueError("the incidence density consumes exactly three tangents")
-    z = _as_point(z)
-    w = _as_hyperplane(w)
+    z = _coords(z, "point")
+    w = _coords(w, "hyperplane")
     lifts = [np.asarray(v, dtype=complex) for pair in tangents for v in pair]
     shape = np.broadcast_shapes(z.shape, w.shape, *(v.shape for v in lifts))
     z, w, *lifts = (np.broadcast_to(v, shape) for v in (z, w, *lifts))
@@ -164,8 +157,8 @@ def omega_cfl_affine_form(z, w, tangents):
     coordinate to be nonzero.  Used as a cross-check of :func:`omega_cfl`;
     the two must agree to full precision wherever both are defined.
     """
-    z = _as_point(z)
-    w = _as_hyperplane(w)
+    z = _coords(z, "point")
+    w = _coords(w, "hyperplane")
     _check_incidence(z, w)
     if abs(z[0]) <= 1e-14 * np.max(np.abs(z)):
         raise ValueError("affine form requires z0 != 0")
@@ -203,7 +196,7 @@ def cramer_residual(strong):
     rounding) exactly when the identity holds.
     """
     c = strong.minor_vector()
-    z = _as_point(strong.basepoint)
+    z = _coords(strong.basepoint, "point")
     denom = np.maximum(np.linalg.norm(c, axis=-1) * np.linalg.norm(z, axis=-1), 1e-300)
     return _value(np.linalg.norm(np.cross(c, z), axis=-1) / denom, float)
 
@@ -297,12 +290,11 @@ def pushforward_corner_check(d, zhat, tau, order=32):
     nodes.  Returns a dict with both values and their relative difference.
     """
     zhat = np.asarray(zhat, dtype=complex)
-    e = d.edge_at(zhat)  # so every member has |rho| <= 1e-8 at zhat
-    planes = tuple(gradient_hyperplane(d.rho(m), zhat) for m in e.members)
-    strong = StrongTangentSet(basepoint=HomVec.from_affine(zhat), planes=planes)
+    e = d.edge_at(zhat)
+    strong = strong_tangents(d, e, zhat)
     w_a, w_b = (p.array for p in strong.planes)
     vs = _edge_tangent_basis((w_a, w_b))
-    tau_arr = _as_point(tau)
+    tau_arr = _coords(tau, "point")
     corner = corner_kernel(strong, tau_arr, vs).value
 
     # Hyperplane w_t = t w_a + (1 - t) w_b and its tangent lifts, at every Gauss node t.

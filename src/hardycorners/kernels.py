@@ -107,23 +107,20 @@ class StrongTangentSet(_Frozen):
         """
         if len(self.planes) != 2:
             raise ValueError("minor vector is defined for exactly two planes")
-        return np.cross(_as_hyperplane(self.planes[0]), _as_hyperplane(self.planes[1]))
+        return np.cross(*(_coords(w, "hyperplane") for w in self.planes))
 
 
-def _as_point(z):
-    if isinstance(z, HomVec):
-        if z.role != "point":
-            raise ValueError("expected a point, got a hyperplane")
-        return z.array
-    return np.asarray(z, dtype=complex)
+def _coords(v, role):
+    """The homogeneous coordinates of a ``role``, ``"point"`` or ``"hyperplane"``.
 
-
-def _as_hyperplane(w):
-    if isinstance(w, HomVec):
-        if w.role != "hyperplane":
-            raise ValueError("expected a hyperplane, got a point")
-        return w.array
-    return np.asarray(w, dtype=complex)
+    ``v`` is a :class:`HomVec` or an array; a HomVec of the other role
+    raises ``ValueError``.
+    """
+    if isinstance(v, HomVec):
+        if v.role != role:
+            raise ValueError(f"expected a {role}, got a {v.role}")
+        return v.array
+    return np.asarray(v, dtype=complex)
 
 
 def _dot3(a, b):
@@ -234,8 +231,8 @@ def _corner_factor(strong, frame):
     """
     if len(strong) != 2:
         raise ValueError("corner kernel needs exactly two tangent hyperplanes")
-    z = _as_point(strong.basepoint)
-    planes = np.stack([_as_hyperplane(w) for w in strong.planes], axis=-2)
+    z = _coords(strong.basepoint, "point")
+    planes = np.stack([_coords(w, "hyperplane") for w in strong.planes], axis=-2)
     planes = planes / np.linalg.norm(planes, axis=-1)[..., None]
     det0 = det2(planes[..., 1:])
     dz12 = det2(_frame(frame, 2))
@@ -292,7 +289,7 @@ def corner_kernel(strong, tau, frame):
         If a member tangent hyperplane passes through ``tau``.
     """
     planes, factor = _corner_factor(strong, frame)
-    value = factor / _corner_pairing(planes, _as_point(tau))
+    value = factor / _corner_pairing(planes, _coords(tau, "point"))
     return Density(
         value=_value(value),
         form_degree=2,

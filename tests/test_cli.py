@@ -340,6 +340,41 @@ def test_selftest_anchor_passes_unmutated(runner):
     assert result.exit_code == 0, result.output
 
 
+# Each suite's figure, and the tolerance of each of its checks by name.
+_SELFTEST_RECORDS = {
+    "simplex": ("rel_err", {"simplex_n2": 1e-6, "simplex_n3": 1e-6}),
+    "cramer": ("residual", {"cramer_bidisk": 1e-12, "cramer_perturbed_bidisk": 1e-12}),
+    "symmetry": ("rel_err", {"symmetry": 1e-10}),
+    "chart-identity": ("rel_err", {"chart_identity": 1e-10}),
+    "laws": ("abs_err", {f"law_{k}": 1e-6 for k in ("shear1", "scale", "swap", "parab")}),
+    "anchor": ("rel_err", {"pushforward": 1e-5, "anchor_reproduce": 1e-8}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SELFTEST_RECORDS))
+def test_selftest_records_hold_a_name_one_figure_and_the_verdict(runner, suite):
+    figure, tolerances = _SELFTEST_RECORDS[suite]
+    checks = _json_out(runner.invoke(main, ["selftest", "--suite", suite, "--seed", "3"]))["results"]
+    assert {c["name"] for c in checks} == set(tolerances)
+    for c in checks:
+        assert set(c) == {"name", figure, "passed"}
+        assert c["passed"] == (c[figure] < tolerances[c["name"]])
+
+
+def test_selftest_record_passes_only_below_its_tolerance(runner, monkeypatch):
+    def suite(rng):
+        yield "below", "rel_err", 0.5, 1.0
+        yield "at", "residual", 1.0, 1.0
+
+    monkeypatch.setitem(commands._SUITES, "simplex", suite)
+    result = runner.invoke(main, ["selftest", "--suite", "simplex"])
+    assert result.exit_code == 1
+    assert _json_out(result)["results"] == [
+        {"name": "below", "rel_err": 0.5, "passed": True},
+        {"name": "at", "residual": 1.0, "passed": False},
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Input errors and precondition failures
 
@@ -876,7 +911,7 @@ def test_double_dash_ends_the_options(runner):
 
 def test_out_of_memory_without_a_size_option_is_raised(runner, monkeypatch):
     # selftest has no size to name, so its MemoryError is not turned into an input error.
-    def exhausted(rng, checks):
+    def exhausted(rng):
         raise MemoryError
 
     monkeypatch.setitem(commands._SUITES, "simplex", exhausted)

@@ -375,6 +375,17 @@ def test_validate_domain_passes_fixtures(bidisk, perturbed_bidisk, sphere):
         assert out["passed"], out["failures"]
 
 
+@pytest.mark.parametrize("resolution", [3, 2.5, 8.0])
+@pytest.mark.parametrize("charted", [True, False], ids=["charts", "no_charts"])
+def test_validate_domain_rejects_a_resolution_that_is_not_an_integer_of_at_least_4(
+    bidisk, charted, resolution
+):
+    # A domain with no face or edge projects nothing, and still checks the resolution.
+    d = bidisk if charted else PwsDomain(bidisk.hypersurfaces, [], [])
+    with pytest.raises(ValueError, match="resolution must be an integer >= 4"):
+        validate_domain(d, resolution)
+
+
 def test_validate_domain_flags_exterior_interior_point():
     spec = copy.deepcopy(load_spec("sphere"))
     spec["interior_points"] = [[2.0, 0.0, 0.0, 0.0]]

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hardycorners.cli import load_spec
 from hardycorners.domain import (
     Chart,
+    Face,
     GraphPatchChart,
     NodeSet,
     ProjectionError,
+    PwsDomain,
     SpherePolarChart,
     TorusChart,
     domain_from_spec,
@@ -18,6 +20,7 @@ from hardycorners.domain import (
 )
 from hardycorners.hermpoly import parse_poly
 from hardycorners.kernels import orientation_sign_edge, orientation_sign_face
+from hardycorners.quadrature import gauss_rule, trapezoid_rule
 
 from conftest import random_unit_det_map
 
@@ -92,6 +95,30 @@ def test_node_set_is_the_quadrature_grid(perturbed_bidisk):
     assert len(ns) == 4 * 8 * 8
     # Gauss in r over [0, 1], trapezoid in both angles
     assert np.isclose(np.sum(ns.weights), (2 * np.pi) ** 2)
+
+
+class _HalfDiskChart(GraphPatchChart):
+    """A graph patch over half of its disk: Gauss nodes in the radius and in an angle in [0, pi]."""
+
+    axes = (1.0, np.pi, None)
+
+
+def test_declared_axes_set_the_grid_and_the_image_chart_keeps_them(perturbed_bidisk):
+    base = perturbed_bidisk.faces[0].chart
+    chart = _HalfDiskChart(*base.rhos, solve=base.solve, disk_radius=base.disk_radius, r0=base.r0)
+    ns = chart.nodes(8)
+    assert len(ns) == 4 * 4 * 8
+    r, phi, psi = (np.unique(ns.params[:, a]) for a in range(3))
+    assert np.array_equal(r, gauss_rule(0.0, 1.0, 4)[0])
+    assert np.array_equal(phi, gauss_rule(0.0, np.pi, 4)[0])
+    assert np.array_equal(psi, trapezoid_rule(8)[0])
+    assert np.isclose(np.sum(ns.weights), 2 * np.pi**2)
+
+    d = PwsDomain(perturbed_bidisk.hypersurfaces, [Face(0, chart)], [])
+    g = random_unit_det_map(np.random.default_rng(5), scale=0.1)
+    image = transform_domain(d, g).faces[0].chart.nodes(8)
+    assert np.array_equal(image.params, ns.params)
+    assert np.array_equal(image.weights, ns.weights)
 
 
 @pytest.mark.parametrize("name", ["bidisk", "perturbed_bidisk", "sphere"])
