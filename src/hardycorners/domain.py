@@ -109,15 +109,6 @@ class NodeSet(_Frozen):
 
     __slots__ = ("params", "weights", "points", "tangents", "orientation")
 
-    def __init__(self, params, weights, points, tangents, orientation):
-        self._set(
-            params=params,
-            weights=weights,
-            points=points,
-            tangents=tangents,
-            orientation=orientation,
-        )
-
     def __len__(self):
         return len(self.weights)
 
@@ -205,11 +196,16 @@ def _check_tangents(kind, regular, reason):
         raise ProjectionError(kind, np.sum(~regular), len(regular), reason)
 
 
+def _check_count(value, least, name):
+    """``value`` itself; ``ValueError`` unless it is an integer (numpy's too) >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _check_resolution(resolution):
     """``resolution`` itself; ``ValueError`` unless it is an integer of at least 4."""
-    if not isinstance(resolution, (int, np.integer)) or resolution < 4:
-        raise ValueError(f"resolution must be an integer >= 4, got {resolution!r}")
-    return resolution
+    return _check_count(resolution, 4, "resolution")
 
 
 def _real(field, value):
@@ -243,6 +239,11 @@ class Chart:
     singular, and defines its geometry (:meth:`_geometry`); every other
     method is built on :meth:`grid` and :meth:`project`.  ``dim`` is
     ``len(axes)``.
+
+    The single-point calls :meth:`point` and :meth:`tangents` (one row of
+    :meth:`project`) and :meth:`quad_nodes` (the :meth:`grid` as a list) are
+    written once, here, for every chart; a parameter count other than
+    ``dim`` raises ``TypeError``.  No library path calls them.
     """
 
     kind = "abstract"
@@ -305,11 +306,23 @@ class Chart:
         params, weights = self.grid(resolution)
         return NodeSet(params, weights, *self.project(params))
 
-    def _at(self, *params):
+    def _at(self, params):
+        """The point ``(2,)`` and the list of ``dim`` tangents at one parameter tuple."""
+        if len(params) != self.dim:
+            raise TypeError(f"a {self.kind} chart takes {self.dim} parameters, got {len(params)}")
         points, tangents, _ = self.project(np.array([params], dtype=float))
         return points[0], list(tangents[0])
 
-    def _node_list(self, resolution):
+    def point(self, *params):
+        """The chart point ``(2,)`` at one parameter tuple (one row of :meth:`project`)."""
+        return self._at(params)[0]
+
+    def tangents(self, *params):
+        """The ``dim`` tangent vectors ``(2,)`` at one parameter tuple, as a list."""
+        return self._at(params)[1]
+
+    def quad_nodes(self, resolution):
+        """Deterministic node list [(params, weight), ...] at a resolution."""
         params, weights = self.grid(resolution)
         return [(tuple(p), w) for p, w in zip(params, weights)]
 
@@ -340,15 +353,8 @@ class TorusChart(Chart):
         dirs[:, 0, 0], dirs[:, 1, 1] = e[:, 0], e[:, 1]
         return np.zeros_like(e), dirs, lambda r: 1j * r[..., None] * dirs
 
-    def point(self, theta, phi):
-        return self._at(theta, phi)[0]
-
-    def tangents(self, theta, phi):
-        return self._at(theta, phi)[1]
-
-    def quad_nodes(self, resolution):
-        """Deterministic node list [(params, weight), ...] at a resolution."""
-        return self._node_list(resolution)
+    # bench/tracer.py wraps these through vars(cls), so the class keeps them under its own name.
+    point, tangents, quad_nodes = Chart.point, Chart.tangents, Chart.quad_nodes
 
 
 class SpherePolarChart(Chart):
@@ -376,15 +382,8 @@ class SpherePolarChart(Chart):
         unit[:, 1, 0], unit[:, 2, 1] = 1j * c * ea, 1j * sn * eb
         return np.zeros_like(u), u[:, None], lambda s: s[..., None] * unit
 
-    def point(self, theta, alpha, beta):
-        return self._at(theta, alpha, beta)[0]
-
-    def tangents(self, theta, alpha, beta):
-        return self._at(theta, alpha, beta)[1]
-
-    def quad_nodes(self, resolution):
-        """Deterministic node list [(params, weight), ...] at a resolution."""
-        return self._node_list(resolution)
+    # bench/tracer.py wraps these through vars(cls), so the class keeps them under its own name.
+    point, tangents, quad_nodes = Chart.point, Chart.tangents, Chart.quad_nodes
 
 
 class GraphPatchChart(Chart):
@@ -425,21 +424,14 @@ class GraphPatchChart(Chart):
 
         return base, dirs, fixed_tangents
 
-    def point(self, r, phi, psi):
-        return self._at(r, phi, psi)[0]
-
-    def tangents(self, r, phi, psi):
-        return self._at(r, phi, psi)[1]
-
-    def quad_nodes(self, resolution):
-        """Deterministic node list [(params, weight), ...] at a resolution."""
-        return self._node_list(resolution)
+    # bench/tracer.py wraps these through vars(cls), so the class keeps them under its own name.
+    point, tangents, quad_nodes = Chart.point, Chart.tangents, Chart.quad_nodes
 
 
 class TransformedChart(Chart):
     """A chart composed with a projective map, with exact pushed tangents.
 
-    It has its base chart's ``axes``, so its grid is the base chart's grid.
+    It has its base chart's ``axes``, so its grid and :meth:`quad_nodes` are the base chart's.
     """
 
     kind = "transformed"
@@ -462,14 +454,8 @@ class TransformedChart(Chart):
         pushed = jac[..., 0] * tangents[..., None, 0] + jac[..., 1] * tangents[..., None, 1]
         return np.stack(image, axis=-1), pushed, orientation
 
-    def point(self, *params):
-        return self._at(*params)[0]
-
-    def tangents(self, *params):
-        return self._at(*params)[1]
-
-    def quad_nodes(self, resolution):
-        return self.base.quad_nodes(resolution)
+    # bench/tracer.py wraps these through vars(cls), so the class keeps them under its own name.
+    point, tangents = Chart.point, Chart.tangents
 
 
 class Face(NamedTuple):
@@ -704,22 +690,23 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
     face or edge.  For one point, ``per_t`` pairs each weight with its margin
     and ``min_margin``/``strict`` are scalars; for an array, each margin in
     ``per_t`` is an ``(N,)`` array and ``min_margin``/``strict`` are ``(N,)``.
-    A ``t_grid`` below 2 at an edge point, an ``ambient_grid`` below 1 or a
-    ``local_radius`` that is not positive and finite raises ``ValueError``.
+    Each grid is checked as a resolution is: a ``t_grid`` that is not an
+    integer (numpy integers count) of at least 2 at an edge point (a face
+    point does not read it), an ``ambient_grid`` that is not an integer of at
+    least 1, or a ``local_radius`` that is not positive and finite raises
+    ``ValueError``.
     """
     radius = 0.5 if local_radius is None else float(local_radius)
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"local_radius must be positive and finite, got {local_radius!r}")
-    if ambient_grid < 1:
-        raise ValueError(f"ambient_grid must be at least 1, got {ambient_grid!r}")
+    _check_count(ambient_grid, 1, "ambient_grid")
     zhat = np.asarray(zhat, dtype=complex)
     members = d.active_members(zhat)
     if not members:
         raise ValueError("point is not on the boundary")
     if len(members) >= 2:
         members = list(d.edge_at(zhat).members)
-        if t_grid < 2:
-            raise ValueError(f"t_grid must be at least 2 at an edge point, got {t_grid!r}")
+        _check_count(t_grid, 2, "t_grid at an edge point")
 
     if len(members) == 1:
         t = np.ones((1, 1))

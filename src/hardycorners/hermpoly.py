@@ -133,16 +133,10 @@ class Poly:
         if var not in _VARS:
             raise ValueError(f"var must be one of {_VARS}, got {var!r}")
         i = _VARS.index(var)
-        out = {}
-        for key, c in self.terms.items():
-            e = key[i]
-            if e == 0:
-                continue
-            new = list(key)
-            new[i] = e - 1
-            new = tuple(new)
-            out[new] = out.get(new, 0.0 + 0.0j) + c * e
-        return Poly(out)
+        # Lowering one exponent maps distinct monomials to distinct ones: no two terms meet.
+        return Poly(
+            {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in self.terms.items() if k[i]}
+        )
 
     @cached_property
     def _derivatives(self):

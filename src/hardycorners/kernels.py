@@ -89,9 +89,6 @@ class StrongTangentSet(_Frozen):
 
     __slots__ = ("basepoint", "planes")
 
-    def __init__(self, basepoint, planes):
-        self._set(basepoint=basepoint, planes=planes)
-
     def __len__(self):
         return len(self.planes)
 

@@ -180,9 +180,6 @@ class _Piece(_Frozen):
 
     __slots__ = ("points", "weights", "rows")
 
-    def __init__(self, points, weights, rows):
-        self._set(points=points, weights=weights, rows=rows)
-
     def __len__(self):
         return len(self.weights)
 
@@ -196,9 +193,6 @@ class _NodeSet(_Frozen):
     """
 
     __slots__ = ("points", "weights", "face_nodes", "edge_nodes")
-
-    def __init__(self, points, weights, face_nodes, edge_nodes):
-        self._set(points=points, weights=weights, face_nodes=face_nodes, edge_nodes=edge_nodes)
 
     def _sums(self, terms):
         """The sum of each piece's rows of ``terms`` ``(N,)``: (per face, per edge).
@@ -269,12 +263,6 @@ class _Factors(_NodeSet):
     """
 
     __slots__ = ("flat_points", "unit_grad", "planes", "radius")
-
-    def __init__(
-        self, points, weights, face_nodes, edge_nodes, flat_points, unit_grad, planes, radius
-    ):
-        super().__init__(points, weights, face_nodes, edge_nodes)
-        self._set(flat_points=flat_points, unit_grad=unit_grad, planes=planes, radius=radius)
 
 
 def _face_measure(d, fc, ns):

@@ -64,13 +64,26 @@ __all__ = [
 class _Frozen:
     """Base of the library's immutable records that are not tuples.
 
-    Each record's ``__init__`` sets its fields once through :meth:`_set`;
-    assigning or deleting an attribute afterwards raises ``AttributeError``.
-    The records are written out by hand: ``dataclasses`` would compile
-    generated source for every record each time the library is imported.
+    A record's fields are its ``__slots__`` along the MRO, base class first,
+    and this ``__init__`` fills them once, positionally or by keyword, with
+    the ``TypeError`` of a Python signature for too many positionals and for
+    a field that is missing, unknown or given twice.  A record that validates
+    or coerces its inputs has its own ``__init__``, which sets its fields
+    through :meth:`_set`.  Assigning or deleting an attribute afterwards
+    raises ``AttributeError``.  No code is generated for a record:
+    ``dataclasses`` would compile source for each one at every import.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = [n for c in reversed(type(self).__mro__) for n in vars(c).get("__slots__", ())]
+        fields = dict(zip(names, args))
+        if len(args) > len(names) or {*fields, *kwargs} != set(names):
+            signature = f"{type(self).__name__} takes the fields {', '.join(names)}"
+            raise TypeError(f"{signature}: got {len(args)} positional, keywords {sorted(kwargs)}")
+        # A field given both ways raises TypeError here, as in a call.
+        self._set(**fields, **kwargs)
 
     def _set(self, **fields):
         for name, value in fields.items():
@@ -338,15 +351,19 @@ class ProjMap(_Frozen):
 
     The matrix acts on column vectors of homogeneous coordinates:
     ``Z' = M @ Z``.  Use :func:`normalize_map` to build one from an arbitrary
-    invertible matrix.  The map keeps a read-only copy of the matrix.  It is
-    immutable and compares by identity: two maps with equal matrices are
-    not ``==``, so compare their ``matrix`` arrays.
+    invertible matrix.  A matrix that is not 3x3, has a non-finite entry
+    (checked before any determinant is taken) or whose determinant is not 1
+    within 1e-9 raises ``ValueError``.  The map keeps a read-only copy of the
+    matrix.  It is immutable and compares by identity: two maps with equal
+    matrices are not ``==``, so compare their ``matrix`` arrays.
     """
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError("ProjMap matrix must be 3x3")
+        if not np.isfinite(m).all():
+            raise ValueError("ProjMap matrix must be finite")
         if abs(np.linalg.det(m) - 1.0) > 1e-9:
             raise ValueError("ProjMap matrix must have unit determinant; use normalize_map")
         m = m.copy()
@@ -419,11 +436,15 @@ def normalize_map(m):
     The three cube-root choices differ by a cube root of unity; fixing the
     principal root makes the normalization deterministic, and every invariance
     statement downstream compares moduli or projective classes so the residual
-    root-of-unity ambiguity washes out.
+    root-of-unity ambiguity washes out.  A matrix that is not 3x3, has a
+    non-finite entry (checked before the determinant is taken) or is
+    singular raises ``ValueError``.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("a matrix with a non-finite entry cannot define a projective map")
     d = np.linalg.det(m)
     if not np.isfinite(d) or abs(d) < 1e-300:
         raise ValueError("singular matrix cannot define a projective map")

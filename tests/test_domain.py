@@ -9,6 +9,7 @@ import pytest
 from hardycorners.cli import load_spec
 from hardycorners.commands import main
 from hardycorners.domain import (
+    Chart,
     Edge,
     Face,
     GraphPatchChart,
@@ -187,6 +188,27 @@ def test_rank_deficient_chart_frame_is_projection_error(rng, piece, kind, resolu
         TransformedChart(chart, random_unit_det_map(rng, scale=0.1)).nodes(resolution)
 
 
+def test_a_wrong_parameter_count_is_a_type_error_on_every_chart(bidisk, sphere, rng):
+    charts = [p.chart for d in (bidisk, sphere) for p in d.faces + d.edges]
+    charts += [TransformedChart(chart, random_unit_det_map(rng, scale=0.1)) for chart in charts]
+    kinds = {TorusChart, SpherePolarChart, GraphPatchChart, TransformedChart}
+    assert {type(chart) for chart in charts} == kinds
+    for chart in charts:
+        right = (0.3,) * chart.dim
+        assert np.shape(chart.point(*right)) == (2,) and len(chart.tangents(*right)) == chart.dim
+        for params in ((), right[1:], right + (0.3,)):
+            message = f"takes {chart.dim} parameters, got {len(params)}$"
+            for method in (chart.point, chart.tangents):
+                with pytest.raises(TypeError, match=message):
+                    method(*params)
+
+
+def test_every_chart_reads_one_point_tangents_and_quad_nodes():
+    for cls in (TorusChart, SpherePolarChart, GraphPatchChart, TransformedChart):
+        for name in ("point", "tangents", "quad_nodes"):
+            assert getattr(cls, name) is getattr(Chart, name)
+
+
 def test_transformed_chart_tracks_base(bidisk, rng):
     t = random_unit_det_map(rng, scale=0.1)
     base = bidisk.edges[0].chart
@@ -265,7 +287,11 @@ def test_bidisk_edge_is_not_strictly_convex(bidisk):
     [
         ("t_grid", 1),
         ("t_grid", 0),
+        ("t_grid", 2.5),
+        ("t_grid", 5.0),
         ("ambient_grid", 0),
+        ("ambient_grid", 2.5),
+        ("ambient_grid", 8.0),
         ("local_radius", 0.0),
         ("local_radius", -0.1),
         ("local_radius", np.inf),
@@ -276,6 +302,13 @@ def test_strict_convexity_rejects_bad_arguments(bidisk, name, value):
     zhat = np.array([np.exp(0.4j), np.exp(1.1j)])
     with pytest.raises(ValueError, match=name):
         check_strict_convexity(bidisk, zhat, **{name: value})
+
+
+def test_strict_convexity_takes_numpy_integer_grids(perturbed_bidisk):
+    zhat = np.array(perturbed_bidisk.edges[0].chart.point(0.0, 0.0))
+    plain = check_strict_convexity(perturbed_bidisk, zhat, t_grid=5, ambient_grid=8)
+    grids = {"t_grid": np.int64(5), "ambient_grid": np.int32(8)}
+    assert check_strict_convexity(perturbed_bidisk, zhat, **grids) == plain
 
 
 def test_face_point_needs_no_t_grid(sphere):

@@ -587,6 +587,8 @@ def test_pair_takes_point_and_hyperplane_in_either_order():
     [
         (np.eye(2), "ProjMap matrix must be 3x3"),
         (2.0 * np.eye(3), "ProjMap matrix must have unit determinant; use normalize_map"),
+        (np.full((3, 3), np.nan), "ProjMap matrix must be finite"),
+        (np.diag([np.inf, 1.0, 1.0]), "ProjMap matrix must be finite"),
     ],
 )
 def test_projmap_rejects_a_matrix_that_is_not_unimodular_3x3(matrix, message):
@@ -599,6 +601,8 @@ def test_projmap_rejects_a_matrix_that_is_not_unimodular_3x3(matrix, message):
     [
         (np.eye(2), "expected a 3x3 matrix"),
         (np.zeros((3, 3)), "singular matrix cannot define a projective map"),
+        (np.full((3, 3), np.nan), "a matrix with a non-finite entry cannot define a projective map"),
+        (np.diag([np.inf, 1.0, 1.0]), "a matrix with a non-finite entry cannot define a projective map"),
     ],
 )
 def test_normalize_map_rejects_a_matrix_that_is_not_invertible_3x3(matrix, message):

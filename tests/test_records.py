@@ -15,12 +15,22 @@ import numpy as np
 import pytest
 
 import hardycorners
-from hardycorners.domain import Edge, Face, NodeSet, PwsDomain, transform_domain
+from hardycorners.domain import (
+    Edge,
+    Face,
+    GraphPatchChart,
+    NodeSet,
+    PwsDomain,
+    SpherePolarChart,
+    TorusChart,
+    TransformedChart,
+    transform_domain,
+)
 from hardycorners.hermpoly import parse_poly
 from hardycorners.kernels import Density, StrongTangentSet
 from hardycorners.measures import BoundaryMeasure, _Factors, _NodeSet, _Piece
 from hardycorners.normalforms import EdgeInvariant, NormalForm, NormalizedEdge
-from hardycorners.projective import HomVec, ProjMap, Section, SectionValue
+from hardycorners.projective import HomVec, ProjMap, Section, SectionValue, _Frozen
 
 _A = np.arange(6.0)
 _EYE = np.eye(3, dtype=complex)
@@ -109,6 +119,34 @@ def test_validation_messages_are_kept():
         PwsDomain([("s", _RHO), ("s", _RHO)], [], [])
 
 
+# The records whose fields are their __slots__, filled by _Frozen.__init__.
+_SLOT_RECORDS = [(cls, fields) for cls, fields in _fields() if cls.__init__ is _Frozen.__init__]
+
+
+def test_slot_records_are_the_records_without_a_constructor_of_their_own():
+    slot_records = [cls for cls, _ in _SLOT_RECORDS]
+    assert slot_records == [NodeSet, StrongTangentSet, _Piece, _NodeSet, BoundaryMeasure, _Factors]
+
+
+@pytest.mark.parametrize("cls, fields", _SLOT_RECORDS, ids=lambda x: getattr(x, "__name__", ""))
+def test_slot_records_refuse_a_wrong_field_as_a_signature_does(cls, fields):
+    values = list(fields.values())
+    first, *rest = fields
+    wrong = {
+        "too many positionals": (values + [None], {}),
+        "a missing positional": (values[:-1], {}),
+        "a missing keyword": ((), {name: fields[name] for name in rest}),
+        "an unknown keyword": (values, {"extra": None}),
+        "a field given twice": (values, {first: values[0]}),
+    }
+    for case, (args, kwargs) in wrong.items():
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+            pytest.fail(f"{cls.__name__} accepted {case}")
+    with pytest.raises(TypeError, match=f"^{cls.__name__} takes the fields {', '.join(fields)}:"):
+        cls(*values[:-1])
+
+
 @pytest.mark.parametrize("cls, fields", _FROZEN, ids=lambda x: getattr(x, "__name__", ""))
 def test_formerly_frozen_records_refuse_assignment(cls, fields):
     record = cls(**fields)
@@ -188,6 +226,10 @@ def test_traced_methods_stay_in_their_class_bodies():
         (BoundaryMeasure, ("integrate",)),
         (PwsDomain, ("edge_at",)),
         (ProjMap, ("apply", "den", "affine", "jacobian", "inverse")),
+        (TorusChart, ("point", "tangents", "quad_nodes")),
+        (SpherePolarChart, ("point", "tangents", "quad_nodes")),
+        (GraphPatchChart, ("point", "tangents", "quad_nodes")),
+        (TransformedChart, ("point", "tangents")),
     ):
         for name in names:
             assert callable(vars(cls)[name])
