@@ -151,7 +151,7 @@ def edge_measure_density(eta_weight, tangents):
     ``(N, 2, 2)`` tangents give ``(N,)`` densities.
     """
     eta_weight = np.asarray(eta_weight, dtype=float)
-    if np.any(eta_weight <= 0):
+    if not np.all(eta_weight > 0):
         raise ValueError("edge weight must be positive to define a measure")
     dz12 = det2(np.asarray(tangents, dtype=complex))
     return eta_weight ** (1.0 / 3.0) * np.abs(dz12)

@@ -14,11 +14,12 @@ computes the six coefficients exactly, from a second-order implicit-function
 expansion of the members' Taylor terms in the frame; only rounding error
 enters.
 
-The residual freedom of the frame acts on the coefficients by the four
-tabulated one-parameter laws implemented in :func:`apply_coordinate_change`
-(with their geometric realizations in :func:`change_matrix`), and
-:func:`normalize_coeffs` composes shifts-then-scalings to the canonical
-slice ``a1 = a2 = 0, c1 = c2 = -1, b1 <= b2``.
+The residual freedom of the frame is generated by four one-parameter
+changes, written once in a table of generators: each entry parses its
+parameter and holds its coefficient law (:func:`apply_coordinate_change`)
+and its geometric realization (:func:`change_matrix`).
+:func:`normalize_coeffs` composes the table's laws, shears then scalings,
+to reach the canonical slice ``a1 = a2 = 0, c1 = c2 = -1, b1 <= b2``.
 
 On that slice a scalar invariant appears: :func:`kappa` combines the two
 remaining moduli through the Legendre transform of the universal convex
@@ -341,14 +342,65 @@ def _as_coeffs(nf):
     return t
 
 
+def _shear(a1, b1, c1, a2, b2, c2, lam):
+    return (a1 + lam.imag, b1, c1, a2, b2 + lam.imag, c2)
+
+
+def _scale(a1, b1, c1, a2, b2, c2, r):
+    return (a1 * r, b1, c1 / r, a2, b2 * r, c2 * r * r)
+
+
+def _swap(a1, b1, c1, a2, b2, c2, _=None):
+    return (a2, b2, c2, a1, b1, c1)
+
+
+def _parab(a1, b1, c1, a2, b2, c2, r):
+    return (
+        a1 + r * b1 + r * r * c1,
+        b1 + 2.0 * r * c1,
+        c1,
+        a2 - r * c1,
+        b2 + 2.0 * r * a2 - r * b1 - 2.0 * r * r * c1,
+        c2 + r * (b2 - a1) + r * r * (a2 - b1) - r ** 3 * c1,
+    )
+
+
+def _positive(param):
+    r = float(param)
+    if not r > 0:
+        raise ValueError("scale parameter must be positive")
+    return r
+
+
+# The residual-frame generators: kind -> (parameter parser, coefficient law,
+# matrix).  The parser reads the parameter once, for both the law and the
+# matrix: shear1 takes complex(param), of which only the imaginary part acts
+# on the coefficients.  A law takes the six coefficients and the parsed
+# parameter; it is elementwise, so the coefficients may be (N,) arrays.
+_GENERATORS = {
+    "shear1": (complex, _shear, lambda lam: [[1.0, -lam, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "scale": (_positive, _scale, lambda r: np.diag([1.0, 1.0 / r, 1.0])),
+    "swap": (lambda param: None, _swap, lambda _: np.eye(3)[[0, 2, 1]]),
+    "parab": (float, _parab, lambda r: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -r, 1.0]]),
+}
+
+
+def _generator(kind, param):
+    """The law and the matrix of the generator ``kind``, and its parsed parameter."""
+    if not (isinstance(kind, str) and kind in _GENERATORS):
+        raise ValueError(f"unknown change kind {kind!r}")
+    parse, law, matrix = _GENERATORS[kind]
+    return law, matrix, parse(param)
+
+
 def apply_coordinate_change(nf, kind, param=None):
     """Transform normal-form coefficients by one residual-frame generator.
 
     Kinds
     -----
-    ``"shear1"`` (complex or real ``param``; only its imaginary part acts):
-        (a1 + s, b1, c1, a2, b2 + s, c2) with s = Im(param) for complex
-        param, else s = param.
+    ``"shear1"`` (``param`` read as ``complex(param)``; only its imaginary
+    part s acts, so a real ``param`` changes nothing):
+        (a1 + s, b1, c1, a2, b2 + s, c2).
     ``"scale"`` (real ``param = r > 0``):
         (a1 r, b1, c1 / r, a2, b2 r, c2 r^2).
     ``"swap"`` (no param): row swap
@@ -363,28 +415,9 @@ def apply_coordinate_change(nf, kind, param=None):
 
     Returns the transformed 6-tuple.
     """
-    a1, b1, c1, a2, b2, c2 = _as_coeffs(nf)
-    if kind == "shear1":
-        s = float(np.imag(param)) if np.iscomplexobj(np.asarray(param)) else float(param)
-        return (a1 + s, b1, c1, a2, b2 + s, c2)
-    if kind == "scale":
-        r = float(param)
-        if r <= 0:
-            raise ValueError("scale parameter must be positive")
-        return (a1 * r, b1, c1 / r, a2, b2 * r, c2 * r * r)
-    if kind == "swap":
-        return (a2, b2, c2, a1, b1, c1)
-    if kind == "parab":
-        r = float(param)
-        return (
-            a1 + r * b1 + r * r * c1,
-            b1 + 2.0 * r * c1,
-            c1,
-            a2 - r * c1,
-            b2 + 2.0 * r * a2 - r * b1 - 2.0 * r * r * c1,
-            c2 + r * (b2 - a1) + r * r * (a2 - b1) - r ** 3 * c1,
-        )
-    raise ValueError(f"unknown change kind {kind!r}")
+    coeffs = _as_coeffs(nf)
+    law, _, p = _generator(kind, param)
+    return law(*coeffs, p)
 
 
 def change_matrix(kind, param=None):
@@ -395,63 +428,43 @@ def change_matrix(kind, param=None):
     identity frame realizes the corresponding coefficient law of
     :func:`apply_coordinate_change`.
     """
-    if kind == "shear1":
-        lam = complex(param)
-        m = np.array([[1.0, -lam, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    elif kind == "scale":
-        r = float(param)
-        if r <= 0:
-            raise ValueError("scale parameter must be positive")
-        m = np.diag([1.0, 1.0 / r, 1.0]).astype(complex)
-    elif kind == "swap":
-        m = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    elif kind == "parab":
-        r = float(param)
-        m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -r, 1.0]])
-    else:
-        raise ValueError(f"unknown change kind {kind!r}")
-    return normalize_map(m)
+    _, matrix, p = _generator(kind, param)
+    return normalize_map(matrix(p))
 
 
 def normalize_coeffs(nf):
     """Drive a normal form to the canonical slice a = 0, c = -1, b1 <= b2.
 
-    Composition order is fixed: the two shear shifts first (killing a1 and
-    a2), then the two scalings (driving c1 and c2 to -1), then the swap if
-    needed to order the b's.  Array-capable: coefficients given as ``(N,)``
-    arrays give a :class:`NormalizedEdge` of ``(N,)`` arrays.
+    Composes the generators' laws in a fixed order: the shear by -a1 and its
+    swap-conjugate by -a2 (killing a1 and a2), then the scaling by r and its
+    swap-conjugate by q (driving c1 and c2 to -1), then the swap if needed
+    to order the b's.  Array-capable: coefficients given as ``(N,)`` arrays
+    give a :class:`NormalizedEdge` of ``(N,)`` arrays.
 
     Raises
     ------
     ValueError
-        If c1 >= 0 or c2 >= 0 at the shifted stage: the canonical slice only
-        exists on the transversally curved (pseudoconvex) side.
+        Unless c1 < 0 and c2 < 0: the canonical slice only exists on the
+        transversally curved (pseudoconvex) side.
     """
-    a1, b1, c1, a2, b2, c2 = _as_coeffs(nf)
-    s1 = -a1
-    s2 = -a2
-    # Shear in the first model plane, then its swap-conjugate; the two
-    # commute and neither touches c1, c2.
-    b1s = b1 + s2
-    b2s = b2 + s1
-    if np.any(c1 >= 0) or np.any(c2 >= 0):
-        raise ValueError(
-            "canonical slice requires negative transverse curvatures c1, c2"
-        )
-    u = -c1
-    v = -c2
+    coeffs = _as_coeffs(nf)
+    a1, _, c1, a2, _, c2 = coeffs
+    if not (np.all(c1 < 0) and np.all(c2 < 0)):
+        raise ValueError("canonical slice requires negative transverse curvatures c1, c2")
+    u, v = -c1, -c2
     q = (u * u * v) ** (-1.0 / 3.0)
     r = (u * v * v) ** (-1.0 / 3.0)
-    b1n = b1s * q
-    b2n = b2s * r
-    swapped = b1n > b2n
+    # A shear acts by the imaginary part of its parameter.
+    coeffs = _swap(*_shear(*_swap(*_shear(*coeffs, -1j * a1)), -1j * a2))
+    _, b1, _, _, b2, _ = _swap(*_scale(*_swap(*_scale(*coeffs, r)), q))
+    swapped = b1 > b2
     return NormalizedEdge(
-        b1=_value(np.where(swapped, b2n, b1n), float),
-        b2=_value(np.where(swapped, b1n, b2n), float),
+        b1=_value(np.where(swapped, b2, b1), float),
+        b2=_value(np.where(swapped, b1, b2), float),
         q=_value(q, float),
         r=_value(r, float),
-        shift1=_value(s1, float),
-        shift2=_value(s2, float),
+        shift1=_value(-a1, float),
+        shift2=_value(-a2, float),
         swapped=_value(swapped, bool),
     )
 

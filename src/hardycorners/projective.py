@@ -228,7 +228,7 @@ class HomVec(_Frozen):
     Parameters
     ----------
     coords : tuple of 3 complex
-        Homogeneous coordinates, not all zero.
+        Homogeneous coordinates, finite and not all zero.
     role : str
         Either ``"point"`` or ``"hyperplane"``.  The incidence pairing
         checks that it is fed one of each.
@@ -240,6 +240,8 @@ class HomVec(_Frozen):
         c = tuple(complex(x) for x in coords)
         if len(c) != 3:
             raise ValueError("HomVec needs exactly 3 coordinates")
+        if not np.isfinite(c).all():
+            raise ValueError("homogeneous coordinates must be finite")
         if max(abs(x) for x in c) == 0.0:
             raise ValueError("all homogeneous coordinates are zero")
         if role not in ("point", "hyperplane"):

@@ -226,6 +226,8 @@ def _refit_after(coeffs, kind, param):
     [
         ("shear1", 0.45j),
         ("shear1", complex(0.3)),  # real part must not act
+        ("shear1", 0.3),  # a real parameter is its real part
+        ("shear1", 0.3 - 0.45j),
         ("scale", 1.7),
         ("swap", None),
         ("parab", 0.35),
@@ -289,6 +291,60 @@ def test_normalize_coeffs_canonical_form():
 def test_normalize_coeffs_requires_negative_transverse_curvature():
     with pytest.raises(ValueError):
         normalize_coeffs((0.0, 0.5, 1.0, 0.0, 0.5, -1.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [(0, 0, np.nan, 0, 0, -1), ([0, 0], 0, -1, 0, 0, [-1, np.nan])])
+def test_normalize_coeffs_rejects_nan_curvature(coeffs):
+    with pytest.raises(ValueError, match="^canonical slice requires negative transverse curvatures"):
+        normalize_coeffs(coeffs)
+
+
+def _slice_by_laws(coeffs, q, r):
+    """One row taken to the canonical slice by the public laws, in normalize_coeffs's order.
+
+    Shear by -a1, its swap-conjugate by -a2 (a shear acts by the imaginary
+    part of its parameter), scale by r, its swap-conjugate by q.
+    """
+
+    def conjugate(c, kind, param):
+        return apply_coordinate_change(
+            apply_coordinate_change(apply_coordinate_change(c, "swap"), kind, param), "swap"
+        )
+
+    c = apply_coordinate_change(coeffs, "shear1", -1j * coeffs[0])
+    c = conjugate(c, "shear1", -1j * coeffs[3])
+    return conjugate(apply_coordinate_change(c, "scale", r), "scale", q)
+
+
+def _scalings(c1, c2):
+    u, v = -c1, -c2
+    return (u * u * v) ** (-1.0 / 3.0), (u * v * v) ** (-1.0 / 3.0)
+
+
+def _assert_on_slice(norm, row, composed, q, r):
+    a1, b1, c1, a2, b2, c2 = composed
+    assert a1 == 0.0 and a2 == 0.0
+    assert abs(c1 + 1.0) <= 1e-15 and abs(c2 + 1.0) <= 1e-15
+    swapped = b1 > b2
+    expected = (min(b1, b2), max(b1, b2), q, r, -row[0], -row[3], swapped)
+    assert tuple(norm) == expected
+
+
+def test_normalize_coeffs_is_the_composition_of_the_laws():
+    rng = np.random.default_rng(402)
+    a1, b1, c1, a2, b2, c2 = rng.uniform(-2.0, 2.0, size=(6, 200))
+    rows = (a1, b1, -np.abs(c1) - 0.05, a2, b2, -np.abs(c2) - 0.05)
+    norm = normalize_coeffs(rows)
+    q, r = _scalings(rows[2], rows[5])
+    assert norm.swapped.any() and not norm.swapped.all()
+    for i in range(len(a1)):
+        row = tuple(float(c[i]) for c in rows)
+        composed = _slice_by_laws(row, q[i], r[i])
+        _assert_on_slice(NormalizedEdge(*(f[i] for f in norm)), row, composed, q[i], r[i])
+    row = tuple(float(c[0]) for c in rows)
+    q, r = _scalings(row[2], row[5])
+    _assert_on_slice(normalize_coeffs(row), row, _slice_by_laws(row, q, r), q, r)
 
 
 def test_normalize_fixed_points_of_canonical_slice():

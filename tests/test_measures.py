@@ -113,6 +113,12 @@ def test_edge_density_requires_positive_weight():
         edge_measure_density(-1.0, v)
 
 
+@pytest.mark.filterwarnings("error")
+def test_edge_density_rejects_a_nan_weight():
+    with pytest.raises(ValueError, match="^edge weight must be positive to define a measure$"):
+        edge_measure_density(np.array([np.nan]), np.eye(2)[None])
+
+
 def test_edge_density_cube_root_and_arc_element():
     v = (np.array([2.0, 0.0]), np.array([0.0, 3.0]))
     assert np.isclose(edge_measure_density(8.0, v), 2.0 * 6.0)

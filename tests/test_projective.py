@@ -57,6 +57,15 @@ def test_homvec_rejects_zero_vector():
         HomVec((0.0, 0.0, 0.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_homvec_rejects_non_finite_coordinates(bad):
+    # A NaN coordinate passes the all-zero test; proj_equal on it would then
+    # divide by NaN and warn instead of raising.
+    with pytest.raises(ValueError, match="^homogeneous coordinates must be finite$"):
+        HomVec((bad, 0.0, 0.0))
+
+
 def test_homogenize_affinize_roundtrip():
     zhat = np.array([0.2 - 0.4j, 1.5 + 0.3j])
     z = homogenize(zhat)

@@ -26,9 +26,13 @@ other identity checks of ``hardycorners.incidence``: ``omega_cfl`` on a
 stack of seeded incident pairs in its default charts and in each fixed
 chart, ``omega_cfl_affine_form`` on each pair, ``cramer_residual`` at seeded
 edge points of ``bidisk`` and ``perturbed_bidisk``, and both routes of
-``simplex_integral`` at seeded parameters for n = 2 and 3 and at a pole.  A
-result that raises prints its exception type and message in place of a
-digest, so a changed error shows too.
+``simplex_integral`` at seeded parameters for n = 2 and 3 and at a pole.  The
+residual frame group of ``hardycorners.normalforms`` has lines too:
+``apply_coordinate_change`` at each kind on seeded scalar and array
+coefficients, ``change_matrix`` at each kind (shear at complex parameters),
+and ``normalize_coeffs`` at seeded scalar and array coefficients, rows that
+swap among them.  A result that raises prints its exception type and message
+in place of a digest, so a changed error shows too.
 
 Each line is ``<name> <sha256 prefix>``.  The digest covers the raw bytes,
 dtype and shape of every array in the result, or the ``repr`` of a result
@@ -64,7 +68,13 @@ from hardycorners.incidence import (
     simplex_integral,
 )
 from hardycorners.measures import build_measure, fefferman_density, hardy_norm, reproduce
-from hardycorners.normalforms import eta, model_edge_polys
+from hardycorners.normalforms import (
+    apply_coordinate_change,
+    change_matrix,
+    eta,
+    model_edge_polys,
+    normalize_coeffs,
+)
 from hardycorners.projective import Section, homogenize, normalize_map, pull_back_section
 
 SPECS = ("bidisk", "perturbed_bidisk", "sphere")
@@ -455,6 +465,42 @@ def identities():
             )
 
 
+# Each generator, shear at complex parameters (only the imaginary part acts),
+# a scale parameter that is rejected and an unknown kind.
+LAW_CASES = (
+    ("shear1", 0.45j),
+    ("shear1", 0.3 - 0.2j),
+    ("shear1", complex(-0.6)),
+    ("scale", 1.7),
+    ("scale", 0.0),
+    ("swap", None),
+    ("parab", 0.35),
+    ("parab", -1.2),
+    ("rotate", 1.0),
+)
+
+
+def laws():
+    """The residual frame group: each law and its matrix, and the canonical-slice normalization."""
+    rng = np.random.default_rng(121)
+    one = tuple(rng.uniform(-2.0, 2.0, size=6))
+    rows = tuple(rng.uniform(-2.0, 2.0, size=(6, 16)))
+    for kind, param in LAW_CASES:
+        _line(f"change_matrix {kind} {param}", lambda: (change_matrix(kind, param).matrix,))
+        for label, coeffs in (("scalar", one), ("array", rows)):
+            _line(
+                f"apply_coordinate_change {kind} {param} {label}",
+                lambda: apply_coordinate_change(coeffs, kind, param),
+            )
+    a1, b1, c1, a2, b2, c2 = rng.uniform(-2.0, 2.0, size=(6, 16))
+    # Negative transverse curvatures, and b's of either order so that some rows swap.
+    rows = (a1, b1, -np.abs(c1) - 0.1, a2, b2, -np.abs(c2) - 0.1)
+    _line("normalize_coeffs array", lambda: tuple(normalize_coeffs(rows)))
+    for i in range(4):
+        _line(f"normalize_coeffs row{i}", lambda: tuple(normalize_coeffs([c[i] for c in rows])))
+    _line("normalize_coeffs positive c1", lambda: tuple(normalize_coeffs((0, 0, 1, 0, 0, -1))))
+
+
 def checks():
     """The ``validate_domain`` report of each domain at each of ``RESOLUTIONS``."""
     for name, d in _domains().items():
@@ -477,3 +523,4 @@ if __name__ == "__main__":
     checks()
     polynomials()
     identities()
+    laws()
