@@ -60,15 +60,6 @@ __all__ = [
 _VARS = ("z1", "z1bar", "z2", "z2bar")
 
 
-def _canonical(terms):
-    out = {}
-    for key, coeff in terms.items():
-        if coeff == 0:
-            continue
-        out[key] = out.get(key, 0.0 + 0.0j) + complex(coeff)
-    return {k: v for k, v in sorted(out.items()) if v != 0}
-
-
 def _mate(key):
     """The key of the conjugate monomial: each variable's exponent swapped with its conjugate's."""
     p1, q1, p2, q2 = key
@@ -108,7 +99,8 @@ class Poly:
     """
 
     def __init__(self, terms=None):
-        self.terms = _canonical(terms or {})
+        # Canonical form: no zero coefficients, sorted keys, and + 0j writes a -0.0 part as +0.0.
+        self.terms = {k: complex(c) + 0j for k, c in sorted((terms or {}).items()) if c != 0}
         self._table = tuple(
             (c, tuple((slot, e) for slot, e in enumerate(key) if e))
             for key, c in self.terms.items()
@@ -203,16 +195,12 @@ class HermitianPoly(Poly):
     def __init__(self, terms=None):
         super().__init__(terms)
         bad = []
-        seen = set()
         for key, c in self.terms.items():
-            if key in seen:
-                continue
             skey = _mate(key)
-            seen.add(key)
-            seen.add(skey)
-            sc = self.terms.get(skey, 0.0 + 0.0j)
-            scale = max(abs(c), abs(sc), 1.0)
-            if abs(c - sc.conjugate()) > 1e-12 * scale:
+            if skey < key and skey in self.terms:
+                continue  # the pair was checked at its first key
+            sc = self.terms.get(skey, 0j)
+            if abs(c - sc.conjugate()) > 1e-12 * max(abs(c), abs(sc), 1.0):
                 bad.append((key, c, skey, sc))
         if bad:
             raise HermitianSymmetryError(bad)
@@ -274,10 +262,8 @@ class _Tokenizer:
         raise PolyParseError(message, self.pos if pos is None else pos, self.text)
 
     def expect(self, literal):
-        self._skip_ws()
-        if not self.text.startswith(literal, self.pos):
+        if not self.try_literal(literal):
             self.error(f"expected {literal!r}")
-        self.pos += len(literal)
 
     def try_literal(self, literal):
         self._skip_ws()
@@ -336,23 +322,15 @@ def _parse_factor(tok):
         return complex(re, im), (0, 0, 0, 0)
     if ch in "0123456789.":
         return complex(tok.number()), (0, 0, 0, 0)
-    if tok.try_literal("abs2("):
-        slot = _parse_var(tok)
-        tok.expect(")")
-        exps = [0, 0, 0, 0]
-        exps[slot] = 1
-        exps[slot + 1] = 1
-        return 1.0 + 0.0j, tuple(exps)
-    conj = tok.try_literal("conj(")
+    abs2 = tok.try_literal("abs2(")
+    conj = not abs2 and tok.try_literal("conj(")
     slot = _parse_var(tok)
-    if conj:
+    if abs2 or conj:
         tok.expect(")")
-        slot += 1
-    e = 1
-    if tok.try_literal("^"):
-        e = tok.integer()
     exps = [0, 0, 0, 0]
-    exps[slot] = e
+    exps[slot + conj] = tok.integer() if not abs2 and tok.try_literal("^") else 1
+    if abs2:
+        exps[slot + 1] = 1  # abs2(z) is z*conj(z), and takes no exponent
     return 1.0 + 0.0j, tuple(exps)
 
 
@@ -398,23 +376,16 @@ def parse_poly(text):
     if tok.peek() is None:
         tok.error("empty polynomial")
     terms = {}
-    sign = 1.0
-    if tok.try_literal("+"):
-        pass
-    elif tok.try_literal("-"):
-        sign = -1.0
     while True:
-        _parse_term(tok, sign, terms)
-        ch = tok.peek()
-        if ch is None:
-            break
-        if tok.try_literal("+"):
-            sign = 1.0
-        elif tok.try_literal("-"):
+        if tok.try_literal("-"):
             sign = -1.0
+        elif tok.try_literal("+") or not terms:  # only the first term's sign is optional
+            sign = 1.0
         else:
             tok.error("expected '+', '-' or end of input")
-    return HermitianPoly(terms)
+        _parse_term(tok, sign, terms)
+        if tok.peek() is None:
+            return HermitianPoly(terms)
 
 
 def _real_gradient(g):

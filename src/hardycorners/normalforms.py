@@ -386,11 +386,14 @@ _GENERATORS = {
 
 
 def _generator(kind, param):
-    """The law and the matrix of the generator ``kind``, and its parsed parameter."""
+    """The law and the matrix of the generator ``kind``, and its parsed parameter (finite)."""
     if not (isinstance(kind, str) and kind in _GENERATORS):
         raise ValueError(f"unknown change kind {kind!r}")
     parse, law, matrix = _GENERATORS[kind]
-    return law, matrix, parse(param)
+    p = parse(param)
+    if p is not None and not np.isfinite(p):
+        raise ValueError(f"{kind} parameter must be finite")
+    return law, matrix, p
 
 
 def apply_coordinate_change(nf, kind, param=None):

@@ -209,14 +209,21 @@ def _value(v, cast=complex):
     return cast(v) if np.ndim(v) == 0 else v
 
 
+def _finite(c):
+    """``c`` itself, or HomVec's error if a coordinate is not finite."""
+    if not np.isfinite(c).all():
+        raise ValueError("homogeneous coordinates must be finite")
+    return c
+
+
 def _as_triple(v):
-    """Coerce a HomVec or length-3 sequence to a complex numpy triple."""
+    """Coerce a HomVec or length-3 sequence of finite numbers to a complex numpy triple."""
     if isinstance(v, HomVec):
         return v.array
     a = np.asarray(v, dtype=complex)
     if a.shape != (3,):
         raise ValueError(f"expected 3 homogeneous coordinates, got shape {a.shape}")
-    return a
+    return _finite(a)
 
 
 class HomVec(_Frozen):
@@ -240,8 +247,7 @@ class HomVec(_Frozen):
         c = tuple(complex(x) for x in coords)
         if len(c) != 3:
             raise ValueError("HomVec needs exactly 3 coordinates")
-        if not np.isfinite(c).all():
-            raise ValueError("homogeneous coordinates must be finite")
+        _finite(c)
         if max(abs(x) for x in c) == 0.0:
             raise ValueError("all homogeneous coordinates are zero")
         if role not in ("point", "hyperplane"):

@@ -1,5 +1,6 @@
 """Hermitian polynomial defining functions: parsing, calculus, transformation."""
 
+import math
 import re
 
 import numpy as np
@@ -91,6 +92,7 @@ def test_parse_number_with_exponent(text, terms):
 
 def test_parse_accepts_a_leading_plus():
     assert parse_poly("+abs2(z1) - 1").terms == parse_poly("abs2(z1) - 1").terms
+    assert parse_poly("- abs2(z1)").terms == {(1, 1, 0, 0): -1.0}
 
 
 def test_parse_exponent_needs_digits():
@@ -136,6 +138,23 @@ def test_non_hermitian_terms_rejected():
         parse_poly("abs2(z1) + z1 - 1")
     with pytest.raises(HermitianSymmetryError):
         parse_poly("(1,1)*z1*conj(z2) + (1,1)*conj(z1)*z2")
+    # Each asymmetric pair once, at its first key in sorted order; the symmetric pair is not listed.
+    with pytest.raises(HermitianSymmetryError) as info:
+        parse_poly("z1^2 + (0,0.5)*z1 + (0,0.5)*conj(z1) + z2 + 2*conj(z2) + z1*conj(z2) + conj(z1)*z2")
+    assert info.value.pairs == [
+        ((0, 0, 0, 1), 2 + 0j, (0, 0, 1, 0), 1 + 0j),
+        ((0, 1, 0, 0), 0.5j, (1, 0, 0, 0), 0.5j),
+        ((2, 0, 0, 0), 1 + 0j, (0, 2, 0, 0), 0j),
+    ]
+
+
+def test_poly_canonical_form():
+    # No zero coefficients, sorted keys, and every zero part written as +0.0.
+    p = Poly({(0, 0, 1, 1): complex(-0.0, 2.0), (1, 0, 0, 0): 0.0, (0, 0, 0, 0): complex(1.0, -0.0)})
+    assert list(p.terms) == [(0, 0, 0, 0), (0, 0, 1, 1)]
+    parts = [part for c in p.terms.values() for part in (c.real, c.imag)]
+    assert parts == [1.0, 0.0, 0.0, 2.0]
+    assert [math.copysign(1.0, part) for part in parts] == [1.0] * 4
 
 
 def test_hermitian_poly_values_are_real(rng):
@@ -301,13 +320,26 @@ def test_transform_poly_rejects_a_degree_below_the_polynomial():
 
 
 @pytest.mark.parametrize(
-    "text, message", [("   ", "empty polynomial"), ("z1 +", "unexpected end of input")]
+    "text, message",
+    [
+        ("   ", "empty polynomial"),
+        ("z1 +", "unexpected end of input"),
+        ("-", "unexpected end of input"),
+        ("+", "unexpected end of input"),
+        ("-<HERE>+abs2(z1)", "expected variable z1 or z2"),
+        ("+<HERE>-abs2(z1)", "expected variable z1 or z2"),
+        ("abs2(z1) -<HERE>- 1", "expected variable z1 or z2"),
+        ("abs2(z1) - <HERE>+1", "expected variable z1 or z2"),
+    ],
 )
 def test_parse_rejects_empty_input_and_a_dangling_sign(text, message):
-    expected = f"{message} at position {len(text)}: {text}<HERE>"
+    # <HERE> marks where the error is; a text without it fails at its end.
+    marked = text if "<HERE>" in text else text + "<HERE>"
+    pos = marked.index("<HERE>")
+    expected = f"{message} at position {pos}: {marked}"
     with pytest.raises(PolyParseError, match=f"^{re.escape(expected)}$") as info:
-        parse_poly(text)
-    assert info.value.pos == len(text)
+        parse_poly(marked.replace("<HERE>", ""))
+    assert info.value.pos == pos
 
 
 def test_parse_rejects_a_non_string():

@@ -270,6 +270,18 @@ def test_change_matrix_rejects_unknown_kind():
         change_matrix("scale", 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("param", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", ["shear1", "scale", "parab"])
+def test_law_and_matrix_reject_a_non_finite_parameter_alike(kind, param):
+    # Both read the parameter through the generator table, so both reject it with one message.
+    with pytest.raises(ValueError, match=f"^{kind} parameter must be ") as law:
+        apply_coordinate_change(COEFFS, kind, param)
+    with pytest.raises(ValueError) as matrix:
+        change_matrix(kind, param)
+    assert str(matrix.value) == str(law.value)
+
+
 def test_coordinate_change_takes_a_normal_form_or_six_coefficients():
     swapped = apply_coordinate_change(COEFFS, "swap")
     assert apply_coordinate_change(NormalForm(*COEFFS), "swap") == swapped

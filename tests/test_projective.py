@@ -60,10 +60,21 @@ def test_homvec_rejects_zero_vector():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
 def test_homvec_rejects_non_finite_coordinates(bad):
-    # A NaN coordinate passes the all-zero test; proj_equal on it would then
-    # divide by NaN and warn instead of raising.
-    with pytest.raises(ValueError, match="^homogeneous coordinates must be finite$"):
-        HomVec((bad, 0.0, 0.0))
+    # A NaN coordinate passes the all-zero test; proj_equal and affinize on it
+    # would then divide by NaN and warn, pair and apply return NaN, and an
+    # infinite z1 over a finite z0 would raise the pole's ZeroDivisionError.
+    uses = [
+        HomVec,
+        lambda t: proj_equal(t, (1.0, 0.0, 0.0)),
+        lambda t: proj_equal((1.0, 0.0, 0.0), t),
+        affinize,
+        lambda t: pair(t, (1.0, 0.0, 0.0)),
+        ProjMap(np.eye(3)).apply,
+    ]
+    for coords in ((bad, 1.0, 0.0), (1.0, bad, 0.0)):
+        for use in uses:
+            with pytest.raises(ValueError, match="^homogeneous coordinates must be finite$"):
+                use(coords)
 
 
 def test_homogenize_affinize_roundtrip():

@@ -18,7 +18,8 @@ bit-identical between them, and each degenerate chart of
 ``tests/test_nodeset.py`` fails with the same ``ProjectionError`` (kind,
 reason and counts of failed nodes), and each domain's ``validate_domain``
 report is the same.  The polynomial layer has lines of its own: the parsed
-terms of every built-in ``rho`` and of each text in ``POLY_TEXTS``,
+terms of every built-in ``rho`` and of each text in ``POLY_TEXTS``, the
+terms of ``Poly`` and ``HermitianPoly`` built from each dict in ``POLY_DICTS``,
 ``model_edge_polys`` at seeded coefficients, ``transform_poly`` of every
 built-in hypersurface under five seeded maps at its own and a raised degree,
 and ``pushforward_corner_check`` at seeded points of each edge.  So do the
@@ -57,7 +58,7 @@ from hardycorners.domain import (
     transform_domain,
     validate_domain,
 )
-from hardycorners.hermpoly import parse_poly, transform_poly
+from hardycorners.hermpoly import HermitianPoly, Poly, parse_poly, transform_poly
 from hardycorners.incidence import (
     _random_incident_pair,
     _random_tangents,
@@ -380,6 +381,30 @@ POLY_TEXTS = (
     "z1^\u00b2*conj(z1)^2 - 1",
     "\u0663*abs2(z1) - 1",
     "(\u0661, 0)*abs2(z1) - 1",
+    "-+abs2(z1)",
+    "+-abs2(z1)",
+    "abs2(z1) 2",
+    "abs2(z1) -- 1",
+    "abs2(z1) - +1",
+    "- abs2(z1)",
+    "-",
+    "+",
+    "*z1",
+    "abs2(z1)*",
+    "conj(z1",
+    "conj(z3)",
+    "z1 ^2*conj(z1)^ 2",
+    "(-1,-0.0)*abs2(z2)",
+    "(0,1)*z1",
+)
+
+# Coefficient dicts for Poly and HermitianPoly: unsorted keys, a zero and an
+# int coefficient, a -0.0 part, and three asymmetric pairs (one without its mate).
+POLY_DICTS = (
+    {(0, 0, 1, 1): 2.0, (1, 1, 0, 0): 1, (0, 0, 0, 0): -1.0, (1, 0, 0, 0): 0.0},
+    {(1, 1, 0, 0): complex(1, -0.0), (0, 0, 0, 0): complex(-0.0, -0.0), (0, 0, 1, 1): complex(-0.0, 1e-13)},
+    {(2, 0, 0, 0): 1.0, (1, 0, 0, 0): 0.5j, (0, 1, 0, 0): 0.5j, (0, 0, 1, 0): 1.0, (0, 0, 0, 1): 2.0},
+    {(1, 0, 0, 1): 1 + 2j, (0, 1, 1, 0): 1 - 2j, (1, 1, 0, 0): 0j, (0, 0, 0, 0): 3.0},
 )
 
 
@@ -398,6 +423,9 @@ def polynomials():
             rhos[label] = parse_poly(h["rho"])
     for i, text in enumerate(POLY_TEXTS):
         _line(f"parse_poly text{i} {text!a}", lambda: _terms(parse_poly(text)))
+    for i, terms in enumerate(POLY_DICTS):
+        for cls in (Poly, HermitianPoly):
+            _line(f"{cls.__name__} dict{i}", lambda: (*_terms(cls(terms)), repr(cls(terms))))
     rng = np.random.default_rng(116)
     for i in range(6):
         coeffs = tuple(rng.uniform(-2.0, 2.0, size=6))
