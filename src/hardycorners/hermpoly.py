@@ -37,6 +37,7 @@ digits) are parse errors at the number's, term's or exponent's position.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from functools import cached_property
@@ -101,6 +102,9 @@ class Poly:
     def __init__(self, terms=None):
         # Canonical form: no zero coefficients, sorted keys, and + 0j writes a -0.0 part as +0.0.
         self.terms = {k: complex(c) + 0j for k, c in sorted((terms or {}).items()) if c != 0}
+        for key, c in self.terms.items():
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} of {_monomial_str(key)} is not finite")
         self._table = tuple(
             (c, tuple((slot, e) for slot, e in enumerate(key) if e))
             for key, c in self.terms.items()

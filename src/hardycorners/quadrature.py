@@ -7,8 +7,9 @@ with the weights of a fixed rule, so this module only builds rules:
   accurate for analytic periodic integrands (tori of edges, angular
   directions of boundary charts);
 * :func:`gauss_rule` — Gauss-Legendre nodes on an interval (radial and polar
-  directions of boundary charts), computed by Golub-Welsch with numpy's
-  symmetric eigensolver, so that ``numpy.polynomial`` is never imported;
+  directions of boundary charts), computed by Newton's method on the Legendre
+  recurrence, so that neither ``numpy.polynomial`` nor a LAPACK eigensolver
+  is ever loaded;
 * :func:`tensor_grid` — the lexicographic tensor product of such axes, which
   the boundary charts share as their quadrature grids;
 * :func:`simplex_rule` — a collapsed-coordinate (Duffy-type) Gauss rule on
@@ -55,24 +56,44 @@ def _legendre_p(n, x):
     return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
+_NEWTON_CAP = 20
+
+
 @lru_cache(maxsize=64)
 def _legendre(order):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only.
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Legendre recurrence, each refined by one Newton step on ``P_n``; the
-    weights are ``2 / ((1 - x^2) P_n'(x)^2)``.  Both are then symmetrized
-    about 0 and the weights scaled to sum to 2.  As for numpy's
-    ``leggauss``, an order that is not an integer raises ``TypeError`` and
-    one below 1 ``ValueError``.
+    The nodes start at Tricomi's estimates ``(1 - (n-1)/(8 n^3)) cos(pi (4k-1)/(4n+2))``
+    and are refined by Newton's method on ``P_n`` from the three-term
+    recurrence (Hale & Townsend 2013) until the largest step stops
+    shrinking: at most 6 steps at every order from 1 to 600, and at 1000,
+    2000 and 5000.  A stop when no node moves would never come at 178 of
+    the orders 1 to 200, whose nodes cycle at the last ulp.  An order that
+    has not settled after ``_NEWTON_CAP`` steps raises ``RuntimeError``.
+    The weights are ``2 / ((1 - x^2) P_n'(x)^2)``.  Both are then symmetrized
+    about 0 and the weights scaled to sum to 2.  No linear algebra is done,
+    so a process that only integrates pages in no LAPACK eigensolver.  As
+    for numpy's ``leggauss``, an order that is not an integer raises
+    ``TypeError`` and one below 1 ``ValueError``.
     """
     n = operator.index(order)
     if n < 1:
         raise ValueError(f"order must be a positive integer, not {n}")
-    k = np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    p, dp = _legendre_p(n, x)
-    x -= p / dp
+    k = np.arange(n, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    last = np.inf
+    for _ in range(_NEWTON_CAP):
+        p, dp = _legendre_p(n, x)
+        step = p / dp
+        x -= step
+        size = np.max(np.abs(step))
+        if size >= last:
+            break
+        last = size
+    else:
+        raise RuntimeError(
+            f"Gauss-Legendre nodes of order {n} did not settle in {_NEWTON_CAP} Newton steps"
+        )
     dp = _legendre_p(n, x)[1]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     x = 0.5 * (x - x[::-1])

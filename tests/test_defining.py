@@ -17,6 +17,7 @@ from hardycorners.hermpoly import (
     parse_poly,
     transform_poly,
 )
+from hardycorners.normalforms import model_edge_polys
 from hardycorners.projective import dual_map, pair, proj_equal
 
 from conftest import random_unit_det_map
@@ -155,6 +156,30 @@ def test_poly_canonical_form():
     parts = [part for c in p.terms.values() for part in (c.real, c.imag)]
     assert parts == [1.0, 0.0, 0.0, 2.0]
     assert [math.copysign(1.0, part) for part in parts] == [1.0] * 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: HermitianPoly({(1, 1, 0, 0): 1.0, (1, 0, 0, 0): math.nan, (0, 1, 0, 0): 1.0}),
+            "coefficient (nan+0j) of z1 is not finite",
+        ),
+        (
+            lambda: model_edge_polys((math.nan, 0, -1, 0, 0, -1)),
+            "coefficient (nan+nanj) of conj(z1)^2 is not finite",
+        ),
+        (
+            lambda: Poly({(0, 0, 0, 0): complex(1.0, math.inf)}),
+            "coefficient (1+infj) of 1 is not finite",
+        ),
+    ],
+)
+def test_non_finite_coefficients_rejected(build, message):
+    # An unmatched NaN passes the Hermitian symmetry test, so the canonical form checks finiteness.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_hermitian_poly_values_are_real(rng):

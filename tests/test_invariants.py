@@ -512,6 +512,23 @@ def test_eta_evaluates_each_member_gradient_once(perturbed_bidisk, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
+def test_eta_matches_closed_forms_on_symmetric_reinhardt_pairs(eps):
+    # rho1 = |z1|^2 + eps |z2|^2 - 1 and rho2 = eps |z1|^2 + |z2|^2 - 1 meet on the torus
+    # |z1|^2 = |z2|^2 = 1 / (1 + eps); perturbed_bidisk is eps = 0.1 (kappa 12.1, weight 3528.36).
+    rhos = [
+        parse_poly(f"abs2(z1) + {eps}*abs2(z2) - 1"),
+        parse_poly(f"{eps}*abs2(z1) + abs2(z2) - 1"),
+    ]
+    r = (1.0 + eps) ** -0.5
+    edge = Edge((0, 1), TorusChart(rhos, r0=(r, r)))
+    d = PwsDomain(list(zip(("sheet1", "sheet2"), rhos)), [], [edge])
+    inv = eta(d, d.edges[0].chart.nodes(12).points)
+    np.testing.assert_allclose(inv.kappa, (1 + eps) ** 2 / eps, rtol=1e-13, atol=0)
+    weight = 4 * (1 - eps**2) ** 2 * (1 - eps) / eps**3
+    np.testing.assert_allclose(inv.eta_weight, weight, rtol=1e-13, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # Projective invariance of the boundary norm on independent nodes
 #

@@ -1,5 +1,7 @@
 """Boundary measure, squared boundary norm, and the reproducing formula."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,40 @@ def test_sphere_measure_total_matches_constant_density(sphere):
     # 3-sphere (2 * pi**2)
     out = hardy_norm(sphere, lambda z: 1.0, resolution=16)
     assert np.isclose(out["total"], 2.0 ** (1.0 / 3.0) * 2 * np.pi**2, rtol=1e-6)
+
+
+def _incomplete_beta(p, q, s):
+    """``B_s(p, q)`` for positive integers: ``B(p, q)`` times the binomial tail ``I_s(p, q)``."""
+    n = p + q - 1
+    tail = sum(math.comb(n, j) * s**j * (1 - s) ** (n - j) for j in range(p, n + 1))
+    return math.factorial(p - 1) * math.factorial(q - 1) / math.factorial(n) * tail
+
+
+def test_monomial_norms_match_closed_forms_on_perturbed_bidisk(perturbed_bidisk):
+    # rho1 = |z1|^2 + eps |z2|^2 - 1, rho2 = eps |z1|^2 + |z2|^2 - 1 at eps = 0.1, for z1^a z2^b.
+    # Edge: the torus |z1|^2 = |z2|^2 = 1 / (1 + eps), where eta_weight is the constant
+    # 4 (1 - eps^2)^2 (1 - eps) / eps^3.
+    # Face 0: w = (z1, sqrt(eps) z2) maps sheet1 onto the unit sphere, whose Fefferman measure is
+    # 2^(1/3) times the surface measure (total 2 pi^2), and |w2|^2 is uniform on [0, 1].  The
+    # Fefferman measure has weight |det w'|^(4/3) = eps^(2/3), and the face is |w2|^2 < s.
+    # Face 1 is face 0 with z1 and z2 swapped.
+    eps = 0.1
+    s = eps / (1 + eps)
+    weight = 4 * (1 - eps**2) ** 2 * (1 - eps) / eps**3
+    sphere = 2 ** (1 / 3) * 2 * math.pi**2 * eps ** (-2 / 3)
+    for a in range(5):
+        for b in range(5 - a):
+            out = hardy_norm(
+                perturbed_bidisk, lambda z: z[0] ** a * z[1] ** b, resolution=24, edge_resolution=12
+            )
+            edge = 4 * math.pi**2 * weight ** (1 / 3) * (1 + eps) ** -(a + b + 1)
+            faces = [
+                sphere * eps**-b * _incomplete_beta(b + 1, a + 1, s),
+                sphere * eps**-a * _incomplete_beta(a + 1, b + 1, s),
+            ]
+            m = f"m = ({a}, {b})"
+            np.testing.assert_allclose(out["edges"], [edge], rtol=1e-14, atol=0, err_msg=m)
+            np.testing.assert_allclose(out["faces"], faces, rtol=1e-12, atol=0, err_msg=m)
 
 
 def test_hardy_norm_projective_invariance(perturbed_bidisk, rng):

@@ -1,6 +1,8 @@
-"""``tools/pairs.py``: the pair summary and the refusal to compare cached checkouts."""
+"""``tools/pairs.py``: the pair summary, its JSON record, and the refusal of cached checkouts."""
 
+import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,20 @@ def test_summary_counts_pairs_won_in_each_metrics_direction():
     assert won == 2 and beyond
     # one pair better, one worse, one tie: the tie counts for neither side
     assert digits[4] == 1 and not digits[5]
+
+
+def test_record_keeps_the_summary_and_which_side_ran_first():
+    runs = [(_result(3.0, 15.0), _result(2.0, 15.0)), (_result(3.2, 15.0), _result(2.1, 14.0))]
+    rows = pairs.summarize(runs, [("wall_s", "lower")])
+    args = argparse.Namespace(workload="norm_invariance", seed=1, seconds=5.0)
+    out = json.loads(json.dumps(pairs.record(args, runs, rows)))
+    assert out["command"].endswith("--workload norm_invariance --seed 1 --seconds 5.0 --trace 0")
+    assert out["pairs"] == 2
+    wall = out["summary"]["wall_s"]
+    assert wall["change"] == pytest.approx({"q1": 2.025, "median": 2.05, "q3": 2.075})
+    assert wall["pairs_won_by_change"] == 2
+    assert [r["first"] for r in out["runs"]] == ["parent", "change"]
+    assert out["runs"][1]["change"] == {"wall_s": 2.1, "accuracy_digits": 14.0}
 
 
 def test_a_checkout_with_a_bytecode_cache_is_refused(tmp_path):

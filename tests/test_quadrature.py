@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hardycorners import quadrature
 from hardycorners.quadrature import gauss_rule, simplex_rule, tensor_grid, trapezoid_rule
 
 
@@ -96,6 +97,14 @@ def _legendre_table(x, count):
     for k in range(1, count - 1):
         p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
     return np.array(p[:count])
+
+
+def test_gauss_rule_names_an_order_whose_nodes_do_not_settle(monkeypatch):
+    # Newton's steps still shrink after two steps at order 9, so a cap of 2 is reached.
+    monkeypatch.setattr(quadrature, "_NEWTON_CAP", 2)
+    message = "^Gauss-Legendre nodes of order 9 did not settle in 2 Newton steps$"
+    with pytest.raises(RuntimeError, match=message):
+        quadrature._legendre.__wrapped__(9)
 
 
 def test_gauss_rule_order_is_a_positive_integer():

@@ -15,6 +15,7 @@ from hardycorners.cli import load_spec
 from hardycorners.domain import domain_from_spec, transform_domain
 from hardycorners.measures import hardy_norm, reproduce
 from hardycorners.projective import det2, det3, det4, inv3, solve2
+from hardycorners.quadrature import _legendre
 
 from conftest import random_unit_det_map
 
@@ -80,10 +81,12 @@ def test_solve2_broadcasts_one_matrix_over_right_hand_sides():
 
 
 def test_hot_paths_call_no_lapack(monkeypatch):
-    """``reproduce`` and ``hardy_norm`` (plain and transformed) run without numpy.linalg's det/solve/inv.
+    """``reproduce`` and ``hardy_norm`` (plain and transformed) make no LAPACK call of numpy.linalg.
 
     The domains and the map are built first: constructing a projective map
     takes one single-matrix determinant, which is not on the per-node path.
+    The second run starts from cold domain caches and a cold Gauss-Legendre
+    cache, so the quadrature rules are built again under the ban.
     """
     bidisk = domain_from_spec(load_spec("bidisk"))
     perturbed = domain_from_spec(load_spec("perturbed_bidisk"))
@@ -108,11 +111,12 @@ def test_hot_paths_call_no_lapack(monkeypatch):
 
         return call
 
-    for name in ("det", "solve", "inv"):
+    for name in ("det", "solve", "inv", "eigvalsh", "eigh", "eig", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden(name))
     with pytest.raises(AssertionError, match="per-node path"):
         np.linalg.det(np.eye(3))
     # reproduce and hardy_norm would otherwise reuse what the first run built
     for d in (bidisk, perturbed, moved):
         d._cache.clear()
+    _legendre.cache_clear()
     np.testing.assert_array_equal(run(), before)

@@ -8,7 +8,9 @@ Each pair runs ``bench/run.py`` once in each checkout, one after the other;
 the side that goes first swaps from pair to pair, so a drift of the machine's
 speed during the comparison falls on both sides alike.  Only the last line of
 each run's standard output is read (the JSON object ``bench/run.py`` ends
-with), and nothing in either checkout is written.
+with), and nothing in either checkout is written.  ``--json FILE`` also
+writes the table and every run's metrics to ``FILE``, as a ``BENCH_<pr>.json``
+record.
 
 For each end-to-end metric that ``BENCHMARK.json`` declares, the table gives
 the median and quartiles of each side, the relative change of the medians,
@@ -115,6 +117,38 @@ def summarize(runs, metrics):
     return rows
 
 
+def record(args, runs, rows):
+    """The JSON record of a comparison: its settings, the summary rows and every pair's metrics."""
+    quartiles = ("q1", "median", "q3")
+    return {
+        "command": f"python3 bench/run.py --workload {args.workload} --seed {args.seed} "
+        f"--seconds {args.seconds} --trace 0",
+        "workload": args.workload,
+        "seed": args.seed,
+        "pairs": len(runs),
+        "summary": {
+            name: {
+                "parent": dict(zip(quartiles, p)),
+                "change": dict(zip(quartiles, c)),
+                "relative_change": rel,
+                "pairs_won_by_change": won,
+                "gap_exceeds_parent_iqr": beyond,
+            }
+            for name, p, c, rel, won, beyond in rows
+        },
+        "runs": [
+            {
+                "first": "parent" if i % 2 == 0 else "change",
+                **{
+                    label: {m: v["value"] for m, v in r[side]["metrics"].items()}
+                    for label, side in (("parent", 0), ("change", 1))
+                },
+            }
+            for i, r in enumerate(runs)
+        ],
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -123,6 +157,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=5.0)
+    parser.add_argument("--json", type=Path, help="also write the comparison to this file")
     args = parser.parse_args(argv)
     roots = [args.parent.resolve(), args.change.resolve()]
 
@@ -154,7 +189,8 @@ def main(argv=None):
         f"{'metric':<16} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} "
         f"{'change':>8} {'won':>7} {'gap>IQR':>7}"
     )
-    for name, p, c, rel, won, beyond in summarize(runs, _end_to_end()):
+    rows = summarize(runs, _end_to_end())
+    for name, p, c, rel, won, beyond in rows:
         print(
             f"{name:<16} {_cell(p):>34} {_cell(c):>34} {rel:>+8.1%} "
             f"{f'{won}/{len(runs)}':>7} {'yes' if beyond else 'no':>7}"
@@ -163,6 +199,8 @@ def main(argv=None):
         failed = sum(r[side]["failed"] for r in runs)
         attempted = sum(r[side]["attempted"] for r in runs)
         print(f"failed_share {label}: {failed}/{attempted}")
+    if args.json is not None:
+        args.json.write_text(json.dumps(record(args, runs, rows), indent=1) + "\n")
     return 0
 
 
