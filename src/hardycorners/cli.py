@@ -110,8 +110,9 @@ def parse_section_expr(expr):
     ``(N,)`` arrays) and evaluates elementwise, in complex floating point,
     with numpy's floating-point errors raised (underflow to zero is allowed,
     as in scalar arithmetic).  An arithmetic error at any point (a division by
-    zero, an overflow) is reported as an :class:`InputError` naming the
-    first point where it occurs.
+    zero, an overflow) or a value that is not finite (an infinite literal, a
+    product of constants that overflows) is reported as an :class:`InputError`
+    naming the first point where it occurs.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -143,7 +144,11 @@ def parse_section_expr(expr):
 
     def evaluate(z1, z2):
         with np.errstate(all="raise", under="ignore"):
-            return eval(code, {"__builtins__": {}}, {"z1": z1, "z2": z2})
+            values = eval(code, {"__builtins__": {}}, {"z1": z1, "z2": z2})
+        # An infinite literal, or constants that Python folds, never trip numpy's errstate.
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError("the value is not finite")
+        return values
 
     def call(z):
         z1, z2 = np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in z))

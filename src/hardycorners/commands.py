@@ -225,18 +225,12 @@ def eta_cmd(spec_name, edge, grid, fmt, with_margins, output):
     all_ok = all("error" not in r and not r["eta_weight"] <= 0 for r in rows)
 
     if fmt == "csv":
+        # A failed row has no kappa or weight (nan) and no margin (empty).
         lines = ["param1,param2,kappa,eta_weight,margin"]
         for r in rows:
-            if "error" in r:
-                lines.append(
-                    f"{r['params'][0]:.17g},{r['params'][1]:.17g},nan,nan,"
-                )
-                continue
-            m = "" if r["margin"] is None else f"{r['margin']:.17g}"
-            lines.append(
-                f"{r['params'][0]:.17g},{r['params'][1]:.17g},"
-                f"{r['kappa']:.17g},{r['eta_weight']:.17g},{m}"
-            )
+            kappa, weight = r.get("kappa", math.nan), r.get("eta_weight", math.nan)
+            cells = [*r["params"], kappa, weight, r.get("margin")]
+            lines.append(",".join("" if v is None else f"{v:.17g}" for v in cells))
         _finish("\n".join(lines) + "\n", output, all_ok)
     _report("eta", spec, grid, rows, {"positive_weight": 0.0}, all_ok, output)
 
@@ -268,28 +262,29 @@ def _suite_cramer(rng):
             yield f"cramer_{name}", "residual", res, 1e-12
 
 
-def _suite_symmetry(rng):
-    from .incidence import _random_incident_pair, _random_tangents, omega_cfl
+def _incident_draws(rng):
+    """Ten random incident pairs ``(z, w)``, each with its tangent lifts, drawn in turn."""
+    from .incidence import _random_incident_pair, _random_tangents
 
     for _ in range(10):
         z, w = _random_incident_pair(rng)
-        tangents = _random_tangents(rng, z, w)
+        yield z, w, _random_tangents(rng, z, w)
+
+
+def _suite_symmetry(rng):
+    from .incidence import omega_cfl
+
+    for z, w, tangents in _incident_draws(rng):
         a = omega_cfl(z, w, tangents)
-        swapped = [(dw, dz) for dz, dw in tangents]
-        b = omega_cfl(w, z, swapped)
+        b = omega_cfl(w, z, [(dw, dz) for dz, dw in tangents])
         yield "symmetry", "rel_err", abs(a.value - b.value) / max(abs(a.value), 1e-300), 1e-10
 
 
 def _suite_chart_identity(rng):
-    from .incidence import _random_incident_pair, _random_tangents, omega_cfl, omega_cfl_affine_form
+    from .incidence import omega_cfl, omega_cfl_affine_form
 
-    for _ in range(10):
-        z, w = _random_incident_pair(rng)
-        tangents = _random_tangents(rng, z, w)
-        vals = []
-        for j in range(3):
-            for k in range(3):
-                vals.append(omega_cfl(z, w, tangents, charts=(j, k)).value)
+    for z, w, tangents in _incident_draws(rng):
+        vals = [omega_cfl(z, w, tangents, charts=(j, k)).value for j in range(3) for k in range(3)]
         ref = omega_cfl_affine_form(z, w, tangents).value
         spread = max(abs(v - ref) for v in vals) / max(abs(ref), 1e-300)
         yield "chart_identity", "rel_err", spread, 1e-10

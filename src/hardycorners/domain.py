@@ -101,10 +101,9 @@ class NodeSet(_Frozen):
     ``params`` is ``(N, dim)``, ``weights`` ``(N,)``, ``points`` the affine
     points ``(N, 2)`` and ``tangents`` the chart tangent vectors
     ``(N, dim, 2)``: row ``n`` holds d(point)/d(param_a) at node ``n`` for
-    each parameter ``a``.  ``orientation`` ``(N,)`` is +1.0 or -1.0, the sign
-    of the real frame determinant ``det[conormals, tangents]``, with the
-    outward conormals in member order (see :meth:`Chart.project`).  ``len``
-    counts the nodes.  Immutable, and compared by identity.
+    each parameter ``a``.  ``orientation`` ``(N,)`` is +1.0 or -1.0, the
+    piece's boundary orientation at each node (see :meth:`Chart.project`).
+    ``len`` counts the nodes.  Immutable, and compared by identity.
     """
 
     __slots__ = ("params", "weights", "points", "tangents", "orientation")
@@ -282,9 +281,13 @@ class Chart:
         One Newton solve (:func:`_newton`) puts the points on the locus; the
         tangents ``dz`` taken with ``s`` fixed are completed by solving ``J ds
         = -2 Re(g . dz)`` with the Newton Jacobian ``J``.  The orientation is
-        the sign of the frame determinant that the rank check computes
-        (:func:`~hardycorners.kernels._frame_dets`, conormals in member
-        order), as +1.0 or -1.0.
+        the sign, +1.0 or -1.0, of the frame determinant that the rank check
+        computes (:func:`~hardycorners.kernels._frame_dets`), with the outward
+        conormals in the piece's boundary order: a face's one conormal, an
+        edge's in reversed member order.  So it is
+        :func:`~hardycorners.kernels.orientation_sign_face` or
+        :func:`~hardycorners.kernels.orientation_sign_edge` of the node, the
+        sign the reproducing formula and the boundary measure integrate with.
         """
         base, dirs, fixed_tangents = self._geometry(params)
         s = _newton(self.kind, self.rhos, base, dirs, self.r0)
@@ -297,7 +300,7 @@ class Chart:
         _check_tangents(self.kind, regular, self._singular)
         for a in dims:
             tangents[:, a] = _along(tangents[:, a], ds[:, :, a], dirs)
-        det, regular = _frame_dets(grads, tangents)
+        det, regular = _frame_dets(grads[::-1], tangents)
         _check_tangents(self.kind, regular, _RANK_DEFICIENT)
         return z, tangents, np.where(det > 0, 1.0, -1.0)
 
@@ -776,6 +779,14 @@ def transform_domain(d, t):
     )
 
 
+def _check_charts(d):
+    """``ValueError`` naming the first face, then edge, of ``d`` that has no chart."""
+    for kind, pieces in (("face", d.faces), ("edge", d.edges)):
+        for k, piece in enumerate(pieces):
+            if piece.chart is None:
+                raise ValueError(f"{kind} {k} has no chart")
+
+
 def validate_domain(d, resolution=12):
     """Structural validation on every node of every chart at ``resolution``.
 
@@ -792,12 +803,14 @@ def validate_domain(d, resolution=12):
     Raises
     ------
     ValueError
-        If ``resolution`` is not an integer of at least 4.
+        If ``resolution`` is not an integer of at least 4, or a piece has no
+        chart (checked before any projection).
     ProjectionError
         If a chart's projection fails: its Newton solve does not converge, or
         its tangents are singular (not transverse, or rank-deficient with the conormals).
     """
     _check_resolution(resolution)
+    _check_charts(d)
     failures = []
     pieces = [(f"face {k}", (f.hypersurface,), f.chart) for k, f in enumerate(d.faces)]
     pieces += [(f"edge {k}", e.members, e.chart) for k, e in enumerate(d.edges)]

@@ -69,12 +69,10 @@ treated as immutable once built, and
 :func:`~hardycorners.domain.transform_domain` builds a new domain with a
 cache of its own.
 
-The orientation signs are read from the node sets: each chart's projection
-keeps the sign of the frame determinant its rank check computes
-(:meth:`~hardycorners.domain.Chart.project`), with the conormals in member
-order, so an edge weight takes the opposite sign, as
-:func:`~hardycorners.kernels.orientation_sign_edge` reverses that order.  No
-frame is built here for orientation.  The real conormal of
+The orientation signs are read from the node sets, each piece's boundary
+orientation as :meth:`~hardycorners.domain.Chart.project` decides it, and
+multiply face and edge weights alike.  No frame is built here for
+orientation.  The real conormal of
 :func:`fefferman_density` is converted from the face gradient it already
 holds, not evaluated again.
 
@@ -91,7 +89,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import _check_resolution, strong_tangents
+from .domain import _check_charts, _check_resolution, strong_tangents
 from .hermpoly import _gradient_norm, _hermitian_form, _real_gradient
 from .kernels import (
     _corner_factor,
@@ -194,13 +192,16 @@ class _NodeSet(_Frozen):
 
     __slots__ = ("points", "weights", "face_nodes", "edge_nodes")
 
-    def _sums(self, terms):
-        """The sum of each piece's rows of ``terms`` ``(N,)``: (per face, per edge).
+    def _sums(self, terms, cast):
+        """``(total, per face, per edge)``: each piece's rows of ``terms`` ``(N,)``, summed, cast.
 
-        An empty piece sums to ``0j``, without a slice.
+        An empty piece is ``cast(0j)``, without a slice.  The total adds the
+        faces' sum to the edges'.
         """
-        sums = [terms[p.rows].sum() if len(p) else 0j for p in self.face_nodes + self.edge_nodes]
-        return sums[: len(self.face_nodes)], sums[len(self.face_nodes) :]
+        pieces = self.face_nodes + self.edge_nodes
+        sums = [cast(terms[p.rows].sum() if len(p) else 0j) for p in pieces]
+        faces, edges = sums[: len(self.face_nodes)], sums[len(self.face_nodes) :]
+        return sum(faces) + sum(edges), faces, edges
 
 
 def _stack(parts, tail):
@@ -246,9 +247,7 @@ class BoundaryMeasure(_NodeSet):
         ValueError
             If ``func`` returns any other shape.
         """
-        sums = self._sums(self.weights * _section_on(func, self.points))
-        faces, edges = ([float(np.real(s)) for s in part] for part in sums)
-        return sum(faces) + sum(edges), faces, edges
+        return self._sums(self.weights * _section_on(func, self.points), lambda s: float(s.real))
 
 
 class _Factors(_NodeSet):
@@ -288,6 +287,7 @@ def _edge_measure(d, ns):
 
 
 def _measure(d, resolution, edge_resolution):
+    _check_charts(d)
     faces = [_face_measure(d, fc, fc.chart.nodes(resolution)) for fc in d.faces]
     edges = [_edge_measure(d, e.chart.nodes(edge_resolution)) for e in d.edges]
     return BoundaryMeasure(*_assemble(faces + edges, len(faces)))
@@ -311,9 +311,9 @@ def build_measure(d, resolution=16, edge_resolution=None):
         its tangents are singular (not transverse, or rank-deficient with the conormals).
     ValueError
         If a resolution is not an integer of at least 4
-        (:meth:`~hardycorners.domain.Chart.grid`), a face's
-        defining function has a vanishing gradient at a node, or an edge
-        weight is not positive.
+        (:meth:`~hardycorners.domain.Chart.grid`), a piece has no chart, a
+        face's defining function has a vanishing gradient at a node, or an
+        edge weight is not positive.
     """
     if edge_resolution is None:
         edge_resolution = max(6, _check_resolution(resolution) // 2)
@@ -360,11 +360,11 @@ def _face_factor(d, fc, ns):
 def _edge_factor(d, e, ns):
     """An edge's ``(points, weights, planes)``: the unit member hyperplanes at each node."""
     planes, k = _corner_factor(strong_tangents(d, e, ns.points), ns.tangents)
-    # orientation_sign_edge reverses the conormals' member order: two columns swap, the sign flips.
-    return ns.points, ns.weights * -ns.orientation * k, planes
+    return ns.points, ns.weights * ns.orientation * k, planes
 
 
 def _factors(d, face_resolution, edge_resolution):
+    _check_charts(d)
     faces = [_face_factor(d, fc, fc.chart.nodes(face_resolution)) for fc in d.faces]
     edges = [_edge_factor(d, e, e.chart.nodes(edge_resolution)) for e in d.edges]
     nodes = _assemble(faces + edges, len(faces))
@@ -419,8 +419,8 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     ValueError
         If ``tau`` is not a finite point of shape ``(2,)`` (checked before
         anything is built or paired), ``f`` returns values of any other
-        shape, or a resolution is not an integer of at least 4
-        (:meth:`~hardycorners.domain.Chart.grid`).
+        shape, a resolution is not an integer of at least 4
+        (:meth:`~hardycorners.domain.Chart.grid`), or a piece has no chart.
     ZeroDivisionError
         If a tangent hyperplane at some boundary node passes through ``tau``
         (the formula's precondition fails); ``f`` is then not called.
@@ -449,9 +449,7 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     _corner_pairing(fac.planes, homogenize(tau), out=divisor[len(grads) :])
     terms = fac.weights * _section_on(f, fac.points)
     terms /= divisor
-    sums = fac._sums(terms)
-    face_vals, edge_vals = ([complex(s) for s in part] for part in sums)
-    value = sum(face_vals) + sum(edge_vals)
+    value, face_vals, edge_vals = fac._sums(terms, complex)
     expected = complex(f(tau))
     rel_err = abs(value - expected) / max(abs(expected), 1e-300)
     return {

@@ -778,11 +778,28 @@ def test_eta_batch_failure_evaluates_each_node_alone(runner, monkeypatch):
             ["eta", "perturbed_bidisk", "--grid", "4", "--edge", "5"],
             "edge index 5 out of range (domain has 1)",
         ),
+        *(
+            (
+                ["reproduce", "bidisk", "--tau", "0.1,0,0.1,0", "--f", expr, "--resolution", "8"],
+                f"expression {expr!r} cannot be evaluated at z = ((1+0j), (1+0j)): "
+                "the value is not finite",
+            )
+            for expr in ("1e400", "1e300*1e300", "1e400*0")
+        ),
     ],
-    ids=["spec_without_hypersurfaces", "nan_tau", "missing_edge"],
+    ids=[
+        "spec_without_hypersurfaces",
+        "nan_tau",
+        "missing_edge",
+        "infinite_section",
+        "overflowing_section_constants",
+        "nan_section_constants",
+    ],
 )
 def test_input_errors_found_by_a_command_are_one_error_line(runner, tmp_path, args, line):
-    # Every exit 2 reads "Error: ...", as the parser's own usage errors do.
+    # Every exit 2 reads "Error: ...", as the parser's own usage errors do.  A section's
+    # infinite literal, or constants that Python folds to inf or nan, never reach numpy's
+    # error state, and are input errors all the same.
     spec = tmp_path / "faces_only.json"
     spec.write_text(json.dumps({"faces": []}))
     result = runner.invoke(main, [str(spec) if a == "SPEC" else a for a in args])

@@ -529,6 +529,30 @@ def test_eta_matches_closed_forms_on_symmetric_reinhardt_pairs(eps):
     np.testing.assert_allclose(inv.eta_weight, weight, rtol=1e-13, atol=0)
 
 
+def test_eta_matches_the_equal_radius_ball_pair_law():
+    # The balls |z -+ (a, 0)|^2 < r^2 meet on the sphere Re z1 = 0, |Im z1|^2 + |z2|^2 = R^2,
+    # R^2 = r^2 - a^2, with complex points at alpha = 0 and pi.  kappa = 2 (1 + cos theta), where
+    # theta is the angle between the outward normals: cos theta = 1 - 2 a^2 / r^2.
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        r = rng.uniform(0.6, 1.6)
+        a = r * rng.uniform(0.05, 0.95)
+        rhos = [
+            parse_poly(f"abs2(z1) {s} {a}*z1 {s} {a}*conj(z1) + abs2(z2) - {r * r - a * a}")
+            for s in "-+"
+        ]
+        d = PwsDomain(list(zip(("ball1", "ball2"), rhos)), [], [Edge((0, 1), None)])
+        big_r = np.sqrt(r * r - a * a)
+        alpha = rng.uniform(0.3, np.pi - 0.3, 16)
+        phi = rng.uniform(0.0, 2 * np.pi, 16)
+        points = big_r * np.stack([1j * np.cos(alpha), np.sin(alpha) * np.exp(1j * phi)], -1)
+        kappa = 2 * (2 - 2 * a * a / (r * r))
+        g = random_unit_det_map(rng, scale=0.1)
+        image = np.stack(g.affine(points), axis=-1)
+        for dom, z in ((d, points), (transform_domain(d, g), image)):
+            np.testing.assert_allclose(eta(dom, z).kappa, kappa, rtol=1e-13, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # Projective invariance of the boundary norm on independent nodes
 #

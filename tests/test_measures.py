@@ -7,7 +7,15 @@ import pytest
 
 from hardycorners import kernels
 from hardycorners.cli import load_spec
-from hardycorners.domain import ProjectionError, domain_from_spec, strong_tangents, transform_domain
+from hardycorners.domain import (
+    Chart,
+    ProjectionError,
+    PwsDomain,
+    domain_from_spec,
+    strong_tangents,
+    transform_domain,
+    validate_domain,
+)
 from hardycorners.hermpoly import parse_poly
 from hardycorners.kernels import (
     _corner_pairing,
@@ -26,7 +34,7 @@ from hardycorners.measures import (
     hardy_norm,
     reproduce,
 )
-from hardycorners.normalforms import eta
+from hardycorners.normalforms import eta, model_edge_domain
 from hardycorners.projective import Section, homogenize, pull_back_section
 
 from conftest import random_unit_det_map
@@ -242,6 +250,47 @@ def test_monomial_norms_match_closed_forms_on_perturbed_bidisk(perturbed_bidisk)
             np.testing.assert_allclose(out["faces"], faces, rtol=1e-12, atol=0, err_msg=m)
 
 
+def test_monomial_gram_matrix_is_diagonal_on_perturbed_bidisk(perturbed_bidisk):
+    # The torus (z1, z2) -> (e^{is} z1, e^{it} z2) preserves the domain and its measure, so
+    # distinct monomials are orthogonal; the trapezoid rule in both angles keeps that exact at
+    # every |m| <= 4.  The diagonal is each monomial's norm, summed here over all nodes at once.
+    measure = build_measure(perturbed_bidisk, 24, 12)
+    exponents = [(a, n - a) for n in range(5) for a in range(n + 1)]
+    z1, z2 = measure.points[:, 0], measure.points[:, 1]
+    monomials = np.stack([z1**a * z2**b for a, b in exponents])
+    gram = (monomials * measure.weights) @ monomials.conj().T
+    diagonal = gram.diagonal().real
+    off = np.abs(gram - np.diag(gram.diagonal()))
+    assert np.all(off <= 1e-13 * np.sqrt(np.outer(diagonal, diagonal)))
+    norms = [
+        hardy_norm(perturbed_bidisk, lambda z: z[0] ** a * z[1] ** b, 24, 12)["total"]
+        for a, b in exponents
+    ]
+    np.testing.assert_allclose(diagonal, norms, rtol=1e-14, atol=0)
+
+
+def test_a_piece_without_a_chart_is_named_before_any_projection(monkeypatch):
+    # model_edge_domain's edge has no chart by design; bidisk keeps its face charts, whose
+    # projection would come first.
+    bidisk = _fresh("bidisk")
+    edge = bidisk.edges[0]._replace(chart=None)
+    domains = [model_edge_domain((0, 0, -1, 0, 0, -1))]
+    domains.append(PwsDomain(bidisk.hypersurfaces, bidisk.faces, [edge]))
+    projected = []
+    monkeypatch.setattr(Chart, "project", lambda self, params: projected.append(self))
+    for d in domains:
+        calls = [
+            lambda: validate_domain(d),
+            lambda: reproduce(d, _cubic, CACHE_TAU),
+            lambda: hardy_norm(d, _cubic),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^edge 0 has no chart$"):
+                call()
+        assert d._cache == {}
+    assert projected == []
+
+
 def test_hardy_norm_projective_invariance(perturbed_bidisk, rng):
     # |f'|^2 against the transported measure equals |f|^2 against the
     # original, with the section pulled back at matched weight (-2, 0)
@@ -428,7 +477,7 @@ def test_node_set_sums_take_no_slice_of_an_empty_piece():
             sliced.append(rows)
             return np.ones(rows.stop - rows.start, dtype=complex)
 
-    assert fac._sums(Terms()) == ([0j, 0j], [64])
+    assert fac._sums(Terms(), complex) == (64, [0j, 0j], [64])
     assert sliced == [fac.edge_nodes[0].rows]
 
 

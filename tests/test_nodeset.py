@@ -137,9 +137,8 @@ def test_node_set_orientation_is_the_reference_sign(name, scale):
             assert np.array_equal(ns.orientation, reference)
         for e in d.edges:
             ns = e.chart.nodes(resolution)
-            # The reference takes the conormals in reversed member order.
             reference = orientation_sign_edge([d.rho(m) for m in e.members], ns.points, ns.tangents)
-            assert np.array_equal(-ns.orientation, reference)
+            assert np.array_equal(ns.orientation, reference)
 
 
 def test_chart_without_geometry_cannot_project():
