@@ -16,7 +16,7 @@ hardycorners.commands COMMAND ...``.  Exit codes across all subcommands:
   through the requested interior point; a chart's projection fails: its
   Newton solve does not converge, or its tangents are singular; or another
   ``ValueError`` of the library's ``reproduce``, such as a vanishing gradient
-  at a node).
+  at a node or a piece's sum that overflows).
 
 Every input error is one line ``Error: ...`` on stderr: an
 :class:`~hardycorners.cli.InputError`, or, for an error of the command
@@ -154,14 +154,18 @@ def reproduce_cmd(
         raise InputError("--tau is not an interior point of the domain")
     f = parse_section_expr(f_expr)
     try:
-        res = run_reproduce(
-            d,
-            f,
-            tau_pt,
-            resolution=resolution,
-            face_resolution=face_resolution,
-            edge_resolution=edge_resolution,
-        )
+        # A finite section can still overflow a piece's weighted sum; reproduce then raises
+        # ValueError, and numpy's overflow warning would only repeat it (or, under -W error,
+        # end in a traceback).
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_reproduce(
+                d,
+                f,
+                tau_pt,
+                resolution=resolution,
+                face_resolution=face_resolution,
+                edge_resolution=edge_resolution,
+            )
     except (ZeroDivisionError, ProjectionError, ValueError) as exc:
         _precondition_failure(exc)
 

@@ -12,11 +12,14 @@ interval ``[0, L]`` (Gauss-Legendre), and :meth:`Chart.grid` builds the
 quadrature grid from them.  Its geometry is base points and solve
 directions, along which ``k`` real moduli (1 on a face, 2 on an edge) put a
 point on its ``k`` defining functions.  One vectorized Newton solve
-(:meth:`Chart.project`) finds the moduli of the whole quadrature grid to
-1e-12, and one implicit differentiation with the same Jacobian completes the
-tangents, so downstream quadrature sees the locus to full precision.  One
-rule decides whether that Jacobian is regular: ``|det J| / prod |rows of J|
-> 1e-14``.  The result is a :class:`NodeSet` of arrays, with each node's
+(:meth:`Chart.project`) finds the moduli of the rows it is given to 1e-12,
+and one implicit differentiation with the same Jacobian completes the
+tangents, so downstream quadrature sees the locus to full precision.  A
+chart's grid is projected in blocks of at most ``_BLOCK`` rows
+(:meth:`Chart._blocks`), which every node set, build and check reads; each
+step is row by row, so the numbers are those of one projection of the
+grid.  One rule decides whether that Jacobian is regular: ``|det J| / prod
+|rows of J| > 1e-14``.  The result is a :class:`NodeSet` of arrays, with each node's
 orientation sign from the frame its rank check builds; a node that does not
 converge, or whose tangents are singular (edge member gradients that are not
 transverse, a face's rho flat along its solve direction), raises
@@ -72,24 +75,38 @@ __all__ = [
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXITER = 80
+# Grid rows per block of a chart's projection (Chart._blocks), chosen by measurement
+# (CHANGES.md).  Each block costs a fixed Python overhead: at 2,048 rows a face grid at
+# resolution 24 (6,912 rows) ends in a 768-row block, and its cold build took 14% longer
+# than in one block, against 6% at 2,304, which splits it in three.  Larger blocks hold
+# larger temporaries: a 64 x 64 edge grid in one block is what set flat_corner_taus'
+# peak RSS.
+_BLOCK = 2304
 _ONLOCUS_TOL = 1e-10
 _MEMBER_TOL = 1e-8
+
+
+_UNCONVERGED = "Newton projection did not converge"
+# Why a chart fails whose tangents and conormals do not span R^4 (see kernels._frame_dets).
+_RANK_DEFICIENT = "tangents are singular (the frame of conormals and tangents is rank-deficient)"
 
 
 class ProjectionError(RuntimeError):
     """A chart's projection failed at some nodes.
 
-    ``kind`` names the chart type and ``unconverged`` counts the failed
-    nodes.  By default the failure is a Newton solve whose residual never
-    fell below the tolerance (a NaN residual counts too); ``reason`` names
-    any other failure, such as edge tangents left undefined by member
-    gradients that are not transverse.
+    ``kind`` names the chart type, ``unconverged`` counts the failed nodes
+    and ``total`` the nodes projected: for a chart's node set, its whole grid,
+    however many blocks it was projected in.  By default the failure is a
+    Newton solve whose residual never fell below the tolerance (a NaN residual
+    counts too); ``reason`` names any other failure, such as edge tangents
+    left undefined by member gradients that are not transverse.
     """
 
-    def __init__(self, kind, unconverged, total, reason="Newton projection did not converge"):
+    def __init__(self, kind, unconverged, total, reason=_UNCONVERGED):
         self.kind = kind
         self.unconverged = int(unconverged)
         self.total = int(total)
+        self.reason = reason
         super().__init__(
             f"{kind} chart {reason} at {self.unconverged} of {self.total} nodes"
         )
@@ -184,15 +201,15 @@ def _newton(kind, rhos, base, dirs, start):
     raise ProjectionError(kind, rows.size, len(s))
 
 
-# Why a chart fails whose tangents and conormals do not span R^4 (see kernels._frame_dets).
-_RANK_DEFICIENT = "the frame of conormals and tangents is rank-deficient"
-
-
 def _check_tangents(kind, regular, reason):
-    """Raise :class:`ProjectionError` unless the tangents are regular at every node."""
+    """Raise :class:`ProjectionError` for ``reason`` unless the tangents are regular everywhere."""
     if not np.all(regular):
-        reason = f"tangents are singular ({reason})"
         raise ProjectionError(kind, np.sum(~regular), len(regular), reason)
+
+
+def _stage(error):
+    """Where a :class:`ProjectionError` arose: Newton, singular tangents, then the frame's rank."""
+    return (error.reason != _UNCONVERGED) + (error.reason == _RANK_DEFICIENT)
 
 
 def _check_count(value, least, name):
@@ -260,11 +277,17 @@ class Chart:
         ``max(4, resolution // 2)`` Gauss-Legendre nodes on ``[0, L]``.  A
         resolution that is not an integer of at least 4 raises ``ValueError``.
         """
+        return tensor_grid(self._rules(resolution))
+
+    def _rules(self, resolution):
+        """The ``(nodes, weights)`` rule of each axis at a resolution (see :meth:`grid`)."""
         periodic = trapezoid_rule(_check_resolution(resolution))
         order = max(4, resolution // 2)
-        return tensor_grid(
-            [periodic if length is None else gauss_rule(0.0, length, order) for length in self.axes]
-        )
+        return [periodic if L is None else gauss_rule(0.0, L, order) for L in self.axes]
+
+    def _size(self, resolution):
+        """The number of rows of :meth:`grid` at a resolution, without building it."""
+        return math.prod(len(w) for _, w in self._rules(resolution))
 
     def _geometry(self, params):
         """Base points ``(N, 2)``, solve directions ``(N, k, 2)`` and the ``s``-fixed tangents.
@@ -297,17 +320,42 @@ class Chart:
         dims = range(self.dim)
         rhs = np.stack([-2.0 * np.real(_dot2(g, tangents[:, a])) for g in grads for a in dims], -1)
         ds, regular = _solve(_jacobian(grads, dirs), rhs.reshape(len(z), len(grads), self.dim))
-        _check_tangents(self.kind, regular, self._singular)
+        _check_tangents(self.kind, regular, f"tangents are singular ({self._singular})")
         for a in dims:
             tangents[:, a] = _along(tangents[:, a], ds[:, :, a], dirs)
         det, regular = _frame_dets(grads[::-1], tangents)
         _check_tangents(self.kind, regular, _RANK_DEFICIENT)
         return z, tangents, np.where(det > 0, 1.0, -1.0)
 
+    def _blocks(self, resolution):
+        """The :class:`NodeSet` of each block of at most ``_BLOCK`` rows of :meth:`grid`, in order.
+
+        Every step of :meth:`project` is row by row, so the blocks hold the
+        numbers of one projection of the whole grid.  A block that fails is
+        not yielded, and the blocks after it are still projected and yielded:
+        after the last one, the chart raises one :class:`ProjectionError`, of
+        the earliest stage that failed in any block (Newton, then singular
+        tangents, then a rank-deficient frame), with that stage's failed
+        nodes counted over the whole grid, as one projection of it would.
+        """
+        rules, total = self._rules(resolution), self._size(resolution)
+        failed = []
+        for start in range(0, total, _BLOCK):
+            params, weights = tensor_grid(rules, start, start + _BLOCK)
+            try:
+                yield NodeSet(params, weights, *self.project(params))
+            except ProjectionError as exc:
+                failed.append(exc)
+        if failed:
+            first = min(failed, key=_stage)
+            count = sum(exc.unconverged for exc in failed if exc.reason == first.reason)
+            raise ProjectionError(first.kind, count, total, first.reason)
+
     def nodes(self, resolution):
-        """The :class:`NodeSet` of this chart at a resolution (one Newton solve)."""
-        params, weights = self.grid(resolution)
-        return NodeSet(params, weights, *self.project(params))
+        """The :class:`NodeSet` of this chart at a resolution: its :meth:`_blocks`, joined."""
+        blocks = list(self._blocks(resolution))
+        fields = NodeSet.__slots__
+        return NodeSet(*(np.concatenate([getattr(b, f) for b in blocks]) for f in fields))
 
     def _at(self, params):
         """The point ``(2,)`` and the list of ``dim`` tangents at one parameter tuple."""
@@ -791,11 +839,12 @@ def validate_domain(d, resolution=12):
     """Structural validation on every node of every chart at ``resolution``.
 
     One loop over the boundary pieces, faces then edges, checks each node of
-    ``chart.nodes(resolution)``, the node set the integrals use: every member
-    is on the locus within ``1e-10`` and every other hypersurface is
-    negative (a NaN value fails); on an edge the member gradients are also
-    transverse.  Then every interior point must be inside: every ``rho``
-    negative (NaN fails).
+    the chart's node set at ``resolution``, the nodes the integrals use, one
+    block at a time (:meth:`Chart._blocks`): every member is on the locus
+    within ``1e-10`` and every other hypersurface is negative (a NaN value
+    fails); on an edge the member gradients are also transverse.  Each check
+    names a piece at most once.  Then every interior point must be inside:
+    every ``rho`` negative (NaN fails).
 
     Returns a report dict with ``passed`` and a list of human-readable
     ``failures`` naming the offending hypersurface or piece.
@@ -815,16 +864,19 @@ def validate_domain(d, resolution=12):
     pieces = [(f"face {k}", (f.hypersurface,), f.chart) for k, f in enumerate(d.faces)]
     pieces += [(f"edge {k}", e.members, e.chart) for k, e in enumerate(d.edges)]
     for piece, members, chart in pieces:
-        z = chart.nodes(resolution).points
-        for i, vals in enumerate(d.rho_values(z.T)):
-            if i in members and np.any(np.abs(vals) > _ONLOCUS_TOL):
-                failures.append(f"{piece} chart leaves {d.label(i)!r} (|rho| > {_ONLOCUS_TOL})")
-            elif i not in members and not np.all(vals < 0):
-                failures.append(f"{piece} chart reaches the wrong side of {d.label(i)!r}")
-        if len(members) == 2:
-            grads = np.stack([_grad(d.rho(m), z) for m in members], axis=-2)
-            if np.any(_transversality(grads) < 1e-8):
-                failures.append(f"{piece} member gradients are not transverse")
+        found = {}  # each failure once, keyed by hypersurface; transversality last
+        for ns in chart._blocks(resolution):
+            z = ns.points
+            for i, vals in enumerate(d.rho_values(z.T)):
+                if i in members and np.any(np.abs(vals) > _ONLOCUS_TOL):
+                    found[i] = f"{piece} chart leaves {d.label(i)!r} (|rho| > {_ONLOCUS_TOL})"
+                elif i not in members and not np.all(vals < 0):
+                    found[i] = f"{piece} chart reaches the wrong side of {d.label(i)!r}"
+            if len(members) == 2:
+                grads = np.stack([_grad(d.rho(m), z) for m in members], axis=-2)
+                if np.any(_transversality(grads) < 1e-8):
+                    found[len(d.hypersurfaces)] = f"{piece} member gradients are not transverse"
+        failures += [found[k] for k in sorted(found)]
 
     for p in d.interior_points:
         for label, rho in d.hypersurfaces:

@@ -41,6 +41,25 @@ and cached for the domain's lifetime in the dict ``PwsDomain._cache``:
   edge resolution, so the default and the same value given explicitly
   share one entry.
 
+An entry is built in one pass over each piece's grid, a block of at most
+``domain._BLOCK`` (2,304) rows at a time
+(:meth:`~hardycorners.domain.Chart._blocks`): each block is projected,
+built by the piece's builder and written straight into the entry's arrays,
+which are allocated at their first rows for as many rows as may still come
+(:class:`_Rows`).  So no piece's whole node set, tangents or factor
+temporaries exist at once, and a build's peak is the entry plus about one
+block: traced, 1.14 times the entry of ``reproduce`` on ``bidisk`` at
+6/256, and 1.30 and 1.24 times the entries of ``reproduce`` and
+``hardy_norm`` on ``perturbed_bidisk`` at 48/24.  Only a domain whose faces
+are partly Levi-flat copies an array once more, to its size, at the end.
+Then :func:`_cached` allocates and frees one untouched array as large as
+the entry, so that the warm calls' temporaries come from the heap (its
+docstring says why); it is never resident, but ``tracemalloc`` counts it.
+Every step is row by row, so every number is that of one projection of the
+whole grid.  An error of a builder waits for the piece's last block, so
+that a chart's :class:`~hardycorners.domain.ProjectionError` comes first,
+as it does when the whole grid is projected at once.
+
 Every multi-column node array of both entries (``points``, ``flat_points``,
 ``unit_grad``, ``planes``) is coordinate-major: in Fortran order, so that each
 column, such as ``points[:, 0]``, is contiguous.  The pairings and the
@@ -86,6 +105,9 @@ only one of the two.
 """
 
 from __future__ import annotations
+
+import cmath
+from functools import partial
 
 import numpy as np
 
@@ -196,23 +218,94 @@ class _NodeSet(_Frozen):
         """``(total, per face, per edge)``: each piece's rows of ``terms`` ``(N,)``, summed, cast.
 
         An empty piece is ``cast(0j)``, without a slice.  The total adds the
-        faces' sum to the edges'.
+        faces' sum to the edges'.  A total that is not finite raises
+        ``ValueError`` naming the first piece whose sum is not (if none, the
+        total of finite sums overflowed); the pieces are searched only then.
         """
         pieces = self.face_nodes + self.edge_nodes
         sums = [cast(terms[p.rows].sum() if len(p) else 0j) for p in pieces]
         faces, edges = sums[: len(self.face_nodes)], sums[len(self.face_nodes) :]
-        return sum(faces) + sum(edges), faces, edges
+        total = sum(faces) + sum(edges)
+        if not cmath.isfinite(total):
+            names = [f"face {k}" for k in range(len(faces))]
+            names += [f"edge {k}" for k in range(len(edges))]
+            bad = [name for name, value in zip(names, sums) if not cmath.isfinite(value)]
+            what = f"the sum over {bad[0]}" if bad else "the total of the pieces' finite sums"
+            raise ValueError(f"{what} is not finite")
+        return total, faces, edges
+
+
+class _Rows:
+    """One array of a cache entry, written a block of rows at a time; coordinate-major.
+
+    ``bound`` counts the grid rows that may put a row in it.  Each
+    :meth:`put` passes the rows a block puts and the block's size.  The array
+    is allocated at the first rows put, for as many rows as may still come,
+    so a piece that puts no rows (a Levi-flat face's weighted rows, the
+    Levi-flat rows of every other face) allocates nothing.  :meth:`done`
+    returns it read-only, copied to its size if fewer rows came than it holds.
+    """
+
+    def __init__(self, bound, tail):
+        self.bound, self.tail, self.out, self.n = bound, tail, None, 0
+
+    def put(self, rows, block):
+        if len(rows):
+            if self.out is None:
+                self.out = np.empty((self.bound, *self.tail), rows.dtype, order="F")
+            self.out[self.n : self.n + len(rows)] = rows
+            self.n += len(rows)
+        self.bound -= block
+
+    def done(self):
+        out = self.out
+        if out is None:
+            out = np.empty((0, *self.tail), complex, order="F")
+        elif self.n < len(out):
+            out = np.array(out[: self.n], order="F")
+        out.flags.writeable = False
+        return out
+
+
+def _stream(chart, resolution, build, sinks):
+    """Put each block of a chart's node set, built by ``build``, into ``sinks``; count the rows.
+
+    ``build`` maps a block (a :class:`~hardycorners.domain.NodeSet`) to one
+    array of rows per sink.  Returns the rows put in ``sinks[0]``.  A
+    ``ValueError`` of ``build`` (a vanishing gradient, a point off a member,
+    an edge weight that is not positive) is raised after the chart's last
+    block, so that a projection failure anywhere in the chart comes first,
+    however the chart is split.
+    """
+    error, count = None, 0
+    for ns in chart._blocks(resolution):
+        if error is None:
+            try:
+                count += _put(build(ns), sinks, len(ns))
+            except ValueError as exc:  # raised after the last block
+                error = exc
+        del ns  # before the next block is projected
+    if error is not None:
+        raise error
+    return count
+
+
+def _put(parts, sinks, block):
+    """Put each of a block's ``parts`` into its sink; the rows of the first."""
+    for sink, rows in zip(sinks, parts):
+        sink.put(rows, block)
+    return len(parts[0])
 
 
 def _stack(parts, tail):
-    """``parts`` written one after another into one new read-only array, coordinate-major.
+    """Read-only coordinate-major ``parts`` one after another, in one such array.
 
-    The array is in Fortran order, so each column of a multi-column result
-    (``points[:, 0]``, ``planes[:, 0, 1]``) is contiguous, for a lone part too.
+    A lone non-empty part is returned itself, uncopied; no part gives a complex array.
     """
     parts = [part for part in parts if len(part)]
+    if len(parts) == 1:
+        return parts[0]
     dtype = np.result_type(*parts) if parts else complex
-    # Preallocated: concatenate's own output raised the peak RSS.
     out = np.empty((sum(map(len, parts)), *tail), dtype, order="F")
     if parts:
         np.concatenate(parts, out=out)
@@ -220,11 +313,13 @@ def _stack(parts, tail):
     return out
 
 
-def _assemble(pieces, faces):
-    """A :class:`_NodeSet`'s fields from each piece's ``(points, weights, ...)``, faces first."""
-    points = _stack([p[0] for p in pieces], (2,))
-    weights = _stack([p[1] for p in pieces], ())
-    bounds = np.cumsum([0] + [len(p[1]) for p in pieces]).tolist()
+def _node_set(points, weights, counts, faces):
+    """A :class:`_NodeSet`'s fields: ``points`` and ``weights`` done, then each piece's view.
+
+    The pieces put ``counts`` rows each, the first ``faces`` of them faces.
+    """
+    points, weights = points.done(), weights.done()
+    bounds = np.cumsum([0, *counts]).tolist()
     views = [_Piece(points[a:b], weights[a:b], slice(a, b)) for a, b in zip(bounds, bounds[1:])]
     return points, weights, views[:faces], views[faces:]
 
@@ -245,7 +340,8 @@ class BoundaryMeasure(_NodeSet):
         Raises
         ------
         ValueError
-            If ``func`` returns any other shape.
+            If ``func`` returns any other shape, or the total is not finite
+            (naming the first piece whose sum is not).
         """
         return self._sums(self.weights * _section_on(func, self.points), lambda s: float(s.real))
 
@@ -265,6 +361,7 @@ class _Factors(_NodeSet):
 
 
 def _face_measure(d, fc, ns):
+    """A face block's ``points, weights``: quadrature weight times :func:`fefferman_density`."""
     dens = fefferman_density(d.rho(fc.hypersurface), ns.points, ns.tangents)
     return ns.points, ns.weights * dens
 
@@ -282,15 +379,23 @@ def eta(d, points):
 
 
 def _edge_measure(d, ns):
+    """An edge block's ``points, weights``: quadrature weight times :func:`edge_measure_density`."""
     dens = edge_measure_density(eta(d, ns.points).eta_weight, ns.tangents)
     return ns.points, ns.weights * dens
 
 
+def _sizes(pieces, resolution):
+    """The grid rows of each of ``pieces``' charts at a resolution."""
+    return [p.chart._size(resolution) for p in pieces]
+
+
 def _measure(d, resolution, edge_resolution):
     _check_charts(d)
-    faces = [_face_measure(d, fc, fc.chart.nodes(resolution)) for fc in d.faces]
-    edges = [_edge_measure(d, e.chart.nodes(edge_resolution)) for e in d.edges]
-    return BoundaryMeasure(*_assemble(faces + edges, len(faces)))
+    total = sum(_sizes(d.faces, resolution)) + sum(_sizes(d.edges, edge_resolution))
+    sinks = (_Rows(total, (2,)), _Rows(total, ()))
+    counts = [_stream(fc.chart, resolution, partial(_face_measure, d, fc), sinks) for fc in d.faces]
+    counts += [_stream(e.chart, edge_resolution, partial(_edge_measure, d), sinks) for e in d.edges]
+    return BoundaryMeasure(*_node_set(*sinks, counts, len(d.faces)))
 
 
 def build_measure(d, resolution=16, edge_resolution=None):
@@ -336,7 +441,8 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None):
     Raises
     ------
     ValueError
-        If ``f`` returns values of any other shape, or as
+        If ``f`` returns values of any other shape, the total is not finite
+        (the message names the first piece whose sum is not), or as
         :func:`build_measure` does.
     ProjectionError
         As :func:`build_measure` does.
@@ -347,7 +453,7 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None):
 
 
 def _face_factor(d, fc, ns):
-    """A face's weighted ``points, weights, unit_grad``, then Levi-flat ``points, unit_grad``."""
+    """A face block's weighted ``points, weights, unit_grad``; Levi-flat ``points, unit_grad``."""
     unit_grad, dens = _leray_factor(d.rho(fc.hypersurface), ns.points, ns.tangents)
     # Nodes where the density vanishes (Levi-flat) contribute nothing: they serve only the
     # pole check.  Select rows only when some vanish, to copy nothing otherwise.
@@ -358,26 +464,34 @@ def _face_factor(d, fc, ns):
 
 
 def _edge_factor(d, e, ns):
-    """An edge's ``(points, weights, planes)``: the unit member hyperplanes at each node."""
+    """An edge block's ``(points, weights, planes)``: the unit member hyperplanes at each node."""
     planes, k = _corner_factor(strong_tangents(d, e, ns.points), ns.tangents)
     return ns.points, ns.weights * ns.orientation * k, planes
 
 
 def _factors(d, face_resolution, edge_resolution):
     _check_charts(d)
-    faces = [_face_factor(d, fc, fc.chart.nodes(face_resolution)) for fc in d.faces]
-    edges = [_edge_factor(d, e, e.chart.nodes(edge_resolution)) for e in d.edges]
-    nodes = _assemble(faces + edges, len(faces))
-    flat_points = _stack([f[3] for f in faces], (2,))
-    unit_grad = _stack([f[4] for f in faces] + [f[2] for f in faces], (2,))
+    faces, edges = sum(_sizes(d.faces, face_resolution)), sum(_sizes(d.edges, edge_resolution))
+    points, weights = _Rows(faces + edges, (2,)), _Rows(faces + edges, ())
+    grads, flat_points, flat_grads = (_Rows(faces, (2,)) for _ in range(3))
+    planes = _Rows(edges, (2, 3))
+    to_face, to_edge = (points, weights, grads, flat_points, flat_grads), (points, weights, planes)
+    counts = [
+        _stream(f.chart, face_resolution, partial(_face_factor, d, f), to_face) for f in d.faces
+    ]
+    counts += [
+        _stream(e.chart, edge_resolution, partial(_edge_factor, d, e), to_edge) for e in d.edges
+    ]
+    nodes = _node_set(points, weights, counts, len(d.faces))
+    flat_points, grads = flat_points.done(), grads.done()
+    unit_grad = _stack([flat_grads.done(), grads], (2,))
     # The largest |z| over the face nodes, a column at a time: np.linalg.norm's row
     # temporaries raised the peak RSS.
-    face_points = nodes[0][: len(unit_grad) - len(flat_points)]
+    face_points = nodes[0][: len(grads)]
     radius = max(
         np.hypot(abs(z[:, 0]), abs(z[:, 1])).max(initial=0.0) for z in (face_points, flat_points)
     )
-    planes = _stack([e[2] for e in edges], (2, 3))
-    return _Factors(*nodes, flat_points, unit_grad, planes, float(radius))
+    return _Factors(*nodes, flat_points, unit_grad, planes.done(), float(radius))
 
 
 _BUILDERS = {"reproduce": _factors, "measure": _measure}
@@ -388,10 +502,24 @@ def _cached(d, kind, *resolutions):
 
     Every resolution is checked first, so that a value the charts reject
     (``8.0``) never finds the entry of one they accept (``8``).
+
+    A new entry is followed by one untouched array as large as the entry,
+    allocated and freed at once.  A warm call holds a few ``(N,)``
+    temporaries, fewer bytes than the entry holds per node.  glibc's malloc
+    serves a request above its mmap threshold with a fresh mapping, which
+    faults in at every call, gives the top of its heap back beyond twice
+    that threshold, and raises the threshold to the size of any mapping
+    freed.  A build that streams blocks frees none larger than a block: the
+    warm ``reproduce`` of ``perturbed_bidisk`` at 24/12 then took 77 page
+    faults and half as long again.  Untouched, the array is never resident.
     """
     key = (kind, *map(_check_resolution, resolutions))
     if key not in d._cache:
-        d._cache[key] = _BUILDERS[kind](d, *resolutions)
+        entry = _BUILDERS[kind](d, *resolutions)
+        slots = [n for c in type(entry).__mro__ for n in vars(c).get("__slots__", ())]
+        fields = map(entry.__getattribute__, slots)
+        np.empty(sum(a.nbytes for a in fields if isinstance(a, np.ndarray)), np.uint8)
+        d._cache[key] = entry
     return d._cache[key]
 
 
@@ -420,7 +548,9 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
         If ``tau`` is not a finite point of shape ``(2,)`` (checked before
         anything is built or paired), ``f`` returns values of any other
         shape, a resolution is not an integer of at least 4
-        (:meth:`~hardycorners.domain.Chart.grid`), or a piece has no chart.
+        (:meth:`~hardycorners.domain.Chart.grid`), a piece has no chart, or
+        the recovered value is not finite (the message names the first
+        piece whose sum is not).
     ZeroDivisionError
         If a tangent hyperplane at some boundary node passes through ``tau``
         (the formula's precondition fails); ``f`` is then not called.

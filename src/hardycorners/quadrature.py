@@ -21,6 +21,7 @@ Node order is fixed, so a weighted sum over a rule is bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache
 
@@ -34,18 +35,22 @@ def trapezoid_rule(n):
     return 2.0 * np.pi * np.arange(n) / n, np.full(n, 2.0 * np.pi / n)
 
 
-def tensor_grid(axes):
+def tensor_grid(axes, start=0, stop=None):
     """Tensor product of (nodes, weights) axes in lexicographic node order.
 
-    Returns the parameter rows ``(N, dim)`` and the product weights ``(N,)``.
+    Returns the parameter rows ``(N, dim)`` and the product weights ``(N,)``,
+    or only the rows ``start`` to ``stop`` of them, with the same numbers: a
+    row's weight is the product of its axes' weights, taken in axis order.
     """
-    params = np.stack(
-        [g.ravel() for g in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=-1
-    )
-    weights = axes[0][1]
-    for _, w in axes[1:]:
-        weights = np.multiply.outer(weights, w)
-    return params, weights.ravel()
+    shape = tuple(len(w) for _, w in axes)
+    total = math.prod(shape)
+    stop = total if stop is None else min(stop, total)
+    index = np.unravel_index(np.arange(start, stop), shape)
+    params = np.stack([x[i] for (x, _), i in zip(axes, index)], axis=-1)
+    weights = axes[0][1][index[0]]
+    for (_, w), i in zip(axes[1:], index[1:]):
+        weights = weights * w[i]
+    return params, weights
 
 
 def _legendre_p(n, x):

@@ -78,14 +78,15 @@ def test_check_domain_passes_on_bidisk(runner):
 
 
 def test_check_domain_projects_each_chart_once(runner, monkeypatch):
-    # validate_domain projects every chart; the edge probe projects one node of its own.
-    nodes, kinds = domain.Chart.nodes, []
+    # validate_domain projects every chart, block by block; the edge probe projects one
+    # node of its own.
+    blocks, kinds = domain.Chart._blocks, []
 
     def counted(chart, resolution):
         kinds.append(chart.kind)
-        return nodes(chart, resolution)
+        return blocks(chart, resolution)
 
-    monkeypatch.setattr(domain.Chart, "nodes", counted)
+    monkeypatch.setattr(domain.Chart, "_blocks", counted)
     result = runner.invoke(main, ["check-domain", "perturbed_bidisk", "--resolution", "32"])
     assert result.exit_code == 0
     assert kinds == ["graph_patch", "graph_patch", "torus2"]
@@ -850,7 +851,8 @@ def test_out_of_memory_is_input_error_naming_the_size(runner, monkeypatch, args,
     def exhausted(chart, resolution):
         raise MemoryError
 
-    monkeypatch.setattr(domain.Chart, "nodes", exhausted)
+    # Every projection of a chart's grid, its node set's too, goes through its blocks.
+    monkeypatch.setattr(domain.Chart, "_blocks", exhausted)
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -1012,3 +1014,14 @@ def test_running_the_cli_module_runs_nothing_and_exits_two():
         assert line.startswith("Error: ")
         assert "python -m hardycorners.commands" in line and "'hardycorners' script" in line
     assert _fresh_interpreter("-m", "hardycorners.commands", "check-domain", "bidisk").returncode == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_reproduce_whose_weighted_sum_overflows_is_one_precondition_line(runner):
+    # A finite section whose weighted values overflow the edge's sum: no report (its JSON
+    # would hold Infinity), and no numpy warning, which this test turns into an error.
+    args = ["reproduce", "bidisk", "--tau", "0.95,0,0.1,0", "--f", "1.7e308*z1", "--resolution", "8"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "precondition failure: the sum over edge 0 is not finite\n"

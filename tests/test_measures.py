@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardycorners import kernels
+from hardycorners import domain, kernels
 from hardycorners.cli import load_spec
 from hardycorners.domain import (
     Chart,
@@ -790,9 +790,9 @@ def test_measure_shares_are_the_sums_over_each_piece():
     assert total == sum(faces) + sum(edges)
 
 
-def test_cold_reproduce_builds_one_frame_determinant_per_piece(monkeypatch):
-    # The charts' rank check computes each piece's frame determinants, and the
-    # orientation signs come with the node sets: reproduce builds no frame of its own.
+def test_cold_reproduce_builds_one_frame_determinant_per_block(monkeypatch):
+    # The charts' rank check computes the frame determinants of each projected block,
+    # and the orientation signs come with the blocks: reproduce builds no frame of its own.
     det4, calls = kernels._det4_columns, []
 
     def counted(cols):
@@ -802,7 +802,9 @@ def test_cold_reproduce_builds_one_frame_determinant_per_piece(monkeypatch):
     monkeypatch.setattr(kernels, "_det4_columns", counted)
     d = domain_from_spec(load_spec("perturbed_bidisk"))
     reproduce(d, lambda z: z[0] + 1.0, np.zeros(2), resolution=24, edge_resolution=12)
-    assert len(calls) == 3
+    sizes = [f.chart._size(24) for f in d.faces] + [e.chart._size(12) for e in d.edges]
+    assert sizes == [6912, 6912, 144]
+    assert len(calls) == sum(-(-size // domain._BLOCK) for size in sizes) == 7
 
 
 def test_failed_measure_build_caches_nothing(monkeypatch):
@@ -878,3 +880,18 @@ def test_reproduce_matches_node_by_node_reference(name, request, rng):
     # Same per-node formula; only the summation order differs (pairwise
     # against sequential over a few hundred terms of size about 1).
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_a_sum_that_is_not_finite_names_the_first_such_piece():
+    # Finite sections whose weighted values overflow: the totals would be inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^the sum over face 0 is not finite$"):
+            hardy_norm(_fresh("perturbed_bidisk"), lambda z: 1e200 * z[0], 8, 6)
+        with pytest.raises(ValueError, match=r"^the sum over edge 0 is not finite$"):
+            reproduce(_fresh("bidisk"), lambda z: 1.7e308 * z[0], [0.95, 0.1], resolution=8)
+        # Each piece's sum is finite, their total is not: the edge's area is 546.4 and
+        # each face's 10.49, so the edge's sum reaches 1.75e308 and the faces' add 6.7e306.
+        d = _fresh("perturbed_bidisk")
+        scale = math.sqrt(1.75e308 / hardy_norm(d, lambda z: 1.0, 8, 6)["edges"][0])
+        with pytest.raises(ValueError, match=r"^the total of the pieces' finite sums is not finite$"):
+            hardy_norm(d, lambda z: scale, 8, 6)
