@@ -497,6 +497,12 @@ def _factors(d, face_resolution, edge_resolution):
 _BUILDERS = {"reproduce": _factors, "measure": _measure}
 
 
+def _nbytes(entry):
+    """The bytes of an entry's arrays: its fields along the MRO that are arrays."""
+    slots = [n for c in type(entry).__mro__ for n in vars(c).get("__slots__", ())]
+    return sum(a.nbytes for a in map(entry.__getattribute__, slots) if isinstance(a, np.ndarray))
+
+
 def _cached(d, kind, *resolutions):
     """The entry ``(kind, *resolutions)`` of ``d._cache``, built once by ``_BUILDERS[kind]``.
 
@@ -516,9 +522,7 @@ def _cached(d, kind, *resolutions):
     key = (kind, *map(_check_resolution, resolutions))
     if key not in d._cache:
         entry = _BUILDERS[kind](d, *resolutions)
-        slots = [n for c in type(entry).__mro__ for n in vars(c).get("__slots__", ())]
-        fields = map(entry.__getattribute__, slots)
-        np.empty(sum(a.nbytes for a in fields if isinstance(a, np.ndarray)), np.uint8)
+        np.empty(_nbytes(entry), np.uint8)
         d._cache[key] = entry
     return d._cache[key]
 

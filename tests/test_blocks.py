@@ -45,15 +45,16 @@ def _same_bytes(a, b):
 
 
 def _charts():
-    """``(id, chart, resolution)``: each catalog kind and a transformed chart, at 3 or more blocks."""
+    """``(id, chart, resolution)``: each catalog kind and transformed charts, at 3+ blocks."""
     rng = np.random.default_rng(39)
     pb = domain_from_spec(load_spec("perturbed_bidisk"))
+    face, edge = pb.faces[0].chart, pb.edges[0].chart
     return [
-        ("torus2", pb.edges[0].chart, 96),
+        ("torus2", edge, 96),
         ("sphere_polar", SpherePolarChart(SPHERE), 24),
         ("graph_patch", pb.faces[1].chart, 24),
-        ("transformed", TransformedChart(pb.faces[0].chart, random_unit_det_map(rng, 0.1)), 24),
-        ("transformed_torus2", TransformedChart(pb.edges[0].chart, random_unit_det_map(rng, 0.1)), 96),
+        ("transformed", TransformedChart(face, random_unit_det_map(rng, 0.1)), 24),
+        ("transformed_torus2", TransformedChart(edge, random_unit_det_map(rng, 0.1)), 96),
     ]
 
 
@@ -229,11 +230,6 @@ def test_validate_domain_reports_each_failure_once_over_blocks(monkeypatch):
     assert blocked["failures"] == ["face 0 chart reaches the wrong side of 'sheet2'"]
 
 
-def _entry_bytes(entry):
-    values = [getattr(entry, f) for f in _fields(entry)]
-    return sum(v.nbytes for v in values if isinstance(v, np.ndarray))
-
-
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -253,7 +249,7 @@ def test_cold_build_peak_is_its_entry_plus_about_one_block(name, kind, resolutio
     measures._cached(domain_from_spec(load_spec(name)), kind, 6, 6)  # imports, cached rules
     build = measures._BUILDERS[kind]
     entry, built = _traced_peak(lambda: build(domain_from_spec(load_spec(name)), *resolutions))
-    assert built <= 1.5 * _entry_bytes(entry)
+    assert built <= 1.5 * measures._nbytes(entry)
     d = domain_from_spec(load_spec(name))
     entry, cached = _traced_peak(lambda: measures._cached(d, kind, *resolutions))
-    assert cached <= 2.5 * _entry_bytes(entry)
+    assert cached <= 2.5 * measures._nbytes(entry)
