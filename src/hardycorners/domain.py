@@ -18,8 +18,9 @@ tangents, so downstream quadrature sees the locus to full precision.  A
 chart's grid is projected in blocks of at most ``_BLOCK`` rows
 (:meth:`Chart._blocks`), which every node set, build and check reads; each
 step is row by row, so the numbers are those of one projection of the
-grid.  One rule decides whether that Jacobian is regular: ``|det J| / prod
-|rows of J| > 1e-14``.  The result is a :class:`NodeSet` of arrays, with each node's
+grid, and a chart that fails raises what that projection raises.  One
+rule decides whether that Jacobian is regular: ``|det J| / prod |rows of
+J| > 1e-14``.  The result is a :class:`NodeSet` of arrays, with each node's
 orientation sign from the frame its rank check builds; a node that does not
 converge, or whose tangents are singular (edge member gradients that are not
 transverse, a face's rho flat along its solve direction), raises
@@ -96,7 +97,8 @@ class ProjectionError(RuntimeError):
 
     ``kind`` names the chart type, ``unconverged`` counts the failed nodes
     and ``total`` the nodes projected: for a chart's node set, its whole grid,
-    however many blocks it was projected in.  By default the failure is a
+    however many blocks it was projected in, as a failed block has the whole
+    grid projected once (:meth:`Chart._blocks`).  By default the failure is a
     Newton solve whose residual never fell below the tolerance (a NaN residual
     counts too); ``reason`` names any other failure, such as edge tangents
     left undefined by member gradients that are not transverse.
@@ -205,11 +207,6 @@ def _check_tangents(kind, regular, reason):
     """Raise :class:`ProjectionError` for ``reason`` unless the tangents are regular everywhere."""
     if not np.all(regular):
         raise ProjectionError(kind, np.sum(~regular), len(regular), reason)
-
-
-def _stage(error):
-    """Where a :class:`ProjectionError` arose: Newton, singular tangents, then the frame's rank."""
-    return (error.reason != _UNCONVERGED) + (error.reason == _RANK_DEFICIENT)
 
 
 def _check_count(value, least, name):
@@ -327,29 +324,30 @@ class Chart:
         _check_tangents(self.kind, regular, _RANK_DEFICIENT)
         return z, tangents, np.where(det > 0, 1.0, -1.0)
 
-    def _blocks(self, resolution):
-        """The :class:`NodeSet` of each block of at most ``_BLOCK`` rows of :meth:`grid`, in order.
+    def _blocks(self, resolution, build=None):
+        """Each block of at most ``_BLOCK`` rows of :meth:`grid`, in order, projected and built.
 
-        Every step of :meth:`project` is row by row, so the blocks hold the
-        numbers of one projection of the whole grid.  A block that fails is
-        not yielded, and the blocks after it are still projected and yielded:
-        after the last one, the chart raises one :class:`ProjectionError`, of
-        the earliest stage that failed in any block (Newton, then singular
-        tangents, then a rank-deficient frame), with that stage's failed
-        nodes counted over the whole grid, as one projection of it would.
+        A block is its :class:`NodeSet`, or what ``build`` makes of it.  Every
+        step of :meth:`project` is row by row, so the blocks hold the numbers of
+        one projection of the whole grid.  A block that fails, in
+        :meth:`project` (:class:`ProjectionError`) or in ``build``
+        (``ValueError``), ends the chart: the whole grid is projected once,
+        which raises its :class:`ProjectionError` if it has one, and otherwise
+        the block's own error is raised again.  So a chart fails as one
+        projection of its grid, then its build, would.
         """
-        rules, total = self._rules(resolution), self._size(resolution)
-        failed = []
-        for start in range(0, total, _BLOCK):
+        rules = self._rules(resolution)
+        for start in range(0, self._size(resolution), _BLOCK):
             params, weights = tensor_grid(rules, start, start + _BLOCK)
             try:
-                yield NodeSet(params, weights, *self.project(params))
-            except ProjectionError as exc:
-                failed.append(exc)
-        if failed:
-            first = min(failed, key=_stage)
-            count = sum(exc.unconverged for exc in failed if exc.reason == first.reason)
-            raise ProjectionError(first.kind, count, total, first.reason)
+                block = NodeSet(params, weights, *self.project(params))
+                if build is not None:
+                    block = build(block)
+            except (ProjectionError, ValueError):
+                self.project(self.grid(resolution)[0])
+                raise
+            yield block
+            del block  # before the next block is projected
 
     def nodes(self, resolution):
         """The :class:`NodeSet` of this chart at a resolution: its :meth:`_blocks`, joined."""

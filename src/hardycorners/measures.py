@@ -31,10 +31,13 @@ and cached for the domain's lifetime in the dict ``PwsDomain._cache``:
 * ``("reproduce", face_resolution, edge_resolution)``: a :class:`_Factors`,
   one complex weight per node folding the quadrature weight, orientation
   sign and kernel factor, and what tau is paired with: unit gradients at
-  face nodes, two unit member hyperplanes at edge nodes.  Face nodes where
-  the density vanishes (Levi-flat) keep no weight and serve only the pole
-  check.  80 bytes per face node (64 if Levi-flat), 144 per edge node, and
-  one float per entry: R, the largest ``|z|`` over the face nodes;
+  face nodes, two unit member hyperplanes at edge nodes, each array row for
+  row with the nodes it belongs to.  Face nodes where the density vanishes
+  (Levi-flat) keep no weight and serve only the pole check: their points
+  and unit gradients are two arrays of their own (``flat_points``,
+  ``flat_grad``).  80 bytes per face node (64 if Levi-flat), 144 per edge
+  node, and one float per entry: R, the largest ``|z|`` over the face
+  nodes;
 * ``("measure", resolution, edge_resolution)``: the
   :class:`BoundaryMeasure`, one real weight per node (quadrature weight
   times measure density): 40 bytes per node.  The key holds the resolved
@@ -51,20 +54,22 @@ temporaries exist at once, and a build's peak is the entry plus about one
 block: traced, 1.14 times the entry of ``reproduce`` on ``bidisk`` at
 6/256, and 1.30 and 1.24 times the entries of ``reproduce`` and
 ``hardy_norm`` on ``perturbed_bidisk`` at 48/24.  Only a domain whose faces
-are partly Levi-flat copies an array once more, to its size, at the end.
+are partly Levi-flat copies arrays once more, each to its size, at the end.
 Then :func:`_cached` allocates and frees one untouched array as large as
 the entry, so that the warm calls' temporaries come from the heap (its
 docstring says why); it is never resident, but ``tracemalloc`` counts it.
 Every step is row by row, so every number is that of one projection of the
-whole grid.  An error of a builder waits for the piece's last block, so
-that a chart's :class:`~hardycorners.domain.ProjectionError` comes first,
-as it does when the whole grid is projected at once.
+whole grid.  A block that fails, in its projection or in its builder (a
+``ValueError``), ends the piece: the chart's whole grid is projected once,
+so that its :class:`~hardycorners.domain.ProjectionError`, if it has one,
+comes first, as it does when the whole grid is projected before it is
+built.
 
 Every multi-column node array of both entries (``points``, ``flat_points``,
-``unit_grad``, ``planes``) is coordinate-major: in Fortran order, so that each
-column, such as ``points[:, 0]``, is contiguous.  The pairings and the
-section call read only columns, and the bytes per node are those of
-row-major arrays.
+``flat_grad``, ``unit_grad``, ``planes``) is coordinate-major: in Fortran
+order, so that each column, such as ``points[:, 0]``, is contiguous.  The
+pairings and the section call read only columns, and the bytes per node
+are those of row-major arrays.
 
 A later :func:`reproduce` at any tau costs one pairing per face that keeps
 weighted nodes and one for all edges, each written into its rows of one
@@ -273,44 +278,16 @@ def _stream(chart, resolution, build, sinks):
     ``build`` maps a block (a :class:`~hardycorners.domain.NodeSet`) to one
     array of rows per sink.  Returns the rows put in ``sinks[0]``.  A
     ``ValueError`` of ``build`` (a vanishing gradient, a point off a member,
-    an edge weight that is not positive) is raised after the chart's last
-    block, so that a projection failure anywhere in the chart comes first,
-    however the chart is split.
+    an edge weight that is not positive) fails the chart as a failed
+    projection does (:meth:`~hardycorners.domain.Chart._blocks`).
     """
-    error, count = None, 0
-    for ns in chart._blocks(resolution):
-        if error is None:
-            try:
-                count += _put(build(ns), sinks, len(ns))
-            except ValueError as exc:  # raised after the last block
-                error = exc
-        del ns  # before the next block is projected
-    if error is not None:
-        raise error
+    count = 0
+    for block, parts in chart._blocks(resolution, lambda ns: (len(ns), build(ns))):
+        for sink, rows in zip(sinks, parts):
+            sink.put(rows, block)
+        count += len(parts[0])
+        del parts  # before the next block is projected
     return count
-
-
-def _put(parts, sinks, block):
-    """Put each of a block's ``parts`` into its sink; the rows of the first."""
-    for sink, rows in zip(sinks, parts):
-        sink.put(rows, block)
-    return len(parts[0])
-
-
-def _stack(parts, tail):
-    """Read-only coordinate-major ``parts`` one after another, in one such array.
-
-    A lone non-empty part is returned itself, uncopied; no part gives a complex array.
-    """
-    parts = [part for part in parts if len(part)]
-    if len(parts) == 1:
-        return parts[0]
-    dtype = np.result_type(*parts) if parts else complex
-    out = np.empty((sum(map(len, parts)), *tail), dtype, order="F")
-    if parts:
-        np.concatenate(parts, out=out)
-    out.flags.writeable = False
-    return out
 
 
 def _node_set(points, weights, counts, faces):
@@ -350,14 +327,15 @@ class _Factors(_NodeSet):
     """The tau-free factors of :func:`reproduce`: a :class:`_NodeSet` with pairing data.
 
     ``flat_points`` ``(M, 2)`` are the Levi-flat face nodes, for the pole check
-    only.  ``unit_grad`` ``(M + F, 2)`` belong to them and then to the ``F``
-    face rows of ``points``; ``planes`` ``(N - F, 2, 3)``, unit member
-    hyperplanes, to its edge rows.  ``radius`` is the largest ``|z|`` over
-    the ``M + F`` face nodes, which screens their pole checks
+    only, and ``flat_grad`` ``(M, 2)`` their unit gradients, row for row.
+    ``unit_grad`` ``(F, 2)`` belong to the ``F`` face rows of ``points``, row
+    for row; ``planes`` ``(N - F, 2, 3)``, unit member hyperplanes, to its
+    edge rows.  ``radius`` is the largest ``|z|`` over the ``M + F`` face
+    nodes, which screens their pole checks
     (:func:`~hardycorners.kernels._leray_pairing`).
     """
 
-    __slots__ = ("flat_points", "unit_grad", "planes", "radius")
+    __slots__ = ("flat_points", "flat_grad", "unit_grad", "planes", "radius")
 
 
 def _face_measure(d, fc, ns):
@@ -453,7 +431,7 @@ def hardy_norm(d, f, resolution=16, edge_resolution=None):
 
 
 def _face_factor(d, fc, ns):
-    """A face block's weighted ``points, weights, unit_grad``; Levi-flat ``points, unit_grad``."""
+    """A face block's weighted ``points, weights, unit_grad``; Levi-flat ``points, flat_grad``."""
     unit_grad, dens = _leray_factor(d.rho(fc.hypersurface), ns.points, ns.tangents)
     # Nodes where the density vanishes (Levi-flat) contribute nothing: they serve only the
     # pole check.  Select rows only when some vanish, to copy nothing otherwise.
@@ -483,15 +461,14 @@ def _factors(d, face_resolution, edge_resolution):
         _stream(e.chart, edge_resolution, partial(_edge_factor, d, e), to_edge) for e in d.edges
     ]
     nodes = _node_set(points, weights, counts, len(d.faces))
-    flat_points, grads = flat_points.done(), grads.done()
-    unit_grad = _stack([flat_grads.done(), grads], (2,))
+    flat_points, flat_grad, unit_grad = flat_points.done(), flat_grads.done(), grads.done()
     # The largest |z| over the face nodes, a column at a time: np.linalg.norm's row
     # temporaries raised the peak RSS.
-    face_points = nodes[0][: len(grads)]
+    face_points = nodes[0][: len(unit_grad)]
     radius = max(
         np.hypot(abs(z[:, 0]), abs(z[:, 1])).max(initial=0.0) for z in (face_points, flat_points)
     )
-    return _Factors(*nodes, flat_points, unit_grad, planes.done(), float(radius))
+    return _Factors(*nodes, flat_points, flat_grad, unit_grad, planes.done(), float(radius))
 
 
 _BUILDERS = {"reproduce": _factors, "measure": _measure}
@@ -573,10 +550,9 @@ def reproduce(d, f, tau, resolution=24, face_resolution=None, edge_resolution=No
     # Every pole check runs before the section call, the Levi-flat nodes' first.  Each face
     # with weighted rows pairs on its own, straight into its rows of the divisor, to keep the
     # temporaries small.
-    flat = len(fac.flat_points)
-    if flat:
-        _leray_pairing(fac.flat_points, fac.unit_grad[:flat], tau, fac.radius)
-    grads = fac.unit_grad[flat:]
+    if len(fac.flat_points):
+        _leray_pairing(fac.flat_points, fac.flat_grad, tau, fac.radius)
+    grads = fac.unit_grad
     divisor = np.empty(len(fac.weights), dtype=complex)
     for p in filter(len, fac.face_nodes):
         np.square(_leray_pairing(p.points, grads[p.rows], tau, fac.radius), out=divisor[p.rows])

@@ -24,6 +24,7 @@ from hardycorners.domain import (
     validate_domain,
 )
 from hardycorners.hermpoly import parse_poly
+from hardycorners.measures import reproduce
 
 from conftest import random_unit_det_map
 
@@ -124,9 +125,41 @@ def test_entry_is_the_one_block_entry_byte_for_byte(monkeypatch, spec, kind, res
 def test_mixed_entry_keeps_both_kinds_of_face_node(monkeypatch):
     fac = _entry(_mixed(), "reproduce", (24, 48), domain._BLOCK, monkeypatch)
     size = 12 * 24 * 24
-    assert len(fac.flat_points) == size
-    assert len(fac.unit_grad) == 2 * size
+    assert len(fac.flat_points) == len(fac.flat_grad) == size
+    assert len(fac.unit_grad) == size
     assert [len(p) for p in fac.face_nodes] == [size, 0]
+
+
+def _cubic(z):
+    return z[0] * z[1] ** 2 + 0.5
+
+
+FACE_POLE = "^tangent hyperplane passes through the evaluation point$"
+
+
+def test_mixed_entry_pole_checks_both_kinds_of_face_node():
+    # tau on the complex tangent line z + 0.3 (g2, -g1) of one Levi-flat node of face 1 and of
+    # one weighted node of face 0: each is a face pole, cold and warm, raised before the edges'
+    # check ("a member tangent hyperplane ...").  At an interior tau no node is a pole.
+    sizes = {"face_resolution": 24, "edge_resolution": 48}
+    d = domain_from_spec(_mixed())
+    reproduce(d, _cubic, d.interior_points[0], **sizes)  # no pole; its accuracy is not checked
+    fac = d._cache[("reproduce", 24, 48)]
+    assert len(fac.flat_points) == len(fac.unit_grad) == 6912
+    nodes = [(fac.flat_points[100], fac.flat_grad[100]), (fac.points[100], fac.unit_grad[100])]
+    calls = []
+
+    def f(z):
+        calls.append(np.shape(z[0]))
+        return _cubic(z)
+
+    for z, g in nodes:
+        tau = z + 0.3 * np.array([g[1], -g[0]])
+        cold = domain_from_spec(_mixed())
+        for dom in (cold, cold, d):  # cold, warm, warm
+            with pytest.raises(ZeroDivisionError, match=FACE_POLE):
+                reproduce(dom, f, tau, **sizes)
+    assert calls == []
 
 
 def _failure(call):
@@ -199,11 +232,12 @@ def test_build_error_waits_for_a_later_blocks_projection_failure(monkeypatch):
     monkeypatch.setattr(domain, "_BLOCK", 40)
     d = domain_from_spec(load_spec("perturbed_bidisk"))
     project = domain.TorusChart.project
+    first = d.edges[0].chart.grid(12)[0][40]  # block 1's first row
 
     def poisoned(chart, params):
-        if params[0, 0] > 0:  # every block after the first starts at a positive angle
-            params = np.full_like(params, np.nan)
-        return project(chart, params)
+        # The rows from block 1's first row on, in grid order, whether projected in blocks or whole.
+        later = (params[:, 0] > first[0]) | ((params[:, 0] == first[0]) & (params[:, 1] >= first[1]))
+        return project(chart, np.where(later[:, None], np.nan, params))
 
     def failing_eta(d, points):
         raise ValueError("edge weight must be positive to define a measure")

@@ -848,7 +848,7 @@ def test_unwritable_output_is_input_error(runner, tmp_path, command, where):
     ids=["check-domain", "reproduce", "reproduce_face", "eta"],
 )
 def test_out_of_memory_is_input_error_naming_the_size(runner, monkeypatch, args, sizes):
-    def exhausted(chart, resolution):
+    def exhausted(chart, resolution, build=None):
         raise MemoryError
 
     # Every projection of a chart's grid, its node set's too, goes through its blocks.

@@ -376,7 +376,8 @@ def test_reproduce_does_not_call_the_section_on_levi_flat_faces():
     assert [len(piece) for piece in factors.face_nodes] == [0, 0]
     # every face node is Levi-flat: it is kept, with its unit gradient, for the pole check only
     flat = len(factors.flat_points)
-    assert flat == len(factors.unit_grad) == sum(len(fc.chart.nodes(6).points) for fc in d.faces)
+    assert flat == len(factors.flat_grad) == sum(len(fc.chart.nodes(6).points) for fc in d.faces)
+    assert len(factors.unit_grad) == 0
     assert not factors.flat_points.flags.writeable
     assert len(factors.points) == len(factors.weights) == 24 * 24
 

@@ -1,4 +1,6 @@
-"""``tools/pairs.py``: the pair summary, its JSON record, and the refusal of cached checkouts."""
+"""``tools/pairs.py``: the pair summary, its JSON record, the alternating runs, and the refusal
+of cached checkouts.
+"""
 
 import argparse
 import importlib.util
@@ -45,6 +47,17 @@ def test_record_keeps_the_summary_and_which_side_ran_first():
     assert wall["pairs_won_by_change"] == 2
     assert [r["first"] for r in out["runs"]] == ["parent", "change"]
     assert out["runs"][1]["change"] == {"wall_s": 2.1, "accuracy_digits": 14.0}
+
+
+def test_runs_alternate_which_side_goes_first():
+    calls = []
+
+    def measure(side):
+        calls.append(side)
+        return 10 * len(calls) + side
+
+    assert list(pairs.alternate(3, measure)) == [(10, 21), (40, 31), (50, 61)]
+    assert calls == [0, 1, 1, 0, 0, 1]
 
 
 def test_a_checkout_with_a_bytecode_cache_is_refused(tmp_path):

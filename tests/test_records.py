@@ -57,7 +57,7 @@ def _fields():
         (_Piece, dict(points=_A, weights=_A, rows=slice(0, 6))),
         (_NodeSet, four),
         (BoundaryMeasure, four),
-        (_Factors, dict(four, flat_points=_A, unit_grad=_A, planes=_A, radius=2.0)),
+        (_Factors, dict(four, flat_points=_A, flat_grad=_A, unit_grad=_A, planes=_A, radius=2.0)),
         (NormalForm, dict(a1=1.0, b1=2.0, c1=3.0, a2=4.0, b2=5.0, c2=6.0)),
         (NormalizedEdge, dict(b1=1.0, b2=2.0, q=3.0, r=4.0, shift1=5.0, shift2=6.0, swapped=False)),
         (

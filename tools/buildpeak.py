@@ -37,7 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from pairs import _cell, compare
+from pairs import _cell, alternate, compare
 
 # Run in a fresh interpreter: argv[1] is the checkout's src/, then the spec, kind and the two
 # resolutions.  Prints one JSON object with the figures of the two builds.
@@ -113,13 +113,8 @@ def main(argv=None):
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
 
-    runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i in range(args.runs):
-            result = [None, None]
-            for side in (0, 1) if i % 2 == 0 else (1, 0):
-                result[side] = _build(srcs[side], args, env, tmp)
-            runs.append(tuple(result))
+        runs = list(alternate(args.runs, lambda side: _build(srcs[side], args, env, tmp)))
     rows, ratios = summarize(runs)
 
     print(

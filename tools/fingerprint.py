@@ -3,9 +3,10 @@
 Run from the repository root with ``PYTHONPATH=src python tools/fingerprint.py``
 in two checkouts and ``diff`` the outputs: an empty diff means every chart node
 set (its geometry, and its orientation signs on a line of their own), every
-``reproduce`` and ``hardy_norm`` result (cold and warm), each array of the
-cached ``reproduce`` factors (``weights``, ``unit_grad``, ``planes``), each
-field of every edge's ``eta``, every piece's points and weights in
+``reproduce`` and ``hardy_norm`` result (cold and warm), each field of the
+cached ``reproduce`` factors (``points``, ``weights``, ``flat_points``,
+``flat_grad``, ``unit_grad``, ``planes``, ``radius``), each field of every
+edge's ``eta``, every piece's points and weights in
 ``build_measure`` at two edge resolutions, ``fefferman_density`` on every
 face of each spec and of its projective image, the criterion 14 path (a warm
 ``hardy_norm`` of a pulled-back section on a projective image, at the
@@ -111,10 +112,14 @@ def _line(name, compute):
     print(f"{name} {_digest(*parts)}")
 
 
+# The array fields of a cached reproduce entry, and its radius.
+FACTOR_FIELDS = ("points", "weights", "flat_points", "flat_grad", "unit_grad", "planes", "radius")
+
+
 def _factor_lines(name, d):
-    """One line per array of each cached ``reproduce`` entry: a diff names the array that moved."""
+    """One line per field of each cached ``reproduce`` entry: a diff names the field that moved."""
     for key in sorted(k for k in d._cache if k[0] == "reproduce"):
-        for field in ("weights", "unit_grad", "planes"):
+        for field in FACTOR_FIELDS:
             label = f"factors {name} f{key[1]} e{key[2]} {field}"
             _line(label, lambda: (getattr(d._cache[key], field),))
 
@@ -274,7 +279,7 @@ def face_poles():
     sizes = {"resolution": 8, "edge_resolution": 6}
     reproduce(d, _section, TAU, **sizes)
     fac = d._cache[("reproduce", 8, 6)]
-    z, g = fac.points[5], fac.unit_grad[5]  # no Levi-flat node: unit_grad[5] is points[5]'s
+    z, g = fac.points[5], fac.unit_grad[5]
     w = np.array([-(g @ z), g[0], g[1]])
     tau2 = 0.2j
     on = np.array([-(w[0] + w[2] * tau2) / w[1], tau2])

@@ -46,7 +46,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from pairs import _cell, compare
+from pairs import _cell, alternate, compare
 
 # Run in a fresh interpreter: argv[1] is the checkout's src/.  Prints the
 # seconds of the import, the package's submodules it loaded and the numpy
@@ -101,13 +101,7 @@ def summarize(runs):
 
 
 def _measure(srcs, runs, env, cwd):
-    out = []
-    for i in range(runs):
-        result = [None, None]
-        for side in (0, 1) if i % 2 == 0 else (1, 0):
-            result[side] = _import(srcs[side], env, cwd)
-        out.append(tuple(result))
-    return out
+    return list(alternate(runs, lambda side: _import(srcs[side], env, cwd)))
 
 
 def main(argv=None):

@@ -84,6 +84,19 @@ def _quartiles(values):
     return q1, q2, q3
 
 
+def alternate(runs, measure):
+    """Yield ``runs`` pairs ``(measure(0), measure(1))``, side 0 (the parent) first in even runs.
+
+    Side 1 goes first in odd runs, so a drift of the machine's speed falls
+    on both sides alike.
+    """
+    for i in range(runs):
+        result = [None, None]
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            result[side] = measure(side)
+        yield tuple(result)
+
+
 def _cell(q):
     return f"{q[1]:.5g} [{q[0]:.5g}, {q[2]:.5g}]"
 
@@ -175,13 +188,11 @@ def main(argv=None):
         )
 
     runs = []
-    for i in range(args.pairs):
-        order = (0, 1) if i % 2 == 0 else (1, 0)
-        result = [None, None]
-        for side in order:
-            result[side] = _run(roots[side], args.workload, args.seed, args.seconds)
-        runs.append(tuple(result))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    for pair in alternate(
+        args.pairs, lambda side: _run(roots[side], args.workload, args.seed, args.seconds)
+    ):
+        runs.append(pair)
+        print(f"pair {len(runs)}/{args.pairs} done", file=sys.stderr)
 
     print(f"workload={args.workload} seed={args.seed} pairs={args.pairs} seconds={args.seconds}")
     print(f"parent={roots[0]}\nchange={roots[1]}")
