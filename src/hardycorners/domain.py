@@ -50,7 +50,17 @@ import numpy as np
 
 from .hermpoly import gradient_hyperplane, parse_poly, transform_poly
 from .kernels import StrongTangentSet, _frame_dets
-from .projective import HomVec, ProjMap, _dot2, _Frozen, det2, homogenize, normalize_map, solve2
+from .projective import (
+    HomVec,
+    ProjMap,
+    _dot2,
+    _Frozen,
+    det2,
+    homogenize,
+    matmul,
+    normalize_map,
+    solve2,
+)
 from .quadrature import gauss_rule, tensor_grid, trapezoid_rule
 
 __all__ = [
@@ -763,7 +773,7 @@ def check_strict_convexity(d, zhat, t_grid=11, ambient_grid=16, local_radius=Non
         s = np.arange(t_grid) / (t_grid - 1.0)
         t = np.stack([s, 1.0 - s], axis=-1)
     points = zhat.reshape(-1, 2)
-    w = t @ _member_planes(d, members, points)
+    w = matmul(t, _member_planes(d, members, points))
     # Direction of each line: the kernel (w2, -w1) of the affine part, normalized.
     direction = np.stack([w[..., 2], -w[..., 1]], axis=-1)
     norm = np.linalg.norm(direction, axis=-1)

@@ -45,7 +45,7 @@ from operator import add
 
 import numpy as np
 
-from .projective import HomVec, ProjMap, _as_points, _dot2, _stack_last, normalize_map
+from .projective import HomVec, ProjMap, _as_points, _dot2, _stack_last, matmul, normalize_map
 
 __all__ = [
     "Poly",
@@ -154,9 +154,6 @@ class Poly:
     def conj(self):
         """Complex conjugate polynomial (swaps holomorphic/antiholomorphic exponents)."""
         return Poly({_mate(key): c.conjugate() for key, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
     def max_degrees(self):
         """(holomorphic degree, antiholomorphic degree) over all terms."""
@@ -407,7 +404,7 @@ def _gradient_norm(g):
 
 def _hermitian_form(h, u, v):
     """``u^H h v`` for complex Hessians ``h`` ``(..., 2, 2)`` and vectors ``u``, ``v`` ``(..., 2)``."""
-    return _dot2(np.conj(u), (h @ v[..., None])[..., 0])
+    return _dot2(np.conj(u), matmul(h, v[..., None])[..., 0])
 
 
 def gradient_hyperplane(rho, zhat):

@@ -42,6 +42,7 @@ from .projective import (
     det2,
     det3,
     inv3,
+    matmul,
     normalize_map,
     solve2,
 )
@@ -58,7 +59,6 @@ __all__ = [
     "change_matrix",
     "normalize_coeffs",
     "edge_profile",
-    "edge_profile_ratio",
     "legendre_argmax",
     "legendre_transform",
     "kappa",
@@ -184,7 +184,7 @@ def _frame_matrices(planes, points):
     hom = np.zeros((len(points), 3, 3), dtype=complex)
     hom[:, 0, 0] = 1.0
     rows = 1j * planes[..., 1:]
-    hom[:, 1:, 0] = -(rows @ points[:, :, None])[..., 0]
+    hom[:, 1:, 0] = -matmul(rows, points[:, :, None])[..., 0]
     hom[:, 1:, 1:] = rows
     return hom / _principal_cube_root(det3(hom))[:, None, None]
 
@@ -218,9 +218,9 @@ def _transformed_taylor2(rho, points, inv, grad):
     jac_t = np.swapaxes(jac, -1, -2)
     # Wirtinger derivatives in frame coordinates: g_k, g_kl = d^2/dzeta_k
     # dzeta_l and g_klbar = d^2/dzeta_k dconj(zeta_l)
-    gk = (grad[:, None, :] @ jac)[:, 0]
-    gkl = jac_t @ rho.hessian_holomorphic(z1, z2) @ jac
-    gklbar = jac_t @ np.swapaxes(rho.hessian_complex(z1, z2), -1, -2) @ np.conj(jac)
+    gk = matmul(grad[:, None, :], jac)[:, 0]
+    gkl = matmul(matmul(jac_t, rho.hessian_holomorphic(z1, z2)), jac)
+    gklbar = matmul(matmul(jac_t, np.swapaxes(rho.hessian_complex(z1, z2), -1, -2)), np.conj(jac))
     # G's second derivatives and the first derivatives of D^n together add
     # (n - 1) (g_k D_l + D_k g_l) / D to g_kl; D^n and conj(D)^n add
     # (n D_k / D) conj(g_l) and its conjugate transpose to g_klbar
@@ -316,7 +316,7 @@ def _fit(d, zhat, frame):
         )
     eye = np.broadcast_to(np.eye(2), a.shape)
     tangent = np.concatenate([eye, -solve2(b, a, det)], axis=-2)[:, None]
-    restricted = np.swapaxes(tangent, -1, -2) @ hessians @ tangent
+    restricted = matmul(matmul(np.swapaxes(tangent, -1, -2), hessians), tangent)
     # g[:, l] is the Hessian of the graph y_l(x) at x = 0
     g = -solve2(b, restricted.reshape(-1, 2, 4), det).reshape(-1, 2, 2, 2)
     if zhat.ndim == 1:
@@ -484,19 +484,6 @@ def edge_profile(t):
     """Universal convex profile on (-1, 1): 4 / (1 - t^2) - 3 (elementwise)."""
     t = _on_interval(t)
     return _value(4.0 / (1.0 - t * t) - 3.0, float)
-
-
-def edge_profile_ratio(t):
-    """The same profile written as a cubic-mean ratio of the barycentric pair.
-
-    With p = (1 + t)/2 and m = (1 - t)/2 this is (p^3 + m^3) / (p m); it
-    agrees with :func:`edge_profile` identically and is kept as an
-    independent expression for cross-checking.
-    """
-    t = _on_interval(t)
-    p = 0.5 * (1.0 + t)
-    m = 0.5 * (1.0 - t)
-    return _value((p**3 + m**3) / (p * m), float)
 
 
 # Newton steps allowed to the Legendre maximizer; from its starting bound it

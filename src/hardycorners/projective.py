@@ -29,9 +29,11 @@ from that division and ``den**j``; the one-point path and every other
 function here are exact as before.
 
 Small-matrix algebra on stacks of matrices (:func:`det2`, :func:`solve2`,
-:func:`det3`, :func:`inv3`, :func:`det4`) is written out in closed form and
-broadcasts over leading axes such as a node axis; on stacks of tiny
-matrices this is several times faster than batched ``numpy.linalg`` calls.
+:func:`matmul`, :func:`det3`, :func:`inv3`, :func:`det4`) is written out in
+closed form and broadcasts over leading axes such as a node axis; on stacks
+of tiny matrices this is several times faster than batched ``numpy.linalg``
+calls, and :func:`matmul` makes no BLAS call for each tiny matrix as the
+``@`` operator does.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "affinize",
     "det2",
     "solve2",
+    "matmul",
     "det3",
     "inv3",
     "det4",
@@ -152,6 +155,20 @@ def solve2(a, b, det):
         ],
         axis=-2,
     )
+
+
+def matmul(a, b):
+    """``a @ b`` for stacks of small matrices: ``a`` is ``(..., M, K)``, ``b`` is ``(..., K, P)``.
+
+    The product is the sum over ``k`` of column ``k`` of ``a`` times row
+    ``k`` of ``b``: the ``k = 0`` term is formed by broadcasting, and the
+    other ``K - 1`` are added to it in place.  Leading axes broadcast as in
+    ``np.matmul``; both operands must have at least two axes.
+    """
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    return out
 
 
 def _cofactor3(a, i, j):

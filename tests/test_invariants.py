@@ -16,7 +16,6 @@ from hardycorners.normalforms import (
     change_matrix,
     edge_frame,
     edge_profile,
-    edge_profile_ratio,
     eta,
     extract_normal_form,
     kappa,
@@ -389,6 +388,18 @@ def test_normalized_invariant_is_shear_invariant(b1, b2):
 
 # ---------------------------------------------------------------------------
 # Profile, Legendre transform, kappa
+
+
+def edge_profile_ratio(t):
+    """The profile written as a cubic-mean ratio of the barycentric pair, to cross-check it.
+
+    With p = (1 + t)/2 and m = (1 - t)/2 this is (p^3 + m^3) / (p m), which
+    agrees with :func:`~hardycorners.normalforms.edge_profile` identically.
+    """
+    t = normalforms._on_interval(t)
+    p = 0.5 * (1.0 + t)
+    m = 0.5 * (1.0 - t)
+    return (p**3 + m**3) / (p * m)
 
 
 def test_profile_identities():

@@ -14,9 +14,10 @@ a sweep over many seeds takes seconds.
 
 The table gives each seed's figure in both checkouts and the change's gain
 (negative for a loss); below it, the worst loss (the largest ``parent -
-change``, negative when every seed gained) with its seed and the median of
-each side.  The interpreters run with ``-B``, so nothing in either
-checkout is written.
+change``, negative when every seed gained) with its seed, the seeds that lose
+more than the ``accuracy_digits`` bound of this repository's
+``BENCHMARK.json`` (read, never written), and the median of each side.  The
+interpreters run with ``-B``, so nothing in either checkout is written.
 """
 
 from __future__ import annotations
@@ -45,6 +46,21 @@ for seed in seeds:
     digits.append(outcome.accuracy_digits())
 print(json.dumps(digits))
 """
+
+
+# The benchmark declaration whose accuracy_digits bound the report counts against.
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def accuracy_bound(path=BENCHMARK):
+    """The ``accuracy_digits`` bound of the end-to-end metrics declared in ``path``."""
+    metrics = json.loads(Path(path).read_text(encoding="utf-8"))["end_to_end"]
+    return next(m["bound"] for m in metrics if m["name"] == "accuracy_digits")
+
+
+def losses_beyond(rows, bound):
+    """The seeds of ``rows`` (as :func:`summarize` gives them) that lose more than ``bound``."""
+    return [seed for seed, _, _, gain in rows if -gain > bound]
 
 
 def parse_seeds(text):
@@ -99,6 +115,10 @@ def main(argv=None):
     for s, p, c, gain in rows:
         print(f"{s:>5} {p:>9.4f} {c:>9.4f} {gain:>+8.4f}")
     print(f"worst loss: {worst:.4f} digits (seed {seed})")
+    bound = accuracy_bound()
+    beyond = losses_beyond(rows, bound)
+    listed = f" (seeds {', '.join(map(str, beyond))})" if beyond else ""
+    print(f"losses beyond the accuracy_digits bound {bound}: {len(beyond)}{listed}")
     print(f"median: parent {parent_median:.4f}, change {change_median:.4f}")
     return 0
 
